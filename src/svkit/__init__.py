@@ -1,90 +1,8 @@
 """Speaker-verification toolkit: features, augmentation, a numpy ResNet
 embedding network, margin/prototypical losses with analytic gradients,
-cosine trial scoring, and EER/MinDCF evaluation."""
+cosine trial scoring, and EER/MinDCF evaluation.
 
-from .audio import SAMPLE_RATE, Waveform, crop_segment, read_wav, tile_to_length, write_wav
-from .augment import (
-    ADDITIVE_DEFAULTS,
-    AUGMENT_KINDS,
-    AugmentSpec,
-    NoiseCatalog,
-    RirCatalog,
-    apply_augmentation,
-    augment_additive,
-    augment_rir,
-    measure_snr_db,
-    mix_at_snr,
-    plan_additive,
-    scan_catalogs,
-)
-from .containers import FormatError, load_features, load_tensors, save_features, save_tensors
-from .features import (
-    FeatureMap,
-    FeatureParams,
-    extract_features,
-    instance_normalize,
-    log_mel_spectrogram,
-    mel_center_frequencies,
-    mel_filterbank,
-    preemphasize,
-)
-from .losses import (
-    APParams,
-    LOSS_NAMES,
-    MarginParams,
-    aam_softmax,
-    am_softmax,
-    angular_prototypical,
-    ap_plus_softmax,
-    softmax_ce,
-)
-from .metrics import (
-    DCFParams,
-    EvalReport,
-    MissingScoresError,
-    ScoreSet,
-    Trial,
-    TrialList,
-    eer,
-    evaluate,
-    min_dcf,
-    read_scores,
-    read_trials,
-    roc_points,
-    write_scores,
-)
-from .network import (
-    NetworkWeights,
-    TrunkConfig,
-    forward,
-    infer_config,
-    init_weights,
-    parameter_count,
-)
-from .optim import (
-    AdamState,
-    DivergenceError,
-    Schedule,
-    SyntheticCorpus,
-    TrainResult,
-    adam_step,
-    lr_at,
-    make_corpus,
-    mean_angular_gap,
-    train_demo,
-    trial_scores,
-)
-from .scoring import (
-    CROP_SECONDS,
-    N_CROPS,
-    cosine_matrix,
-    crop_embeddings,
-    network_embedder,
-    plan_crops,
-    score_from_embeddings,
-    score_pair,
-)
+Import names from the submodules (`svkit.audio`, `svkit.metrics`, ...);
+the package itself exposes only `__version__`."""
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

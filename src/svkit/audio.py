@@ -48,15 +48,18 @@ class Waveform:
 
 
 def read_wav(path: str | Path) -> Waveform:
-    """Load a 16-bit PCM mono 16 kHz WAV file."""
-    with wave.open(str(path), "rb") as f:
-        if f.getnchannels() != 1:
-            raise ValueError(f"{path}: expected mono audio, got {f.getnchannels()} channels")
-        if f.getsampwidth() != 2:
-            raise ValueError(f"{path}: expected 16-bit PCM, got {8 * f.getsampwidth()}-bit")
-        if f.getframerate() != SAMPLE_RATE:
-            raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz, got {f.getframerate()} Hz")
-        raw = f.readframes(f.getnframes())
+    """Load a 16-bit PCM mono 16 kHz WAV file; malformed files raise ValueError."""
+    try:
+        with wave.open(str(path), "rb") as f:
+            if f.getnchannels() != 1:
+                raise ValueError(f"{path}: expected mono audio, got {f.getnchannels()} channels")
+            if f.getsampwidth() != 2:
+                raise ValueError(f"{path}: expected 16-bit PCM, got {8 * f.getsampwidth()}-bit")
+            if f.getframerate() != SAMPLE_RATE:
+                raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz, got {f.getframerate()} Hz")
+            raw = f.readframes(f.getnframes())
+    except (wave.Error, EOFError) as exc:
+        raise ValueError(f"{path}: malformed WAV file: {str(exc) or 'truncated file'}") from exc
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples)
 

@@ -76,19 +76,10 @@ class NoiseCatalog:
 
 
 @dataclass
-class RirCatalog:
-    """Impulse-response recordings; entries are Waveforms or WAV paths."""
+class RirCatalog(NoiseCatalog):
+    """Impulse-response recordings: a catalog whose category is "rir"."""
 
-    entries: list = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def get(self, index: int) -> Waveform:
-        entry = self.entries[index]
-        if isinstance(entry, Waveform):
-            return entry
-        return read_wav(entry)
+    category: str = field(default="rir", init=False)
 
 
 def scan_catalogs(root: str | Path) -> dict:
@@ -98,19 +89,12 @@ def scan_catalogs(root: str | Path) -> dict:
     noise/ hold additive recordings, rir/ holds impulse responses. Only
     present subdirectories produce catalogs.
     """
-    root = Path(root)
     catalogs: dict = {}
-    for category in ADDITIVE_KINDS:
-        sub = root / category
-        if sub.is_dir():
-            paths = sorted(sub.glob("*.wav"))
-            if paths:
-                catalogs[category] = NoiseCatalog(category, list(paths))
-    rir_dir = root / "rir"
-    if rir_dir.is_dir():
-        paths = sorted(rir_dir.glob("*.wav"))
+    for category in AUGMENT_KINDS:
+        sub = Path(root) / category
+        paths = sorted(sub.glob("*.wav")) if sub.is_dir() else []
         if paths:
-            catalogs["rir"] = RirCatalog(list(paths))
+            catalogs[category] = RirCatalog(paths) if category == "rir" else NoiseCatalog(category, paths)
     return catalogs
 
 

@@ -51,11 +51,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _atomic_save(path: Path, save) -> None:
-    # Single atomic publish: write beside the target, then rename over it.
-    tmp = path.with_name(path.name + ".tmp")
-    save(tmp)
-    os.replace(tmp, path)
+def _atomic_save(path: str | Path, save) -> None:
+    # Single atomic publish: save() writes a uniquely named temp file beside
+    # the target, with the mode a plain open() gives, then it is renamed over
+    # the target. A failed save leaves neither a partial target nor a temp file.
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(8).hex()}.tmp")
+    try:
+        save(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _build_parser() -> _Parser:
@@ -167,7 +174,7 @@ def _cmd_featurize(args) -> int:
         fmap = log_mel_spectrogram(preemphasize(wave, params.preemphasis), params)
     else:
         fmap = extract_features(wave, params)
-    save_features(args.out, fmap.values)
+    _atomic_save(args.out, lambda p: save_features(p, fmap.values))
     return 0
 
 
@@ -192,14 +199,14 @@ def _cmd_augment(args) -> int:
             raise ValueError(f"no catalog available for kind {args.kind!r}")
         spec = aug.AugmentSpec(args.kind, args.seed, counts, snrs)
         out = aug.augment_additive(wave, catalogs[args.kind], spec)
-    write_wav(args.out, out)
+    _atomic_save(args.out, lambda p: write_wav(p, out))
     return 0
 
 
 def _cmd_init(args) -> int:
     cfg = TrunkConfig.from_variant(args.variant)
     weights = init_weights(cfg, seed=args.seed)
-    weights.save(args.out)
+    _atomic_save(args.out, weights.save)
     print(f"variant={args.variant}")
     print(f"parameters={weights.parameter_count()}")
     return 0
@@ -225,7 +232,7 @@ def _cmd_embed(args) -> int:
     for wav in args.wavs:
         emb = crop_embeddings(read_wav(wav), embedder, args.crop_seconds, args.n_crops)
         out[_canonical(wav)] = emb.astype(np.float32)
-    _atomic_save(Path(args.out), lambda p: save_tensors(p, out))
+    _atomic_save(args.out, lambda p: save_tensors(p, out))
     return 0
 
 
@@ -253,9 +260,9 @@ def _cmd_score(args) -> int:
         (t.enroll, t.test, score_from_embeddings(by_id[t.enroll], by_id[t.test]))
         for t in trials
     ]
-    _atomic_save(Path(args.out), lambda p: write_scores(p, scored))
+    _atomic_save(args.out, lambda p: write_scores(p, scored))
     if args.cache and fresh:
-        _atomic_save(Path(args.cache), lambda p: save_tensors(p, cache))
+        _atomic_save(args.cache, lambda p: save_tensors(p, cache))
     return 0
 
 
@@ -267,7 +274,7 @@ def _cmd_evaluate(args) -> int:
     text = report.to_text()
     sys.stdout.write(text)
     if args.out:
-        Path(args.out).write_text(text)
+        _atomic_save(args.out, lambda p: p.write_text(text))
     return 0
 
 
@@ -285,7 +292,7 @@ def _cmd_train_demo(args) -> int:
         seed=args.seed,
     )
     if args.history:
-        Path(args.history).write_text(result.history_csv())
+        _atomic_save(args.history, lambda p: p.write_text(result.history_csv()))
     if result.history:
         print(f"final_loss={result.history[-1].loss!r}")
     print(f"heldout_eer={result.heldout_eer!r}")

@@ -4,13 +4,14 @@ Two formats, both little-endian with 32-bit float payloads:
 
 Feature file ("SVF1"):
     magic "SVF1" | u32 n_rows | u32 n_cols | n_rows * n_cols float32,
-    row-major (time-major for feature maps). Also reused as the embedding
-    cache format with n_rows = number of crops and n_cols = 512.
+    row-major (time-major for feature maps).
 
 Weight file ("SVW1"):
     magic "SVW1" | u32 tensor_count | per tensor:
     u16 name_len | UTF-8 name | u8 rank | rank * u32 dims | float32 data
-    in C order. Round-trips are bit-exact for float32 tensors.
+    in C order. Round-trips are bit-exact for float32 tensors. Also the
+    embedding and embedding-cache format: one (n_crops, 512) tensor per
+    utterance, named by its canonical path.
 """
 
 from __future__ import annotations

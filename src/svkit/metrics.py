@@ -17,7 +17,7 @@ round-trip losslessly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -64,6 +64,8 @@ class ScoreSet:
         if not np.all(np.isfinite(scores)):
             raise ValueError("scores must be finite")
         object.__setattr__(self, "scores", scores)
+        is_target = np.array([t.is_target for t in self.trials], dtype=bool)
+        object.__setattr__(self, "_is_target", is_target)
 
     @classmethod
     def from_map(cls, trials: TrialList, by_pair: Mapping[tuple[str, str], float]) -> "ScoreSet":
@@ -79,11 +81,11 @@ class ScoreSet:
 
     @property
     def target_scores(self) -> np.ndarray:
-        return self.scores[np.array([t.is_target for t in self.trials], dtype=bool)]
+        return self.scores[self._is_target]
 
     @property
     def nontarget_scores(self) -> np.ndarray:
-        return self.scores[np.array([not t.is_target for t in self.trials], dtype=bool)]
+        return self.scores[~self._is_target]
 
 
 class MissingScoresError(ValueError):
@@ -102,6 +104,11 @@ class DCFParams:
             raise ValueError("detection costs must be positive")
         if not 0.0 < self.p_target < 1.0:
             raise ValueError("p_target must lie strictly between 0 and 1")
+
+    @property
+    def normalizer(self) -> float:
+        """Cost of the better trivial system (accept all or reject all)."""
+        return min(self.c_miss * self.p_target, self.c_fa * (1.0 - self.p_target))
 
 
 def roc_points(scores: ScoreSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,7 +157,7 @@ def min_dcf(scores: ScoreSet, params: DCFParams = DCFParams()) -> tuple[float, f
     i = int(np.argmin(dcf))
     value = float(dcf[i])
     if params.normalize:
-        value /= min(params.c_miss * params.p_target, params.c_fa * (1.0 - params.p_target))
+        value /= params.normalizer
     return value, float(thresholds[i])
 
 
@@ -193,13 +200,12 @@ class EvalReport:
 
 def evaluate(scores: ScoreSet, params: DCFParams = DCFParams()) -> EvalReport:
     eer_value, eer_thr = eer(scores)
-    raw, dcf_thr = min_dcf(scores, DCFParams(params.c_miss, params.c_fa, params.p_target, False))
-    norm = min(params.c_miss * params.p_target, params.c_fa * (1.0 - params.p_target))
+    raw, dcf_thr = min_dcf(scores, replace(params, normalize=False))
     return EvalReport(
         eer_pct=round(eer_value * 100.0, 4),
         eer=eer_value,
         eer_threshold=eer_thr,
-        min_dcf=raw / norm if params.normalize else raw,
+        min_dcf=raw / params.normalizer if params.normalize else raw,
         min_dcf_raw=raw,
         dcf_threshold=dcf_thr,
         n_target=int(scores.target_scores.size),

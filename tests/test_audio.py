@@ -62,6 +62,13 @@ class TestWavIO:
         with pytest.raises(ValueError, match="8000"):
             read_wav(path)
 
+    @pytest.mark.parametrize("content", [b"RIFFxxxxWAVEjunk", b"RIFF", b"not a wav file"])
+    def test_malformed_file_raises_value_error_naming_path(self, tmp_path, content):
+        path = tmp_path / "broken.wav"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match="broken.wav"):
+            read_wav(path)
+
 
 class TestTile:
     def test_repeats_end_to_end(self):

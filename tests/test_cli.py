@@ -4,10 +4,14 @@ Each test drives main() in process and checks exit codes: 0 success,
 1 usage error, 2 data error.
 """
 
+import pathlib
+import stat
+
 import numpy as np
 import pytest
 
 from conftest import make_wave
+from svkit import cli, containers
 from svkit.audio import Waveform, read_wav, write_wav
 from svkit.cli import main
 from svkit.containers import load_tensors, save_tensors
@@ -84,6 +88,12 @@ class TestFeaturize:
         code = main(["featurize", "--in", str(tmp_path / "nope.wav"), "--out", str(tmp_path / "o.svf1")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_malformed_wav_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(b"RIFFxxxxWAVEjunk")
+        assert main(["featurize", "--in", str(bad), "--out", str(tmp_path / "o.svf1")]) == 2
+        assert "bad.wav" in capsys.readouterr().err
 
     def test_no_normalize_changes_output(self, tmp_path, wav_file):
         norm, raw = tmp_path / "n.svf1", tmp_path / "r.svf1"
@@ -335,3 +345,66 @@ class TestInfo:
         save_tensors(odd, {"conv1.weight": np.zeros((3, 3, 1, 99), dtype=np.float32)})
         assert main(["info", "--weights", str(odd)]) == 0
         assert "variant=unknown" in capsys.readouterr().out
+
+
+def _write_partial_then_fail(path, *args, **kwargs):
+    pathlib.Path(path).write_bytes(b"partial")
+    raise OSError("disk full")
+
+
+class TestAtomicOutputs:
+    """Every output is published by rename: a failed write keeps the old file."""
+
+    @pytest.fixture
+    def argv_for(self, wav_file, catalog_tree, toy_eval_files):
+        scores, trials = toy_eval_files
+        return {
+            "featurize": ["featurize", "--in", str(wav_file), "--out"],
+            "augment": ["augment", "--in", str(wav_file), "--kind", "noise",
+                        "--catalog", str(catalog_tree), "--out"],
+            "init": ["init", "--variant", "q-sap", "--out"],
+            "evaluate": ["evaluate", "--scores", str(scores), "--trials", str(trials), "--out"],
+            "train-demo": ["train-demo", "--speakers", "4", "--utts", "3", "--dim", "8",
+                           "--trials", "12", "--epochs", "1", "--history"],
+        }
+
+    WRITERS = {
+        "featurize": (cli, "save_features"),
+        "augment": (cli, "write_wav"),
+        "init": (containers, "save_tensors"),
+        "evaluate": (pathlib.Path, "write_text"),
+        "train-demo": (pathlib.Path, "write_text"),
+    }
+
+    @pytest.mark.parametrize("command", list(WRITERS))
+    def test_failed_write_keeps_previous_output(self, tmp_path, argv_for, monkeypatch, command):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "result"
+        out.write_bytes(b"previous")
+        monkeypatch.setattr(*self.WRITERS[command], _write_partial_then_fail)
+        assert main(argv_for[command] + [str(out)]) == 2
+        assert out.read_bytes() == b"previous"
+        assert [p.name for p in out_dir.iterdir()] == ["result"]
+
+    @pytest.mark.parametrize("command", list(WRITERS))
+    def test_output_has_plain_open_mode_and_no_leftovers(self, tmp_path, argv_for, command):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        reference = out_dir / "reference"
+        reference.write_bytes(b"")
+        assert main(argv_for[command] + [str(out_dir / "result")]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["reference", "result"]
+        mode = stat.S_IMODE((out_dir / "result").stat().st_mode)
+        assert mode == stat.S_IMODE(reference.stat().st_mode)
+
+    def test_concurrent_runs_temp_name_is_not_clobbered(self, trial_setup, q_weights_file):
+        root, trials = trial_setup
+        out = root / "scores.txt"
+        other = root / "scores.txt.tmp"  # the temp file of a run writing the same target
+        other.write_bytes(b"another run")
+        argv = ["score", "--trials", str(trials), "--weights", str(q_weights_file), "--out", str(out),
+                "--wav-root", str(root), "--crop-seconds", "0.5", "--n-crops", "2"]
+        assert main(argv) == 0
+        assert other.read_bytes() == b"another run"
+        assert len(out.read_text().splitlines()) == 3
