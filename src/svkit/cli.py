@@ -6,12 +6,14 @@ init, embed, score, evaluate, train-demo, info. Exit codes: 0 success,
 malformed content, invalid values). All randomness is controlled by
 --seed, so every subcommand is idempotent: identical inputs and seed
 give bit-identical outputs. Trial files reference utterances by path;
-the embedding cache is keyed by canonicalized path.
+the embedding cache is keyed by canonicalized path and is discarded
+when it was built with other weights or crop settings.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 from pathlib import Path
@@ -36,6 +38,7 @@ from .optim import Schedule, make_corpus, train_demo
 from .scoring import (
     CROP_SECONDS,
     N_CROPS,
+    Embedder,
     crop_embeddings,
     network_embedder,
     score_from_embeddings,
@@ -219,15 +222,32 @@ def _canonical(path: str, root: str = ".") -> str:
     return p.resolve().as_posix()
 
 
-def _load_cache(path: str | None) -> dict[str, np.ndarray]:
-    if path and Path(path).exists():
-        return load_tensors(path)
-    return {}
+def _load_embedder(weights_path: str) -> Embedder:
+    # Only the embedder is returned, so the raw tensors are released once
+    # it holds their folded copy.
+    weights = NetworkWeights.load(weights_path)
+    return network_embedder(weights, infer_config(weights))
+
+
+def _cache_record(weights_path: str, crop_seconds: float, n_crops: int) -> str:
+    """Name of the cache's metadata record: what its entries were built with."""
+    digest = hashlib.sha256(Path(weights_path).read_bytes()).hexdigest()
+    return f"#svkit-cache weights-sha256={digest} crop-seconds={crop_seconds!r} n-crops={n_crops}"
+
+
+def _load_cache(path: str | None, record: str) -> dict[str, np.ndarray]:
+    """Cached entries, or none when the file is missing or its metadata
+    record differs from `record` (other weights, crop settings, or a cache
+    written without a record)."""
+    if not (path and Path(path).exists()):
+        return {}
+    records: list[str] = []
+    entries = load_tensors(path, records)
+    return entries if records == [record] else {}
 
 
 def _cmd_embed(args) -> int:
-    weights = NetworkWeights.load(args.weights)
-    embedder = network_embedder(weights, infer_config(weights))
+    embedder = _load_embedder(args.weights)
     out: dict[str, np.ndarray] = {}
     for wav in args.wavs:
         emb = crop_embeddings(read_wav(wav), embedder, args.crop_seconds, args.n_crops)
@@ -238,17 +258,18 @@ def _cmd_embed(args) -> int:
 
 def _cmd_score(args) -> int:
     trials = read_trials(args.trials)
-    weights = NetworkWeights.load(args.weights)
-    embedder = network_embedder(weights, infer_config(weights))
-    cache = _load_cache(args.cache)
+    record = _cache_record(args.weights, args.crop_seconds, args.n_crops)
+    cache = _load_cache(args.cache, record)
+    embedder = None  # loaded on the first cache miss
     fresh = False
 
     def crops_for(utt_id: str) -> np.ndarray:
-        nonlocal fresh
+        nonlocal embedder, fresh
         key = _canonical(utt_id, args.wav_root)
-        entry = cache.get(key)
-        if entry is not None and entry.shape[0] == args.n_crops:
-            return entry
+        if key in cache:
+            return cache[key]
+        if embedder is None:
+            embedder = _load_embedder(args.weights)
         emb = crop_embeddings(read_wav(key), embedder, args.crop_seconds, args.n_crops)
         cache[key] = emb.astype(np.float32)
         fresh = True
@@ -262,7 +283,7 @@ def _cmd_score(args) -> int:
     ]
     _atomic_save(args.out, lambda p: write_scores(p, scored))
     if args.cache and fresh:
-        _atomic_save(args.cache, lambda p: save_tensors(p, cache))
+        _atomic_save(args.cache, lambda p: save_tensors(p, cache, (record,)))
     return 0
 
 

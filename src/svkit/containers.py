@@ -12,6 +12,11 @@ Weight file ("SVW1"):
     in C order. Round-trips are bit-exact for float32 tensors. Also the
     embedding and embedding-cache format: one (n_crops, 512) tensor per
     utterance, named by its canonical path.
+
+    An entry whose name starts with "#" is a metadata record, not a
+    tensor: save_tensors writes records with no data, ahead of the
+    tensors, and load_tensors leaves them out of its result. The
+    embedding cache keeps what its entries were built with in one.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 
 FEATURE_MAGIC = b"SVF1"
 WEIGHT_MAGIC = b"SVW1"
+RECORD_PREFIX = "#"
 
 
 class FormatError(ValueError):
@@ -54,11 +60,20 @@ def load_features(path: str | Path) -> np.ndarray:
     return values.reshape(n_rows, n_cols).copy()
 
 
-def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
+def save_tensors(
+    path: str | Path, tensors: dict[str, np.ndarray], records: tuple[str, ...] = ()
+) -> None:
+    """Write tensors, preceded by metadata records (names starting with "#")."""
+    if any(not r.startswith(RECORD_PREFIX) for r in records):
+        raise ValueError(f"metadata record names must start with {RECORD_PREFIX!r}")
+    if any(name.startswith(RECORD_PREFIX) for name in tensors):
+        raise ValueError(f"tensor names must not start with {RECORD_PREFIX!r}")
+    empty = np.zeros(0, dtype="<f4")
+    entries = [(r, empty) for r in records] + list(tensors.items())
     with open(path, "wb") as f:
         f.write(WEIGHT_MAGIC)
-        f.write(struct.pack("<I", len(tensors)))
-        for name, tensor in tensors.items():
+        f.write(struct.pack("<I", len(entries)))
+        for name, tensor in entries:
             arr = np.asarray(tensor, dtype="<f4")
             shape = arr.shape  # kept before ascontiguousarray, which promotes 0-d to 1-d
             arr = np.ascontiguousarray(arr)
@@ -74,7 +89,9 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
             f.write(arr.tobytes())
 
 
-def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
+def load_tensors(path: str | Path, records: list[str] | None = None) -> dict[str, np.ndarray]:
+    """Tensors by name. Metadata records are not returned; their names are
+    appended to `records` when it is given."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != WEIGHT_MAGIC:
@@ -99,6 +116,10 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
                 raise FormatError(f"{path}: truncated data for tensor {name!r}")
             arr = np.frombuffer(data, dtype="<f4", count=n, offset=offset)
             offset += 4 * n
+            if name.startswith(RECORD_PREFIX):
+                if records is not None:
+                    records.append(name)
+                continue
             if name in tensors:
                 raise FormatError(f"{path}: duplicate tensor name {name!r}")
             tensors[name] = arr.reshape(dims).copy()

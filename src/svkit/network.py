@@ -11,8 +11,11 @@ time x mel input and emit a 512-d embedding:
     pooling (weighted mean concatenated with weighted std). ~8.0M
     trainable parameters.
 
-All tensors are float32. Inference is pure: weights are immutable after
-load and no state is shared between calls.
+All tensors are float32. Inference runs on FoldedWeights: each conv's
+batch norm is folded into the conv's kernel and bias once, and every conv
+is an im2col + GEMM over cache-sized tiles with bias, residual and ReLU
+applied per tile. Inference is pure: weights are immutable after load and
+no state is shared between calls.
 """
 
 from __future__ import annotations
@@ -94,16 +97,43 @@ def _conv_out(size: int, kernel: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - kernel) // stride + 1
 
 
+# Output positions per im2col + GEMM tile. One tile's column buffer stays in
+# cache, so the full (t*f, k*k*c) im2col matrix is never built. With
+# OpenBLAS 0.3.31, tiles of 256 to 2048 positions give bit-identical embeddings.
+TILE_POSITIONS = 512
+
+
+def _zero_bordered(shape: tuple[int, int, int], pad: tuple[int, int], dtype=np.float32) -> np.ndarray:
+    """A (t + 2*pad_t, f + 2*pad_f, c) buffer for a (t, f, c) tensor: the
+    border is zero, the interior is left for the caller to fill."""
+    (t, f, c), (pt, pf) = shape, pad
+    buf = np.empty((t + 2 * pt, f + 2 * pf, c), dtype=dtype)
+    buf[:pt] = buf[pt + t :] = 0.0
+    buf[:, :pf] = buf[:, pf + f :] = 0.0
+    return buf
+
+
 def conv2d(
     x: np.ndarray,
     kernel: np.ndarray,
     stride: tuple[int, int] = (1, 1),
     pad: tuple[int, int] = (1, 1),
+    bias: np.ndarray | None = None,
+    residual: np.ndarray | None = None,
+    relu: bool = False,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """2-D convolution of a (time, freq, ch_in) tensor.
 
     kernel is (kh, kw, ch_in, ch_out); output spatial extents follow
-    floor((in + 2*pad - k) / stride) + 1.
+    floor((in + 2*pad - k) / stride) + 1. A per-channel bias, a residual
+    of the output's shape and a ReLU are applied, in that order, when
+    given.
+
+    The conv runs as im2col + GEMM over tiles of about TILE_POSITIONS
+    output positions; each tile is finished while it is in cache and
+    written to out, which may be a strided view such as the interior of
+    a zero-bordered buffer.
     """
     if x.ndim != 3:
         raise ValueError(f"input must be (time, freq, channels), got shape {x.shape}")
@@ -112,14 +142,46 @@ def conv2d(
         raise ValueError(f"channel mismatch: input has {x.shape[2]}, kernel expects {c_in}")
     st, sf = stride
     pt, pf = pad
-    xp = np.pad(x, ((pt, pt), (pf, pf), (0, 0)))
+    dtype = np.result_type(x, kernel)
+    if pt or pf:
+        xp = _zero_bordered(x.shape, pad, dtype)
+        xp[pt : pt + x.shape[0], pf : pf + x.shape[1]] = x
+    else:
+        xp = x
     if xp.shape[0] < kh or xp.shape[1] < kw:
         raise ValueError(f"input {x.shape} too small for kernel {kernel.shape} with pad {pad}")
-    windows = sliding_window_view(xp, (kh, kw), axis=(0, 1))[::st, ::sf]
+    windows = sliding_window_view(xp, (kh, kw), axis=(0, 1))[::st, ::sf].transpose(0, 1, 3, 4, 2)
     t_out, f_out = windows.shape[:2]
-    cols = windows.transpose(0, 1, 3, 4, 2).reshape(t_out * f_out, kh * kw * c_in)
-    out = cols @ kernel.reshape(kh * kw * c_in, c_out)
-    return out.reshape(t_out, f_out, c_out)
+    if out is None:
+        out = np.empty((t_out, f_out, c_out), dtype=dtype)
+    if residual is not None and residual.shape != out.shape:
+        raise ValueError(f"residual shape mismatch: {out.shape} vs shortcut {residual.shape}")
+    rows = min(t_out, max(1, TILE_POSITIONS // f_out))
+    cols = np.empty((rows * f_out, kh * kw * c_in), dtype=dtype)
+    acc = np.empty((rows * f_out, c_out), dtype=dtype)
+    matrix = kernel.reshape(kh * kw * c_in, c_out)
+    for t0 in range(0, t_out, rows):
+        t1 = min(t0 + rows, t_out)
+        m = (t1 - t0) * f_out
+        np.copyto(cols[:m].reshape(t1 - t0, f_out, kh, kw, c_in), windows[t0:t1])
+        tile = np.matmul(cols[:m], matrix, out=acc[:m]).reshape(t1 - t0, f_out, c_out)
+        if bias is not None:
+            tile += bias
+        if residual is not None:
+            tile += residual[t0:t1]
+        if relu:
+            np.maximum(tile, 0.0, out=out[t0:t1])
+        else:
+            out[t0:t1] = tile
+    return out
+
+
+def _bn_affine(gamma, beta, mean, var, eps: float = BN_EPS):
+    """Inference batch norm as a per-channel (scale, shift)."""
+    if np.any(var < 0):
+        raise ValueError("batch norm running variance must be non-negative")
+    scale = gamma / np.sqrt(var + eps)
+    return scale, beta - mean * scale
 
 
 def batchnorm_infer(
@@ -131,14 +193,8 @@ def batchnorm_infer(
     eps: float = BN_EPS,
 ) -> np.ndarray:
     """Per-channel affine normalization with stored running statistics."""
-    if np.any(var < 0):
-        raise ValueError("batch norm running variance must be non-negative")
-    scale = gamma / np.sqrt(var + eps)
-    return x * scale + (beta - mean * scale)
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+    scale, shift = _bn_affine(gamma, beta, mean, var, eps)
+    return x * scale + shift
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -186,7 +242,7 @@ def parameter_count(weights: NetworkWeights) -> int:
     return weights.parameter_count()
 
 
-def _bn(weights: NetworkWeights, prefix: str):
+def _bn(weights, prefix: str):
     return (
         weights[f"{prefix}.gamma"],
         weights[f"{prefix}.beta"],
@@ -195,24 +251,87 @@ def _bn(weights: NetworkWeights, prefix: str):
     )
 
 
-def residual_block(x: np.ndarray, weights: NetworkWeights, prefix: str, stride: int) -> np.ndarray:
+_BLOCK_BN = {"conv1": "bn1", "conv2": "bn2", "shortcut": "shortcut_bn"}
+
+
+def _bn_of_conv(conv: str) -> str:
+    """Name of the batch norm that follows a conv: conv1.bn for the stem,
+    <block>.bn1 / bn2 / shortcut_bn for a block's conv1 / conv2 / shortcut."""
+    if conv == "conv1":
+        return "conv1.bn"
+    block, _, name = conv.rpartition(".")
+    return f"{block}.{_BLOCK_BN[name]}"
+
+
+class FoldedWeights:
+    """Inference form of a weight set: every conv's batch norm folded into
+    the conv's kernel and a per-channel bias (Jacob et al. 2018,
+    arXiv 1712.05877), computed in float64 and stored as float32. Holds no
+    conv batch-norm tensor, so the raw weight set can be released; the
+    optional embedding batch norm is kept as it is.
+    """
+
+    def __init__(self, weights: NetworkWeights):
+        for name, t in weights.tensors.items():
+            if name.endswith(".running_var") and np.any(t < 0):
+                raise ValueError(f"{name}: batch norm running variance must be non-negative")
+        self.convs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for name, kernel in weights.tensors.items():
+            if name.endswith(".weight") and kernel.ndim == 4:
+                conv = name.removesuffix(".weight")
+                bn = (t.astype(np.float64) for t in _bn(weights, _bn_of_conv(conv)))
+                scale, shift = _bn_affine(*bn)
+                self.convs[conv] = ((kernel * scale).astype(np.float32), shift.astype(np.float32))
+        folded = {_bn_of_conv(conv) for conv in self.convs}
+        self.tensors = {
+            name: t
+            for name, t in weights.tensors.items()
+            if name.removesuffix(".weight") not in self.convs and name.rpartition(".")[0] not in folded
+        }
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        try:
+            return self.tensors[name]
+        except KeyError:
+            raise KeyError(f"weights have no tensor named {name!r}") from None
+
+    def conv(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """(kernel, bias) of the named conv with its batch norm folded in."""
+        try:
+            return self.convs[name]
+        except KeyError:
+            raise KeyError(f"weights have no conv named {name!r}") from None
+
+
+def fold_weights(weights: NetworkWeights | FoldedWeights) -> FoldedWeights:
+    """Weights with batch norm folded; folded weights pass through."""
+    return weights if isinstance(weights, FoldedWeights) else FoldedWeights(weights)
+
+
+def residual_block(
+    x: np.ndarray, weights: NetworkWeights | FoldedWeights, prefix: str, stride: int
+) -> np.ndarray:
     """Basic block: conv-BN-ReLU-conv-BN plus shortcut, final ReLU.
 
     The shortcut is a 1x1 conv + BN (present in the weight set) when the
-    block changes stride or channel count, identity otherwise.
+    block changes stride or channel count, identity otherwise. Each BN is
+    folded into its conv; the first conv writes into the interior of a
+    zero-bordered buffer that the second conv reads unpadded.
     """
-    out = conv2d(x, weights[f"{prefix}.conv1.weight"], (stride, stride), (1, 1))
-    out = relu(batchnorm_infer(out, *_bn(weights, f"{prefix}.bn1")))
-    out = conv2d(out, weights[f"{prefix}.conv2.weight"], (1, 1), (1, 1))
-    out = batchnorm_infer(out, *_bn(weights, f"{prefix}.bn2"))
-    if f"{prefix}.shortcut.weight" in weights:
-        shortcut = conv2d(x, weights[f"{prefix}.shortcut.weight"], (stride, stride), (0, 0))
-        shortcut = batchnorm_infer(shortcut, *_bn(weights, f"{prefix}.shortcut_bn"))
+    weights = fold_weights(weights)
+    kernel, bias = weights.conv(f"{prefix}.conv1")
+    kh, kw, _, c_mid = kernel.shape
+    t_mid = _conv_out(x.shape[0], kh, stride, 1)
+    f_mid = _conv_out(x.shape[1], kw, stride, 1)
+    mid = _zero_bordered((t_mid, f_mid, c_mid), (1, 1))
+    conv2d(x, kernel, (stride, stride), (1, 1), bias=bias, relu=True, out=mid[1:-1, 1:-1])
+    if f"{prefix}.shortcut" in weights.convs:
+        kernel, bias = weights.conv(f"{prefix}.shortcut")
+        shortcut = conv2d(x, kernel, (stride, stride), (0, 0), bias=bias)
     else:
         shortcut = x
-    if out.shape != shortcut.shape:
-        raise ValueError(f"residual shape mismatch: {out.shape} vs shortcut {shortcut.shape}")
-    return relu(out + shortcut)
+    kernel, bias = weights.conv(f"{prefix}.conv2")
+    return conv2d(mid, kernel, (1, 1), (0, 0), bias=bias, residual=shortcut, relu=True)
 
 
 def frame_attention(
@@ -316,26 +435,28 @@ def infer_config(weights: NetworkWeights) -> TrunkConfig:
 
 def forward(
     features: np.ndarray,
-    weights: NetworkWeights,
+    weights: NetworkWeights | FoldedWeights,
     cfg: TrunkConfig,
     shape_log: list | None = None,
 ) -> np.ndarray:
     """Embed a normalized (L, n_mels) feature matrix as a 512-d vector.
 
-    shape_log, when given, collects (stage, shape) pairs for the
-    intermediate activations.
+    Raw weights are folded on every call; pass FoldedWeights, as
+    network_embedder does, to fold once. shape_log, when given, collects
+    (stage, shape) pairs for the intermediate activations.
     """
     features = np.asarray(features, dtype=np.float32)
     if features.ndim != 2 or features.shape[1] != cfg.n_mels:
         raise ValueError(f"expected (L, {cfg.n_mels}) features, got shape {features.shape}")
+    weights = fold_weights(weights)
 
     def log(stage, shape):
         if shape_log is not None:
             shape_log.append((stage, tuple(shape)))
 
     x = features[:, :, None]
-    x = conv2d(x, weights["conv1.weight"], cfg.conv1_stride, (1, 1))
-    x = relu(batchnorm_infer(x, *_bn(weights, "conv1.bn")))
+    kernel, bias = weights.conv("conv1")
+    x = conv2d(x, kernel, cfg.conv1_stride, (1, 1), bias=bias, relu=True)
     log("conv1", x.shape)
 
     for layer_idx, n_blocks in enumerate(cfg.block_counts, start=1):

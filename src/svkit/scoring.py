@@ -19,7 +19,7 @@ import numpy as np
 
 from .audio import Waveform, tile_to_length
 from .features import FeatureParams, extract_features
-from .network import NetworkWeights, TrunkConfig, forward
+from .network import NetworkWeights, TrunkConfig, fold_weights, forward
 
 Embedder = Callable[[Waveform], np.ndarray]
 
@@ -46,13 +46,20 @@ def crop_embeddings(
     crop_seconds: float = CROP_SECONDS,
     n_crops: int = N_CROPS,
 ) -> np.ndarray:
-    """Embed each planned crop of the utterance; returns (n_crops, D)."""
+    """Embed each planned crop of the utterance; returns (n_crops, D).
+
+    Crops that start at the same offset are embedded once and the row is
+    repeated, so an utterance no longer than one crop costs one call.
+    """
     crop_samples = int(round(crop_seconds * waveform.sample_rate))
     if len(waveform) < crop_samples:
         waveform = tile_to_length(waveform, crop_samples)
-    offsets = plan_crops(len(waveform), crop_samples, n_crops)
-    rows = [embedder(Waveform(waveform.samples[o : o + crop_samples])) for o in offsets]
-    out = np.stack([np.asarray(r, dtype=np.float64).ravel() for r in rows])
+    offsets = plan_crops(len(waveform), crop_samples, n_crops).tolist()
+    rows = {}
+    for o in dict.fromkeys(offsets):
+        row = embedder(Waveform(waveform.samples[o : o + crop_samples]))
+        rows[o] = np.asarray(row, dtype=np.float64).ravel()
+    out = np.stack([rows[o] for o in offsets])
     if not np.all(np.isfinite(out)):
         raise ValueError("embedder produced non-finite values")
     return out
@@ -101,8 +108,10 @@ def network_embedder(
     config: TrunkConfig,
     params: FeatureParams | None = None,
 ) -> Embedder:
-    """Embedder that runs the feature front end and the trunk."""
+    """Embedder that runs the feature front end and the trunk. The weights
+    are folded once here and the embedder keeps only the folded copy."""
     params = params or FeatureParams()
+    weights = fold_weights(weights)
 
     def embed(waveform: Waveform) -> np.ndarray:
         return forward(extract_features(waveform, params).values, weights, config)

@@ -1,7 +1,8 @@
 """Independent oracles the tests compare the library against.
 
 Deliberately naive implementations: central finite differences for
-gradients, and an exhaustive midpoint threshold sweep for EER/MinDCF.
+gradients, an exhaustive midpoint threshold sweep for EER/MinDCF, and a
+float64 trunk that applies every batch norm after its conv.
 Kept free of any imports from the package under test.
 """
 
@@ -78,3 +79,65 @@ def brute_force_min_dcf(target_scores, nontarget_scores, c_miss=1.0, c_fa=1.0,
     if normalize:
         best /= min(c_miss * p_target, c_fa * (1.0 - p_target))
     return float(best)
+
+
+def _conv_shifted(x: np.ndarray, kernel: np.ndarray, stride: int, pad: int) -> np.ndarray:
+    """Zero-padded strided convolution as a sum of kh*kw shifted matmuls."""
+    kh, kw, _, c_out = kernel.shape
+    xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
+    t_out = (xp.shape[0] - kh) // stride + 1
+    f_out = (xp.shape[1] - kw) // stride + 1
+    out = np.zeros((t_out, f_out, c_out))
+    for i in range(kh):
+        for j in range(kw):
+            t_end = i + stride * (t_out - 1) + 1
+            f_end = j + stride * (f_out - 1) + 1
+            out += xp[i:t_end:stride, j:f_end:stride] @ kernel[i, j]
+    return out
+
+
+def trunk_embedding(features, tensors: dict, eps: float = 1e-5, var_floor: float = 1e-5) -> np.ndarray:
+    """Float64 ResNet-34 trunk: every conv followed by its own batch norm,
+    nothing folded.
+
+    Stem width 16 is q-sap (stride-2 stem, frequency-mean frames,
+    attentive mean); 32 is h-asp (stride-1 stem, frequency-major flattened
+    frames, attentive mean and standard deviation). An "embed_bn" batch
+    norm after the embedding layer is applied when present.
+    """
+    w = {name: np.asarray(t, dtype=np.float64) for name, t in tensors.items()}
+
+    def bn(x, prefix):
+        std = np.sqrt(w[f"{prefix}.running_var"] + eps)
+        return (x - w[f"{prefix}.running_mean"]) / std * w[f"{prefix}.gamma"] + w[f"{prefix}.beta"]
+
+    q_sap = w["conv1.weight"].shape[-1] == 16
+    x = np.asarray(features, dtype=np.float64)[:, :, None]
+    x = np.maximum(bn(_conv_shifted(x, w["conv1.weight"], 2 if q_sap else 1, 1), "conv1.bn"), 0.0)
+    for layer, n_blocks in enumerate((3, 4, 6, 3), start=1):
+        for block in range(n_blocks):
+            p = f"layer{layer}.block{block}"
+            stride = 2 if layer > 1 and block == 0 else 1
+            h = np.maximum(bn(_conv_shifted(x, w[f"{p}.conv1.weight"], stride, 1), f"{p}.bn1"), 0.0)
+            h = bn(_conv_shifted(h, w[f"{p}.conv2.weight"], 1, 1), f"{p}.bn2")
+            if f"{p}.shortcut.weight" in w:
+                x = bn(_conv_shifted(x, w[f"{p}.shortcut.weight"], stride, 0), f"{p}.shortcut_bn")
+            x = np.maximum(h + x, 0.0)
+    frames = x.mean(axis=1) if q_sap else x.reshape(x.shape[0], -1)
+    logits = np.tanh(frames @ w["pool.w"] + w["pool.b"]) @ w["pool.u"]
+    alpha = np.exp(logits - logits.max())
+    alpha /= alpha.sum()
+    mean = alpha @ frames
+    pooled = mean
+    if not q_sap:
+        pooled = np.concatenate([mean, np.sqrt(np.maximum(alpha @ frames**2 - mean**2, var_floor))])
+    embedding = pooled @ w["embed.weight"] + w["embed.bias"]
+    if "embed_bn.gamma" in w:
+        embedding = bn(embedding, "embed_bn")
+    return embedding
+
+
+def relative_l2(got, want) -> float:
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))

@@ -146,6 +146,16 @@ class TestEmbed:
         bad.write_bytes(b"not a weights file")
         assert main(["embed", str(wav_file), "--weights", str(bad), "--out", str(tmp_path / "e.svw1")]) == 2
 
+    def test_negative_running_var_exits_two(self, tmp_path, wav_file, q_weights_file, capsys):
+        tensors = load_tensors(q_weights_file)
+        tensors["layer1.block0.bn1.running_var"][3] = -1.0
+        bad = tmp_path / "neg.svw1"
+        save_tensors(bad, tensors)
+        out = tmp_path / "e.svw1"
+        assert main(["embed", str(wav_file), "--weights", str(bad), "--out", str(out)]) == 2
+        assert "running variance" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture
 def trial_setup(tmp_path):
@@ -193,6 +203,48 @@ class TestScore:
         write_wav(root / "a.wav", make_wave(seed=99, seconds=0.6))
         assert main(self.score_args(root, trials, q_weights_file, out2, cache)) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_cache_built_with_other_weights_is_recomputed(self, trial_setup):
+        root, trials = trial_setup
+        w0, w1, cache = root / "w0.svw1", root / "w1.svw1", root / "cache.svw1"
+        for seed, path in ((0, w0), (1, w1)):
+            assert main(["init", "--variant", "q-sap", "--seed", str(seed), "--out", str(path)]) == 0
+        assert main(self.score_args(root, trials, w0, root / "s0.txt", cache)) == 0
+        assert main(self.score_args(root, trials, w1, root / "s1.txt", cache)) == 0
+        assert main(self.score_args(root, trials, w1, root / "fresh.txt")) == 0
+        assert (root / "s1.txt").read_bytes() == (root / "fresh.txt").read_bytes()
+        assert (root / "s0.txt").read_bytes() != (root / "s1.txt").read_bytes()
+        # The rewritten cache now serves w1 without reading audio.
+        write_wav(root / "a.wav", make_wave(seed=99, seconds=0.6))
+        assert main(self.score_args(root, trials, w1, root / "again.txt", cache)) == 0
+        assert (root / "again.txt").read_bytes() == (root / "s1.txt").read_bytes()
+
+    @pytest.mark.parametrize("flag,value", [("--crop-seconds", "0.4"), ("--n-crops", "3")])
+    def test_cache_built_with_other_crops_is_recomputed(self, trial_setup, q_weights_file, flag, value):
+        root, trials = trial_setup
+        cache = root / "cache.svw1"
+        assert main(self.score_args(root, trials, q_weights_file, root / "s0.txt", cache)) == 0
+        argv = self.score_args(root, trials, q_weights_file, root / "s1.txt", cache)
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 0
+        fresh = self.score_args(root, trials, q_weights_file, root / "fresh.txt")
+        fresh[fresh.index(flag) + 1] = value
+        assert main(fresh) == 0
+        assert (root / "s1.txt").read_bytes() == (root / "fresh.txt").read_bytes()
+
+    def test_cache_without_metadata_record_is_recomputed(self, trial_setup, q_weights_file):
+        root, trials = trial_setup
+        cache = root / "cache.svw1"
+        stale = np.ones((2, 512), dtype=np.float32)
+        keys = [(root / name).resolve().as_posix() for name in ("a.wav", "b.wav", "c.wav")]
+        save_tensors(cache, dict.fromkeys(keys, stale))
+        assert main(self.score_args(root, trials, q_weights_file, root / "s.txt", cache)) == 0
+        assert main(self.score_args(root, trials, q_weights_file, root / "fresh.txt")) == 0
+        assert (root / "s.txt").read_bytes() == (root / "fresh.txt").read_bytes()
+        records: list[str] = []
+        entries = load_tensors(cache, records)
+        assert len(records) == 1 and "weights-sha256=" in records[0]
+        assert not any(np.array_equal(e, stale) for e in entries.values())
 
     def test_missing_wav_exits_two(self, trial_setup, q_weights_file):
         root, trials = trial_setup

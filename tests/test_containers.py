@@ -109,3 +109,19 @@ class TestTensorFile:
         path = tmp_path / "w.svw1"
         save_tensors(path, {})
         assert load_tensors(path) == {}
+
+    def test_metadata_records_are_kept_apart_from_tensors(self, tmp_path):
+        path = tmp_path / "c.svw1"
+        tensors = {"/data/a.wav": np.ones((2, 3), dtype=np.float32)}
+        save_tensors(path, tensors, ("#built-with x=1",))
+        assert set(load_tensors(path)) == {"/data/a.wav"}
+        records: list[str] = []
+        back = load_tensors(path, records)
+        assert records == ["#built-with x=1"]
+        assert_array_equal(back["/data/a.wav"], tensors["/data/a.wav"])
+
+    def test_record_and_tensor_names_must_not_mix(self, tmp_path):
+        with pytest.raises(ValueError):
+            save_tensors(tmp_path / "a.svw1", {}, ("no-hash",))
+        with pytest.raises(ValueError):
+            save_tensors(tmp_path / "b.svw1", {"#looks-like-a-record": np.zeros(1)})

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from oracles import relative_l2, trunk_embedding
+from svkit.scoring import network_embedder
 from svkit.network import (
+    TILE_POSITIONS,
+    FoldedWeights,
     NetworkWeights,
     TrunkConfig,
     asp_pool,
@@ -50,6 +54,22 @@ class TestConv2d:
         k = np.zeros((3, 3, 1, 16), dtype=np.float32)
         assert conv2d(x, k, (2, 2), (1, 1)).shape == (101, 32, 16)
         assert conv2d(x, k, (1, 1), (1, 1)).shape == (201, 64, 16)
+
+    def test_fused_epilogue_over_several_tiles(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((70, 20, 3)).astype(np.float32)
+        assert 70 * 20 > 2 * TILE_POSITIONS  # two full tiles and a partial one
+        k = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
+        bias = rng.standard_normal(4).astype(np.float32)
+        residual = rng.standard_normal((70, 20, 4)).astype(np.float32)
+        buf = np.full((72, 22, 4), np.nan, dtype=np.float32)
+        got = conv2d(x, k, (1, 1), (1, 1), bias=bias, residual=residual, relu=True, out=buf[1:-1, 1:-1])
+        want = brute_force_conv2d(x.astype(np.float64), k.astype(np.float64), (1, 1), (1, 1))
+        assert np.shares_memory(got, buf)
+        assert_allclose(got, np.maximum(want + bias + residual, 0.0), rtol=1e-5, atol=1e-5)
+        border = np.ones(buf.shape, dtype=bool)
+        border[1:-1, 1:-1] = False
+        assert np.all(np.isnan(buf[border]))
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError, match="channel"):
@@ -240,3 +260,58 @@ class TestForward:
         emb = forward(np.random.default_rng(11).standard_normal((101, 64)), weights, cfg)
         assert emb.shape == (512,)
         assert np.all(np.isfinite(emb))
+
+
+def random_batchnorm(weights: NetworkWeights, seed: int) -> NetworkWeights:
+    """The weights with random, non-identity batch-norm parameters and
+    running statistics (init_weights gives identity batch norm)."""
+    rng = np.random.default_rng(seed)
+    draw = {
+        "gamma": lambda n: rng.uniform(0.5, 1.5, n),
+        "beta": lambda n: rng.normal(0.0, 0.2, n),
+        "running_mean": lambda n: rng.normal(0.0, 0.2, n),
+        "running_var": lambda n: rng.uniform(0.5, 2.0, n),
+    }
+    tensors = dict(weights.tensors)
+    for name, t in weights.tensors.items():
+        kind = name.rpartition(".")[2]
+        if kind in draw:
+            tensors[name] = draw[kind](t.shape)
+    return NetworkWeights(tensors)
+
+
+class TestFoldedForward:
+    @pytest.mark.parametrize("variant,embed_bn", [("q-sap", False), ("h-asp", False), ("q-sap", True)])
+    def test_matches_float64_oracle(self, variant, embed_bn):
+        cfg = TrunkConfig.from_variant(variant, embed_bn=embed_bn)
+        weights = random_batchnorm(init_weights(cfg, seed=3), seed=4)
+        feats = np.random.default_rng(13).standard_normal((201, 64))
+        want = trunk_embedding(feats, weights.tensors)
+        assert relative_l2(forward(feats, FoldedWeights(weights), cfg), want) <= 1e-4
+        assert relative_l2(forward(feats, weights, cfg), want) <= 1e-4
+
+    @pytest.mark.parametrize("variant", ["q-sap", "h-asp"])
+    def test_reused_weights_leak_no_state_between_calls(self, variant):
+        cfg = TrunkConfig.from_variant(variant)
+        weights = random_batchnorm(init_weights(cfg, seed=5), seed=6)
+        rng = np.random.default_rng(14)
+        feats = {n: rng.standard_normal((n, 64)) for n in (201, 401)}
+        folded = FoldedWeights(weights)
+        for n in (201, 401, 201):
+            fresh = forward(feats[n], FoldedWeights(weights), cfg)
+            assert_array_equal(forward(feats[n], folded, cfg), fresh)
+
+    def test_holds_only_folded_tensors(self, q_weights):
+        folded = FoldedWeights(q_weights)
+        assert set(folded.tensors) == {"pool.w", "pool.b", "pool.u", "embed.weight", "embed.bias"}
+        convs = {n.removesuffix(".weight") for n, t in q_weights.tensors.items() if t.ndim == 4}
+        assert set(folded.convs) == convs
+        for name, (kernel, bias) in folded.convs.items():
+            assert kernel.shape == q_weights[f"{name}.weight"].shape
+            assert bias.shape == kernel.shape[-1:]
+
+    def test_negative_running_var_rejected_at_fold_time(self, q_config):
+        tensors = dict(init_weights(q_config, seed=0).tensors)
+        tensors["layer3.block1.bn2.running_var"] = -np.ones(64, dtype=np.float32)
+        with pytest.raises(ValueError, match="layer3.block1.bn2.running_var"):
+            network_embedder(NetworkWeights(tensors), q_config)

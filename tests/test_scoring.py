@@ -154,6 +154,25 @@ class TestCropEmbeddings:
         rows = crop_embeddings(wave, first_sample_embedder, crop_seconds=0.5, n_crops=4)
         assert rows.shape == (4, 2)
 
+    def test_short_utterance_embeds_its_one_crop_once(self):
+        calls = []
+        counting = lambda w: calls.append(len(w)) or np.array([w.samples.sum(), 1.0])
+        wave = make_wave(seed=13, seconds=3.0)
+        rows = crop_embeddings(wave, counting)
+        assert calls == [4 * SR]
+        assert rows.shape == (10, 2)
+        np.testing.assert_array_equal(rows, np.tile(rows[0], (10, 1)))
+
+    def test_repeated_offsets_reuse_their_row(self):
+        calls = []
+        counting = lambda w: calls.append(w) or first_sample_embedder(w)
+        wave = make_wave(seed=14, seconds=4.0 + 8 / SR)  # slack 8: offsets 0..8 with 4 twice
+        offsets = plan_crops(len(wave), 4 * SR)
+        assert len(set(offsets.tolist())) == 9
+        rows = crop_embeddings(wave, counting)
+        assert len(calls) == 9
+        np.testing.assert_array_equal(rows[:, 0], wave.samples[offsets])
+
     def test_non_finite_embedding_rejected(self):
         wave = make_wave(seed=4, seconds=1.0)
         bad = lambda w: np.array([np.nan, 1.0])
