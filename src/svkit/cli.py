@@ -6,8 +6,9 @@ init, embed, score, evaluate, train-demo, info. Exit codes: 0 success,
 malformed content, invalid values). All randomness is controlled by
 --seed, so every subcommand is idempotent: identical inputs and seed
 give bit-identical outputs. Trial files reference utterances by path;
-the embedding cache is keyed by canonicalized path and is discarded
-when it was built with other weights or crop settings.
+the embedding cache is keyed by canonicalized path, an entry is reused
+only while the WAV's content is unchanged, and the whole cache is
+discarded when it was built with other weights or crop settings.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .metrics import (
     read_trials,
     write_scores,
 )
-from .network import NetworkWeights, TrunkConfig, infer_config, init_weights
+from .network import FoldedWeights, NetworkWeights, TrunkConfig, infer_config, init_weights
 from .optim import Schedule, make_corpus, train_demo
 from .scoring import (
     CROP_SECONDS,
@@ -223,27 +224,45 @@ def _canonical(path: str, root: str = ".") -> str:
 
 
 def _load_embedder(weights_path: str) -> Embedder:
-    # Only the embedder is returned, so the raw tensors are released once
-    # it holds their folded copy.
-    weights = NetworkWeights.load(weights_path)
+    # Each kernel is folded in the array it was read into, so the weight
+    # set is held once.
+    weights = FoldedWeights.load(weights_path)
     return network_embedder(weights, infer_config(weights))
+
+
+def _sha256(path: str | Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _cache_record(weights_path: str, crop_seconds: float, n_crops: int) -> str:
     """Name of the cache's metadata record: what its entries were built with."""
-    digest = hashlib.sha256(Path(weights_path).read_bytes()).hexdigest()
+    digest = _sha256(weights_path)
     return f"#svkit-cache weights-sha256={digest} crop-seconds={crop_seconds!r} n-crops={n_crops}"
 
 
-def _load_cache(path: str | None, record: str) -> dict[str, np.ndarray]:
-    """Cached entries, or none when the file is missing or its metadata
-    record differs from `record` (other weights, crop settings, or a cache
-    written without a record)."""
+def _wav_record(key: str) -> str:
+    """Name of an entry's metadata record: the content of the WAV it was
+    embedded from. The path comes last, since it may contain spaces."""
+    return f"#svkit-wav sha256={_sha256(key)} {key}"
+
+
+def _load_cache(path: str | None, record: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    """Cached entries and their WAV records, by key. There are none when
+    the file is missing or its first metadata record differs from `record`
+    (other weights, crop settings, or a cache written without a record);
+    an entry without a WAV record is left out."""
     if not (path and Path(path).exists()):
-        return {}
+        return {}, {}
     records: list[str] = []
     entries = load_tensors(path, records)
-    return entries if records == [record] else {}
+    if records[:1] != [record]:
+        return {}, {}
+    wavs = {r.split(" ", 2)[-1]: r for r in records[1:]}
+    return {key: emb for key, emb in entries.items() if key in wavs}, wavs
 
 
 def _cmd_embed(args) -> int:
@@ -259,19 +278,23 @@ def _cmd_embed(args) -> int:
 def _cmd_score(args) -> int:
     trials = read_trials(args.trials)
     record = _cache_record(args.weights, args.crop_seconds, args.n_crops)
-    cache = _load_cache(args.cache, record)
+    cache, wavs = _load_cache(args.cache, record)
     embedder = None  # loaded on the first cache miss
     fresh = False
 
     def crops_for(utt_id: str) -> np.ndarray:
         nonlocal embedder, fresh
         key = _canonical(utt_id, args.wav_root)
-        if key in cache:
+        # Taken before the WAV is read, so a rewrite during the read makes
+        # the entry stale at the next run rather than wrongly current.
+        wav = _wav_record(key) if args.cache else None
+        if key in cache and wavs.get(key) == wav:
             return cache[key]
         if embedder is None:
             embedder = _load_embedder(args.weights)
         emb = crop_embeddings(read_wav(key), embedder, args.crop_seconds, args.n_crops)
         cache[key] = emb.astype(np.float32)
+        wavs[key] = wav
         fresh = True
         return cache[key]
 
@@ -283,7 +306,8 @@ def _cmd_score(args) -> int:
     ]
     _atomic_save(args.out, lambda p: write_scores(p, scored))
     if args.cache and fresh:
-        _atomic_save(args.cache, lambda p: save_tensors(p, cache, (record,)))
+        records = (record, *(wavs[key] for key in cache))
+        _atomic_save(args.cache, lambda p: save_tensors(p, cache, records))
     return 0
 
 

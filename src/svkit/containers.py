@@ -21,6 +21,7 @@ Weight file ("SVW1"):
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -90,41 +91,44 @@ def save_tensors(
 
 
 def load_tensors(path: str | Path, records: list[str] | None = None) -> dict[str, np.ndarray]:
-    """Tensors by name. Metadata records are not returned; their names are
-    appended to `records` when it is given."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != WEIGHT_MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {WEIGHT_MAGIC!r}")
-    (count,) = struct.unpack_from("<I", data, 4)
-    offset = 8
+    """Tensors by name, each read straight from the file into its own
+    aligned, C-contiguous array. Metadata records are not returned; their
+    names are appended to `records` when it is given."""
     tensors: dict[str, np.ndarray] = {}
-    try:
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            if offset + name_len > len(data):
-                raise FormatError(f"{path}: truncated tensor name")
-            name = data[offset : offset + name_len].decode("utf-8")
-            offset += name_len
-            (rank,) = struct.unpack_from("<B", data, offset)
-            offset += 1
-            dims = struct.unpack_from(f"<{rank}I", data, offset)
-            offset += 4 * rank
-            n = int(np.prod(dims, dtype=np.int64)) if rank else 1
-            if offset + 4 * n > len(data):
-                raise FormatError(f"{path}: truncated data for tensor {name!r}")
-            arr = np.frombuffer(data, dtype="<f4", count=n, offset=offset)
-            offset += 4 * n
-            if name.startswith(RECORD_PREFIX):
-                if records is not None:
-                    records.append(name)
-                continue
-            if name in tensors:
-                raise FormatError(f"{path}: duplicate tensor name {name!r}")
-            tensors[name] = arr.reshape(dims).copy()
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise FormatError(f"{path}: truncated or corrupt tensor record") from exc
-    if offset != len(data):
-        raise FormatError(f"{path}: {len(data) - offset} trailing bytes")
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        magic = f.read(4)
+        if magic != WEIGHT_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {WEIGHT_MAGIC!r}")
+        try:
+            (count,) = struct.unpack("<I", f.read(4))
+            offset = 8
+            for _ in range(count):
+                (name_len,) = struct.unpack("<H", f.read(2))
+                offset += 2
+                if offset + name_len > size:
+                    raise FormatError(f"{path}: truncated tensor name")
+                name = f.read(name_len).decode("utf-8")
+                (rank,) = struct.unpack("<B", f.read(1))
+                dims = struct.unpack(f"<{rank}I", f.read(4 * rank))
+                offset += name_len + 1 + 4 * rank
+                n = int(np.prod(dims, dtype=np.int64)) if rank else 1
+                if offset + 4 * n > size:
+                    raise FormatError(f"{path}: truncated data for tensor {name!r}")
+                offset += 4 * n
+                if name.startswith(RECORD_PREFIX):
+                    f.seek(4 * n, os.SEEK_CUR)
+                    if records is not None:
+                        records.append(name)
+                    continue
+                if name in tensors:
+                    raise FormatError(f"{path}: duplicate tensor name {name!r}")
+                arr = np.empty(dims, dtype="<f4")
+                if f.readinto(arr) != arr.nbytes:
+                    raise FormatError(f"{path}: truncated data for tensor {name!r}")
+                tensors[name] = arr
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise FormatError(f"{path}: truncated or corrupt tensor record") from exc
+    if offset != size:
+        raise FormatError(f"{path}: {size - offset} trailing bytes")
     return tensors

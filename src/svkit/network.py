@@ -268,10 +268,23 @@ class FoldedWeights:
     the conv's kernel and a per-channel bias (Jacob et al. 2018,
     arXiv 1712.05877), computed in float64 and stored as float32. Holds no
     conv batch-norm tensor, so the raw weight set can be released; the
-    optional embedding batch norm is kept as it is.
+    optional embedding batch norm is kept as it is. The weights passed in
+    are left unchanged.
     """
 
     def __init__(self, weights: NetworkWeights):
+        self._fold(weights, in_place=False)
+
+    @classmethod
+    def load(cls, path: str | Path) -> "FoldedWeights":
+        """Load a weight file and fold each conv's batch norm into the kernel
+        array it was read into, so the weight set is held once, not twice.
+        Bit-identical to FoldedWeights(NetworkWeights.load(path))."""
+        folded = cls.__new__(cls)
+        folded._fold(NetworkWeights.load(path), in_place=True)
+        return folded
+
+    def _fold(self, weights: NetworkWeights, in_place: bool) -> None:
         for name, t in weights.tensors.items():
             if name.endswith(".running_var") and np.any(t < 0):
                 raise ValueError(f"{name}: batch norm running variance must be non-negative")
@@ -281,7 +294,10 @@ class FoldedWeights:
                 conv = name.removesuffix(".weight")
                 bn = (t.astype(np.float64) for t in _bn(weights, _bn_of_conv(conv)))
                 scale, shift = _bn_affine(*bn)
-                self.convs[conv] = ((kernel * scale).astype(np.float32), shift.astype(np.float32))
+                # A float64 product stored as float32, as (kernel * scale).astype(np.float32).
+                out = kernel if in_place else np.empty_like(kernel)
+                np.multiply(kernel, scale, out=out, casting="unsafe")
+                self.convs[conv] = (out, shift.astype(np.float32))
         folded = {_bn_of_conv(conv) for conv in self.convs}
         self.tensors = {
             name: t
@@ -422,10 +438,13 @@ def init_weights(cfg: TrunkConfig, seed: int = 0) -> NetworkWeights:
     return NetworkWeights(tensors)
 
 
-def infer_config(weights: NetworkWeights) -> TrunkConfig:
+def infer_config(weights: NetworkWeights | FoldedWeights) -> TrunkConfig:
     """Recover the trunk configuration from tensor shapes."""
-    first = weights["conv1.weight"]
-    embed_bn = "embed_bn.gamma" in weights
+    if isinstance(weights, FoldedWeights):
+        first = weights.conv("conv1")[0]
+    else:
+        first = weights["conv1.weight"]
+    embed_bn = "embed_bn.gamma" in weights.tensors
     by_width = {16: TrunkConfig.q_sap, 32: TrunkConfig.h_asp}
     width = first.shape[-1]
     if width not in by_width:

@@ -4,6 +4,7 @@ Each test drives main() in process and checks exit codes: 0 success,
 1 usage error, 2 data error.
 """
 
+import hashlib
 import pathlib
 import stat
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import make_wave
-from svkit import cli, containers
+from svkit import cli, containers, scoring
 from svkit.audio import Waveform, read_wav, write_wav
 from svkit.cli import main
 from svkit.containers import load_tensors, save_tensors
@@ -156,6 +157,26 @@ class TestEmbed:
         assert "running variance" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_crop_exits_two_and_writes_nothing(self, tmp_path, workers, monkeypatch, capsys):
+        wav = tmp_path / "utt.wav"
+        write_wav(wav, make_wave(seed=5, seconds=3.0))
+        bad_start = read_wav(wav).samples[16000]  # the second of three 1 s crops
+
+        def embedder(crop):
+            if crop.samples[0] == bad_start:
+                raise ValueError("crop failed")
+            return np.ones(512)
+
+        monkeypatch.setattr(cli, "_load_embedder", lambda path: embedder)
+        monkeypatch.setattr(scoring, "crop_workers", lambda: workers)
+        out = tmp_path / "out" / "e.svw1"
+        out.parent.mkdir()
+        argv = ["embed", str(wav), "--weights", "unused", "--out", str(out), "--crop-seconds", "1", "--n-crops", "3"]
+        assert main(argv) == 2
+        assert "crop failed" in capsys.readouterr().err
+        assert list(out.parent.iterdir()) == []
+
 
 @pytest.fixture
 def trial_setup(tmp_path):
@@ -188,7 +209,17 @@ class TestScore:
             assert -1.0 <= float(score) <= 1.0
             assert "." in score and len(score.split(".")[1]) == 6
 
-    def test_cache_round_trip_reproduces_scores(self, trial_setup, q_weights_file):
+    @staticmethod
+    def forbid_embedding(monkeypatch):
+        """Make any cache miss fail: a run that succeeds served every
+        utterance from the cache."""
+
+        def no_embedder(path):
+            raise AssertionError("cache miss: the embedder was loaded")
+
+        monkeypatch.setattr(cli, "_load_embedder", no_embedder)
+
+    def test_cache_round_trip_reproduces_scores(self, trial_setup, q_weights_file, monkeypatch):
         root, trials = trial_setup
         out1, out2 = root / "s1.txt", root / "s2.txt"
         cache = root / "cache.svw1"
@@ -198,13 +229,41 @@ class TestScore:
         assert len(tensors) == 3
         assert all(key.startswith("/") for key in tensors)
 
-        # Overwrite one source file: identical scores prove the cache was
-        # used instead of re-reading audio.
-        write_wav(root / "a.wav", make_wave(seed=99, seconds=0.6))
+        self.forbid_embedding(monkeypatch)
         assert main(self.score_args(root, trials, q_weights_file, out2, cache)) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_cache_built_with_other_weights_is_recomputed(self, trial_setup):
+    def test_rewritten_wav_is_recomputed(self, trial_setup, q_weights_file, monkeypatch):
+        root, trials = trial_setup
+        cache = root / "cache.svw1"
+        assert main(self.score_args(root, trials, q_weights_file, root / "s0.txt", cache)) == 0
+        write_wav(root / "a.wav", make_wave(seed=99, seconds=0.6))
+        assert main(self.score_args(root, trials, q_weights_file, root / "s1.txt", cache)) == 0
+        assert main(self.score_args(root, trials, q_weights_file, root / "fresh.txt")) == 0
+        assert (root / "s1.txt").read_bytes() == (root / "fresh.txt").read_bytes()
+        assert (root / "s0.txt").read_bytes() != (root / "s1.txt").read_bytes()
+        # The rewritten cache now serves the new a.wav without embedding.
+        self.forbid_embedding(monkeypatch)
+        assert main(self.score_args(root, trials, q_weights_file, root / "again.txt", cache)) == 0
+        assert (root / "again.txt").read_bytes() == (root / "fresh.txt").read_bytes()
+
+    def test_cached_entry_of_deleted_wav_exits_two(self, trial_setup, q_weights_file):
+        root, trials = trial_setup
+        cache = root / "cache.svw1"
+        assert main(self.score_args(root, trials, q_weights_file, root / "s0.txt", cache)) == 0
+        (root / "c.wav").unlink()
+        assert main(self.score_args(root, trials, q_weights_file, root / "s1.txt", cache)) == 2
+
+    def test_cached_score_needs_no_python_3_11_hashlib(self, trial_setup, q_weights_file, monkeypatch):
+        # hashlib.file_digest is new in Python 3.11; svkit supports 3.10.
+        monkeypatch.delattr(hashlib, "file_digest", raising=False)
+        root, trials = trial_setup
+        cache = root / "cache.svw1"
+        for out in ("s0.txt", "s1.txt"):
+            assert main(self.score_args(root, trials, q_weights_file, root / out, cache)) == 0
+        assert (root / "s0.txt").read_bytes() == (root / "s1.txt").read_bytes()
+
+    def test_cache_built_with_other_weights_is_recomputed(self, trial_setup, monkeypatch):
         root, trials = trial_setup
         w0, w1, cache = root / "w0.svw1", root / "w1.svw1", root / "cache.svw1"
         for seed, path in ((0, w0), (1, w1)):
@@ -214,8 +273,8 @@ class TestScore:
         assert main(self.score_args(root, trials, w1, root / "fresh.txt")) == 0
         assert (root / "s1.txt").read_bytes() == (root / "fresh.txt").read_bytes()
         assert (root / "s0.txt").read_bytes() != (root / "s1.txt").read_bytes()
-        # The rewritten cache now serves w1 without reading audio.
-        write_wav(root / "a.wav", make_wave(seed=99, seconds=0.6))
+        # The rewritten cache now serves w1 without embedding.
+        self.forbid_embedding(monkeypatch)
         assert main(self.score_args(root, trials, w1, root / "again.txt", cache)) == 0
         assert (root / "again.txt").read_bytes() == (root / "s1.txt").read_bytes()
 
@@ -243,7 +302,8 @@ class TestScore:
         assert (root / "s.txt").read_bytes() == (root / "fresh.txt").read_bytes()
         records: list[str] = []
         entries = load_tensors(cache, records)
-        assert len(records) == 1 and "weights-sha256=" in records[0]
+        assert len(records) == 4 and "weights-sha256=" in records[0]
+        assert sorted(r.split(" ", 2)[-1] for r in records[1:]) == keys
         assert not any(np.array_equal(e, stale) for e in entries.values())
 
     def test_missing_wav_exits_two(self, trial_setup, q_weights_file):

@@ -125,3 +125,32 @@ class TestTensorFile:
             save_tensors(tmp_path / "a.svw1", {}, ("no-hash",))
         with pytest.raises(ValueError):
             save_tensors(tmp_path / "b.svw1", {"#looks-like-a-record": np.zeros(1)})
+
+    def test_loaded_tensors_are_aligned_contiguous_and_own_their_data(self, tmp_path):
+        tensors = {
+            "odd": np.arange(3, dtype=np.float32),  # leaves the next tensor 4-byte offset
+            "conv": np.ones((3, 3, 2, 5), dtype=np.float32),
+            "scalar": np.float32(1.5).reshape(()),
+            "empty": np.zeros((0, 4), dtype=np.float32),
+        }
+        path = tmp_path / "w.svw1"
+        save_tensors(path, tensors, ("#record",))
+        for name, arr in load_tensors(path).items():
+            assert arr.flags.c_contiguous and arr.flags.aligned and arr.flags.owndata, name
+            assert arr.flags.writeable, name
+            assert_array_equal(arr, tensors[name])
+
+    def test_duplicate_name_rejected(self, tmp_path):
+        path = tmp_path / "w.svw1"
+        save_tensors(path, {"a": np.zeros(2, dtype=np.float32), "b": np.zeros(2, dtype=np.float32)})
+        path.write_bytes(path.read_bytes().replace(b"\x01\x00b", b"\x01\x00a"))
+        with pytest.raises(FormatError, match="duplicate"):
+            load_tensors(path)
+
+    @pytest.mark.parametrize("keep", [6, 9, 12])
+    def test_header_cut_short_rejected(self, tmp_path, keep):
+        path = tmp_path / "w.svw1"
+        save_tensors(path, {"abc": np.zeros(2, dtype=np.float32)})
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(FormatError):
+            load_tensors(path)

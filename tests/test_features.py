@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import make_wave
@@ -105,6 +106,22 @@ class TestLogMelSpectrogram:
     def test_too_short_input_rejected(self):
         with pytest.raises(ValueError):
             log_mel_spectrogram(Waveform(np.ones(100)))
+
+    @pytest.mark.parametrize("n_frames", [63, 64, 65, 401])
+    def test_blocked_fft_matches_one_call(self, n_frames):
+        # Reference: the whole windowed-frame matrix in one rfft call.
+        p = FeatureParams()
+        w = make_wave(4, (n_frames - 1) * p.hop_length / 16000)
+        window = np.zeros(p.fft_size)
+        start = (p.fft_size - p.win_length) // 2
+        window[start : start + p.win_length] = np.hamming(p.win_length)
+        padded = np.pad(w.samples, p.fft_size // 2, mode="reflect")
+        frames = sliding_window_view(padded, p.fft_size)[:: p.hop_length]
+        spectrum = np.abs(np.fft.rfft(frames * window, n=p.fft_size, axis=1)) ** 2
+        want = np.log(spectrum @ mel_filterbank(p.n_mels, p.fft_size).T + p.log_floor)
+        got = log_mel_spectrogram(w).values
+        assert got.shape == (n_frames, p.n_mels)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestInstanceNormalize:

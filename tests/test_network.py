@@ -315,3 +315,46 @@ class TestFoldedForward:
         tensors["layer3.block1.bn2.running_var"] = -np.ones(64, dtype=np.float32)
         with pytest.raises(ValueError, match="layer3.block1.bn2.running_var"):
             network_embedder(NetworkWeights(tensors), q_config)
+
+
+class TestFoldedLoad:
+    """FoldedWeights.load folds in place as it loads; FoldedWeights(w)
+    folds into new arrays. Both give the same bits."""
+
+    @pytest.mark.parametrize("variant,embed_bn", [("q-sap", False), ("h-asp", False), ("q-sap", True)])
+    def test_in_place_load_matches_folding_loaded_weights(self, variant, embed_bn, tmp_path):
+        cfg = TrunkConfig.from_variant(variant, embed_bn=embed_bn)
+        path = tmp_path / "w.svw1"
+        random_batchnorm(init_weights(cfg, seed=7), seed=8).save(path)
+        raw = NetworkWeights.load(path)
+        want = FoldedWeights(raw)
+        got = FoldedWeights.load(path)
+        assert got.convs.keys() == want.convs.keys()
+        for name, (kernel, bias) in want.convs.items():
+            assert got.convs[name][0].tobytes() == kernel.tobytes()
+            assert got.convs[name][1].tobytes() == bias.tobytes()
+            assert got.convs[name][0].dtype == np.float32
+        assert got.tensors.keys() == want.tensors.keys()
+        for name, t in want.tensors.items():
+            assert got.tensors[name].tobytes() == t.tobytes()
+        assert infer_config(got) == infer_config(raw) == cfg
+        # The fold is a float64 product rounded once to float32.
+        bn = [raw[f"conv1.bn.{k}"].astype(np.float64) for k in ("gamma", "running_var")]
+        scale = bn[0] / np.sqrt(bn[1] + 1e-5)
+        old = (raw["conv1.weight"] * scale).astype(np.float32)
+        assert got.conv("conv1")[0].tobytes() == old.tobytes()
+
+    def test_in_place_load_rejects_negative_running_var_by_name(self, q_config, tmp_path):
+        tensors = dict(init_weights(q_config, seed=0).tensors)
+        tensors["layer2.block0.shortcut_bn.running_var"] = -np.ones(32, dtype=np.float32)
+        path = tmp_path / "neg.svw1"
+        NetworkWeights(tensors).save(path)
+        for fold in (FoldedWeights.load, lambda p: FoldedWeights(NetworkWeights.load(p))):
+            with pytest.raises(ValueError, match="layer2.block0.shortcut_bn.running_var"):
+                fold(path)
+
+    def test_folding_leaves_the_weights_unchanged(self, h_config):
+        weights = random_batchnorm(init_weights(h_config, seed=9), seed=10)
+        before = {name: t.tobytes() for name, t in weights.tensors.items()}
+        FoldedWeights(weights)
+        assert {name: t.tobytes() for name, t in weights.tensors.items()} == before

@@ -1,10 +1,17 @@
 """Tests for crop planning and all-pairs cosine trial scoring."""
 
+import re
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from conftest import make_wave
+from svkit import scoring
 from svkit.audio import Waveform
+from svkit.network import TrunkConfig
 from svkit.scoring import (
     cosine_matrix,
     crop_embeddings,
@@ -221,3 +228,102 @@ class TestNetworkEmbedder:
         reverse_score = score_pair(b, a, embed, crop_seconds=0.5, n_crops=3)
         assert forward_score == reverse_score
         assert -1.0 <= forward_score <= 1.0
+
+
+def embed_on(monkeypatch, workers, *args, **kwargs):
+    """crop_embeddings with crop_workers() forced to `workers`."""
+    monkeypatch.setattr(scoring, "crop_workers", lambda: workers)
+    return crop_embeddings(*args, **kwargs)
+
+
+def failing_at(delays=None):
+    """first_sample_embedder, raising for a crop whose first sample is a
+    key of `delays`, after waiting that many seconds."""
+    delays = delays or {}
+
+    def embed(waveform):
+        start = float(waveform.samples[0])
+        if start in delays:
+            time.sleep(delays[start])
+            raise ValueError(f"bad crop starting {start}")
+        time.sleep(0.002)  # let every thread take a crop
+        return first_sample_embedder(waveform)
+
+    return embed
+
+
+class TestParallelCrops:
+    """Crops on several threads give the rows, row order and errors of
+    crops one by one."""
+
+    # 3 s utterance, 1 s crops: ten distinct offsets
+    WAVE = make_wave(seed=21, seconds=3.0)
+    OFFSETS = plan_crops(3 * SR, SR)
+
+    def test_utterance_has_ten_distinct_crops(self):
+        assert len(set(self.OFFSETS.tolist())) == 10
+
+    @pytest.mark.parametrize("variant", ["q-sap", "h-asp"])
+    def test_network_rows_are_bit_identical(self, variant, monkeypatch, request):
+        weights = request.getfixturevalue(f"{variant[0]}_weights")
+        embed = network_embedder(weights, TrunkConfig.from_variant(variant))
+        serial = embed_on(monkeypatch, 1, self.WAVE, embed, crop_seconds=1.0)
+        threaded = embed_on(monkeypatch, 2, self.WAVE, embed, crop_seconds=1.0)
+        assert serial.shape == (10, 512)
+        assert threaded.tobytes() == serial.tobytes()
+
+    def test_rows_follow_planned_offsets_on_two_threads(self, monkeypatch):
+        threads = set()
+        recording = lambda w: threads.add(threading.get_ident()) or failing_at()(w)
+        rows = embed_on(monkeypatch, 2, self.WAVE, recording, crop_seconds=1.0)
+        np.testing.assert_array_equal(rows[:, 0], self.WAVE.samples[self.OFFSETS])
+        assert len(threads) == 2
+
+    @pytest.mark.parametrize("seconds,n_crops", [(0.5, 10), (1.0, 1)])
+    def test_short_or_single_crops_stay_on_the_calling_thread(self, seconds, n_crops, monkeypatch):
+        threads = set()
+        recording = lambda w: threads.add(threading.get_ident()) or failing_at()(w)
+        embed_on(monkeypatch, 2, self.WAVE, recording, crop_seconds=seconds, n_crops=n_crops)
+        assert threads == {threading.get_ident()}
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+        want = embed_on(monkeypatch, 1, self.WAVE, segment_sum_embedder, crop_seconds=1.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                got = embed_on(monkeypatch, 4, self.WAVE, segment_sum_embedder, crop_seconds=1.0)
+                assert got.tobytes() == want.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_first_failing_crop_raises_on_every_path(self, workers, monkeypatch):
+        starts = self.WAVE.samples[self.OFFSETS]
+        # Crop 6 fails first in time, crop 3 first in order.
+        embed = failing_at({float(starts[3]): 0.05, float(starts[6]): 0.0})
+        with pytest.raises(ValueError, match=re.escape(f"starting {float(starts[3])}")):
+            embed_on(monkeypatch, workers, self.WAVE, embed, crop_seconds=1.0)
+        # The pool is idle again: the next utterance embeds normally.
+        rows = embed_on(monkeypatch, workers, self.WAVE, failing_at(), crop_seconds=1.0)
+        np.testing.assert_array_equal(rows[:, 0], starts)
+
+    def test_blas_runs_one_thread_per_call_while_crops_run(self, monkeypatch):
+        blas = scoring._openblas()
+        if blas is None:
+            pytest.skip("numpy links no OpenBLAS whose thread count can be set")
+        get, set_ = blas
+        before = get()
+        seen = set()
+        recording = lambda w: seen.add(get()) or failing_at()(w)
+        set_(2)
+        try:
+            embed_on(monkeypatch, 2, self.WAVE, recording, crop_seconds=1.0)
+            assert seen == {1}
+            assert get() == 2
+        finally:
+            set_(before)
+
+    def test_crops_run_one_by_one_without_settable_blas(self, monkeypatch):
+        monkeypatch.setattr(scoring, "_openblas", lambda: None)
+        assert scoring.crop_workers.__wrapped__() == 1
