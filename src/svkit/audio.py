@@ -60,6 +60,10 @@ def read_wav(path: str | Path) -> Waveform:
             raw = f.readframes(f.getnframes())
     except (wave.Error, EOFError) as exc:
         raise ValueError(f"{path}: malformed WAV file: {str(exc) or 'truncated file'}") from exc
+    if len(raw) % 2:
+        raise ValueError(f"{path}: malformed WAV file: data ends mid-sample")
+    if not raw:
+        raise ValueError(f"{path}: WAV file has no samples")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples)
 

@@ -1,11 +1,13 @@
-"""Trial scoring: several fixed-length crops per utterance, all-pairs cosine.
+"""Trial scoring: several fixed-length crops per utterance, mean unit vectors.
 
 Each utterance is sampled at ten 4-second crops spaced evenly from start
 to end (utterances shorter than a crop are tiled first), every crop is
 embedded, and a pair of utterances scores as the mean cosine similarity
-over all crop pairs. The mean is accumulated in sorted order so the score
-is bit-for-bit independent of which utterance comes first and of crop
-order.
+over all crop pairs. That mean is the dot product of the two utterances'
+mean unit crop vectors, which is how it is computed. Each mean sums its
+rows in one canonical order (sorted by their bytes), so the score is
+bit-for-bit independent of crop order; the elementwise product commutes,
+so it is bit-exact under swapping the two utterances.
 
 The distinct crops of one utterance are embedded concurrently, one per
 usable CPU (crop_workers), with numpy's OpenBLAS held to one thread per
@@ -31,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .audio import Waveform, tile_to_length
+from .audio import Waveform, crop_segment
 from .features import FeatureParams, extract_features
 from .network import NetworkWeights, TrunkConfig, fold_weights, forward
 
@@ -135,11 +137,9 @@ def crop_embeddings(
     either way.
     """
     crop_samples = int(round(crop_seconds * waveform.sample_rate))
-    if len(waveform) < crop_samples:
-        waveform = tile_to_length(waveform, crop_samples)
     offsets = plan_crops(len(waveform), crop_samples, n_crops).tolist()
     unique = list(dict.fromkeys(offsets))
-    crops = [Waveform(waveform.samples[o : o + crop_samples]) for o in unique]
+    crops = [crop_segment(waveform, crop_seconds, offset=o) for o in unique]
 
     def embed(crop: Waveform) -> np.ndarray:
         return np.asarray(embedder(crop), dtype=np.float64).ravel()
@@ -159,31 +159,26 @@ def crop_embeddings(
     return out
 
 
-def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All-pairs cosine similarity between rows of a and rows of b.
+def mean_unit_vector(embeddings: np.ndarray) -> np.ndarray:
+    """Mean of the unit-length rows of an (n_crops, D) matrix.
 
-    Each entry reduces over its own contiguous product row, so its value
-    depends only on the two vectors involved — never on where they sit in
-    the matrix. That keeps scores bit-identical under crop reordering and
-    argument swap, which a BLAS matmul does not guarantee.
+    Rows are summed in the order of their bytes, so the result does not
+    depend on crop order.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = np.sqrt(np.sum(a * a, axis=1))
-    nb = np.sqrt(np.sum(b * b, axis=1))
-    if np.any(na == 0.0) or np.any(nb == 0.0):
+    e = np.asarray(embeddings, dtype=np.float64)
+    norms = np.sqrt(np.sum(e * e, axis=1))
+    if np.any(norms == 0.0):
         raise ValueError("zero-norm embedding")
-    unit_a = a / na[:, None]
-    unit_b = b / nb[:, None]
-    sims = np.sum(unit_a[:, None, :] * unit_b[None, :, :], axis=-1)
-    return np.clip(sims, -1.0, 1.0)
+    unit = e / norms[:, None]
+    order = sorted(range(len(unit)), key=lambda i: unit[i].tobytes())
+    return unit[order].sum(axis=0) / len(unit)
 
 
 def score_from_embeddings(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean over all crop-pair cosines, summed in sorted order so the
-    result is identical under argument swap and crop reordering."""
-    sims = cosine_matrix(a, b)
-    return float(np.sort(sims, axis=None).sum() / sims.size)
+    """Mean cosine over all crop pairs: the dot product of the two mean
+    unit vectors. The elementwise product commutes, so swapping a and b
+    gives the same bits."""
+    return float(np.clip(np.sum(mean_unit_vector(a) * mean_unit_vector(b)), -1.0, 1.0))
 
 
 def score_pair(

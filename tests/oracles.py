@@ -1,8 +1,9 @@
 """Independent oracles the tests compare the library against.
 
 Deliberately naive implementations: central finite differences for
-gradients, an exhaustive midpoint threshold sweep for EER/MinDCF, and a
-float64 trunk that applies every batch norm after its conv.
+gradients, an exhaustive midpoint threshold sweep for EER/MinDCF, a
+float64 trunk that applies every batch norm after its conv, and a trial
+score that averages the cosine of every crop pair one pair at a time.
 Kept free of any imports from the package under test.
 """
 
@@ -79,6 +80,17 @@ def brute_force_min_dcf(target_scores, nontarget_scores, c_miss=1.0, c_fa=1.0,
     if normalize:
         best /= min(c_miss * p_target, c_fa * (1.0 - p_target))
     return float(best)
+
+
+def all_pairs_mean_cosine(a, b) -> float:
+    """Mean cosine similarity over every (row of a, row of b) pair, in float64."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    total = 0.0
+    for x in a:
+        for y in b:
+            total += float(x @ y) / (np.linalg.norm(x) * np.linalg.norm(y))
+    return total / (len(a) * len(b))
 
 
 def _conv_shifted(x: np.ndarray, kernel: np.ndarray, stride: int, pad: int) -> np.ndarray:

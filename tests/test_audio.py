@@ -1,9 +1,24 @@
+import io
+import wave as wave_mod
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import make_wave
 from svkit.audio import SAMPLE_RATE, Waveform, crop_segment, read_wav, tile_to_length, write_wav
+from svkit.cli import main
+
+
+def wav_bytes(frames: bytes) -> bytes:
+    """A 16 kHz mono 16-bit WAV file holding `frames`."""
+    buf = io.BytesIO()
+    with wave_mod.open(buf, "wb") as f:
+        f.setnchannels(1)
+        f.setsampwidth(2)
+        f.setframerate(SAMPLE_RATE)
+        f.writeframes(frames)
+    return buf.getvalue()
 
 
 class TestWaveform:
@@ -42,8 +57,6 @@ class TestWavIO:
         assert_array_equal(read_wav(p2).samples, once.samples)
 
     def test_rejects_wrong_format(self, tmp_path):
-        import wave as wave_mod
-
         path = tmp_path / "stereo.wav"
         with wave_mod.open(str(path), "wb") as f:
             f.setnchannels(2)
@@ -62,12 +75,23 @@ class TestWavIO:
         with pytest.raises(ValueError, match="8000"):
             read_wav(path)
 
-    @pytest.mark.parametrize("content", [b"RIFFxxxxWAVEjunk", b"RIFF", b"not a wav file"])
-    def test_malformed_file_raises_value_error_naming_path(self, tmp_path, content):
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"RIFFxxxxWAVEjunk",
+            b"RIFF",
+            b"not a wav file",
+            pytest.param(wav_bytes(b"\x01\x00\x02\x00")[:-1], id="data-ends-mid-sample"),
+            pytest.param(wav_bytes(b""), id="no-frames"),
+        ],
+    )
+    def test_malformed_file_raises_value_error_naming_path(self, tmp_path, capsys, content):
         path = tmp_path / "broken.wav"
         path.write_bytes(content)
         with pytest.raises(ValueError, match="broken.wav"):
             read_wav(path)
+        assert main(["featurize", "--in", str(path), "--out", str(tmp_path / "o.svf1")]) == 2
+        assert str(path) in capsys.readouterr().err
 
 
 class TestTile:

@@ -1,4 +1,4 @@
-"""Tests for crop planning and all-pairs cosine trial scoring."""
+"""Tests for crop planning, crop embedding and trial scoring."""
 
 import re
 import sys
@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import make_wave
+from oracles import all_pairs_mean_cosine
 from svkit import scoring
 from svkit.audio import Waveform
 from svkit.network import TrunkConfig
 from svkit.scoring import (
-    cosine_matrix,
     crop_embeddings,
     network_embedder,
     plan_crops,
@@ -58,49 +58,57 @@ class TestPlanCrops:
             plan_crops(SR, SR, n_crops=0)
 
 
-class TestCosineMatrix:
+class TestScoreFromEmbeddings:
+    @pytest.mark.parametrize(
+        "rows_a,rows_b",
+        [((0,), (1,)), ((0, 1, 2), (3, 4, 5, 6, 7)), (range(10), range(10, 20))],
+        ids=["1x1", "3x5", "10x10"],
+    )
+    def test_matches_all_pairs_oracle(self, rows_a, rows_b):
+        crops = np.random.default_rng(1).normal(size=(20, 16))
+        a, b = crops[list(rows_a)], crops[list(rows_b)]
+        assert abs(score_from_embeddings(a, b) - all_pairs_mean_cosine(a, b)) < 1e-12
+
+    def test_repeated_rows_of_short_utterances_match_oracle(self):
+        # A short utterance's ten crops are one row repeated; an utterance
+        # just over a crop long repeats one of its nine distinct rows.
+        rng = np.random.default_rng(6)
+        short = np.tile(rng.normal(size=(1, 32)), (10, 1))
+        distinct = rng.normal(size=(9, 32))
+        nearly_short = distinct[[0, 1, 2, 3, 4, 4, 5, 6, 7, 8]]
+        for a, b in [(short, nearly_short), (short, short), (nearly_short, distinct)]:
+            assert abs(score_from_embeddings(a, b) - all_pairs_mean_cosine(a, b)) < 1e-12
+
     def test_identical_rows_score_one(self):
         a = np.array([[1.0, 2.0, 3.0]])
-        assert cosine_matrix(a, a)[0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert score_from_embeddings(a, a) == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonal_rows_score_zero(self):
         a = np.array([[1.0, 0.0]])
         b = np.array([[0.0, 1.0]])
-        assert cosine_matrix(a, b)[0, 0] == pytest.approx(0.0, abs=1e-15)
+        assert score_from_embeddings(a, b) == pytest.approx(0.0, abs=1e-15)
 
     def test_forty_five_degree_pair(self):
         a = np.array([[1.0, 0.0]])
         b = np.array([[1.0, 1.0]])
-        assert cosine_matrix(a, b)[0, 0] == pytest.approx(np.sqrt(2.0) / 2.0, rel=1e-12)
+        assert score_from_embeddings(a, b) == pytest.approx(np.sqrt(2.0) / 2.0, rel=1e-12)
 
-    def test_matches_per_pair_loop(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(4, 16))
-        b = rng.normal(size=(5, 16))
-        got = cosine_matrix(a, b)
-        assert got.shape == (4, 5)
-        for i in range(4):
-            for j in range(5):
-                expected = a[i] @ b[j] / (np.linalg.norm(a[i]) * np.linalg.norm(b[j]))
-                assert got[i, j] == pytest.approx(expected, rel=1e-12)
+    def test_large_inputs_stay_in_unit_interval(self):
+        a = np.random.default_rng(2).normal(size=(8, 4)) * 1e8
+        for i in range(8):
+            for j in range(8):
+                assert -1.0 <= score_from_embeddings(a[[i]], a[[j]]) <= 1.0
+        assert -1.0 <= score_from_embeddings(a, a) <= 1.0
+        assert score_from_embeddings(a[[0, 0]], a[[0]]) <= 1.0
 
-    def test_values_stay_in_unit_interval(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(8, 4)) * 1e8
-        sims = cosine_matrix(a, a)
-        assert np.all(sims <= 1.0)
-        assert np.all(sims >= -1.0)
-
-    def test_zero_vector_rejected(self):
-        a = np.array([[1.0, 0.0]])
-        z = np.array([[0.0, 0.0]])
+    def test_zero_row_rejected_on_either_side(self):
+        a = np.array([[1.0, 0.0], [0.0, 1.0]])
+        z = np.array([[1.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="zero-norm"):
-            cosine_matrix(a, z)
+            score_from_embeddings(a, z)
         with pytest.raises(ValueError, match="zero-norm"):
-            cosine_matrix(z, a)
+            score_from_embeddings(z, a)
 
-
-class TestScoreFromEmbeddings:
     def test_two_crop_hand_example(self):
         a = np.array([[1.0, 0.0], [0.0, 1.0]])
         b = np.array([[1.0, 1.0], [1.0, 0.0]])
