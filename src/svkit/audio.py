@@ -57,11 +57,14 @@ def read_wav(path: str | Path) -> Waveform:
                 raise ValueError(f"{path}: expected 16-bit PCM, got {8 * f.getsampwidth()}-bit")
             if f.getframerate() != SAMPLE_RATE:
                 raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz, got {f.getframerate()} Hz")
-            raw = f.readframes(f.getnframes())
+            declared = f.getnframes()
+            raw = f.readframes(declared)
     except (wave.Error, EOFError) as exc:
         raise ValueError(f"{path}: malformed WAV file: {str(exc) or 'truncated file'}") from exc
     if len(raw) % 2:
         raise ValueError(f"{path}: malformed WAV file: data ends mid-sample")
+    if len(raw) != 2 * declared:
+        raise ValueError(f"{path}: truncated WAV file: {len(raw) // 2} of {declared} frames")
     if not raw:
         raise ValueError(f"{path}: WAV file has no samples")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0

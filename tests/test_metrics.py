@@ -289,6 +289,17 @@ class TestTrialFile:
         with pytest.raises(ValueError, match="no trials"):
             read_trials(path)
 
+    def test_repeated_pair_rejected_naming_both_lines(self, tmp_path):
+        path = tmp_path / "trials.txt"
+        path.write_text("1 a.wav b.wav\n0 a.wav c.wav\n\n0 a.wav b.wav\n")
+        with pytest.raises(ValueError, match=r"trials.txt:4: duplicate trial a.wav vs b.wav \(first on line 1\)"):
+            read_trials(path)
+
+    def test_swapped_pair_is_a_distinct_trial(self, tmp_path):
+        path = tmp_path / "trials.txt"
+        path.write_text("1 a.wav b.wav\n1 b.wav a.wav\n")
+        assert [(t.enroll, t.test) for t in read_trials(path)] == [("a.wav", "b.wav"), ("b.wav", "a.wav")]
+
 
 class TestScoreFile:
     def test_round_trip_at_six_decimals(self, tmp_path):

@@ -16,7 +16,6 @@ from svkit.network import (
     frame_attention,
     infer_config,
     init_weights,
-    parameter_count,
     residual_block,
     sap_pool,
 )
@@ -161,8 +160,8 @@ class TestConfig:
 
 class TestWeights:
     def test_parameter_counts(self, q_weights, h_weights):
-        assert parameter_count(q_weights) == 1_415_728
-        assert parameter_count(h_weights) == 7_683_424
+        assert q_weights.parameter_count() == 1_415_728
+        assert h_weights.parameter_count() == 7_683_424
 
     def test_running_stats_not_counted(self, q_weights):
         buffered = sum(t.size for n, t in q_weights.tensors.items() if "running_" in n)

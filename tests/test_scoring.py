@@ -19,6 +19,7 @@ from svkit.scoring import (
     plan_crops,
     score_from_embeddings,
     score_pair,
+    score_trials,
 )
 
 SR = 16000
@@ -138,6 +139,21 @@ class TestScoreFromEmbeddings:
             a = rng.normal(size=(3, 8))
             b = rng.normal(size=(3, 8))
             assert -1.0 <= score_from_embeddings(a, b) <= 1.0
+
+
+class TestScoreTrials:
+    def test_each_score_has_the_bits_of_its_pair(self):
+        rng = np.random.default_rng(7)
+        by_id = {f"u{i}": rng.normal(size=(int(rng.integers(1, 11)), 64)) for i in range(7)}
+        by_id["short"] = np.tile(rng.normal(size=(1, 64)), (10, 1))
+        ids = list(by_id)
+        pairs = [(a, b) for a in ids for b in ids if a != b][:37]  # two full chunks and a partial one
+        assert len(pairs) > 2 * scoring.TRIAL_CHUNK
+        want = [score_from_embeddings(by_id[a], by_id[b]) for a, b in pairs]
+        assert score_trials(by_id, pairs).tolist() == want
+
+    def test_empty_list_scores_nothing(self):
+        assert score_trials({}, []).shape == (0,)
 
 
 def first_sample_embedder(waveform: Waveform) -> np.ndarray:
