@@ -61,8 +61,6 @@ def read_wav(path: str | Path) -> Waveform:
             raw = f.readframes(declared)
     except (wave.Error, EOFError) as exc:
         raise ValueError(f"{path}: malformed WAV file: {str(exc) or 'truncated file'}") from exc
-    if len(raw) % 2:
-        raise ValueError(f"{path}: malformed WAV file: data ends mid-sample")
     if len(raw) != 2 * declared:
         raise ValueError(f"{path}: truncated WAV file: {len(raw) // 2} of {declared} frames")
     if not raw:

@@ -42,8 +42,6 @@ from .scoring import (
     Embedder,
     crop_embeddings,
     network_embedder,
-    # Not called here: kept at this name, which perfbench's tracer hooks.
-    score_from_embeddings,
     score_trials,
 )
 
