@@ -14,6 +14,7 @@ discarded when it was built with other weights or crop settings.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -40,7 +41,7 @@ from .scoring import (
     CROP_SECONDS,
     N_CROPS,
     Embedder,
-    crop_embeddings,
+    embed_utterances,
     network_embedder,
     score_trials,
 )
@@ -267,10 +268,12 @@ def _load_cache(path: str | None, record: str) -> tuple[dict[str, np.ndarray], d
 
 def _cmd_embed(args) -> int:
     embedder = _load_embedder(args.weights)
-    out: dict[str, np.ndarray] = {}
+    paths: dict[str, str] = {}  # each file once, read under its first spelling
     for wav in args.wavs:
-        emb = crop_embeddings(read_wav(wav), embedder, args.crop_seconds, args.n_crops)
-        out[_canonical(wav)] = emb.astype(np.float32)
+        paths.setdefault(_canonical(wav), wav)
+    loads = [functools.partial(read_wav, wav) for wav in paths.values()]
+    embedded = embed_utterances(loads, embedder, args.crop_seconds, args.n_crops)
+    out = {key: emb.astype(np.float32) for key, emb in zip(paths, embedded)}
     _atomic_save(args.out, lambda p: save_tensors(p, out))
     return 0
 
@@ -279,31 +282,23 @@ def _cmd_score(args) -> int:
     trials = read_trials(args.trials)
     record = _cache_record(args.weights, args.crop_seconds, args.n_crops)
     cache, wavs = _load_cache(args.cache, record)
-    embedder = None  # loaded on the first cache miss
-    fresh = False
-
-    def crops_for(utt_id: str) -> np.ndarray:
-        nonlocal embedder, fresh
-        key = _canonical(utt_id, args.wav_root)
-        # Taken before the WAV is read, so a rewrite during the read makes
-        # the entry stale at the next run rather than wrongly current.
-        wav = _wav_record(key) if args.cache else None
-        if key in cache and wavs.get(key) == wav:
-            return cache[key]
-        if embedder is None:
-            embedder = _load_embedder(args.weights)
-        emb = crop_embeddings(read_wav(key), embedder, args.crop_seconds, args.n_crops)
-        cache[key] = emb.astype(np.float32)
-        wavs[key] = wav
-        fresh = True
-        return cache[key]
-
     ids = list(dict.fromkeys([t.enroll for t in trials] + [t.test for t in trials]))
-    by_id = {utt_id: crops_for(utt_id) for utt_id in ids}
+    keys = {utt_id: _canonical(utt_id, args.wav_root) for utt_id in ids}
+    # Each WAV record is taken before the WAV is read, so a rewrite during
+    # the read makes the entry stale at the next run rather than wrongly current.
+    current = {key: _wav_record(key) if args.cache else None for key in keys.values()}
+    missing = [key for key, wav in current.items() if not (key in cache and wavs.get(key) == wav)]
+    if missing:
+        embedder = _load_embedder(args.weights)
+        loads = [functools.partial(read_wav, key) for key in missing]
+        for key, emb in zip(missing, embed_utterances(loads, embedder, args.crop_seconds, args.n_crops)):
+            cache[key] = emb.astype(np.float32)
+            wavs[key] = current[key]
+    by_id = {utt_id: cache[key] for utt_id, key in keys.items()}
     pairs = [(t.enroll, t.test) for t in trials]
     scored = [(a, b, s) for (a, b), s in zip(pairs, score_trials(by_id, pairs).tolist())]
     _atomic_save(args.out, lambda p: write_scores(p, scored))
-    if args.cache and fresh:
+    if args.cache and missing:
         records = (record, *(wavs[key] for key in cache))
         _atomic_save(args.cache, lambda p: save_tensors(p, cache, records))
     return 0

@@ -13,9 +13,9 @@ time x mel input and emit a 512-d embedding:
 
 All tensors are float32. Inference runs on FoldedWeights: each conv's
 batch norm is folded into the conv's kernel and bias once, and every conv
-is an im2col + GEMM over cache-sized tiles with bias, residual and ReLU
-applied per tile. Inference is pure: weights are immutable after load and
-no state is shared between calls.
+is an im2col + GEMM over tiles whose column buffer fits a byte budget,
+with bias, residual and ReLU applied per tile. Inference is pure: weights
+are immutable after load and no state is shared between calls.
 """
 
 from __future__ import annotations
@@ -97,10 +97,15 @@ def _conv_out(size: int, kernel: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - kernel) // stride + 1
 
 
-# Output positions per im2col + GEMM tile. One tile's column buffer stays in
-# cache, so the full (t*f, k*k*c) im2col matrix is never built. With
-# OpenBLAS 0.3.31, tiles of 256 to 2048 positions give bit-identical embeddings.
-TILE_POSITIONS = 512
+# Bytes of one im2col + GEMM tile's column buffer. Each tile costs about
+# five numpy calls, and each call releases and retakes the interpreter
+# lock, so concurrent crops contend for it less with fewer, larger tiles; a
+# budget in bytes rather than output positions makes a conv with few input
+# channels, such as the stem, one tile, while the buffer still fits in a
+# per-core cache and the full (t*f, k*k*c) im2col matrix is never built.
+# With OpenBLAS 0.3.31 this budget gives the embeddings of 512-position tiles
+# bit for bit.
+TILE_BYTES = 1 << 20
 
 
 def _zero_bordered(shape: tuple[int, int, int], pad: tuple[int, int], dtype=np.float32) -> np.ndarray:
@@ -130,10 +135,10 @@ def conv2d(
     of the output's shape and a ReLU are applied, in that order, when
     given.
 
-    The conv runs as im2col + GEMM over tiles of about TILE_POSITIONS
-    output positions; each tile is finished while it is in cache and
-    written to out, which may be a strided view such as the interior of
-    a zero-bordered buffer.
+    The conv runs as im2col + GEMM over tiles of whole output rows whose
+    column buffer takes at most TILE_BYTES (at least one row); each tile
+    is finished while it is in cache and written to out, which may be a
+    strided view such as the interior of a zero-bordered buffer.
     """
     if x.ndim != 3:
         raise ValueError(f"input must be (time, freq, channels), got shape {x.shape}")
@@ -156,7 +161,8 @@ def conv2d(
         out = np.empty((t_out, f_out, c_out), dtype=dtype)
     if residual is not None and residual.shape != out.shape:
         raise ValueError(f"residual shape mismatch: {out.shape} vs shortcut {residual.shape}")
-    rows = min(t_out, max(1, TILE_POSITIONS // f_out))
+    row_bytes = f_out * kh * kw * c_in * np.dtype(dtype).itemsize
+    rows = min(t_out, max(1, TILE_BYTES // row_bytes))
     cols = np.empty((rows * f_out, kh * kw * c_in), dtype=dtype)
     acc = np.empty((rows * f_out, c_out), dtype=dtype)
     matrix = kernel.reshape(kh * kw * c_in, c_out)
@@ -320,9 +326,7 @@ def fold_weights(weights: NetworkWeights | FoldedWeights) -> FoldedWeights:
     return weights if isinstance(weights, FoldedWeights) else FoldedWeights(weights)
 
 
-def residual_block(
-    x: np.ndarray, weights: NetworkWeights | FoldedWeights, prefix: str, stride: int
-) -> np.ndarray:
+def residual_block(x: np.ndarray, weights: FoldedWeights, prefix: str, stride: int) -> np.ndarray:
     """Basic block: conv-BN-ReLU-conv-BN plus shortcut, final ReLU.
 
     The shortcut is a 1x1 conv + BN (present in the weight set) when the
@@ -330,7 +334,6 @@ def residual_block(
     folded into its conv; the first conv writes into the interior of a
     zero-bordered buffer that the second conv reads unpadded.
     """
-    weights = fold_weights(weights)
     kernel, bias = weights.conv(f"{prefix}.conv1")
     kh, kw, _, c_mid = kernel.shape
     t_mid = _conv_out(x.shape[0], kh, stride, 1)

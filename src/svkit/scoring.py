@@ -12,13 +12,14 @@ so it is bit-exact under swapping the two utterances. A trial list
 products TRIAL_CHUNK trials at a time; every score has the bits
 score_from_embeddings gives that one pair.
 
-The distinct crops of one utterance are embedded concurrently, one per
-usable CPU (crop_workers), with numpy's OpenBLAS held to one thread per
-call while they run and restored after. numpy's GEMM, FFT and ufunc loops
-release the interpreter lock, and each crop is independent, so the
-embeddings are bit-identical to embedding the crops one by one. When
-numpy's BLAS is not an OpenBLAS whose thread count can be set, crops run
-one by one.
+The distinct crops of every utterance a call embeds form one queue, run
+in order on one thread per usable CPU (crop_workers) with a bounded number
+in flight, and the utterances are read as the queue reaches them. numpy's
+OpenBLAS is held to one thread per call while the queue runs and restored
+after. numpy's GEMM, FFT and ufunc loops release the interpreter lock, and
+each crop is independent, so the embeddings are bit-identical to embedding
+the crops one by one. When numpy's BLAS is not an OpenBLAS whose thread
+count can be set, crops run one by one.
 
 The embedder is injected as a callable so the scoring layer can run
 against the real network or any substitute.
@@ -26,13 +27,14 @@ against the real network or any substitute.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
 import os
 import threading
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -98,9 +100,10 @@ def crop_workers() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-# Held while crops run concurrently, so one utterance at a time lowers and
-# restores the BLAS thread count.
-_parallel = threading.Lock()
+# Held while crops run concurrently, so one queue at a time lowers and
+# restores the BLAS thread count. Reentrant, so a thread may start a queue
+# while an iterator of its own is suspended between utterances.
+_parallel = threading.RLock()
 
 
 @contextlib.contextmanager
@@ -132,41 +135,92 @@ def _crop_pool(threads: int):
     return ThreadPoolExecutor(threads, thread_name_prefix="svkit-crop")
 
 
+class _Deferred:
+    """A crop that runs on the calling thread when its result is read: the
+    queue's stand-in for a future when crops run one by one."""
+
+    def __init__(self, fn: Callable, *args):
+        self._call = functools.partial(fn, *args)
+
+    def result(self):
+        return self._call()
+
+    def cancel(self) -> bool:
+        return True
+
+
+def embed_utterances(
+    loads: Iterable[Callable[[], Waveform]],
+    embedder: Embedder,
+    crop_seconds: float = CROP_SECONDS,
+    n_crops: int = N_CROPS,
+) -> Iterator[np.ndarray]:
+    """Embed the planned crops of each utterance; yields one (n_crops, D)
+    matrix per load, in order, as soon as its crops are done.
+
+    Crops that start at the same offset are embedded once and the row is
+    repeated, so an utterance no longer than one crop costs one call. The
+    distinct crops of all the utterances form one queue in utterance
+    order, run on up to crop_workers() threads with two crops per thread
+    in flight, or one by one when they are shorter than
+    MIN_PARALLEL_CROP_SECONDS; rows are the same either way. Each load()
+    reads one utterance and is called when the queue reaches it. The
+    first failure in utterance order is raised, whether a load, a crop or
+    a non-finite row. When crops run concurrently, numpy's BLAS runs one
+    thread per call until the iterator is exhausted or closed.
+    """
+    workers = crop_workers() if crop_seconds >= MIN_PARALLEL_CROP_SECONDS else 1
+    submit = _crop_pool(workers).submit if workers > 1 else _Deferred
+    # (future, offsets, rows, offset, last crop of its utterance), oldest first
+    queue: collections.deque = collections.deque()
+
+    def embed(crop: Waveform) -> np.ndarray:
+        return np.asarray(embedder(crop), dtype=np.float64).ravel()
+
+    def finish(in_flight: int) -> Iterator[np.ndarray]:
+        """Wait for the oldest crops until in_flight are left, yielding
+        each utterance they complete."""
+        while len(queue) > in_flight:
+            future, offsets, rows, offset, last = queue.popleft()
+            rows[offset] = future.result()
+            if last:
+                emb = np.stack([rows[o] for o in offsets])
+                if not np.all(np.isfinite(emb)):
+                    raise ValueError("embedder produced non-finite values")
+                yield emb
+
+    with _one_blas_thread() if workers > 1 else contextlib.nullcontext():
+        try:
+            for load in loads:
+                try:
+                    waveform = load()
+                except Exception:
+                    yield from finish(0)  # an earlier utterance's failure comes first
+                    raise
+                crop_samples = int(round(crop_seconds * waveform.sample_rate))
+                offsets = plan_crops(len(waveform), crop_samples, n_crops).tolist()
+                unique = list(dict.fromkeys(offsets))
+                rows: dict[int, np.ndarray] = {}
+                for offset in unique:
+                    yield from finish(2 * workers - 1)
+                    crop = crop_segment(waveform, crop_seconds, offset=offset)
+                    queue.append((submit(embed, crop), offsets, rows, offset, offset == unique[-1]))
+            yield from finish(0)
+        finally:
+            for future, *_ in queue:
+                future.cancel()
+
+
 def crop_embeddings(
     waveform: Waveform,
     embedder: Embedder,
     crop_seconds: float = CROP_SECONDS,
     n_crops: int = N_CROPS,
 ) -> np.ndarray:
-    """Embed each planned crop of the utterance; returns (n_crops, D).
-
-    Crops that start at the same offset are embedded once and the row is
-    repeated, so an utterance no longer than one crop costs one call. The
-    distinct crops run on up to crop_workers() threads, or one by one when
-    they are shorter than MIN_PARALLEL_CROP_SECONDS; rows are the same
-    either way.
-    """
-    crop_samples = int(round(crop_seconds * waveform.sample_rate))
-    offsets = plan_crops(len(waveform), crop_samples, n_crops).tolist()
-    unique = list(dict.fromkeys(offsets))
-    crops = [crop_segment(waveform, crop_seconds, offset=o) for o in unique]
-
-    def embed(crop: Waveform) -> np.ndarray:
-        return np.asarray(embedder(crop), dtype=np.float64).ravel()
-
-    workers = crop_workers()
-    if workers < 2 or len(crops) < 2 or crop_seconds < MIN_PARALLEL_CROP_SECONDS:
-        embedded = [embed(crop) for crop in crops]
-    else:
-        # map yields in crop order and raises the error of the first
-        # failing crop in that order, as one by one.
-        with _one_blas_thread():
-            embedded = list(_crop_pool(workers).map(embed, crops))
-    rows = dict(zip(unique, embedded))
-    out = np.stack([rows[o] for o in offsets])
-    if not np.all(np.isfinite(out)):
-        raise ValueError("embedder produced non-finite values")
-    return out
+    """Embed each planned crop of one utterance; returns (n_crops, D), as
+    embed_utterances gives it."""
+    [rows] = embed_utterances([lambda: waveform], embedder, crop_seconds, n_crops)
+    return rows
 
 
 def mean_unit_vector(embeddings: np.ndarray) -> np.ndarray:

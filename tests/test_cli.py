@@ -34,6 +34,19 @@ def q_weights_file(tmp_path_factory):
     return path
 
 
+def count_crops(monkeypatch) -> list:
+    """Make the CLI's embedder record each crop it embeds in the returned list."""
+    load_embedder = cli._load_embedder
+    calls = []
+
+    def counting(path):
+        embed = load_embedder(path)
+        return lambda crop: calls.append(crop) or embed(crop)
+
+    monkeypatch.setattr(cli, "_load_embedder", counting)
+    return calls
+
+
 class TestUsageErrors:
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["info", "--bogus"]) == 1
@@ -158,10 +171,28 @@ class TestEmbed:
         assert "running variance" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_inputs_are_embedded_once(self, tmp_path, q_weights_file, monkeypatch):
+        wav = tmp_path / "a.wav"
+        write_wav(wav, make_wave(seed=3, seconds=0.6))
+        calls = count_crops(monkeypatch)
+        flags = ["--weights", str(q_weights_file), "--crop-seconds", "0.5", "--n-crops", "2"]
+        once, twice = tmp_path / "once.svw1", tmp_path / "twice.svw1"
+        assert main(["embed", str(wav), *flags, "--out", str(once)]) == 0
+        assert len(calls) == 2  # two distinct crops
+        spellings = [str(wav), str(tmp_path / "." / "a.wav"), str(wav)]
+        assert main(["embed", *spellings, *flags, "--out", str(twice)]) == 0
+        assert len(calls) == 4
+        assert twice.read_bytes() == once.read_bytes()
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_crop_exits_two_and_writes_nothing(self, tmp_path, workers, monkeypatch, capsys):
         wav = tmp_path / "utt.wav"
         write_wav(wav, make_wave(seed=5, seconds=3.0))
+        # A truncated file after it: the crop error of the first file, earlier
+        # in command order, wins over the read error of the next.
+        bad = tmp_path / "bad.wav"
+        write_wav(bad, make_wave(seed=6, seconds=1.0))
+        bad.write_bytes(bad.read_bytes()[:-100])
         bad_start = read_wav(wav).samples[16000]  # the second of three 1 s crops
 
         def embedder(crop):
@@ -173,10 +204,12 @@ class TestEmbed:
         monkeypatch.setattr(scoring, "crop_workers", lambda: workers)
         out = tmp_path / "out" / "e.svw1"
         out.parent.mkdir()
-        argv = ["embed", str(wav), "--weights", "unused", "--out", str(out), "--crop-seconds", "1", "--n-crops", "3"]
-        assert main(argv) == 2
-        assert "crop failed" in capsys.readouterr().err
-        assert list(out.parent.iterdir()) == []
+        for wavs in ([wav], [wav, bad]):
+            argv = ["embed", *map(str, wavs), "--weights", "unused", "--out", str(out),
+                    "--crop-seconds", "1", "--n-crops", "3"]
+            assert main(argv) == 2
+            assert "crop failed" in capsys.readouterr().err
+            assert list(out.parent.iterdir()) == []
 
 
 @pytest.fixture
@@ -351,6 +384,19 @@ class TestScore:
         monkeypatch.setattr(scoring, "mean_unit_vector", lambda e: calls.append(e) or mean_unit_vector(e))
         assert main(self.score_args(root, trials, q_weights_file, root / "s.txt")) == 0
         assert len(calls) == len(names)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_two_spellings_of_one_wav_are_embedded_once(self, trial_setup, q_weights_file, cached, monkeypatch):
+        root, trials = trial_setup
+        trials.write_text("1 a.wav b.wav\n1 ./a.wav b.wav\n0 b.wav a.wav\n0 b.wav ./a.wav\n")
+        calls = count_crops(monkeypatch)
+        cache = root / "cache.svw1" if cached else None
+        assert main(self.score_args(root, trials, q_weights_file, root / "s.txt", cache)) == 0
+        assert len(calls) == 4  # two distinct crops of each of a.wav and b.wav
+        scores = [line.split()[2] for line in (root / "s.txt").read_text().splitlines()]
+        assert scores[0] == scores[1] == scores[2] == scores[3]
+        if cached:
+            assert len(load_tensors(cache)) == 2
 
     def test_zero_norm_cached_row_exits_two(self, trial_setup, q_weights_file, monkeypatch, capsys):
         root, trials = trial_setup

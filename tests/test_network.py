@@ -3,9 +3,9 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import relative_l2, trunk_embedding
+from svkit import network
 from svkit.scoring import network_embedder
 from svkit.network import (
-    TILE_POSITIONS,
     FoldedWeights,
     NetworkWeights,
     TrunkConfig,
@@ -54,10 +54,12 @@ class TestConv2d:
         assert conv2d(x, k, (2, 2), (1, 1)).shape == (101, 32, 16)
         assert conv2d(x, k, (1, 1), (1, 1)).shape == (201, 64, 16)
 
-    def test_fused_epilogue_over_several_tiles(self):
+    def test_fused_epilogue_over_several_tiles(self, monkeypatch):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((70, 20, 3)).astype(np.float32)
-        assert 70 * 20 > 2 * TILE_POSITIONS  # two full tiles and a partial one
+        # 30 output rows of 20 positions, 3x3x3 float32 columns each, per
+        # tile: two full tiles and a partial one.
+        monkeypatch.setattr(network, "TILE_BYTES", 30 * 20 * 27 * 4)
         k = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
         bias = rng.standard_normal(4).astype(np.float32)
         residual = rng.standard_normal((70, 20, 4)).astype(np.float32)
@@ -202,14 +204,14 @@ class TestResidualBlock:
     def test_identity_shortcut_when_no_projection(self, q_weights):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((11, 8, 16)).astype(np.float32)
-        out = residual_block(x, q_weights, "layer1.block1", stride=1)
+        out = residual_block(x, FoldedWeights(q_weights), "layer1.block1", stride=1)
         assert out.shape == x.shape
         assert np.all(out >= 0)  # final ReLU
 
     def test_projection_shortcut_changes_shape(self, q_weights):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((12, 8, 16)).astype(np.float32)
-        out = residual_block(x, q_weights, "layer2.block0", stride=2)
+        out = residual_block(x, FoldedWeights(q_weights), "layer2.block0", stride=2)
         assert out.shape == (6, 4, 32)
 
 

@@ -15,6 +15,7 @@ from svkit.audio import Waveform
 from svkit.network import TrunkConfig
 from svkit.scoring import (
     crop_embeddings,
+    embed_utterances,
     network_embedder,
     plan_crops,
     score_from_embeddings,
@@ -303,12 +304,17 @@ class TestParallelCrops:
         np.testing.assert_array_equal(rows[:, 0], self.WAVE.samples[self.OFFSETS])
         assert len(threads) == 2
 
-    @pytest.mark.parametrize("seconds,n_crops", [(0.5, 10), (1.0, 1)])
-    def test_short_or_single_crops_stay_on_the_calling_thread(self, seconds, n_crops, monkeypatch):
+    def test_short_crops_stay_on_the_calling_thread(self, monkeypatch):
         threads = set()
         recording = lambda w: threads.add(threading.get_ident()) or failing_at()(w)
-        embed_on(monkeypatch, 2, self.WAVE, recording, crop_seconds=seconds, n_crops=n_crops)
+        embed_on(monkeypatch, 2, self.WAVE, recording, crop_seconds=0.5)
         assert threads == {threading.get_ident()}
+
+    def test_single_crop_rows_match_one_by_one(self, monkeypatch):
+        serial = embed_on(monkeypatch, 1, self.WAVE, segment_sum_embedder, crop_seconds=1.0, n_crops=1)
+        threaded = embed_on(monkeypatch, 2, self.WAVE, segment_sum_embedder, crop_seconds=1.0, n_crops=1)
+        assert serial.shape == (1, 16)
+        assert threaded.tobytes() == serial.tobytes()
 
     def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
         want = embed_on(monkeypatch, 1, self.WAVE, segment_sum_embedder, crop_seconds=1.0)
@@ -351,3 +357,77 @@ class TestParallelCrops:
     def test_crops_run_one_by_one_without_settable_blas(self, monkeypatch):
         monkeypatch.setattr(scoring, "_openblas", lambda: None)
         assert scoring.crop_workers.__wrapped__() == 1
+
+
+class TestCropQueue:
+    """The distinct crops of several utterances form one queue."""
+
+    WAVES = [make_wave(seed=40 + i, seconds=0.5 + 0.1 * i) for i in range(6)]
+
+    def test_one_crop_utterances_run_concurrently(self, monkeypatch):
+        monkeypatch.setattr(scoring, "crop_workers", lambda: 2)
+        both = threading.Barrier(2, timeout=10)
+
+        def embed(waveform):
+            # Each crop waits for a second one running beside it; one crop
+            # at a time breaks the barrier.
+            both.wait()
+            return first_sample_embedder(waveform)
+
+        rows = list(embed_utterances([lambda w=w: w for w in self.WAVES[:4]], embed, crop_seconds=1.0))
+        assert [r[0, 0] for r in rows] == [w.samples[0] for w in self.WAVES[:4]]
+        assert all(r.shape == (10, 2) for r in rows)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_utterances_are_read_as_the_queue_reaches_them(self, workers, monkeypatch):
+        monkeypatch.setattr(scoring, "crop_workers", lambda: workers)
+        done = []
+        finished_at_load = []
+
+        def load(i):
+            finished_at_load.append(len(done))
+            return self.WAVES[i]
+
+        embed = lambda w: done.append(w) or first_sample_embedder(w)
+        loaded_at_yield = []
+        for _ in embed_utterances([lambda i=i: load(i) for i in range(6)], embed, crop_seconds=1.0):
+            loaded_at_yield.append(len(finished_at_load))
+        assert len(loaded_at_yield) == len(done) == 6
+        # Utterance i is read only once at most 2 * workers crops are in
+        # flight, the ones of utterances 0 .. i - 1, and its rows are
+        # yielded before utterance i + 2 * workers + 1 is read.
+        assert all(finished >= i - 2 * workers for i, finished in enumerate(finished_at_load))
+        assert all(loaded <= i + 2 * workers + 1 for i, loaded in enumerate(loaded_at_yield))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failure_in_utterance_order_wins(self, workers, monkeypatch):
+        monkeypatch.setattr(scoring, "crop_workers", lambda: workers)
+        first, second = self.WAVES[:2]
+        embed = failing_at({float(first.samples[0]): 0.05})
+
+        def unreadable():
+            raise OSError("unreadable")
+
+        with pytest.raises(ValueError, match="bad crop"):
+            list(embed_utterances([lambda: first, unreadable], embed, crop_seconds=1.0))
+        with pytest.raises(OSError, match="unreadable"):
+            list(embed_utterances([lambda: second, unreadable, lambda: first], embed, crop_seconds=1.0))
+        nan_first = lambda w: np.array([np.nan if w.samples[0] == first.samples[0] else 1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            list(embed_utterances([lambda: first, unreadable], nan_first, crop_seconds=1.0))
+
+    def test_a_queue_may_start_while_another_is_suspended(self, monkeypatch):
+        monkeypatch.setattr(scoring, "crop_workers", lambda: 2)
+        first, second, third = self.WAVES[:3]
+        inner = []
+
+        def nested():
+            outer = embed_utterances([lambda: first, lambda: second], first_sample_embedder, crop_seconds=1.0)
+            for _ in outer:
+                inner.append(crop_embeddings(third, first_sample_embedder, crop_seconds=1.0))
+
+        thread = threading.Thread(target=nested, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert [rows[0, 0] for rows in inner] == [third.samples[0]] * 2
