@@ -229,14 +229,12 @@ def ap_plus_softmax(
     weights: np.ndarray,
     ap_params: APParams = APParams(),
     bias: np.ndarray | None = None,
-    softmax_weight: float = 1.0,
 ) -> tuple[float, dict]:
     """Sum of the prototypical loss and softmax cross-entropy.
 
     The (N, M, D) batch feeds the prototypical head as-is and the softmax
     head flattened, with labels implied by the speaker axis. Gradients on
-    the shared embeddings are the sum of both heads'; softmax_weight
-    scales the cross-entropy term (1.0 = plain sum).
+    the shared embeddings are the sum of both heads'.
     """
     e = np.asarray(embeddings, dtype=np.float64)
     if e.ndim != 3:
@@ -247,14 +245,13 @@ def ap_plus_softmax(
     ap_loss, ap_grads = angular_prototypical(e, ap_params)
     ce_loss, ce_grads = softmax_ce(e.reshape(n * m, d), labels, weights, bias)
 
-    loss = ap_loss + softmax_weight * ce_loss
+    loss = ap_loss + ce_loss
     grads = {
-        "embeddings": ap_grads["embeddings"]
-        + softmax_weight * ce_grads["embeddings"].reshape(n, m, d),
-        "weights": softmax_weight * ce_grads["weights"],
+        "embeddings": ap_grads["embeddings"] + ce_grads["embeddings"].reshape(n, m, d),
+        "weights": ce_grads["weights"],
         "w": ap_grads["w"],
         "b": ap_grads["b"],
     }
     if bias is not None:
-        grads["bias"] = softmax_weight * ce_grads["bias"]
+        grads["bias"] = ce_grads["bias"]
     return loss, grads

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,17 +40,6 @@ class Trial:
 
 
 @dataclass(frozen=True)
-class TrialList:
-    entries: tuple[Trial, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
-@dataclass(frozen=True)
 class ScoreSet:
     """Scores parallel to a trial list, split by label for the sweep."""
 
@@ -68,7 +57,7 @@ class ScoreSet:
         object.__setattr__(self, "_is_target", is_target)
 
     @classmethod
-    def from_map(cls, trials: TrialList, by_pair: Mapping[tuple[str, str], float]) -> "ScoreSet":
+    def from_map(cls, trials: Sequence[Trial], by_pair: Mapping[tuple[str, str], float]) -> "ScoreSet":
         missing = [t for t in trials if (t.enroll, t.test) not in by_pair]
         if missing:
             shown = ", ".join(f"{t.enroll} vs {t.test}" for t in missing[:10])
@@ -213,7 +202,7 @@ def evaluate(scores: ScoreSet, params: DCFParams = DCFParams()) -> EvalReport:
     )
 
 
-def read_trials(path: str | Path) -> TrialList:
+def read_trials(path: str | Path) -> tuple[Trial, ...]:
     """Trials in file order. An ordered (enroll, test) pair may appear once:
     a score file holds one score per pair. (a, b) and (b, a) are distinct."""
     entries = []
@@ -234,7 +223,7 @@ def read_trials(path: str | Path) -> TrialList:
         entries.append(Trial(label=int(parts[0]), enroll=parts[1], test=parts[2]))
     if not entries:
         raise ValueError(f"{path}: no trials found")
-    return TrialList(entries=tuple(entries))
+    return tuple(entries)
 
 
 def read_scores(path: str | Path) -> dict[tuple[str, str], float]:

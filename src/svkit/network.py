@@ -11,8 +11,8 @@ time x mel input and emit a 512-d embedding:
     pooling (weighted mean concatenated with weighted std). ~8.0M
     trainable parameters.
 
-All tensors are float32. Inference runs on FoldedWeights: each conv's
-batch norm is folded into the conv's kernel and bias once, and every conv
+All tensors are float32. Inference runs on FoldedWeights: each batch norm
+is folded once into the conv or embedding layer before it, and every conv
 is an im2col + GEMM over tiles whose column buffer fits a byte budget,
 with bias, residual and ReLU applied per tile. Inference is pure: weights
 are immutable after load and no state is shared between calls.
@@ -43,36 +43,33 @@ class TrunkConfig:
     embed_dim: int = 512
     attn_dim: int = 128
     var_floor: float = 1e-5
-    embed_bn: bool = False
 
     @classmethod
-    def q_sap(cls, embed_bn: bool = False) -> "TrunkConfig":
+    def q_sap(cls) -> "TrunkConfig":
         return cls(
             variant="q-sap",
             channels=(16, 32, 64, 128),
             conv1_stride=(2, 2),
             pooling="sap",
             frame_agg="mean",
-            embed_bn=embed_bn,
         )
 
     @classmethod
-    def h_asp(cls, embed_bn: bool = False) -> "TrunkConfig":
+    def h_asp(cls) -> "TrunkConfig":
         return cls(
             variant="h-asp",
             channels=(32, 64, 128, 256),
             conv1_stride=(1, 1),
             pooling="asp",
             frame_agg="flatten",
-            embed_bn=embed_bn,
         )
 
     @classmethod
-    def from_variant(cls, variant: str, embed_bn: bool = False) -> "TrunkConfig":
+    def from_variant(cls, variant: str) -> "TrunkConfig":
         factories = {"q-sap": cls.q_sap, "h-asp": cls.h_asp}
         if variant not in factories:
             raise ValueError(f"unknown variant {variant!r}, expected one of {sorted(factories)}")
-        return factories[variant](embed_bn=embed_bn)
+        return factories[variant]()
 
     @property
     def final_freq(self) -> int:
@@ -190,19 +187,6 @@ def _bn_affine(gamma, beta, mean, var, eps: float = BN_EPS):
     return scale, beta - mean * scale
 
 
-def batchnorm_infer(
-    x: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    mean: np.ndarray,
-    var: np.ndarray,
-    eps: float = BN_EPS,
-) -> np.ndarray:
-    """Per-channel affine normalization with stored running statistics."""
-    scale, shift = _bn_affine(gamma, beta, mean, var, eps)
-    return x * scale + shift
-
-
 def softmax(x: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis."""
     shifted = x - np.max(x, axis=-1, keepdims=True)
@@ -266,12 +250,13 @@ def _bn_of_conv(conv: str) -> str:
 
 
 class FoldedWeights:
-    """Inference form of a weight set: every conv's batch norm folded into
-    the conv's kernel and a per-channel bias (Jacob et al. 2018,
-    arXiv 1712.05877), computed in float64 and stored as float32. Holds no
-    conv batch-norm tensor, so the raw weight set can be released; the
-    optional embedding batch norm is kept as it is. The weights passed in
-    are left unchanged.
+    """Inference form of a weight set: each batch norm folded into the
+    layer before it (Jacob et al. 2018, arXiv 1712.05877), computed in
+    float64 and stored as float32. A conv's batch norm becomes the conv's
+    kernel and a per-channel bias; the optional batch norm after the
+    embedding layer, applied when the weight set has one, becomes
+    embed.weight and embed.bias. Holds no batch-norm tensor, so the raw
+    weight set can be released. The weights passed in are left unchanged.
     """
 
     def __init__(self, weights: NetworkWeights):
@@ -279,8 +264,8 @@ class FoldedWeights:
 
     @classmethod
     def load(cls, path: str | Path) -> "FoldedWeights":
-        """Load a weight file and fold each conv's batch norm into the kernel
-        array it was read into, so the weight set is held once, not twice.
+        """Load a weight file and fold each batch norm into the weight array
+        it was read into, so the weight set is held once, not twice.
         Bit-identical to FoldedWeights(NetworkWeights.load(path))."""
         folded = cls.__new__(cls)
         folded._fold(NetworkWeights.load(path), in_place=True)
@@ -290,22 +275,32 @@ class FoldedWeights:
         for name, t in weights.tensors.items():
             if name.endswith(".running_var") and np.any(t < 0):
                 raise ValueError(f"{name}: batch norm running variance must be non-negative")
+
+        def scaled(t: np.ndarray, bn: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            """t with each output channel (last axis) times bn's scale, and
+            bn's float64 (scale, shift)."""
+            scale, shift = _bn_affine(*(s.astype(np.float64) for s in _bn(weights, bn)))
+            # A float64 product stored as float32, as (t * scale).astype(np.float32).
+            out = t if in_place else np.empty_like(t)
+            np.multiply(t, scale, out=out, casting="unsafe")
+            return out, scale, shift
+
         self.convs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for name, kernel in weights.tensors.items():
             if name.endswith(".weight") and kernel.ndim == 4:
                 conv = name.removesuffix(".weight")
-                bn = (t.astype(np.float64) for t in _bn(weights, _bn_of_conv(conv)))
-                scale, shift = _bn_affine(*bn)
-                # A float64 product stored as float32, as (kernel * scale).astype(np.float32).
-                out = kernel if in_place else np.empty_like(kernel)
-                np.multiply(kernel, scale, out=out, casting="unsafe")
+                out, _, shift = scaled(kernel, _bn_of_conv(conv))
                 self.convs[conv] = (out, shift.astype(np.float32))
-        folded = {_bn_of_conv(conv) for conv in self.convs}
+        folded = {_bn_of_conv(conv) for conv in self.convs} | {"embed_bn"}
         self.tensors = {
             name: t
             for name, t in weights.tensors.items()
             if name.removesuffix(".weight") not in self.convs and name.rpartition(".")[0] not in folded
         }
+        if any(name.startswith("embed_bn.") for name in weights.tensors):
+            weight, scale, shift = scaled(weights["embed.weight"], "embed_bn")
+            bias = weights["embed.bias"] * scale + shift
+            self.tensors.update({"embed.weight": weight, "embed.bias": bias.astype(np.float32)})
 
     def __getitem__(self, name: str) -> np.ndarray:
         try:
@@ -431,8 +426,6 @@ def init_weights(cfg: TrunkConfig, seed: int = 0) -> NetworkWeights:
 
     tensors["embed.weight"] = he_uniform((cfg.pooled_dim, cfg.embed_dim), cfg.pooled_dim)
     tensors["embed.bias"] = np.zeros(cfg.embed_dim, dtype=np.float32)
-    if cfg.embed_bn:
-        add_bn("embed_bn", cfg.embed_dim)
 
     return NetworkWeights(tensors)
 
@@ -443,12 +436,11 @@ def infer_config(weights: NetworkWeights | FoldedWeights) -> TrunkConfig:
         first = weights.conv("conv1")[0]
     else:
         first = weights["conv1.weight"]
-    embed_bn = "embed_bn.gamma" in weights.tensors
     by_width = {16: TrunkConfig.q_sap, 32: TrunkConfig.h_asp}
     width = first.shape[-1]
     if width not in by_width:
         raise ValueError(f"cannot infer variant from conv1 width {width}")
-    return by_width[width](embed_bn=embed_bn)
+    return by_width[width]()
 
 
 def forward(
@@ -459,7 +451,9 @@ def forward(
 ) -> np.ndarray:
     """Embed a normalized (L, n_mels) feature matrix as a 512-d vector.
 
-    Raw weights are folded on every call; pass FoldedWeights, as
+    Every batch norm is applied as folded into the layer before it, so the
+    weights alone decide whether an embedding batch norm applies. Raw
+    weights are folded on every call; pass FoldedWeights, as
     network_embedder does, to fold once. shape_log, when given, collects
     (stage, shape) pairs for the intermediate activations.
     """
@@ -498,8 +492,6 @@ def forward(
     log("pooled", pooled.shape)
 
     embedding = pooled @ weights["embed.weight"] + weights["embed.bias"]
-    if cfg.embed_bn:
-        embedding = batchnorm_infer(embedding, *_bn(weights, "embed_bn"))
     if not np.all(np.isfinite(embedding)):
         raise ValueError("non-finite embedding")
     log("embedding", embedding.shape)

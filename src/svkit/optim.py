@@ -11,12 +11,13 @@ cosine trials after each epoch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from . import losses
 from .losses import APParams, MarginParams
-from .metrics import DCFParams, ScoreSet, Trial, TrialList, eer, min_dcf
+from .metrics import DCFParams, ScoreSet, Trial, eer, min_dcf
 
 WEIGHT_DECAY = 5e-5
 
@@ -102,8 +103,8 @@ class SyntheticCorpus:
     disjoint cosine trial lists (training monitor and held-out)."""
 
     embeddings: np.ndarray  # (K, M, D), trainable copy handed to the demo
-    train_trials: TrialList
-    heldout_trials: TrialList
+    train_trials: tuple[Trial, ...]
+    heldout_trials: tuple[Trial, ...]
 
     @property
     def n_speakers(self) -> int:
@@ -163,12 +164,12 @@ def make_corpus(
     heldout = to_trials(targets[half:], 1) + to_trials(nontargets[half:], 0)
     return SyntheticCorpus(
         embeddings=emb,
-        train_trials=TrialList(tuple(train)),
-        heldout_trials=TrialList(tuple(heldout)),
+        train_trials=tuple(train),
+        heldout_trials=tuple(heldout),
     )
 
 
-def trial_scores(embeddings: np.ndarray, trials: TrialList) -> ScoreSet:
+def trial_scores(embeddings: np.ndarray, trials: Sequence[Trial]) -> ScoreSet:
     """Cosine score per trial, looking utterance ids up in the corpus grid."""
     k, m, _ = embeddings.shape
     flat = embeddings.reshape(k * m, -1)

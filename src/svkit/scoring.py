@@ -286,8 +286,9 @@ def network_embedder(
     config: TrunkConfig,
     params: FeatureParams | None = None,
 ) -> Embedder:
-    """Embedder that runs the feature front end and the trunk. The weights
-    are folded once here and the embedder keeps only the folded copy."""
+    """Embedder that runs the feature front end and the trunk. Every batch
+    norm, the optional embedding batch norm included, is folded once here
+    and the embedder keeps only the folded copy."""
     params = params or FeatureParams()
     weights = fold_weights(weights)
 

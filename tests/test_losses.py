@@ -227,16 +227,6 @@ class TestAPPlusSoftmax:
             ap_grads["embeddings"] + ce_grads["embeddings"].reshape(4, 3, 8),
         )
 
-    def test_softmax_weight_scales_ce_term(self):
-        rng = np.random.default_rng(16)
-        emb = rng.standard_normal((3, 3, 6))
-        weights = rng.standard_normal((3, 6))
-        params = APParams()
-        half, _ = ap_plus_softmax(emb, weights, params, softmax_weight=0.5)
-        ap_only, _ = angular_prototypical(emb, params)
-        ce_only, _ = softmax_ce(emb.reshape(9, 6), np.repeat(np.arange(3), 3), weights)
-        assert half == pytest.approx(ap_only + 0.5 * ce_only, rel=1e-14)
-
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(17)
         emb = rng.standard_normal((4, 3, 8))

@@ -10,7 +10,6 @@ from svkit.metrics import (
     MissingScoresError,
     ScoreSet,
     Trial,
-    TrialList,
     eer,
     evaluate,
     min_dcf,
@@ -212,17 +211,17 @@ class TestEvaluate:
 
 class TestScoreSet:
     def test_from_map_orders_scores_by_trial(self):
-        trials = TrialList((Trial(1, "a", "b"), Trial(0, "c", "d")))
+        trials = (Trial(1, "a", "b"), Trial(0, "c", "d"))
         ss = ScoreSet.from_map(trials, {("c", "d"): 0.25, ("a", "b"): 0.75})
         np.testing.assert_array_equal(ss.scores, [0.75, 0.25])
 
     def test_from_map_missing_scores_listed(self):
-        trials = TrialList((Trial(1, "a", "b"), Trial(0, "c", "d")))
+        trials = (Trial(1, "a", "b"), Trial(0, "c", "d"))
         with pytest.raises(MissingScoresError, match=r"1 trials.*c vs d"):
             ScoreSet.from_map(trials, {("a", "b"): 0.75})
 
     def test_from_map_truncates_long_missing_list(self):
-        trials = TrialList(tuple(Trial(1, f"e{i}", f"t{i}") for i in range(12)))
+        trials = tuple(Trial(1, f"e{i}", f"t{i}") for i in range(12))
         with pytest.raises(MissingScoresError, match=r"12 trials.*\+2 more"):
             ScoreSet.from_map(trials, {})
 
@@ -268,8 +267,8 @@ class TestTrialFile:
         path.write_text("1 spk1/a.wav spk1/b.wav\n\n0 spk1/a.wav spk2/c.wav\n")
         trials = read_trials(path)
         assert len(trials) == 2
-        assert trials.entries[0] == Trial(1, "spk1/a.wav", "spk1/b.wav")
-        assert trials.entries[1] == Trial(0, "spk1/a.wav", "spk2/c.wav")
+        assert trials[0] == Trial(1, "spk1/a.wav", "spk1/b.wav")
+        assert trials[1] == Trial(0, "spk1/a.wav", "spk2/c.wav")
 
     def test_bad_label_token_rejected(self, tmp_path):
         path = tmp_path / "trials.txt"

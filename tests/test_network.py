@@ -10,7 +10,6 @@ from svkit.network import (
     NetworkWeights,
     TrunkConfig,
     asp_pool,
-    batchnorm_infer,
     conv2d,
     forward,
     frame_attention,
@@ -75,26 +74,6 @@ class TestConv2d:
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError, match="channel"):
             conv2d(np.zeros((4, 4, 2)), np.zeros((3, 3, 3, 4)))
-
-
-class TestBatchNorm:
-    def test_standardizes_with_running_stats(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((5, 4, 3))
-        gamma, beta = np.ones(3), np.zeros(3)
-        mean, var = x.mean(axis=(0, 1)), x.var(axis=(0, 1))
-        out = batchnorm_infer(x, gamma, beta, mean, var, eps=0.0)
-        assert_allclose(out.mean(axis=(0, 1)), 0.0, atol=1e-12)
-        assert_allclose(out.var(axis=(0, 1)), 1.0, atol=1e-12)
-
-    def test_affine_applied_after_standardizing(self):
-        x = np.full((2, 2, 1), 3.0)
-        out = batchnorm_infer(x, np.array([2.0]), np.array([5.0]), np.array([1.0]), np.array([4.0]), eps=0.0)
-        assert_allclose(out, (3.0 - 1.0) / 2.0 * 2.0 + 5.0)
-
-    def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            batchnorm_infer(np.zeros((1, 1, 1)), np.ones(1), np.zeros(1), np.zeros(1), np.array([-1.0]))
 
 
 class TestPooling:
@@ -194,11 +173,6 @@ class TestWeights:
         with pytest.raises((ValueError, KeyError)):
             infer_config(NetworkWeights({"x": np.zeros((2, 2), dtype=np.float32)}))
 
-    def test_infer_config_detects_embed_bn(self):
-        cfg = TrunkConfig.q_sap(embed_bn=True)
-        weights = init_weights(cfg, seed=0)
-        assert infer_config(weights).embed_bn is True
-
 
 class TestResidualBlock:
     def test_identity_shortcut_when_no_projection(self, q_weights):
@@ -255,12 +229,20 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(np.zeros((201, 40)), q_weights, q_config)
 
-    def test_embed_bn_variant_runs(self):
-        cfg = TrunkConfig.q_sap(embed_bn=True)
-        weights = init_weights(cfg, seed=1)
-        emb = forward(np.random.default_rng(11).standard_normal((101, 64)), weights, cfg)
+    def test_embed_bn_variant_runs(self, q_config):
+        weights = with_embed_bn(init_weights(q_config, seed=1))
+        emb = forward(np.random.default_rng(11).standard_normal((101, 64)), weights, q_config)
         assert emb.shape == (512,)
         assert np.all(np.isfinite(emb))
+
+
+def with_embed_bn(weights: NetworkWeights) -> NetworkWeights:
+    """The weights plus an identity batch norm after the embedding layer
+    (embed_bn.*), which init_weights never writes."""
+    dim = weights["embed.bias"].shape[0]
+    ones, zeros = np.ones(dim), np.zeros(dim)
+    bn = {"gamma": ones, "beta": zeros, "running_mean": zeros, "running_var": ones}
+    return NetworkWeights({**weights.tensors, **{f"embed_bn.{k}": t for k, t in bn.items()}})
 
 
 def random_batchnorm(weights: NetworkWeights, seed: int) -> NetworkWeights:
@@ -284,12 +266,27 @@ def random_batchnorm(weights: NetworkWeights, seed: int) -> NetworkWeights:
 class TestFoldedForward:
     @pytest.mark.parametrize("variant,embed_bn", [("q-sap", False), ("h-asp", False), ("q-sap", True)])
     def test_matches_float64_oracle(self, variant, embed_bn):
-        cfg = TrunkConfig.from_variant(variant, embed_bn=embed_bn)
-        weights = random_batchnorm(init_weights(cfg, seed=3), seed=4)
+        cfg = TrunkConfig.from_variant(variant)
+        weights = init_weights(cfg, seed=3)
+        weights = random_batchnorm(with_embed_bn(weights) if embed_bn else weights, seed=4)
         feats = np.random.default_rng(13).standard_normal((201, 64))
         want = trunk_embedding(feats, weights.tensors)
         assert relative_l2(forward(feats, FoldedWeights(weights), cfg), want) <= 1e-4
         assert relative_l2(forward(feats, weights, cfg), want) <= 1e-4
+
+    @pytest.mark.parametrize("variant", ["q-sap", "h-asp"])
+    def test_embedding_batch_norm_is_folded_under_the_variant_config(self, variant, tmp_path):
+        cfg = TrunkConfig.from_variant(variant)
+        weights = random_batchnorm(with_embed_bn(init_weights(cfg, seed=15)), seed=16)
+        path = tmp_path / "w.svw1"
+        weights.save(path)
+        feats = np.random.default_rng(17).standard_normal((201, 64))
+        want = trunk_embedding(feats, weights.tensors)
+        before = weights["embed.weight"].tobytes()
+        for folded in (FoldedWeights(weights), FoldedWeights.load(path)):
+            assert not any(name.startswith("embed_bn.") for name in folded.tensors)
+            assert relative_l2(forward(feats, folded, cfg), want) <= 1e-4
+        assert weights["embed.weight"].tobytes() == before
 
     @pytest.mark.parametrize("variant", ["q-sap", "h-asp"])
     def test_reused_weights_leak_no_state_between_calls(self, variant):
@@ -324,9 +321,10 @@ class TestFoldedLoad:
 
     @pytest.mark.parametrize("variant,embed_bn", [("q-sap", False), ("h-asp", False), ("q-sap", True)])
     def test_in_place_load_matches_folding_loaded_weights(self, variant, embed_bn, tmp_path):
-        cfg = TrunkConfig.from_variant(variant, embed_bn=embed_bn)
+        cfg = TrunkConfig.from_variant(variant)
         path = tmp_path / "w.svw1"
-        random_batchnorm(init_weights(cfg, seed=7), seed=8).save(path)
+        weights = init_weights(cfg, seed=7)
+        random_batchnorm(with_embed_bn(weights) if embed_bn else weights, seed=8).save(path)
         raw = NetworkWeights.load(path)
         want = FoldedWeights(raw)
         got = FoldedWeights.load(path)
@@ -346,13 +344,14 @@ class TestFoldedLoad:
         assert got.conv("conv1")[0].tobytes() == old.tobytes()
 
     def test_in_place_load_rejects_negative_running_var_by_name(self, q_config, tmp_path):
-        tensors = dict(init_weights(q_config, seed=0).tensors)
-        tensors["layer2.block0.shortcut_bn.running_var"] = -np.ones(32, dtype=np.float32)
-        path = tmp_path / "neg.svw1"
-        NetworkWeights(tensors).save(path)
-        for fold in (FoldedWeights.load, lambda p: FoldedWeights(NetworkWeights.load(p))):
-            with pytest.raises(ValueError, match="layer2.block0.shortcut_bn.running_var"):
-                fold(path)
+        for name in ("layer2.block0.shortcut_bn.running_var", "embed_bn.running_var"):
+            tensors = dict(with_embed_bn(init_weights(q_config, seed=0)).tensors)
+            tensors[name] = -np.ones_like(tensors[name])
+            path = tmp_path / "neg.svw1"
+            NetworkWeights(tensors).save(path)
+            for fold in (FoldedWeights.load, lambda p: FoldedWeights(NetworkWeights.load(p))):
+                with pytest.raises(ValueError, match=name):
+                    fold(path)
 
     def test_folding_leaves_the_weights_unchanged(self, h_config):
         weights = random_batchnorm(init_weights(h_config, seed=9), seed=10)

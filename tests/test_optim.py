@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from svkit.losses import APParams
-from svkit.metrics import Trial, TrialList
+from svkit.metrics import Trial
 from svkit.optim import (
     WEIGHT_DECAY,
     AdamState,
@@ -195,12 +195,10 @@ class TestTrialScores:
         embeddings = np.array(
             [[[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]], [[0.0, 0.0, 2.0], [0.0, 1.0, 1.0]]]
         )
-        trials = TrialList(
-            (
-                Trial(1, "s000u000", "s000u001"),
-                Trial(0, "s000u000", "s001u000"),
-                Trial(0, "s000u001", "s001u001"),
-            )
+        trials = (
+            Trial(1, "s000u000", "s000u001"),
+            Trial(0, "s000u000", "s001u000"),
+            Trial(0, "s000u001", "s001u001"),
         )
         ss = trial_scores(embeddings, trials)
         np.testing.assert_allclose(
@@ -209,7 +207,7 @@ class TestTrialScores:
 
     def test_zero_norm_embedding_rejected(self):
         embeddings = np.zeros((2, 2, 3))
-        trials = TrialList((Trial(1, "s000u000", "s000u001"),))
+        trials = (Trial(1, "s000u000", "s000u001"),)
         with pytest.raises(ValueError, match="zero-norm"):
             trial_scores(embeddings, trials)
 
