@@ -227,8 +227,7 @@ def _canonical(path: str, root: str = ".") -> str:
 def _load_embedder(weights_path: str) -> Embedder:
     # Each kernel is folded in the array it was read into, so the weight
     # set is held once.
-    weights = FoldedWeights.load(weights_path)
-    return network_embedder(weights, infer_config(weights))
+    return network_embedder(FoldedWeights.load(weights_path))
 
 
 def _sha256(path: str | Path) -> str:

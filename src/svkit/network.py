@@ -11,11 +11,13 @@ time x mel input and emit a 512-d embedding:
     pooling (weighted mean concatenated with weighted std). ~8.0M
     trainable parameters.
 
-All tensors are float32. Inference runs on FoldedWeights: each batch norm
-is folded once into the conv or embedding layer before it, and every conv
-is an im2col + GEMM over tiles whose column buffer fits a byte budget,
-with bias, residual and ReLU applied per tile. Inference is pure: weights
-are immutable after load and no state is shared between calls.
+All tensors are float32. Inference runs on FoldedWeights only: each batch
+norm is folded once into the conv or embedding layer before it, and the
+variant's TrunkConfig is inferred from the tensor shapes at the same time,
+so the weights alone decide how they run. Every conv is an im2col + GEMM
+over tiles whose column buffer fits a byte budget, with bias, residual and
+ReLU applied per tile. Inference is pure: weights are immutable after load
+and no state is shared between calls.
 """
 
 from __future__ import annotations
@@ -29,20 +31,24 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import containers
 
 BN_EPS = 1e-5
+# Shared by both variants: residual blocks per stage, input mel bands,
+# embedding and attention widths, and the ASP variance floor.
+BLOCK_COUNTS = (3, 4, 6, 3)
+N_MELS = 64
+EMBED_DIM = 512
+ATTN_DIM = 128
+VAR_FLOOR = 1e-5
 
 
 @dataclass(frozen=True)
 class TrunkConfig:
+    """What differs between the two variants."""
+
     variant: str
     channels: tuple[int, int, int, int]
     conv1_stride: tuple[int, int]
     pooling: str  # "sap" | "asp"
     frame_agg: str  # "mean" | "flatten"
-    block_counts: tuple[int, int, int, int] = (3, 4, 6, 3)
-    n_mels: int = 64
-    embed_dim: int = 512
-    attn_dim: int = 128
-    var_floor: float = 1e-5
 
     @classmethod
     def q_sap(cls) -> "TrunkConfig":
@@ -74,7 +80,7 @@ class TrunkConfig:
     @property
     def final_freq(self) -> int:
         """Frequency extent after conv1 and the three stride-2 stages."""
-        freq = _conv_out(self.n_mels, 3, self.conv1_stride[1], 1)
+        freq = _conv_out(N_MELS, 3, self.conv1_stride[1], 1)
         for _ in range(3):
             freq = _conv_out(freq, 3, 2, 1)
         return freq
@@ -181,8 +187,6 @@ def conv2d(
 
 def _bn_affine(gamma, beta, mean, var, eps: float = BN_EPS):
     """Inference batch norm as a per-channel (scale, shift)."""
-    if np.any(var < 0):
-        raise ValueError("batch norm running variance must be non-negative")
     scale = gamma / np.sqrt(var + eps)
     return scale, beta - mean * scale
 
@@ -257,6 +261,8 @@ class FoldedWeights:
     embedding layer, applied when the weight set has one, becomes
     embed.weight and embed.bias. Holds no batch-norm tensor, so the raw
     weight set can be released. The weights passed in are left unchanged.
+    config is the TrunkConfig inferred from the tensor shapes as they are
+    folded.
     """
 
     def __init__(self, weights: NetworkWeights):
@@ -275,6 +281,7 @@ class FoldedWeights:
         for name, t in weights.tensors.items():
             if name.endswith(".running_var") and np.any(t < 0):
                 raise ValueError(f"{name}: batch norm running variance must be non-negative")
+        self.config = infer_config(weights)
 
         def scaled(t: np.ndarray, bn: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             """t with each output channel (last axis) times bn's scale, and
@@ -314,11 +321,6 @@ class FoldedWeights:
             return self.convs[name]
         except KeyError:
             raise KeyError(f"weights have no conv named {name!r}") from None
-
-
-def fold_weights(weights: NetworkWeights | FoldedWeights) -> FoldedWeights:
-    """Weights with batch norm folded; folded weights pass through."""
-    return weights if isinstance(weights, FoldedWeights) else FoldedWeights(weights)
 
 
 def residual_block(x: np.ndarray, weights: FoldedWeights, prefix: str, stride: int) -> np.ndarray:
@@ -368,7 +370,7 @@ def asp_pool(
     w: np.ndarray,
     b: np.ndarray,
     u: np.ndarray,
-    var_floor: float = 1e-5,
+    var_floor: float = VAR_FLOOR,
 ) -> np.ndarray:
     """Attentive statistics pooling: weighted mean concat weighted std.
 
@@ -405,7 +407,7 @@ def init_weights(cfg: TrunkConfig, seed: int = 0) -> NetworkWeights:
     add_bn("conv1.bn", cfg.channels[0])
 
     c_in = cfg.channels[0]
-    for layer_idx, (c_out, n_blocks) in enumerate(zip(cfg.channels, cfg.block_counts), start=1):
+    for layer_idx, (c_out, n_blocks) in enumerate(zip(cfg.channels, BLOCK_COUNTS), start=1):
         for block_idx in range(n_blocks):
             prefix = f"layer{layer_idx}.block{block_idx}"
             stride = 2 if (layer_idx > 1 and block_idx == 0) else 1
@@ -420,47 +422,40 @@ def init_weights(cfg: TrunkConfig, seed: int = 0) -> NetworkWeights:
         c_in = c_out
 
     d = cfg.frame_dim
-    tensors["pool.w"] = he_uniform((d, cfg.attn_dim), d)
-    tensors["pool.b"] = np.zeros(cfg.attn_dim, dtype=np.float32)
-    tensors["pool.u"] = he_uniform((cfg.attn_dim,), cfg.attn_dim)
+    tensors["pool.w"] = he_uniform((d, ATTN_DIM), d)
+    tensors["pool.b"] = np.zeros(ATTN_DIM, dtype=np.float32)
+    tensors["pool.u"] = he_uniform((ATTN_DIM,), ATTN_DIM)
 
-    tensors["embed.weight"] = he_uniform((cfg.pooled_dim, cfg.embed_dim), cfg.pooled_dim)
-    tensors["embed.bias"] = np.zeros(cfg.embed_dim, dtype=np.float32)
+    tensors["embed.weight"] = he_uniform((cfg.pooled_dim, EMBED_DIM), cfg.pooled_dim)
+    tensors["embed.bias"] = np.zeros(EMBED_DIM, dtype=np.float32)
 
     return NetworkWeights(tensors)
 
 
-def infer_config(weights: NetworkWeights | FoldedWeights) -> TrunkConfig:
+def infer_config(weights: NetworkWeights) -> TrunkConfig:
     """Recover the trunk configuration from tensor shapes."""
-    if isinstance(weights, FoldedWeights):
-        first = weights.conv("conv1")[0]
-    else:
-        first = weights["conv1.weight"]
     by_width = {16: TrunkConfig.q_sap, 32: TrunkConfig.h_asp}
-    width = first.shape[-1]
+    width = weights["conv1.weight"].shape[-1]
     if width not in by_width:
         raise ValueError(f"cannot infer variant from conv1 width {width}")
     return by_width[width]()
 
 
-def forward(
-    features: np.ndarray,
-    weights: NetworkWeights | FoldedWeights,
-    cfg: TrunkConfig,
-    shape_log: list | None = None,
-) -> np.ndarray:
-    """Embed a normalized (L, n_mels) feature matrix as a 512-d vector.
+def forward(features: np.ndarray, weights: FoldedWeights, shape_log: list | None = None) -> np.ndarray:
+    """Embed a normalized (L, N_MELS) feature matrix as a 512-d vector.
 
-    Every batch norm is applied as folded into the layer before it, so the
-    weights alone decide whether an embedding batch norm applies. Raw
-    weights are folded on every call; pass FoldedWeights, as
-    network_embedder does, to fold once. shape_log, when given, collects
+    The weights decide everything: the variant is weights.config, and every
+    batch norm, an embedding batch norm included, is applied as folded into
+    the layer before it. Raw NetworkWeights are rejected; fold them once
+    with FoldedWeights(weights). shape_log, when given, collects
     (stage, shape) pairs for the intermediate activations.
     """
+    if not isinstance(weights, FoldedWeights):
+        raise TypeError(f"forward takes FoldedWeights, got {type(weights).__name__}")
+    cfg = weights.config
     features = np.asarray(features, dtype=np.float32)
-    if features.ndim != 2 or features.shape[1] != cfg.n_mels:
-        raise ValueError(f"expected (L, {cfg.n_mels}) features, got shape {features.shape}")
-    weights = fold_weights(weights)
+    if features.ndim != 2 or features.shape[1] != N_MELS:
+        raise ValueError(f"expected (L, {N_MELS}) features, got shape {features.shape}")
 
     def log(stage, shape):
         if shape_log is not None:
@@ -471,7 +466,7 @@ def forward(
     x = conv2d(x, kernel, cfg.conv1_stride, (1, 1), bias=bias, relu=True)
     log("conv1", x.shape)
 
-    for layer_idx, n_blocks in enumerate(cfg.block_counts, start=1):
+    for layer_idx, n_blocks in enumerate(BLOCK_COUNTS, start=1):
         for block_idx in range(n_blocks):
             stride = 2 if (layer_idx > 1 and block_idx == 0) else 1
             x = residual_block(x, weights, f"layer{layer_idx}.block{block_idx}", stride)
@@ -486,9 +481,7 @@ def forward(
     if cfg.pooling == "sap":
         pooled = sap_pool(frames, weights["pool.w"], weights["pool.b"], weights["pool.u"])
     else:
-        pooled = asp_pool(
-            frames, weights["pool.w"], weights["pool.b"], weights["pool.u"], cfg.var_floor
-        )
+        pooled = asp_pool(frames, weights["pool.w"], weights["pool.b"], weights["pool.u"])
     log("pooled", pooled.shape)
 
     embedding = pooled @ weights["embed.weight"] + weights["embed.bias"]

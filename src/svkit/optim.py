@@ -18,6 +18,7 @@ import numpy as np
 from . import losses
 from .losses import APParams, MarginParams
 from .metrics import DCFParams, ScoreSet, Trial, eer, min_dcf
+from .scoring import _dot_scores
 
 WEIGHT_DECAY = 5e-5
 
@@ -170,7 +171,8 @@ def make_corpus(
 
 
 def trial_scores(embeddings: np.ndarray, trials: Sequence[Trial]) -> ScoreSet:
-    """Cosine score per trial, looking utterance ids up in the corpus grid."""
+    """Cosine score per trial, looking utterance ids up in the corpus grid,
+    with the dot-and-clip of scoring.score_trials."""
     k, m, _ = embeddings.shape
     flat = embeddings.reshape(k * m, -1)
     norms = np.linalg.norm(flat, axis=1)
@@ -178,10 +180,9 @@ def trial_scores(embeddings: np.ndarray, trials: Sequence[Trial]) -> ScoreSet:
         raise ValueError("zero-norm embedding in corpus")
     unit = flat / norms[:, None]
     index = {_utt_id(a, b): a * m + b for a in range(k) for b in range(m)}
-    scores = np.array(
-        [float(unit[index[t.enroll]] @ unit[index[t.test]]) for t in trials]
-    )
-    return ScoreSet(trials=tuple(trials), scores=scores)
+    enroll = np.array([index[t.enroll] for t in trials], dtype=np.intp)
+    test = np.array([index[t.test] for t in trials], dtype=np.intp)
+    return ScoreSet(trials=tuple(trials), scores=_dot_scores(unit[enroll], unit[test]))
 
 
 def mean_angular_gap(embeddings: np.ndarray) -> float:

@@ -39,8 +39,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .audio import Waveform, crop_segment
-from .features import FeatureParams, extract_features
-from .network import NetworkWeights, TrunkConfig, fold_weights, forward
+from .features import extract_features
+from .network import FoldedWeights, forward
 
 Embedder = Callable[[Waveform], np.ndarray]
 
@@ -281,18 +281,12 @@ def score_pair(
     return score_from_embeddings(ea, eb)
 
 
-def network_embedder(
-    weights: NetworkWeights,
-    config: TrunkConfig,
-    params: FeatureParams | None = None,
-) -> Embedder:
-    """Embedder that runs the feature front end and the trunk. Every batch
-    norm, the optional embedding batch norm included, is folded once here
-    and the embedder keeps only the folded copy."""
-    params = params or FeatureParams()
-    weights = fold_weights(weights)
+def network_embedder(weights: FoldedWeights) -> Embedder:
+    """Embedder that runs the default feature front end and the trunk on
+    folded weights, which decide the variant. Raw NetworkWeights raise
+    TypeError at the first call."""
 
     def embed(waveform: Waveform) -> np.ndarray:
-        return forward(extract_features(waveform, params).values, weights, config)
+        return forward(extract_features(waveform).values, weights)
 
     return embed

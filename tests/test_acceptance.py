@@ -49,7 +49,7 @@ from svkit.losses import (
     softmax_ce,
 )
 from svkit.metrics import DCFParams, ScoreSet, Trial, eer, evaluate, min_dcf
-from svkit.network import forward
+from svkit.network import FoldedWeights, forward
 from svkit.optim import make_corpus, mean_angular_gap, train_demo
 from svkit.scoring import (
     crop_embeddings,
@@ -96,12 +96,12 @@ def test_criterion_01_parameter_counts(q_weights, h_weights, reported):
         assert abs(h_count - 8.0e6) <= 0.05 * 8.0e6, h_count
 
 
-def test_criterion_02_deep_trunk_shapes(h_weights, h_config, reported):
+def test_criterion_02_deep_trunk_shapes(h_weights, reported):
     with reported(2, "deep trunk shapes"):
         rng = np.random.default_rng(0)
         features = rng.normal(size=(201, 64))
         shape_log: list = []
-        embedding = forward(features, h_weights, h_config, shape_log=shape_log)
+        embedding = forward(features, FoldedWeights(h_weights), shape_log=shape_log)
         stages = dict(shape_log)
         assert stages["conv1"] == (201, 64, 32)
         assert stages["layer1"] == (201, 64, 32)
@@ -235,14 +235,14 @@ def test_criterion_07_instance_norm_contract(reported):
             assert np.max(np.abs(out.var(axis=0) - 1.0)) < 1e-3
 
 
-def test_criterion_08_scoring_protocol(q_weights, q_config, reported):
+def test_criterion_08_scoring_protocol(q_weights, reported):
     with reported(8, "scoring protocol"):
         stub = lambda wave: np.array([0.25, -0.5, 1.0])
         a = make_wave(seed=1, seconds=4.5)
         b = make_wave(seed=2, seconds=5.0)
         assert score_pair(a, b, stub) == pytest.approx(1.0, abs=1e-6)
 
-        embed = network_embedder(q_weights, q_config)
+        embed = network_embedder(FoldedWeights(q_weights))
         waves = [make_wave(seed=100 + i, seconds=4.2 + 0.2 * i) for i in range(8)]
         crops = [crop_embeddings(wave, embed) for wave in waves]
         pairs = list(itertools.combinations(range(8), 2))[:20]

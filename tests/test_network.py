@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from conftest import make_wave
 from oracles import relative_l2, trunk_embedding
 from svkit import network
 from svkit.scoring import network_embedder
@@ -190,11 +191,11 @@ class TestResidualBlock:
 
 
 class TestForward:
-    def test_h_shape_log_matches_reference_table(self, h_weights, h_config):
+    def test_h_shape_log_matches_reference_table(self, h_weights):
         rng = np.random.default_rng(7)
         feats = rng.standard_normal((201, 64))
         log = []
-        emb = forward(feats, h_weights, h_config, shape_log=log)
+        emb = forward(feats, FoldedWeights(h_weights), shape_log=log)
         assert emb.shape == (512,)
         stages = dict(log)
         assert stages["conv1"] == (201, 64, 32)
@@ -206,11 +207,11 @@ class TestForward:
         assert stages["pooled"] == (4096,)
         assert stages["embedding"] == (512,)
 
-    def test_q_shape_log(self, q_weights, q_config):
+    def test_q_shape_log(self, q_weights):
         rng = np.random.default_rng(8)
         feats = rng.standard_normal((201, 64))
         log = []
-        emb = forward(feats, q_weights, q_config, shape_log=log)
+        emb = forward(feats, FoldedWeights(q_weights), shape_log=log)
         assert emb.shape == (512,)
         stages = dict(log)
         assert stages["conv1"] == (101, 32, 16)
@@ -218,20 +219,26 @@ class TestForward:
         assert stages["frames"] == (13, 128)
         assert stages["pooled"] == (128,)
 
-    def test_deterministic(self, q_weights, q_config):
+    def test_deterministic(self, q_weights):
         rng = np.random.default_rng(10)
         feats = rng.standard_normal((201, 64))
-        assert_array_equal(
-            forward(feats, q_weights, q_config), forward(feats, q_weights, q_config)
-        )
+        folded = FoldedWeights(q_weights)
+        assert_array_equal(forward(feats, folded), forward(feats, folded))
 
-    def test_wrong_mel_count_rejected(self, q_weights, q_config):
+    def test_wrong_mel_count_rejected(self, q_weights):
         with pytest.raises(ValueError):
-            forward(np.zeros((201, 40)), q_weights, q_config)
+            forward(np.zeros((201, 40)), FoldedWeights(q_weights))
+
+    def test_raw_weights_rejected_naming_folded_weights(self, q_weights):
+        with pytest.raises(TypeError, match="FoldedWeights"):
+            forward(np.zeros((201, 64)), q_weights)
+        embed = network_embedder(q_weights)
+        with pytest.raises(TypeError, match="FoldedWeights"):
+            embed(make_wave(seed=12, seconds=0.5))
 
     def test_embed_bn_variant_runs(self, q_config):
-        weights = with_embed_bn(init_weights(q_config, seed=1))
-        emb = forward(np.random.default_rng(11).standard_normal((101, 64)), weights, q_config)
+        weights = FoldedWeights(with_embed_bn(init_weights(q_config, seed=1)))
+        emb = forward(np.random.default_rng(11).standard_normal((101, 64)), weights)
         assert emb.shape == (512,)
         assert np.all(np.isfinite(emb))
 
@@ -271,8 +278,7 @@ class TestFoldedForward:
         weights = random_batchnorm(with_embed_bn(weights) if embed_bn else weights, seed=4)
         feats = np.random.default_rng(13).standard_normal((201, 64))
         want = trunk_embedding(feats, weights.tensors)
-        assert relative_l2(forward(feats, FoldedWeights(weights), cfg), want) <= 1e-4
-        assert relative_l2(forward(feats, weights, cfg), want) <= 1e-4
+        assert relative_l2(forward(feats, FoldedWeights(weights)), want) <= 1e-4
 
     @pytest.mark.parametrize("variant", ["q-sap", "h-asp"])
     def test_embedding_batch_norm_is_folded_under_the_variant_config(self, variant, tmp_path):
@@ -285,7 +291,8 @@ class TestFoldedForward:
         before = weights["embed.weight"].tobytes()
         for folded in (FoldedWeights(weights), FoldedWeights.load(path)):
             assert not any(name.startswith("embed_bn.") for name in folded.tensors)
-            assert relative_l2(forward(feats, folded, cfg), want) <= 1e-4
+            assert folded.config == cfg
+            assert relative_l2(forward(feats, folded), want) <= 1e-4
         assert weights["embed.weight"].tobytes() == before
 
     @pytest.mark.parametrize("variant", ["q-sap", "h-asp"])
@@ -296,8 +303,8 @@ class TestFoldedForward:
         feats = {n: rng.standard_normal((n, 64)) for n in (201, 401)}
         folded = FoldedWeights(weights)
         for n in (201, 401, 201):
-            fresh = forward(feats[n], FoldedWeights(weights), cfg)
-            assert_array_equal(forward(feats[n], folded, cfg), fresh)
+            fresh = forward(feats[n], FoldedWeights(weights))
+            assert_array_equal(forward(feats[n], folded), fresh)
 
     def test_holds_only_folded_tensors(self, q_weights):
         folded = FoldedWeights(q_weights)
@@ -312,7 +319,7 @@ class TestFoldedForward:
         tensors = dict(init_weights(q_config, seed=0).tensors)
         tensors["layer3.block1.bn2.running_var"] = -np.ones(64, dtype=np.float32)
         with pytest.raises(ValueError, match="layer3.block1.bn2.running_var"):
-            network_embedder(NetworkWeights(tensors), q_config)
+            FoldedWeights(NetworkWeights(tensors))
 
 
 class TestFoldedLoad:
@@ -336,7 +343,7 @@ class TestFoldedLoad:
         assert got.tensors.keys() == want.tensors.keys()
         for name, t in want.tensors.items():
             assert got.tensors[name].tobytes() == t.tobytes()
-        assert infer_config(got) == infer_config(raw) == cfg
+        assert got.config == want.config == infer_config(raw) == cfg
         # The fold is a float64 product rounded once to float32.
         bn = [raw[f"conv1.bn.{k}"].astype(np.float64) for k in ("gamma", "running_var")]
         scale = bn[0] / np.sqrt(bn[1] + 1e-5)

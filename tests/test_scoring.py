@@ -12,7 +12,7 @@ from conftest import make_wave
 from oracles import all_pairs_mean_cosine
 from svkit import scoring
 from svkit.audio import Waveform
-from svkit.network import TrunkConfig
+from svkit.network import FoldedWeights
 from svkit.scoring import (
     crop_embeddings,
     embed_utterances,
@@ -239,14 +239,14 @@ class TestScorePair:
 
 
 class TestNetworkEmbedder:
-    def test_produces_finite_embedding(self, q_weights, q_config):
-        embed = network_embedder(q_weights, q_config)
+    def test_produces_finite_embedding(self, q_weights):
+        embed = network_embedder(FoldedWeights(q_weights))
         out = embed(make_wave(seed=10, seconds=0.5))
         assert out.shape == (512,)
         assert np.all(np.isfinite(out))
 
-    def test_end_to_end_pair_score_is_symmetric(self, q_weights, q_config):
-        embed = network_embedder(q_weights, q_config)
+    def test_end_to_end_pair_score_is_symmetric(self, q_weights):
+        embed = network_embedder(FoldedWeights(q_weights))
         a = make_wave(seed=11, seconds=0.6)
         b = make_wave(seed=12, seconds=0.8)
         forward_score = score_pair(a, b, embed, crop_seconds=0.5, n_crops=3)
@@ -291,7 +291,7 @@ class TestParallelCrops:
     @pytest.mark.parametrize("variant", ["q-sap", "h-asp"])
     def test_network_rows_are_bit_identical(self, variant, monkeypatch, request):
         weights = request.getfixturevalue(f"{variant[0]}_weights")
-        embed = network_embedder(weights, TrunkConfig.from_variant(variant))
+        embed = network_embedder(FoldedWeights(weights))
         serial = embed_on(monkeypatch, 1, self.WAVE, embed, crop_seconds=1.0)
         threaded = embed_on(monkeypatch, 2, self.WAVE, embed, crop_seconds=1.0)
         assert serial.shape == (10, 512)
