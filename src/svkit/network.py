@@ -365,25 +365,19 @@ def sap_pool(frames: np.ndarray, w: np.ndarray, b: np.ndarray, u: np.ndarray) ->
     return alpha @ frames
 
 
-def asp_pool(
-    frames: np.ndarray,
-    w: np.ndarray,
-    b: np.ndarray,
-    u: np.ndarray,
-    var_floor: float = VAR_FLOOR,
-) -> np.ndarray:
+def asp_pool(frames: np.ndarray, w: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Attentive statistics pooling: weighted mean concat weighted std.
 
     The channel-wise variance sum(alpha * h^2) - mu^2 is floored at
-    var_floor before the square root, so identical frames pool to
-    (v, sqrt(var_floor) * ones).
+    VAR_FLOOR before the square root, so identical frames pool to
+    (v, sqrt(VAR_FLOOR) * ones).
     """
     if not np.all(np.isfinite(frames)):
         raise ValueError("non-finite frame features")
     alpha = frame_attention(frames, w, b, u)
     mu = alpha @ frames
     ex2 = alpha @ (frames * frames)
-    sigma = np.sqrt(np.maximum(ex2 - mu * mu, var_floor))
+    sigma = np.sqrt(np.maximum(ex2 - mu * mu, VAR_FLOOR))
     return np.concatenate([mu, sigma])
 
 
@@ -441,7 +435,13 @@ def infer_config(weights: NetworkWeights) -> TrunkConfig:
     return by_width[width]()
 
 
-def forward(features: np.ndarray, weights: FoldedWeights, shape_log: list | None = None) -> np.ndarray:
+def forward(
+    features: np.ndarray,
+    weights: FoldedWeights,
+    cfg: TrunkConfig | None = None,
+    *,
+    shape_log: list | None = None,
+) -> np.ndarray:
     """Embed a normalized (L, N_MELS) feature matrix as a 512-d vector.
 
     The weights decide everything: the variant is weights.config, and every
@@ -449,9 +449,18 @@ def forward(features: np.ndarray, weights: FoldedWeights, shape_log: list | None
     the layer before it. Raw NetworkWeights are rejected; fold them once
     with FoldedWeights(weights). shape_log, when given, collects
     (stage, shape) pairs for the intermediate activations.
+
+    cfg exists only for the older call forward(features, raw, cfg) that
+    perfbench's reference-trunk test still makes: raw NetworkWeights given
+    with a cfg are folded on that call. A cfg other than the one the
+    weights infer to raises ValueError.
     """
+    if cfg is not None and isinstance(weights, NetworkWeights):
+        weights = FoldedWeights(weights)
     if not isinstance(weights, FoldedWeights):
         raise TypeError(f"forward takes FoldedWeights, got {type(weights).__name__}")
+    if cfg is not None and cfg != weights.config:
+        raise ValueError(f"weights are {weights.config.variant}, not {cfg.variant}")
     cfg = weights.config
     features = np.asarray(features, dtype=np.float32)
     if features.ndim != 2 or features.shape[1] != N_MELS:

@@ -113,7 +113,7 @@ class TestPooling:
     def test_asp_identical_frames_hit_variance_floor(self):
         frames = np.tile(np.array([1.0, -2.0, 0.5]), (6, 1))
         w, b, u = np.zeros((3, 2)), np.zeros(2), np.zeros(2)
-        got = asp_pool(frames, w, b, u, var_floor=1e-5)
+        got = asp_pool(frames, w, b, u)
         assert_allclose(got[:3], frames[0], rtol=1e-12)
         assert_allclose(got[3:], np.sqrt(1e-5), rtol=1e-12)
 
@@ -235,6 +235,14 @@ class TestForward:
         embed = network_embedder(q_weights)
         with pytest.raises(TypeError, match="FoldedWeights"):
             embed(make_wave(seed=12, seconds=0.5))
+
+    def test_raw_weights_with_their_config_match_folded_weights(self, q_weights, q_config, h_config):
+        feats = np.random.default_rng(14).standard_normal((201, 64))
+        assert_array_equal(forward(feats, q_weights, q_config), forward(feats, FoldedWeights(q_weights)))
+        with pytest.raises(ValueError, match="q-sap, not h-asp"):
+            forward(feats, q_weights, h_config)
+        with pytest.raises(ValueError, match="q-sap, not h-asp"):
+            forward(feats, FoldedWeights(q_weights), h_config)
 
     def test_embed_bn_variant_runs(self, q_config):
         weights = FoldedWeights(with_embed_bn(init_weights(q_config, seed=1)))
