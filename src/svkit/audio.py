@@ -1,8 +1,9 @@
 """Waveform container, WAV ingestion, and temporal cropping.
 
-All audio in the toolkit is mono 16 kHz float, nominally in [-1, 1].
-Resampling and multi-channel audio are out of scope; files that are not
-16-bit PCM mono 16 kHz are rejected at load time.
+All audio in the toolkit is mono float at SAMPLE_RATE (16 kHz), nominally
+in [-1, 1]. A Waveform carries no rate of its own: every reader uses the
+constant. Resampling and multi-channel audio are out of scope; files that
+are not 16-bit PCM mono 16 kHz are rejected at load time.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ SAMPLE_RATE = 16000
 
 @dataclass(frozen=True)
 class Waveform:
-    """Mono PCM samples at 16 kHz.
+    """Mono PCM samples at SAMPLE_RATE.
 
-    Invariants enforced on construction: sample_rate == 16000, at least
-    one sample, all samples finite.
+    Invariants enforced on construction: 1-D, at least one sample, all
+    samples finite.
     """
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -33,8 +33,6 @@ class Waveform:
             raise ValueError(f"waveform must be 1-D, got shape {samples.shape}")
         if samples.size < 1:
             raise ValueError("waveform must contain at least one sample")
-        if self.sample_rate != SAMPLE_RATE:
-            raise ValueError(f"sample rate must be {SAMPLE_RATE}, got {self.sample_rate}")
         if not np.all(np.isfinite(samples)):
             raise ValueError("waveform contains non-finite samples")
         object.__setattr__(self, "samples", samples)
@@ -44,7 +42,7 @@ class Waveform:
 
     @property
     def duration_seconds(self) -> float:
-        return self.samples.size / self.sample_rate
+        return self.samples.size / SAMPLE_RATE
 
 
 def read_wav(path: str | Path) -> Waveform:
@@ -79,7 +77,7 @@ def write_wav(path: str | Path, w: Waveform) -> None:
     with wave.open(str(path), "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)
-        f.setframerate(w.sample_rate)
+        f.setframerate(SAMPLE_RATE)
         f.writeframes(pcm.tobytes())
 
 
@@ -120,7 +118,7 @@ def crop_segment(
         raise ValueError("crop length must be positive")
     if (offset is None) == (seed is None):
         raise ValueError("provide exactly one of offset or seed")
-    n = int(round(seconds * w.sample_rate))
+    n = int(round(seconds * SAMPLE_RATE))
     if offset is not None:
         if offset < 0:
             raise ValueError("offset must be non-negative")

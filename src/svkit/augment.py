@@ -14,12 +14,17 @@ the draw sequence is fixed as (count, then per recording: catalog index,
 crop offset, SNR). Identical seeds therefore give bit-identical output.
 Additive noise is tiled when shorter than the signal and randomly cropped
 when longer, so its duration always matches.
+
+Each kind draws from a NoiseCatalog of Waveforms or WAV paths (impulse
+responses for rir). A drawn recording is read once, when it is drawn, and
+only the one being mixed is held.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -60,10 +65,10 @@ class AugmentSpec:
 
 @dataclass
 class NoiseCatalog:
-    """Recordings of one category; entries are Waveforms or WAV paths."""
+    """Recordings of one kind (additive noise or impulse responses);
+    entries are Waveforms or WAV paths."""
 
-    category: str
-    entries: list = field(default_factory=list)
+    entries: list
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -75,26 +80,19 @@ class NoiseCatalog:
         return read_wav(entry)
 
 
-@dataclass
-class RirCatalog(NoiseCatalog):
-    """Impulse-response recordings: a catalog whose category is "rir"."""
-
-    category: str = field(default="rir", init=False)
-
-
 def scan_catalogs(root: str | Path) -> dict:
-    """Build catalogs from a directory tree.
+    """Build catalogs from a directory tree, keyed by kind.
 
-    Category is inferred from the subdirectory name: speech/, music/,
-    noise/ hold additive recordings, rir/ holds impulse responses. Only
-    present subdirectories produce catalogs.
+    The kind is the subdirectory name: speech/, music/, noise/ hold
+    additive recordings, rir/ holds impulse responses. Only present
+    subdirectories produce catalogs.
     """
     catalogs: dict = {}
-    for category in AUGMENT_KINDS:
-        sub = Path(root) / category
+    for kind in AUGMENT_KINDS:
+        sub = Path(root) / kind
         paths = sorted(sub.glob("*.wav")) if sub.is_dir() else []
         if paths:
-            catalogs[category] = RirCatalog(paths) if category == "rir" else NoiseCatalog(category, paths)
+            catalogs[kind] = NoiseCatalog(paths)
     return catalogs
 
 
@@ -137,28 +135,30 @@ class AdditiveDraw:
     catalog_index: int
     crop_offset: int
     snr_db: float
+    recording: Waveform = field(compare=False, repr=False)
 
 
-def plan_additive(clean_length: int, cat: NoiseCatalog, spec: AugmentSpec) -> list[AdditiveDraw]:
-    """Materialize the seeded draw sequence for one additive augmentation.
+def plan_additive(clean_length: int, cat: NoiseCatalog, spec: AugmentSpec) -> Iterator[AdditiveDraw]:
+    """Yield the seeded draw sequence for one additive augmentation.
 
     Draw order per the randomness contract: count, then per recording
     (catalog index, crop offset, SNR). The crop offset is drawn over the
     slack left after tiling the recording to at least the clean length.
+    Each draw carries its recording, read once from the catalog, so a
+    caller that mixes each draw before taking the next holds one at a time.
     """
     if len(cat) == 0:
         raise ValueError(f"empty {spec.kind} catalog")
     rng = np.random.default_rng(spec.seed)
     count = int(rng.integers(spec.count_range[0], spec.count_range[1] + 1))
-    draws = []
     for _ in range(count):
         index = int(rng.integers(0, len(cat)))
-        noise_len = len(cat.get(index))
+        recording = cat.get(index)
+        noise_len = len(recording)
         tiled_len = noise_len * (-(-max(clean_length, noise_len) // noise_len))
         offset = int(rng.integers(0, tiled_len - clean_length + 1))
         snr_db = float(rng.uniform(*spec.snr_range_db))
-        draws.append(AdditiveDraw(index, offset, snr_db))
-    return draws
+        yield AdditiveDraw(index, offset, snr_db, recording)
 
 
 def _matched_noise(noise: Waveform, clean_length: int, offset: int) -> Waveform:
@@ -174,7 +174,7 @@ def augment_additive(clean: Waveform, cat: NoiseCatalog, spec: AugmentSpec) -> W
     if p_clean == 0.0:
         raise ValueError("clean signal has zero power")
     for draw in plan_additive(len(clean), cat, spec):
-        noise = _matched_noise(cat.get(draw.catalog_index), len(clean), draw.crop_offset)
+        noise = _matched_noise(draw.recording, len(clean), draw.crop_offset)
         p_noise = _power(noise.samples)
         if p_noise == 0.0:
             raise ValueError(f"catalog entry {draw.catalog_index} has zero power")
@@ -184,7 +184,7 @@ def augment_additive(clean: Waveform, cat: NoiseCatalog, spec: AugmentSpec) -> W
 
 def augment_rir(
     clean: Waveform,
-    cat: RirCatalog,
+    cat: NoiseCatalog,
     seed: int,
     gain_db_range: tuple[float, float] = DEFAULT_RIR_GAIN_DB,
 ) -> Waveform:

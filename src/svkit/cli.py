@@ -26,7 +26,7 @@ from . import augment as aug
 from .audio import crop_segment, read_wav, write_wav
 from .containers import load_features, load_tensors, save_features, save_tensors
 from .features import FeatureParams, extract_features
-from .losses import APParams, MarginParams
+from .losses import LOSS_NAMES, APParams, MarginParams
 from .metrics import (
     DCFParams,
     ScoreSet,
@@ -36,7 +36,7 @@ from .metrics import (
     write_scores,
 )
 from .network import FoldedWeights, NetworkWeights, TrunkConfig, infer_config, init_weights
-from .optim import Schedule, make_corpus, train_demo
+from .optim import WEIGHT_DECAY, Schedule, make_corpus, train_demo
 from .scoring import (
     CROP_SECONDS,
     N_CROPS,
@@ -71,6 +71,7 @@ def _atomic_save(path: str | Path, save) -> None:
 
 
 def _build_parser() -> _Parser:
+    features, dcf, schedule, margin = FeatureParams(), DCFParams(), Schedule(), MarginParams()
     parser = _Parser(prog="svkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -81,11 +82,11 @@ def _build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--offset", type=int, help="fixed crop start in samples")
     group.add_argument("--seed", type=int, help="seed for a random crop start")
-    p.add_argument("--preemphasis", type=float, default=0.97)
-    p.add_argument("--win-ms", type=float, default=25.0)
-    p.add_argument("--hop-ms", type=float, default=10.0)
-    p.add_argument("--fft-size", type=int, default=512)
-    p.add_argument("--n-mels", type=int, default=64)
+    p.add_argument("--preemphasis", type=float, default=features.preemphasis)
+    p.add_argument("--win-ms", type=float, default=features.win_ms)
+    p.add_argument("--hop-ms", type=float, default=features.hop_ms)
+    p.add_argument("--fft-size", type=int, default=features.fft_size)
+    p.add_argument("--n-mels", type=int, default=features.n_mels)
     p.add_argument("--no-normalize", action="store_true", help="skip instance normalization")
 
     p = sub.add_parser("augment", help="add noise or reverberation to a WAV file")
@@ -125,26 +126,25 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="compute EER and MinDCF from scores")
     p.add_argument("--scores", required=True)
     p.add_argument("--trials", required=True)
-    p.add_argument("--c-miss", type=float, default=1.0)
-    p.add_argument("--c-fa", type=float, default=1.0)
-    p.add_argument("--p-target", type=float, default=0.05)
+    p.add_argument("--c-miss", type=float, default=dcf.c_miss)
+    p.add_argument("--c-fa", type=float, default=dcf.c_fa)
+    p.add_argument("--p-target", type=float, default=dcf.p_target)
     p.add_argument("--no-normalize", action="store_true", help="report raw MinDCF as min_dcf")
     p.add_argument("--out", help="also write the report to this file")
 
     p = sub.add_parser("train-demo", help="free-embedding training demo on a synthetic corpus")
-    p.add_argument("--loss", default="ap+softmax",
-                   choices=("softmax", "amsoftmax", "aamsoftmax", "ap", "ap+softmax"))
+    p.add_argument("--loss", default="ap+softmax", choices=LOSS_NAMES)
     p.add_argument("--speakers", type=int, default=20)
     p.add_argument("--utts", type=int, default=10)
     p.add_argument("--dim", type=int, default=512)
     p.add_argument("--trials", type=int, default=400)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--lr0", type=float, default=0.1)
-    p.add_argument("--decay-factor", type=float, default=0.95)
-    p.add_argument("--decay-every", type=int, default=5)
-    p.add_argument("--weight-decay", type=float, default=5e-5)
-    p.add_argument("--margin", type=float, default=0.2)
-    p.add_argument("--scale", type=float, default=30.0)
+    p.add_argument("--decay-factor", type=float, default=schedule.decay_factor)
+    p.add_argument("--decay-every", type=int, default=schedule.decay_every)
+    p.add_argument("--weight-decay", type=float, default=WEIGHT_DECAY)
+    p.add_argument("--margin", type=float, default=margin.margin)
+    p.add_argument("--scale", type=float, default=margin.scale)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--history", help="write per-epoch CSV (epoch,lr,loss,heldout_eer)")
 
@@ -250,7 +250,7 @@ def _wav_record(key: str) -> str:
     return f"#svkit-wav sha256={_sha256(key)} {key}"
 
 
-def _load_cache(path: str | None, record: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+def _load_cache(path: str | None, record: str | None) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Cached entries and their WAV records, by key. There are none when
     the file is missing or its first metadata record differs from `record`
     (other weights, crop settings, or a cache written without a record);
@@ -279,7 +279,8 @@ def _cmd_embed(args) -> int:
 
 def _cmd_score(args) -> int:
     trials = read_trials(args.trials)
-    record = _cache_record(args.weights, args.crop_seconds, args.n_crops)
+    # The record hashes the whole weights file, so it is built only for a cache.
+    record = _cache_record(args.weights, args.crop_seconds, args.n_crops) if args.cache else None
     cache, wavs = _load_cache(args.cache, record)
     ids = list(dict.fromkeys([t.enroll for t in trials] + [t.test for t in trials]))
     keys = {utt_id: _canonical(utt_id, args.wav_root) for utt_id in ids}

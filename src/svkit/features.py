@@ -9,7 +9,10 @@ Conventions (fixed, since several are underdetermined by common usage):
   * the Hamming window is symmetric, 0.54 - 0.46 cos(2 pi n / (N - 1)),
     zero-padded to fft_size and centered within the frame;
   * the spectrum is power (|X|^2);
-  * the mel scale is m = 2595 log10(1 + f / 700) over 0..8000 Hz.
+  * the mel scale is m = 2595 log10(1 + f / 700) over 0..MEL_F_MAX Hz
+    (8000, the Nyquist frequency of 16 kHz audio);
+  * the log is taken of mel energy + LOG_FLOOR (1e-6);
+  * instance normalization divides by sqrt(var + NORM_EPS), NORM_EPS = 1e-5.
 
 Frame count is L = 1 + floor(T / hop) for a T-sample input.
 """
@@ -28,6 +31,9 @@ from .audio import SAMPLE_RATE, Waveform
 # complex spectrum are held for one block at a time instead of the whole
 # input (3.3 MB for a 4 s crop).
 STFT_BLOCK_FRAMES = 64
+MEL_F_MAX = SAMPLE_RATE / 2
+LOG_FLOOR = 1e-6
+NORM_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -37,8 +43,6 @@ class FeatureParams:
     hop_ms: float = 10.0
     fft_size: int = 512
     n_mels: int = 64
-    log_floor: float = 1e-6
-    norm_eps: float = 1e-5
 
     def __post_init__(self):
         if not 0.0 <= self.preemphasis < 1.0:
@@ -80,7 +84,7 @@ class FeatureMap:
         return self.values.shape[1]
 
 
-def preemphasize(w: Waveform, coeff: float = 0.97) -> Waveform:
+def preemphasize(w: Waveform, coeff: float) -> Waveform:
     """First-order high-pass: y[t] = x[t] - coeff * x[t-1], replicate-padded."""
     if not 0.0 <= coeff < 1.0:
         raise ValueError("pre-emphasis coefficient must be in [0, 1)")
@@ -99,22 +103,21 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(
-    n_mels: int = 64,
-    fft_size: int = 512,
-    sample_rate: int = SAMPLE_RATE,
-    f_min: float = 0.0,
-    f_max: float = 8000.0,
-) -> np.ndarray:
+def _mel_edges_hz(n_mels: int) -> np.ndarray:
+    """n_mels + 2 frequencies equally spaced on the mel scale over 0..MEL_F_MAX."""
+    return mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(MEL_F_MAX), n_mels + 2))
+
+
+def mel_filterbank(n_mels: int = 64, fft_size: int = 512) -> np.ndarray:
     """Triangular mel filters evaluated at FFT bin frequencies.
 
     Returns an (n_mels, fft_size // 2 + 1) matrix. Filter k rises from edge
     frequency k to a peak of 1 at edge k+1 and falls back to zero at edge
     k+2, where the edges are n_mels + 2 points equally spaced on the mel
-    scale between f_min and f_max. Rows are not area-normalized.
+    scale over 0..MEL_F_MAX. Rows are not area-normalized.
     """
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2))
-    bin_hz = np.arange(fft_size // 2 + 1) * (sample_rate / fft_size)
+    edges_hz = _mel_edges_hz(n_mels)
+    bin_hz = np.arange(fft_size // 2 + 1) * (SAMPLE_RATE / fft_size)
     lo = edges_hz[:-2, None]
     mid = edges_hz[1:-1, None]
     hi = edges_hz[2:, None]
@@ -123,10 +126,9 @@ def mel_filterbank(
     return np.maximum(0.0, np.minimum(rising, falling))
 
 
-def mel_center_frequencies(n_mels: int = 64, f_min: float = 0.0, f_max: float = 8000.0) -> np.ndarray:
+def mel_center_frequencies(n_mels: int = 64) -> np.ndarray:
     """Peak frequency in Hz of each triangular mel filter."""
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2))
-    return edges_hz[1:-1]
+    return _mel_edges_hz(n_mels)[1:-1]
 
 
 def log_mel_spectrogram(w: Waveform, p: FeatureParams = FeatureParams()) -> FeatureMap:
@@ -151,23 +153,23 @@ def log_mel_spectrogram(w: Waveform, p: FeatureParams = FeatureParams()) -> Feat
 
     fb = mel_filterbank(p.n_mels, p.fft_size)
     energies = spectrum @ fb.T
-    return FeatureMap(np.log(energies + p.log_floor))
+    return FeatureMap(np.log(energies + LOG_FLOOR))
 
 
-def instance_normalize(f: FeatureMap, eps: float = 1e-5) -> FeatureMap:
-    """Standardize each mel bin over time: (x - mean) / sqrt(var + eps).
+def instance_normalize(f: FeatureMap) -> FeatureMap:
+    """Standardize each mel bin over time: (x - mean) / sqrt(var + NORM_EPS).
 
     No learned affine. Requires at least two frames (variance over time is
-    undefined otherwise). A constant bin maps to zeros via the eps floor.
+    undefined otherwise). A constant bin maps to zeros via the NORM_EPS floor.
     """
     if f.n_frames < 2:
         raise ValueError("instance normalization needs at least 2 frames")
     mean = f.values.mean(axis=0)
     var = f.values.var(axis=0)
-    return FeatureMap((f.values - mean) / np.sqrt(var + eps))
+    return FeatureMap((f.values - mean) / np.sqrt(var + NORM_EPS))
 
 
 def extract_features(w: Waveform, p: FeatureParams = FeatureParams()) -> FeatureMap:
     """Full front end: pre-emphasis, log-mel spectrogram, instance norm."""
     emphasized = preemphasize(w, p.preemphasis)
-    return instance_normalize(log_mel_spectrogram(emphasized, p), p.norm_eps)
+    return instance_normalize(log_mel_spectrogram(emphasized, p))

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .network import softmax
+
 
 @dataclass(frozen=True)
 class MarginParams:
@@ -43,11 +45,6 @@ class APParams:
 
 
 LOSS_NAMES = ("softmax", "amsoftmax", "aamsoftmax", "ap", "ap+softmax")
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _check_labels(labels: np.ndarray, batch: int, n_classes: int) -> np.ndarray:
@@ -91,7 +88,7 @@ def softmax_ce(
     logits = x @ w.T
     if bias is not None:
         logits = logits + np.asarray(bias, dtype=np.float64)
-    probs = _softmax(logits)
+    probs = softmax(logits)
     loss = float(-np.mean(np.log(probs[np.arange(n), y])))
 
     dlogits = probs.copy()
@@ -140,7 +137,7 @@ def _margin_softmax(
 
     logits = s * cos
     logits[rows, y] = s * target
-    probs = _softmax(logits)
+    probs = softmax(logits)
     loss = float(-np.mean(np.log(probs[rows, y])))
 
     dlogits = probs.copy()
@@ -204,7 +201,7 @@ def angular_prototypical(
     cos = q_unit @ p_unit.T
 
     scores = params.w * cos + params.b
-    probs = _softmax(scores)
+    probs = softmax(scores)
     diag = np.arange(n)
     loss = float(-np.mean(np.log(probs[diag, diag])))
 

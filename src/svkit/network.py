@@ -185,9 +185,9 @@ def conv2d(
     return out
 
 
-def _bn_affine(gamma, beta, mean, var, eps: float = BN_EPS):
+def _bn_affine(gamma, beta, mean, var):
     """Inference batch norm as a per-channel (scale, shift)."""
-    scale = gamma / np.sqrt(var + eps)
+    scale = gamma / np.sqrt(var + BN_EPS)
     return scale, beta - mean * scale
 
 

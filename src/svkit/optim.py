@@ -17,10 +17,13 @@ import numpy as np
 
 from . import losses
 from .losses import APParams, MarginParams
-from .metrics import DCFParams, ScoreSet, Trial, eer, min_dcf
+from .metrics import ScoreSet, Trial, eer, min_dcf
 from .scoring import _dot_scores
 
 WEIGHT_DECAY = 5e-5
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -43,22 +46,15 @@ def lr_at(epoch: int, lr0: float, schedule: Schedule) -> float:
 
 @dataclass
 class AdamState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    """Step count and first/second moments, by parameter name."""
+
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
-
     @classmethod
-    def for_params(cls, params: dict, **kwargs) -> "AdamState":
-        state = cls(**kwargs)
+    def for_params(cls, params: dict) -> "AdamState":
+        state = cls()
         for name, p in params.items():
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
@@ -86,11 +82,11 @@ def adam_step(
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient for {name!r}")
         g = g + weight_decay * p
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[name] / (1.0 - state.beta1**t)
-        v_hat = state.v[name] / (1.0 - state.beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = state.m[name] / (1.0 - ADAM_BETA1**t)
+        v_hat = state.v[name] / (1.0 - ADAM_BETA2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params
 
 
@@ -243,7 +239,6 @@ def train_demo(
     margin: MarginParams = MarginParams(),
     ap: APParams = APParams(),
     seed: int = 0,
-    dcf: DCFParams = DCFParams(),
 ) -> TrainResult:
     """Full-batch optimization of the corpus embeddings under one loss.
 
@@ -306,5 +301,5 @@ def train_demo(
         history=tuple(history),
         embeddings=params["embeddings"],
         heldout_eer=eer(final_scores)[0],
-        heldout_min_dcf=min_dcf(final_scores, dcf)[0],
+        heldout_min_dcf=min_dcf(final_scores)[0],
     )

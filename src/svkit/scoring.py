@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .audio import Waveform, crop_segment
+from .audio import SAMPLE_RATE, Waveform, crop_segment
 from .features import extract_features
 from .network import FoldedWeights, forward
 
@@ -197,7 +197,7 @@ def embed_utterances(
                 except Exception:
                     yield from finish(0)  # an earlier utterance's failure comes first
                     raise
-                crop_samples = int(round(crop_seconds * waveform.sample_rate))
+                crop_samples = int(round(crop_seconds * SAMPLE_RATE))
                 offsets = plan_crops(len(waveform), crop_samples, n_crops).tolist()
                 unique = list(dict.fromkeys(offsets))
                 rows: dict[int, np.ndarray] = {}

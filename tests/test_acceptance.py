@@ -32,7 +32,6 @@ from svkit.audio import Waveform
 from svkit.augment import (
     AugmentSpec,
     NoiseCatalog,
-    RirCatalog,
     augment_additive,
     augment_rir,
     measure_snr_db,
@@ -199,9 +198,7 @@ def test_criterion_04_metric_oracle(reported):
 
 def test_criterion_05_snr_fidelity(reported):
     with reported(5, "snr fidelity"):
-        catalog = NoiseCatalog(
-            "noise", [make_wave(seed=500 + i, seconds=0.7) for i in range(5)]
-        )
+        catalog = NoiseCatalog([make_wave(seed=500 + i, seconds=0.7) for i in range(5)])
         for seed in range(100):
             clean = make_wave(seed=seed, seconds=0.5)
             spec = AugmentSpec.for_kind("noise", seed=seed)
@@ -218,7 +215,7 @@ def test_criterion_06_rir_identity(reported):
         impulse[0] = 1.0
         clean = make_wave(seed=7, seconds=0.5)
         wet = augment_rir(
-            clean, RirCatalog([Waveform(impulse)]), seed=0, gain_db_range=(0.0, 0.0)
+            clean, NoiseCatalog([Waveform(impulse)]), seed=0, gain_db_range=(0.0, 0.0)
         )
         np.testing.assert_array_equal(wet.samples, clean.samples)
 

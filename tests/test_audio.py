@@ -35,8 +35,6 @@ class TestWaveform:
             Waveform(np.array([]))
         with pytest.raises(ValueError):
             Waveform(np.array([0.0, np.nan]))
-        with pytest.raises(ValueError):
-            Waveform(np.zeros(4), sample_rate=8000)
 
 
 class TestWavIO:

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import make_wave
+from svkit import augment
 from svkit.audio import Waveform, tile_to_length, write_wav
 from svkit.augment import (
     ADDITIVE_DEFAULTS,
     AugmentSpec,
     NoiseCatalog,
-    RirCatalog,
     apply_augmentation,
     augment_additive,
     augment_rir,
@@ -131,22 +131,22 @@ class TestAugmentSpec:
             AugmentSpec(kind="music", seed=0, snr_range_db=(5.0, 4.0))
 
 
-def small_catalog(category: str, n_entries: int = 4, seconds: float = 0.2) -> NoiseCatalog:
+def small_catalog(n_entries: int = 4, seconds: float = 0.2) -> NoiseCatalog:
     entries = [make_wave(seed=100 + i, seconds=seconds) for i in range(n_entries)]
-    return NoiseCatalog(category, entries)
+    return NoiseCatalog(entries)
 
 
 class TestPlanAdditive:
     def test_same_seed_gives_identical_draws(self):
-        cat = small_catalog("music")
+        cat = small_catalog()
         spec = AugmentSpec.for_kind("music", seed=42)
-        assert plan_additive(1600, cat, spec) == plan_additive(1600, cat, spec)
+        assert list(plan_additive(1600, cat, spec)) == list(plan_additive(1600, cat, spec))
 
     def test_speech_count_within_bounds(self):
-        cat = small_catalog("speech")
+        cat = small_catalog()
         counts = set()
         for seed in range(30):
-            draws = plan_additive(1600, cat, AugmentSpec.for_kind("speech", seed=seed))
+            draws = list(plan_additive(1600, cat, AugmentSpec.for_kind("speech", seed=seed)))
             counts.add(len(draws))
             for draw in draws:
                 assert 13.0 <= draw.snr_db <= 20.0
@@ -154,14 +154,14 @@ class TestPlanAdditive:
         assert len(counts) > 1  # the count is actually drawn, not fixed
 
     def test_music_always_single_draw(self):
-        cat = small_catalog("music")
+        cat = small_catalog()
         for seed in range(10):
-            draws = plan_additive(1600, cat, AugmentSpec.for_kind("music", seed=seed))
+            draws = list(plan_additive(1600, cat, AugmentSpec.for_kind("music", seed=seed)))
             assert len(draws) == 1
             assert 5.0 <= draws[0].snr_db <= 15.0
 
     def test_offsets_stay_within_tiled_slack(self):
-        cat = small_catalog("noise", seconds=0.3)  # 4800 samples per entry
+        cat = small_catalog(seconds=0.3)  # 4800 samples per entry
         clean_length = 4000
         for seed in range(20):
             spec = AugmentSpec.for_kind("noise", seed=seed)
@@ -171,7 +171,7 @@ class TestPlanAdditive:
                 assert 0 <= draw.crop_offset <= noise_len - clean_length
 
     def test_long_clean_tiles_noise(self):
-        cat = small_catalog("noise", seconds=0.1)  # 1600-sample entries
+        cat = small_catalog(seconds=0.1)  # 1600-sample entries
         clean_length = 4000  # needs ceil(4000/1600) = 3 tiles -> 4800
         for seed in range(10):
             spec = AugmentSpec.for_kind("noise", seed=seed)
@@ -180,13 +180,13 @@ class TestPlanAdditive:
 
     def test_empty_catalog_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            plan_additive(1600, NoiseCatalog("music"), AugmentSpec.for_kind("music", 0))
+            list(plan_additive(1600, NoiseCatalog([]), AugmentSpec.for_kind("music", 0)))
 
 
 class TestAugmentAdditive:
     def test_same_seed_is_bit_identical(self):
         clean = make_wave(seed=5, seconds=0.2)
-        cat = small_catalog("speech")
+        cat = small_catalog()
         spec = AugmentSpec.for_kind("speech", seed=9)
         first = augment_additive(clean, cat, spec)
         second = augment_additive(clean, cat, spec)
@@ -194,13 +194,13 @@ class TestAugmentAdditive:
 
     def test_output_length_matches_input(self):
         clean = make_wave(seed=6, seconds=0.37)
-        cat = small_catalog("speech", seconds=0.11)
+        cat = small_catalog(seconds=0.11)
         out = augment_additive(clean, cat, AugmentSpec.for_kind("speech", seed=1))
         assert len(out) == len(clean)
 
     def test_single_noise_residual_hits_drawn_snr(self):
         clean = make_wave(seed=7, seconds=0.25)
-        cat = small_catalog("noise")
+        cat = small_catalog()
         for seed in range(10):
             spec = AugmentSpec.for_kind("noise", seed=seed)
             (draw,) = plan_additive(len(clean), cat, spec)
@@ -212,7 +212,7 @@ class TestAugmentAdditive:
 
     def test_multi_noise_matches_reconstruction_from_plan(self):
         clean = make_wave(seed=8, seconds=0.2)
-        cat = small_catalog("speech", seconds=0.15)
+        cat = small_catalog(seconds=0.15)
         spec = AugmentSpec.for_kind("speech", seed=11)
         expected = clean.samples.copy()
         p_clean = np.mean(clean.samples**2)
@@ -224,8 +224,24 @@ class TestAugmentAdditive:
         out = augment_additive(clean, cat, spec)
         np.testing.assert_array_equal(out.samples, expected)
 
+    def test_each_drawn_recording_is_read_once(self, tmp_path, monkeypatch):
+        waves = [make_wave(seed=100 + i, seconds=0.2) for i in range(4)]
+        paths = [tmp_path / f"s{i}.wav" for i in range(4)]
+        for path, wave in zip(paths, waves):
+            write_wav(path, wave)
+        reads = []
+        read_wav = augment.read_wav
+        monkeypatch.setattr(augment, "read_wav", lambda path: reads.append(path) or read_wav(path))
+        clean = make_wave(seed=8, seconds=0.2)
+        for seed in range(5):
+            spec = AugmentSpec.for_kind("speech", seed=seed)
+            draws = list(plan_additive(len(clean), NoiseCatalog(waves), spec))
+            reads.clear()
+            augment_additive(clean, NoiseCatalog(paths), spec)
+            assert reads == [paths[draw.catalog_index] for draw in draws]
+
     def test_zero_power_clean_rejected(self):
-        cat = small_catalog("noise")
+        cat = small_catalog()
         with pytest.raises(ValueError, match="zero power"):
             augment_additive(
                 Waveform(np.zeros(1600)), cat, AugmentSpec.for_kind("noise", 0)
@@ -233,7 +249,7 @@ class TestAugmentAdditive:
 
     def test_zero_power_catalog_entry_rejected(self):
         clean = make_wave(seed=9, seconds=0.1)
-        cat = NoiseCatalog("noise", [Waveform(np.zeros(1600))])
+        cat = NoiseCatalog([Waveform(np.zeros(1600))])
         with pytest.raises(ValueError, match="zero power"):
             augment_additive(clean, cat, AugmentSpec.for_kind("noise", 0))
 
@@ -247,14 +263,14 @@ def unit_impulse(position: int = 0, length: int = 16) -> Waveform:
 class TestAugmentRir:
     def test_unit_impulse_at_zero_db_is_bit_exact_identity(self):
         clean = make_wave(seed=10, seconds=0.2)
-        cat = RirCatalog([unit_impulse()])
+        cat = NoiseCatalog([unit_impulse()])
         out = augment_rir(clean, cat, seed=3, gain_db_range=(0.0, 0.0))
         np.testing.assert_array_equal(out.samples, clean.samples)
 
     def test_delayed_impulse_shifts_signal(self):
         signal = Waveform(np.arange(1.0, 11.0))  # 10 samples, values 1..10
         delay = 3
-        cat = RirCatalog([unit_impulse(position=delay, length=delay + 1)])
+        cat = NoiseCatalog([unit_impulse(position=delay, length=delay + 1)])
         out = augment_rir(signal, cat, seed=0, gain_db_range=(0.0, 0.0))
         expected = np.zeros(10)
         expected[delay:] = signal.samples[: 10 - delay]
@@ -264,7 +280,7 @@ class TestAugmentRir:
     def test_same_seed_is_identical(self):
         clean = make_wave(seed=11, seconds=0.15)
         rng = np.random.default_rng(99)
-        cat = RirCatalog([Waveform(rng.normal(size=64) * np.exp(-np.arange(64) / 8.0))])
+        cat = NoiseCatalog([Waveform(rng.normal(size=64) * np.exp(-np.arange(64) / 8.0))])
         first = augment_rir(clean, cat, seed=5)
         second = augment_rir(clean, cat, seed=5)
         np.testing.assert_array_equal(first.samples, second.samples)
@@ -275,13 +291,13 @@ class TestAugmentRir:
         clean = make_wave(seed=12, seconds=0.1)
         rng = np.random.default_rng(4)
         rir = rng.normal(size=32)
-        out_base = augment_rir(clean, RirCatalog([Waveform(rir)]), seed=2)
-        out_scaled = augment_rir(clean, RirCatalog([Waveform(rir * 7.5)]), seed=2)
+        out_base = augment_rir(clean, NoiseCatalog([Waveform(rir)]), seed=2)
+        out_scaled = augment_rir(clean, NoiseCatalog([Waveform(rir * 7.5)]), seed=2)
         np.testing.assert_allclose(out_base.samples, out_scaled.samples, rtol=1e-12)
 
     def test_gain_scales_output_linearly(self):
         clean = make_wave(seed=13, seconds=0.1)
-        cat = RirCatalog([unit_impulse()])
+        cat = NoiseCatalog([unit_impulse()])
         attenuated = augment_rir(clean, cat, seed=0, gain_db_range=(-6.0, -6.0))
         np.testing.assert_allclose(
             attenuated.samples, clean.samples * 10.0 ** (-6.0 / 20.0), rtol=1e-12
@@ -289,10 +305,10 @@ class TestAugmentRir:
 
     def test_empty_catalog_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            augment_rir(make_wave(seed=1, seconds=0.1), RirCatalog([]), seed=0)
+            augment_rir(make_wave(seed=1, seconds=0.1), NoiseCatalog([]), seed=0)
 
     def test_zero_energy_rir_rejected(self):
-        cat = RirCatalog([Waveform(np.zeros(16))])
+        cat = NoiseCatalog([Waveform(np.zeros(16))])
         with pytest.raises(ValueError, match="zero energy"):
             augment_rir(make_wave(seed=1, seconds=0.1), cat, seed=0)
 
@@ -309,7 +325,7 @@ class TestScanCatalogs:
         assert len(catalogs["music"]) == 2
         assert len(catalogs["rir"]) == 1
         assert isinstance(catalogs["music"], NoiseCatalog)
-        assert isinstance(catalogs["rir"], RirCatalog)
+        assert isinstance(catalogs["rir"], NoiseCatalog)
 
     def test_entries_sorted_by_name(self, tmp_path):
         sub = tmp_path / "noise"
@@ -336,7 +352,7 @@ class TestScanCatalogs:
 class TestApplyAugmentation:
     def test_dispatches_additive_kinds(self):
         clean = make_wave(seed=20, seconds=0.2)
-        catalogs = {kind: small_catalog(kind) for kind in ("speech", "music", "noise")}
+        catalogs = {kind: small_catalog() for kind in ("speech", "music", "noise")}
         for kind in ("speech", "music", "noise"):
             direct = augment_additive(
                 clean, catalogs[kind], AugmentSpec.for_kind(kind, seed=8)
@@ -346,7 +362,7 @@ class TestApplyAugmentation:
 
     def test_dispatches_rir(self):
         clean = make_wave(seed=21, seconds=0.2)
-        catalogs = {"rir": RirCatalog([unit_impulse()])}
+        catalogs = {"rir": NoiseCatalog([unit_impulse()])}
         direct = augment_rir(clean, catalogs["rir"], seed=8)
         routed = apply_augmentation(clean, "rir", catalogs, seed=8)
         np.testing.assert_array_equal(routed.samples, direct.samples)
@@ -361,8 +377,8 @@ class TestApplyAugmentation:
 
     def test_output_length_preserved_for_every_kind(self):
         clean = make_wave(seed=22, seconds=0.3)
-        catalogs = {kind: small_catalog(kind, seconds=0.1) for kind in ("speech", "music", "noise")}
-        catalogs["rir"] = RirCatalog([unit_impulse(position=5, length=64)])
+        catalogs = {kind: small_catalog(seconds=0.1) for kind in ("speech", "music", "noise")}
+        catalogs["rir"] = NoiseCatalog([unit_impulse(position=5, length=64)])
         for kind in ("speech", "music", "noise", "rir"):
             out = apply_augmentation(clean, kind, catalogs, seed=2)
             assert len(out) == len(clean)

@@ -16,8 +16,9 @@ from conftest import make_wave
 from svkit import cli, containers, scoring
 from svkit.audio import Waveform, read_wav, write_wav
 from svkit.cli import main
-from svkit.containers import load_tensors, save_tensors
-from svkit.metrics import EvalReport, write_scores
+from svkit.containers import load_tensors, save_features, save_tensors
+from svkit.features import FeatureParams, extract_features
+from svkit.metrics import DCFParams, EvalReport, ScoreSet, evaluate, read_scores, read_trials, write_scores
 
 
 @pytest.fixture
@@ -115,6 +116,33 @@ class TestFeaturize:
         assert main(["featurize", "--in", str(wav_file), "--out", str(norm)]) == 0
         assert main(["featurize", "--in", str(wav_file), "--out", str(raw), "--no-normalize"]) == 0
         assert norm.read_bytes() != raw.read_bytes()
+
+    @staticmethod
+    def library_bytes(tmp_path, wav_file, params: FeatureParams) -> bytes:
+        path = tmp_path / "library.svf1"
+        save_features(path, extract_features(read_wav(wav_file), params).values)
+        return path.read_bytes()
+
+    def test_defaults_match_library_defaults(self, tmp_path, wav_file):
+        out = tmp_path / "cli.svf1"
+        assert main(["featurize", "--in", str(wav_file), "--out", str(out)]) == 0
+        assert out.read_bytes() == self.library_bytes(tmp_path, wav_file, FeatureParams())
+
+    @pytest.mark.parametrize(
+        "flag, field, value",
+        [
+            ("--preemphasis", "preemphasis", 0.9),
+            ("--win-ms", "win_ms", 20.0),
+            ("--hop-ms", "hop_ms", 15.0),
+            ("--fft-size", "fft_size", 1024),
+            ("--n-mels", "n_mels", 40),
+        ],
+    )
+    def test_each_flag_matches_library_field(self, tmp_path, wav_file, flag, field, value):
+        assert value != getattr(FeatureParams(), field)
+        out = tmp_path / "cli.svf1"
+        assert main(["featurize", "--in", str(wav_file), "--out", str(out), flag, str(value)]) == 0
+        assert out.read_bytes() == self.library_bytes(tmp_path, wav_file, FeatureParams(**{field: value}))
 
 
 class TestInit:
@@ -340,6 +368,18 @@ class TestScore:
         assert sorted(r.split(" ", 2)[-1] for r in records[1:]) == keys
         assert not any(np.array_equal(e, stale) for e in entries.values())
 
+    def test_no_cache_never_hashes_the_weights(self, trial_setup, q_weights_file, monkeypatch):
+        root, trials = trial_setup
+        before, after = root / "s1.txt", root / "s2.txt"
+        assert main(self.score_args(root, trials, q_weights_file, before)) == 0
+
+        def no_hash(path):
+            raise AssertionError(f"hashed {path}")
+
+        monkeypatch.setattr(cli, "_sha256", no_hash)
+        assert main(self.score_args(root, trials, q_weights_file, after)) == 0
+        assert after.read_bytes() == before.read_bytes()
+
     def test_missing_wav_exits_two(self, trial_setup, q_weights_file):
         root, trials = trial_setup
         (root / "c.wav").unlink()
@@ -451,6 +491,12 @@ class TestEvaluate:
         assert main(["evaluate", "--scores", str(scores), "--trials", str(trials), "--no-normalize"]) == 0
         report = EvalReport.from_text(capsys.readouterr().out)
         assert report.min_dcf == report.min_dcf_raw
+
+    def test_defaults_match_library_defaults(self, toy_eval_files, capsys):
+        scores, trials = toy_eval_files
+        assert main(["evaluate", "--scores", str(scores), "--trials", str(trials)]) == 0
+        report = evaluate(ScoreSet.from_map(read_trials(trials), read_scores(scores)), DCFParams())
+        assert capsys.readouterr().out == report.to_text()
 
     def test_missing_score_exits_two(self, toy_eval_files, capsys):
         scores, trials = toy_eval_files

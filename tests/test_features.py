@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from conftest import make_wave
 from svkit.audio import Waveform
 from svkit.features import (
+    LOG_FLOOR,
     FeatureMap,
     FeatureParams,
     extract_features,
@@ -118,7 +119,7 @@ class TestLogMelSpectrogram:
         padded = np.pad(w.samples, p.fft_size // 2, mode="reflect")
         frames = sliding_window_view(padded, p.fft_size)[:: p.hop_length]
         spectrum = np.abs(np.fft.rfft(frames * window, n=p.fft_size, axis=1)) ** 2
-        want = np.log(spectrum @ mel_filterbank(p.n_mels, p.fft_size).T + p.log_floor)
+        want = np.log(spectrum @ mel_filterbank(p.n_mels, p.fft_size).T + LOG_FLOOR)
         got = log_mel_spectrogram(w).values
         assert got.shape == (n_frames, p.n_mels)
         assert got.tobytes() == want.tobytes()

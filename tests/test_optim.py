@@ -139,12 +139,6 @@ class TestAdamStep:
         with pytest.raises(ValueError, match="shape"):
             adam_step(params, {"x": np.array([1.0])}, state, lr=0.1)
 
-    def test_state_validation(self):
-        with pytest.raises(ValueError, match="betas"):
-            AdamState(beta1=1.0)
-        with pytest.raises(ValueError, match="eps"):
-            AdamState(eps=0.0)
-
 
 class TestMakeCorpus:
     def test_shapes_and_labels(self):
