@@ -57,7 +57,8 @@ def read_wav(path: str | Path) -> Waveform:
                 raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz, got {f.getframerate()} Hz")
             declared = f.getnframes()
             raw = f.readframes(declared)
-    except (wave.Error, EOFError) as exc:
+    # wave raises a bare RuntimeError for a chunk size past the end of the file.
+    except (wave.Error, EOFError, RuntimeError) as exc:
         raise ValueError(f"{path}: malformed WAV file: {str(exc) or 'truncated file'}") from exc
     if len(raw) != 2 * declared:
         raise ValueError(f"{path}: truncated WAV file: {len(raw) // 2} of {declared} frames")

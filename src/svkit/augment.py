@@ -15,6 +15,11 @@ crop offset, SNR). Identical seeds therefore give bit-identical output.
 Additive noise is tiled when shorter than the signal and randomly cropped
 when longer, so its duration always matches.
 
+Reverberation splits the impulse response as low-latency convolution does
+(Gardner, JAES 1995): a short head in direct form and the tail as one real
+FFT convolution, so its cost grows with the sum of the two lengths, not
+their product (see augment_rir for what stays exact).
+
 Each kind draws from a NoiseCatalog of Waveforms or WAV paths (impulse
 responses for rir). A drawn recording is read once, when it is drawn, and
 only the one being mixed is held.
@@ -40,6 +45,8 @@ ADDITIVE_DEFAULTS = {
     "noise": ((1, 1), (0.0, 15.0)),
 }
 DEFAULT_RIR_GAIN_DB = (-6.0, 0.0)
+# Impulse-response taps convolved in direct form; the rest go through one FFT.
+DIRECT_TAPS = 16
 
 
 @dataclass(frozen=True)
@@ -58,9 +65,15 @@ class AugmentSpec:
             raise ValueError(f"bad SNR range {self.snr_range_db}")
 
     @classmethod
-    def for_kind(cls, kind: str, seed: int) -> "AugmentSpec":
+    def for_kind(
+        cls, kind: str, seed: int, count_range=(None, None), snr_range_db=(None, None)
+    ) -> "AugmentSpec":
+        """The kind's ranges from ADDITIVE_DEFAULTS, with each bound given
+        (not None) in count_range or snr_range_db in place of its default."""
         counts, snrs = ADDITIVE_DEFAULTS[kind]
-        return cls(kind=kind, seed=seed, count_range=counts, snr_range_db=snrs)
+        def pick(given, default):
+            return tuple(d if g is None else g for g, d in zip(given, default))
+        return cls(kind, seed, pick(count_range, counts), pick(snr_range_db, snrs))
 
 
 @dataclass
@@ -100,34 +113,9 @@ def _power(x: np.ndarray) -> float:
     return float(np.mean(x * x))
 
 
-def measure_snr_db(clean: Waveform, noise: Waveform) -> float:
-    """Signal-to-noise ratio 10 log10(P_clean / P_noise), P = mean square."""
-    if len(clean) != len(noise):
-        raise ValueError(f"length mismatch: {len(clean)} vs {len(noise)}")
-    p_clean = _power(clean.samples)
-    p_noise = _power(noise.samples)
-    if p_clean == 0.0:
-        raise ValueError("clean signal has zero power; SNR undefined")
-    if p_noise == 0.0:
-        raise ValueError("noise has zero power; SNR unbounded")
-    return 10.0 * np.log10(p_clean / p_noise)
-
-
 def snr_gain(p_clean: float, p_noise: float, target_snr_db: float) -> float:
     """Scale for the noise so that clean vs scaled noise hits the target SNR."""
     return float(np.sqrt(p_clean / (p_noise * 10.0 ** (target_snr_db / 10.0))))
-
-
-def mix_at_snr(clean: Waveform, noise: Waveform, target_snr_db: float) -> Waveform:
-    """Add noise to clean, scaled to the exact target SNR in dB."""
-    if len(clean) != len(noise):
-        raise ValueError(f"length mismatch: {len(clean)} vs {len(noise)}")
-    p_clean = _power(clean.samples)
-    p_noise = _power(noise.samples)
-    if p_clean == 0.0 or p_noise == 0.0:
-        raise ValueError("mixing requires nonzero clean and noise power")
-    g = snr_gain(p_clean, p_noise, target_snr_db)
-    return Waveform(clean.samples + g * noise.samples)
 
 
 @dataclass(frozen=True)
@@ -182,6 +170,15 @@ def augment_additive(clean: Waveform, cat: NoiseCatalog, spec: AugmentSpec) -> W
     return Waveform(out)
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, for b < 12 and c < 8. numpy's FFT runs such
+    a length fast; an exact length with a large prime factor falls back to
+    Bluestein's algorithm, several times slower."""
+    # For each odd factor f, the smallest f * 2^k >= n.
+    odd = (3**b * 5**c for b in range(12) for c in range(8))
+    return min(f << (-(-n // f) - 1).bit_length() for f in odd)
+
+
 def augment_rir(
     clean: Waveform,
     cat: NoiseCatalog,
@@ -191,9 +188,11 @@ def augment_rir(
     """Reverberate by convolution with a randomly chosen impulse response.
 
     The impulse response is normalized to unit energy, scaled by a gain
-    drawn uniformly (in dB) from gain_db_range, convolved in full, and
-    the result truncated to the input length. Direct-form convolution is
-    used so a unit impulse at 0 dB reproduces the input exactly.
+    drawn uniformly (in dB) from gain_db_range, and convolved with the
+    input to the input's length: its first DIRECT_TAPS taps in direct form,
+    the rest by one real FFT. A response of at most DIRECT_TAPS taps gives
+    exactly the direct-form result, a unit impulse at 0 dB the input
+    exactly, and any other response stays within 1e-12 of direct form.
     """
     if len(cat) == 0:
         raise ValueError("empty RIR catalog")
@@ -205,7 +204,14 @@ def augment_rir(
     if energy == 0.0:
         raise ValueError(f"RIR entry {index} has zero energy")
     scaled = rir * (10.0 ** (gain_db / 20.0) / np.sqrt(energy))
-    wet = np.convolve(clean.samples, scaled, mode="full")[: len(clean)]
+    n = len(clean)
+    wet = np.convolve(clean.samples, scaled[:DIRECT_TAPS])[:n]
+    tail = scaled[DIRECT_TAPS:n]  # taps from n on never reach the kept output
+    if tail.size:
+        dry = clean.samples[: n - DIRECT_TAPS]
+        size = _fft_length(dry.size + tail.size - 1)
+        spectrum = np.fft.rfft(dry, size) * np.fft.rfft(tail, size)
+        wet[DIRECT_TAPS:] += np.fft.irfft(spectrum, size)[: dry.size]
     return Waveform(wet)
 
 
@@ -215,12 +221,16 @@ def apply_augmentation(
     catalogs: dict,
     seed: int,
     rir_gain_db_range: tuple[float, float] = DEFAULT_RIR_GAIN_DB,
+    count_range: tuple[int | None, int | None] = (None, None),
+    snr_range_db: tuple[float | None, float | None] = (None, None),
 ) -> Waveform:
-    """Apply exactly one augmentation kind (one-of semantics)."""
+    """Apply exactly one augmentation kind (one-of semantics). The ranges
+    given for other kinds are ignored; see AugmentSpec.for_kind."""
     if kind not in AUGMENT_KINDS:
         raise ValueError(f"kind must be one of {AUGMENT_KINDS}, got {kind!r}")
     if kind not in catalogs:
         raise ValueError(f"no catalog available for kind {kind!r}")
     if kind == "rir":
         return augment_rir(clean, catalogs["rir"], seed, rir_gain_db_range)
-    return augment_additive(clean, catalogs[kind], AugmentSpec.for_kind(kind, seed))
+    spec = AugmentSpec.for_kind(kind, seed, count_range, snr_range_db)
+    return augment_additive(clean, catalogs[kind], spec)

@@ -186,24 +186,10 @@ def _cmd_featurize(args) -> int:
 def _cmd_augment(args) -> int:
     wave = read_wav(args.input)
     catalogs = aug.scan_catalogs(args.catalog)
-    if args.kind == "rir":
-        out = aug.apply_augmentation(
-            wave, "rir", catalogs, args.seed, rir_gain_db_range=(args.gain_min, args.gain_max)
-        )
-    else:
-        counts, snrs = aug.ADDITIVE_DEFAULTS[args.kind]
-        counts = (
-            counts[0] if args.count_min is None else args.count_min,
-            counts[1] if args.count_max is None else args.count_max,
-        )
-        snrs = (
-            snrs[0] if args.snr_min is None else args.snr_min,
-            snrs[1] if args.snr_max is None else args.snr_max,
-        )
-        if args.kind not in catalogs:
-            raise ValueError(f"no catalog available for kind {args.kind!r}")
-        spec = aug.AugmentSpec(args.kind, args.seed, counts, snrs)
-        out = aug.augment_additive(wave, catalogs[args.kind], spec)
+    out = aug.apply_augmentation(
+        wave, args.kind, catalogs, args.seed, rir_gain_db_range=(args.gain_min, args.gain_max),
+        count_range=(args.count_min, args.count_max), snr_range_db=(args.snr_min, args.snr_max),
+    )
     _atomic_save(args.out, lambda p: write_wav(p, out))
     return 0
 

@@ -228,7 +228,8 @@ def read_trials(path: str | Path) -> tuple[Trial, ...]:
 
 def read_scores(path: str | Path) -> dict[tuple[str, str], float]:
     by_pair: dict[tuple[str, str], float] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    lines = Path(path).read_text().splitlines()
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
@@ -245,6 +246,12 @@ def read_scores(path: str | Path) -> dict[tuple[str, str], float]:
         by_pair[key] = value
     if not by_pair:
         raise ValueError(f"{path}: no scores found")
+    # One check per file. Each non-blank line added one entry, in order, so
+    # the first non-finite entry names its line without a per-line check.
+    finite = np.isfinite(np.fromiter(by_pair.values(), np.float64, len(by_pair)))
+    if not finite.all():
+        lineno = [i for i, line in enumerate(lines, start=1) if line.strip()][int(np.argmin(finite))]
+        raise ValueError(f"{path}:{lineno}: score must be finite, got {lines[lineno - 1].split()[2]!r}")
     return by_pair
 
 

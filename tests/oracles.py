@@ -2,9 +2,10 @@
 
 Deliberately naive implementations: central finite differences for
 gradients, an exhaustive midpoint threshold sweep for EER/MinDCF, a
-float64 trunk that applies every batch norm after its conv, and a trial
-score that averages the cosine of every crop pair one pair at a time.
-Kept free of any imports from the package under test.
+float64 trunk that applies every batch norm after its conv, a trial
+score that averages the cosine of every crop pair one pair at a time,
+the SNR of a mix and a mix at a target SNR, and full direct-form
+convolution. Kept free of any imports from the package under test.
 """
 
 from __future__ import annotations
@@ -153,3 +154,37 @@ def relative_l2(got, want) -> float:
     got = np.asarray(got, dtype=np.float64)
     want = np.asarray(want, dtype=np.float64)
     return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def measure_snr_db(clean, noise) -> float:
+    """Signal-to-noise ratio 10 log10(P_clean / P_noise), P = mean square."""
+    clean = np.asarray(clean, dtype=np.float64)
+    noise = np.asarray(noise, dtype=np.float64)
+    if clean.shape != noise.shape:
+        raise ValueError(f"length mismatch: {clean.size} vs {noise.size}")
+    p_clean = np.mean(clean * clean)
+    p_noise = np.mean(noise * noise)
+    if p_clean == 0.0:
+        raise ValueError("clean signal has zero power; SNR undefined")
+    if p_noise == 0.0:
+        raise ValueError("noise has zero power; SNR unbounded")
+    return float(10.0 * np.log10(p_clean / p_noise))
+
+
+def mix_at_snr(clean, noise, target_snr_db: float) -> np.ndarray:
+    """clean + g * noise, with g chosen so that clean vs g * noise is at
+    the target SNR in dB."""
+    clean = np.asarray(clean, dtype=np.float64)
+    noise = np.asarray(noise, dtype=np.float64)
+    if clean.shape != noise.shape:
+        raise ValueError(f"length mismatch: {clean.size} vs {noise.size}")
+    p_clean = np.mean(clean * clean)
+    p_noise = np.mean(noise * noise)
+    if p_clean == 0.0 or p_noise == 0.0:
+        raise ValueError("mixing requires nonzero clean and noise power")
+    return clean + np.sqrt(p_clean / (p_noise * 10.0 ** (target_snr_db / 10.0))) * noise
+
+
+def direct_convolution(x, h, n: int) -> np.ndarray:
+    """The first n samples of the full direct-form convolution of x and h."""
+    return np.convolve(np.asarray(x, dtype=np.float64), np.asarray(h, dtype=np.float64))[:n]

@@ -82,6 +82,11 @@ class TestWavIO:
             pytest.param(wav_bytes(b"\x01\x00\x02\x00")[:-1], id="data-ends-mid-sample"),
             pytest.param(wav_bytes(b""), id="no-frames"),
             pytest.param(wav_bytes(bytes(200))[:-100], id="data-chunk-shorter-than-header"),
+            # fmt chunk size 16 -> 10**6, past the end of the file
+            pytest.param(
+                wav_bytes(bytes(200)).replace(b"fmt \x10\x00\x00\x00", b"fmt \x40\x42\x0f\x00"),
+                id="chunk-size-past-end-of-file",
+            ),
         ],
     )
     def test_malformed_file_raises_value_error_naming_path(self, tmp_path, capsys, content):

@@ -4,31 +4,31 @@ import numpy as np
 import pytest
 
 from conftest import make_wave
+from oracles import direct_convolution, measure_snr_db, mix_at_snr
 from svkit import augment
 from svkit.audio import Waveform, tile_to_length, write_wav
 from svkit.augment import (
     ADDITIVE_DEFAULTS,
+    DIRECT_TAPS,
     AugmentSpec,
     NoiseCatalog,
     apply_augmentation,
     augment_additive,
     augment_rir,
-    measure_snr_db,
-    mix_at_snr,
     plan_additive,
     scan_catalogs,
     snr_gain,
 )
 
 
-def constant_power_wave(power: float, n: int = 1600) -> Waveform:
-    return Waveform(np.full(n, np.sqrt(power)))
+def constant_power_wave(power: float, n: int = 1600) -> np.ndarray:
+    return np.full(n, np.sqrt(power))
 
 
 class TestMeasureSnr:
     def test_equal_power_is_zero_db(self):
         clean = constant_power_wave(0.25)
-        noise = Waveform(-clean.samples)
+        noise = -clean
         assert measure_snr_db(clean, noise) == pytest.approx(0.0, abs=1e-12)
 
     def test_hundred_to_one_power_ratio_is_twenty_db(self):
@@ -39,20 +39,18 @@ class TestMeasureSnr:
     def test_matches_direct_formula_on_random_signals(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
-            clean = Waveform(rng.normal(size=800))
-            noise = Waveform(rng.normal(scale=0.3, size=800))
-            expected = 10.0 * np.log10(
-                np.mean(clean.samples**2) / np.mean(noise.samples**2)
-            )
+            clean = rng.normal(size=800)
+            noise = rng.normal(scale=0.3, size=800)
+            expected = 10.0 * np.log10(np.mean(clean**2) / np.mean(noise**2))
             assert measure_snr_db(clean, noise) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_power_clean_rejected(self):
         with pytest.raises(ValueError, match="clean"):
-            measure_snr_db(Waveform(np.zeros(100)), constant_power_wave(1.0, 100))
+            measure_snr_db(np.zeros(100), constant_power_wave(1.0, 100))
 
     def test_zero_power_noise_rejected(self):
         with pytest.raises(ValueError, match="noise"):
-            measure_snr_db(constant_power_wave(1.0, 100), Waveform(np.zeros(100)))
+            measure_snr_db(constant_power_wave(1.0, 100), np.zeros(100))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
@@ -61,35 +59,30 @@ class TestMeasureSnr:
 
 class TestMixAtSnr:
     def test_equal_power_zero_db_gain_is_one(self):
-        clean = make_wave(seed=1, seconds=0.1)
-        noise = Waveform(clean.samples[::-1].copy())
+        clean = make_wave(seed=1, seconds=0.1).samples
+        noise = clean[::-1].copy()
         mixed = mix_at_snr(clean, noise, 0.0)
-        np.testing.assert_allclose(
-            mixed.samples, clean.samples + noise.samples, rtol=1e-12
-        )
+        np.testing.assert_allclose(mixed, clean + noise, rtol=1e-12)
 
     def test_twenty_db_gain_is_one_tenth(self):
         clean = constant_power_wave(1.0)
-        noise = Waveform(np.where(np.arange(1600) % 2 == 0, 1.0, -1.0))  # power exactly 1
+        noise = np.where(np.arange(1600) % 2 == 0, 1.0, -1.0)  # power exactly 1
         mixed = mix_at_snr(clean, noise, 20.0)
-        np.testing.assert_allclose(
-            mixed.samples - clean.samples, 0.1 * noise.samples, rtol=1e-12
-        )
+        np.testing.assert_allclose(mixed - clean, 0.1 * noise, rtol=1e-12)
 
     def test_measured_snr_hits_target(self):
         rng = np.random.default_rng(7)
-        clean = Waveform(rng.normal(size=4000))
-        noise = Waveform(rng.normal(size=4000))
+        clean = rng.normal(size=4000)
+        noise = rng.normal(size=4000)
         for target in (-5.0, 0.0, 7.3, 20.0):
             mixed = mix_at_snr(clean, noise, target)
-            residual = Waveform(mixed.samples - clean.samples)
-            assert measure_snr_db(clean, residual) == pytest.approx(target, abs=1e-6)
+            assert measure_snr_db(clean, mixed - clean) == pytest.approx(target, abs=1e-6)
 
     def test_huge_target_leaves_signal_untouched(self):
-        clean = make_wave(seed=2, seconds=0.1)
-        noise = make_wave(seed=3, seconds=0.1)
+        clean = make_wave(seed=2, seconds=0.1).samples
+        noise = make_wave(seed=3, seconds=0.1).samples
         mixed = mix_at_snr(clean, noise, 300.0)
-        np.testing.assert_allclose(mixed.samples, clean.samples, atol=1e-12)
+        np.testing.assert_allclose(mixed, clean, atol=1e-12)
 
     def test_snr_gain_formula(self):
         assert snr_gain(4.0, 1.0, 0.0) == pytest.approx(2.0, rel=1e-12)
@@ -97,7 +90,7 @@ class TestMixAtSnr:
 
     def test_zero_power_inputs_rejected(self):
         live = constant_power_wave(1.0, 100)
-        dead = Waveform(np.zeros(100))
+        dead = np.zeros(100)
         with pytest.raises(ValueError):
             mix_at_snr(dead, live, 0.0)
         with pytest.raises(ValueError):
@@ -205,10 +198,8 @@ class TestAugmentAdditive:
             spec = AugmentSpec.for_kind("noise", seed=seed)
             (draw,) = plan_additive(len(clean), cat, spec)
             out = augment_additive(clean, cat, spec)
-            residual = Waveform(out.samples - clean.samples)
-            assert measure_snr_db(clean, residual) == pytest.approx(
-                draw.snr_db, abs=1e-6
-            )
+            residual = out.samples - clean.samples
+            assert measure_snr_db(clean.samples, residual) == pytest.approx(draw.snr_db, abs=1e-6)
 
     def test_multi_noise_matches_reconstruction_from_plan(self):
         clean = make_wave(seed=8, seconds=0.2)
@@ -260,12 +251,41 @@ def unit_impulse(position: int = 0, length: int = 16) -> Waveform:
     return Waveform(samples)
 
 
+# (response taps, clean samples): responses inside, at and past the direct
+# head, and clean audio shorter than, as long as and longer than both.
+RIR_CASES = [
+    (taps, n)
+    for taps in (1, DIRECT_TAPS, DIRECT_TAPS + 1, 4800, 16000)
+    for n in sorted({DIRECT_TAPS - 1, DIRECT_TAPS, DIRECT_TAPS + 1, max(taps - 1, 1), taps, taps + 1, taps + 8003})
+]
+
+
 class TestAugmentRir:
     def test_unit_impulse_at_zero_db_is_bit_exact_identity(self):
         clean = make_wave(seed=10, seconds=0.2)
         cat = NoiseCatalog([unit_impulse()])
         out = augment_rir(clean, cat, seed=3, gain_db_range=(0.0, 0.0))
         np.testing.assert_array_equal(out.samples, clean.samples)
+
+    def test_long_unit_impulse_at_zero_db_is_bit_exact_identity(self):
+        clean = make_wave(seed=14, seconds=0.5)
+        cat = NoiseCatalog([unit_impulse(length=4800)])
+        out = augment_rir(clean, cat, seed=3, gain_db_range=(0.0, 0.0))
+        np.testing.assert_array_equal(out.samples, clean.samples)
+
+    @pytest.mark.parametrize(("taps", "n"), RIR_CASES)
+    def test_matches_direct_convolution(self, taps, n):
+        # Exact up to DIRECT_TAPS taps, where no FFT runs; within 1e-12 past it.
+        rng = np.random.default_rng([taps, n])
+        clean = rng.uniform(-1.0, 1.0, n)
+        rir = rng.standard_normal(taps) * np.exp(-np.arange(taps) / 800.0)
+        out = augment_rir(Waveform(clean), NoiseCatalog([Waveform(rir)]), seed=0, gain_db_range=(-3.0, -3.0))
+        want = direct_convolution(clean, rir * (10.0 ** (-3.0 / 20.0) / np.sqrt(np.sum(rir * rir))), n)
+        assert out.samples.shape == (n,)
+        if taps <= DIRECT_TAPS:
+            np.testing.assert_array_equal(out.samples, want)
+        else:
+            assert np.max(np.abs(out.samples - want)) <= 1e-12
 
     def test_delayed_impulse_shifts_signal(self):
         signal = Waveform(np.arange(1.0, 11.0))  # 10 samples, values 1..10
@@ -366,6 +386,14 @@ class TestApplyAugmentation:
         direct = augment_rir(clean, catalogs["rir"], seed=8)
         routed = apply_augmentation(clean, "rir", catalogs, seed=8)
         np.testing.assert_array_equal(routed.samples, direct.samples)
+
+    def test_range_overrides_replace_only_the_given_bounds(self):
+        clean = make_wave(seed=23, seconds=0.2)
+        catalogs = {"speech": small_catalog()}
+        spec = AugmentSpec("speech", 4, count_range=(3, 4), snr_range_db=(1.0, 20.0))
+        assert AugmentSpec.for_kind("speech", 4, (None, 4), (1.0, None)) == spec
+        routed = apply_augmentation(clean, "speech", catalogs, seed=4, count_range=(None, 4), snr_range_db=(1.0, None))
+        np.testing.assert_array_equal(routed.samples, augment_additive(clean, catalogs["speech"], spec).samples)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):

@@ -504,6 +504,14 @@ class TestEvaluate:
         assert main(["evaluate", "--scores", str(scores), "--trials", str(trials)]) == 2
         assert "no score" in capsys.readouterr().err
 
+    def test_non_finite_score_exits_two_naming_file_and_line(self, toy_eval_files, capsys):
+        scores, trials = toy_eval_files
+        lines = scores.read_text().splitlines()
+        lines[3] = lines[3].rsplit(" ", 1)[0] + " nan"
+        scores.write_text("\n".join(lines) + "\n")
+        assert main(["evaluate", "--scores", str(scores), "--trials", str(trials)]) == 2
+        assert f"{scores}:4: score must be finite" in capsys.readouterr().err
+
 
 class TestTrainDemo:
     def test_small_run_writes_history(self, tmp_path, capsys):
@@ -578,6 +586,16 @@ class TestAugmentCommand:
         )
         assert code == 0
         assert out.read_bytes() == wav_file.read_bytes()
+
+    def test_catalog_wav_with_chunk_past_end_exits_two_naming_it(self, tmp_path, wav_file, catalog_tree, capsys):
+        bad = catalog_tree / "noise" / "12.wav"
+        bad.write_bytes(bad.read_bytes().replace(b"fmt \x10\x00\x00\x00", b"fmt \x40\x42\x0f\x00"))
+        code = main(
+            ["augment", "--in", str(wav_file), "--out", str(tmp_path / "o.wav"),
+             "--kind", "noise", "--catalog", str(catalog_tree)]
+        )
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
 
     def test_missing_catalog_kind_exits_two(self, tmp_path, wav_file, catalog_tree):
         code = main(

@@ -331,3 +331,10 @@ class TestScoreFile:
         path.write_text("")
         with pytest.raises(ValueError, match="no scores"):
             read_scores(path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    def test_non_finite_score_names_file_and_line(self, tmp_path, token):
+        path = tmp_path / "scores.txt"
+        path.write_text(f"a b 0.5\n\nc d {token}\ne f nan\n")
+        with pytest.raises(ValueError, match=f"scores.txt:3: score must be finite, got '{token}'"):
+            read_scores(path)
