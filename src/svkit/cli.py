@@ -25,7 +25,7 @@ import numpy as np
 from . import augment as aug
 from .audio import crop_segment, read_wav, write_wav
 from .containers import load_features, load_tensors, save_features, save_tensors
-from .features import FeatureParams, extract_features
+from .features import FeatureParams, extract_features, log_mel_spectrogram, preemphasize
 from .losses import LOSS_NAMES, APParams, MarginParams
 from .metrics import (
     DCFParams,
@@ -173,12 +173,13 @@ def _cmd_featurize(args) -> int:
     elif args.offset is not None or args.seed is not None:
         raise UsageError("--offset/--seed require --crop-seconds")
     params = _feature_params(args)
-    if args.no_normalize:
-        from .features import log_mel_spectrogram, preemphasize
-
-        fmap = log_mel_spectrogram(preemphasize(wave, params.preemphasis), params)
-    else:
-        fmap = extract_features(wave, params)
+    try:  # the audio may be too short for its frames
+        if args.no_normalize:
+            fmap = log_mel_spectrogram(preemphasize(wave, params.preemphasis), params)
+        else:
+            fmap = extract_features(wave, params)
+    except ValueError as exc:
+        raise ValueError(f"{args.input}: {exc}") from None
     _atomic_save(args.out, lambda p: save_features(p, fmap.values))
     return 0
 
@@ -268,11 +269,10 @@ def _cmd_score(args) -> int:
     # The record hashes the whole weights file, so it is built only for a cache.
     record = _cache_record(args.weights, args.crop_seconds, args.n_crops) if args.cache else None
     cache, wavs = _load_cache(args.cache, record)
-    ids = list(dict.fromkeys([t.enroll for t in trials] + [t.test for t in trials]))
-    keys = {utt_id: _canonical(utt_id, args.wav_root) for utt_id in ids}
+    keys = [_canonical(utt_id, args.wav_root) for utt_id in trials.ids]
     # Each WAV record is taken before the WAV is read, so a rewrite during
     # the read makes the entry stale at the next run rather than wrongly current.
-    current = {key: _wav_record(key) if args.cache else None for key in keys.values()}
+    current = {key: _wav_record(key) if args.cache else None for key in keys}
     missing = [key for key, wav in current.items() if not (key in cache and wavs.get(key) == wav)]
     if missing:
         embedder = _load_embedder(args.weights)
@@ -280,9 +280,8 @@ def _cmd_score(args) -> int:
         for key, emb in zip(missing, embed_utterances(loads, embedder, args.crop_seconds, args.n_crops)):
             cache[key] = emb.astype(np.float32)
             wavs[key] = current[key]
-    by_id = {utt_id: cache[key] for utt_id, key in keys.items()}
-    pairs = [(t.enroll, t.test) for t in trials]
-    scored = [(a, b, s) for (a, b), s in zip(pairs, score_trials(by_id, pairs).tolist())]
+    scores = score_trials([cache[key] for key in keys], trials.enroll, trials.test)
+    scored = [(a, b, s) for (a, b), s in zip(trials.pairs(), scores.tolist())]
     _atomic_save(args.out, lambda p: write_scores(p, scored))
     if args.cache and missing:
         records = (record, *(wavs[key] for key in cache))
@@ -292,9 +291,12 @@ def _cmd_score(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     trials = read_trials(args.trials)
-    by_pair = read_scores(args.scores)
+    scores = read_scores(args.scores, trials)
     params = DCFParams(args.c_miss, args.c_fa, args.p_target, not args.no_normalize)
-    report = evaluate(ScoreSet.from_map(trials, by_pair), params)
+    try:  # a list with no target or no nontarget trials
+        report = evaluate(ScoreSet(trials.labels, scores), params)
+    except ValueError as exc:
+        raise ValueError(f"{args.trials}: {exc}") from None
     text = report.to_text()
     sys.stdout.write(text)
     if args.out:

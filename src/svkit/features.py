@@ -126,11 +126,6 @@ def mel_filterbank(n_mels: int = 64, fft_size: int = 512) -> np.ndarray:
     return np.maximum(0.0, np.minimum(rising, falling))
 
 
-def mel_center_frequencies(n_mels: int = 64) -> np.ndarray:
-    """Peak frequency in Hz of each triangular mel filter."""
-    return _mel_edges_hz(n_mels)[1:-1]
-
-
 def log_mel_spectrogram(w: Waveform, p: FeatureParams = FeatureParams()) -> FeatureMap:
     """Compute the L x n_mels log-mel energy matrix of a waveform.
 

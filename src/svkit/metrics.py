@@ -9,72 +9,65 @@ between the two adjacent points where p_miss - p_fa changes sign;
 MinDCF takes the cheapest point, with the reject-everything endpoint
 included so the raw cost never exceeds c_miss * p_target.
 
-Text formats: trial files hold `<label:1|0> <enroll_path> <test_path>`
-per line, score files `<enroll_path> <test_path> <score>` with scores
-printed to 6 decimals, and evaluation reports are key=value lines that
-round-trip losslessly.
+A trial list is one Trials value, utterance ids plus label and enroll/test
+index arrays, from the file to the report. Text formats, all UTF-8: trial
+files hold `<label:1|0> <enroll_path> <test_path>` per line, score files
+`<enroll_path> <test_path> <score>` with scores printed to 6 decimals, and
+evaluation reports are key=value lines that round-trip losslessly. Errors
+about a file's content start with its path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
 
 @dataclass(frozen=True)
-class Trial:
-    label: int  # 1 target, 0 nontarget
-    enroll: str
-    test: str
+class Trials:
+    """A trial list as arrays. ids holds each utterance id once: every
+    enroll id in file order, then every test id not yet seen. labels is
+    int8 (1 target, 0 nontarget); enroll and test are intp rows into ids."""
 
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValueError(f"trial label must be 0 or 1, got {self.label!r}")
+    ids: tuple[str, ...]
+    labels: np.ndarray
+    enroll: np.ndarray
+    test: np.ndarray
 
-    @property
-    def is_target(self) -> bool:
-        return self.label == 1
+    def pairs(self) -> list[tuple[str, str]]:
+        """(enroll id, test id) of each trial, in order."""
+        return [(self.ids[a], self.ids[b]) for a, b in zip(self.enroll.tolist(), self.test.tolist())]
 
 
 @dataclass(frozen=True)
 class ScoreSet:
-    """Scores parallel to a trial list, split by label for the sweep."""
+    """Scores parallel to trial labels, split by label for the sweep."""
 
-    trials: tuple[Trial, ...]
+    labels: np.ndarray
     scores: np.ndarray
 
     def __post_init__(self):
+        labels = np.asarray(self.labels)
         scores = np.asarray(self.scores, dtype=np.float64)
-        if scores.shape != (len(self.trials),):
+        if scores.shape != labels.shape or scores.ndim != 1:
             raise ValueError("need exactly one score per trial")
         if not np.all(np.isfinite(scores)):
             raise ValueError("scores must be finite")
+        if not np.all((labels == 0) | (labels == 1)):
+            raise ValueError("trial labels must be 0 or 1")
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "scores", scores)
-        is_target = np.array([t.is_target for t in self.trials], dtype=bool)
-        object.__setattr__(self, "_is_target", is_target)
-
-    @classmethod
-    def from_map(cls, trials: Sequence[Trial], by_pair: Mapping[tuple[str, str], float]) -> "ScoreSet":
-        missing = [t for t in trials if (t.enroll, t.test) not in by_pair]
-        if missing:
-            shown = ", ".join(f"{t.enroll} vs {t.test}" for t in missing[:10])
-            more = "" if len(missing) <= 10 else f" (+{len(missing) - 10} more)"
-            raise MissingScoresError(f"{len(missing)} trials have no score: {shown}{more}")
-        return cls(
-            trials=tuple(trials),
-            scores=np.array([by_pair[(t.enroll, t.test)] for t in trials]),
-        )
 
     @property
     def target_scores(self) -> np.ndarray:
-        return self.scores[self._is_target]
+        return self.scores[self.labels == 1]
 
     @property
     def nontarget_scores(self) -> np.ndarray:
-        return self.scores[~self._is_target]
+        return self.scores[self.labels == 0]
 
 
 class MissingScoresError(ValueError):
@@ -202,12 +195,19 @@ def evaluate(scores: ScoreSet, params: DCFParams = DCFParams()) -> EvalReport:
     )
 
 
-def read_trials(path: str | Path) -> tuple[Trial, ...]:
+def _read_lines(path: str | Path) -> list[str]:
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def read_trials(path: str | Path) -> Trials:
     """Trials in file order. An ordered (enroll, test) pair may appear once:
     a score file holds one score per pair. (a, b) and (b, a) are distinct."""
-    entries = []
+    labels = []
     first_line: dict[tuple[str, str], int] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_lines(path), start=1):
         line = line.strip()
         if not line:
             continue
@@ -220,15 +220,21 @@ def read_trials(path: str | Path) -> tuple[Trial, ...]:
                 f"{path}:{lineno}: duplicate trial {parts[1]} vs {parts[2]} (first on line {first_line[pair]})"
             )
         first_line[pair] = lineno
-        entries.append(Trial(label=int(parts[0]), enroll=parts[1], test=parts[2]))
-    if not entries:
+        labels.append(parts[0] == "1")
+    if not labels:
         raise ValueError(f"{path}: no trials found")
-    return tuple(entries)
+    enroll, test = zip(*first_line)  # the pairs, in file order
+    ids = tuple(dict.fromkeys(enroll + test))
+    row = {utt: i for i, utt in enumerate(ids)}
+    rows = np.fromiter(map(row.__getitem__, enroll + test), np.intp, 2 * len(labels))
+    return Trials(ids, np.array(labels, dtype=np.int8), rows[: len(labels)], rows[len(labels) :])
 
 
-def read_scores(path: str | Path) -> dict[tuple[str, str], float]:
+def read_scores(path: str | Path, trials: Trials) -> np.ndarray:
+    """Score of each trial, in trial order. Every line is checked; a line
+    whose pair is not in the list is then ignored."""
     by_pair: dict[tuple[str, str], float] = {}
-    lines = Path(path).read_text().splitlines()
+    lines = _read_lines(path)
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -252,9 +258,15 @@ def read_scores(path: str | Path) -> dict[tuple[str, str], float]:
     if not finite.all():
         lineno = [i for i, line in enumerate(lines, start=1) if line.strip()][int(np.argmin(finite))]
         raise ValueError(f"{path}:{lineno}: score must be finite, got {lines[lineno - 1].split()[2]!r}")
-    return by_pair
+    pairs = trials.pairs()
+    missing = [pair for pair in pairs if pair not in by_pair]
+    if missing:
+        shown = ", ".join(f"{enroll} vs {test}" for enroll, test in missing[:10])
+        more = "" if len(missing) <= 10 else f" (+{len(missing) - 10} more)"
+        raise MissingScoresError(f"{path}: {len(missing)} trials have no score: {shown}{more}")
+    return np.array([by_pair[pair] for pair in pairs])
 
 
 def write_scores(path: str | Path, scored: Iterable[tuple[str, str, float]]) -> None:
     lines = [f"{enroll} {test} {value:.6f}" for enroll, test, value in scored]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -214,9 +214,6 @@ class NetworkWeights:
         except KeyError:
             raise KeyError(f"weights have no tensor named {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
-
     def __len__(self) -> int:
         return len(self.tensors)
 
@@ -273,8 +270,12 @@ class FoldedWeights:
         """Load a weight file and fold each batch norm into the weight array
         it was read into, so the weight set is held once, not twice.
         Bit-identical to FoldedWeights(NetworkWeights.load(path))."""
+        weights = NetworkWeights.load(path)
         folded = cls.__new__(cls)
-        folded._fold(NetworkWeights.load(path), in_place=True)
+        try:
+            folded._fold(weights, in_place=True)
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc.args[0]}") from None
         return folded
 
     def _fold(self, weights: NetworkWeights, in_place: bool) -> None:

@@ -11,13 +11,12 @@ cosine trials after each epoch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from . import losses
 from .losses import APParams, MarginParams
-from .metrics import ScoreSet, Trial, eer, min_dcf
+from .metrics import ScoreSet, Trials, eer, min_dcf
 from .scoring import _dot_scores
 
 WEIGHT_DECAY = 5e-5
@@ -90,18 +89,14 @@ def adam_step(
     return params
 
 
-def _utt_id(speaker: int, utt: int) -> str:
-    return f"s{speaker:03d}u{utt:03d}"
-
-
 @dataclass(frozen=True)
 class SyntheticCorpus:
     """Free 512-d embeddings for K speakers x M utterances, plus two
     disjoint cosine trial lists (training monitor and held-out)."""
 
     embeddings: np.ndarray  # (K, M, D), trainable copy handed to the demo
-    train_trials: tuple[Trial, ...]
-    heldout_trials: tuple[Trial, ...]
+    train_trials: Trials
+    heldout_trials: Trials
 
     @property
     def n_speakers(self) -> int:
@@ -131,20 +126,21 @@ def make_corpus(
 ) -> SyntheticCorpus:
     """Seeded corpus: standard-normal embeddings, then n_trials trials
     (half target, half nontarget) drawn without replacement for each of
-    the train and held-out lists, so the lists never share a pair."""
+    the train and held-out lists, so the lists never share a pair. The
+    trials' ids are the K x M utterance grid in row-major order."""
     if n_speakers < 2 or n_utts < 2:
         raise ValueError("need at least 2 speakers and 2 utterances each")
     rng = np.random.default_rng(seed)
     emb = rng.standard_normal((n_speakers, n_utts, dim))
 
     same = [
-        (k, i, k, j)
+        (k * n_utts + i, k * n_utts + j)
         for k in range(n_speakers)
         for i in range(n_utts)
         for j in range(i + 1, n_utts)
     ]
     cross = [
-        (k1, i, k2, j)
+        (k1 * n_utts + i, k2 * n_utts + j)
         for k1 in range(n_speakers)
         for k2 in range(k1 + 1, n_speakers)
         for i in range(n_utts)
@@ -154,53 +150,29 @@ def make_corpus(
     targets = _sample_pairs(same, 2 * half, rng)
     nontargets = _sample_pairs(cross, 2 * half, rng)
 
-    def to_trials(pairs, label):
-        return [Trial(label, _utt_id(a, b), _utt_id(c, d)) for a, b, c, d in pairs]
+    ids = tuple(f"s{a:03d}u{b:03d}" for a in range(n_speakers) for b in range(n_utts))
 
-    train = to_trials(targets[:half], 1) + to_trials(nontargets[:half], 0)
-    heldout = to_trials(targets[half:], 1) + to_trials(nontargets[half:], 0)
+    def to_trials(targets, nontargets) -> Trials:
+        rows = np.array(targets + nontargets, dtype=np.intp).reshape(-1, 2)
+        labels = np.repeat(np.array([1, 0], dtype=np.int8), [len(targets), len(nontargets)])
+        return Trials(ids, labels, rows[:, 0], rows[:, 1])
+
     return SyntheticCorpus(
         embeddings=emb,
-        train_trials=tuple(train),
-        heldout_trials=tuple(heldout),
+        train_trials=to_trials(targets[:half], nontargets[:half]),
+        heldout_trials=to_trials(targets[half:], nontargets[half:]),
     )
 
 
-def trial_scores(embeddings: np.ndarray, trials: Sequence[Trial]) -> ScoreSet:
-    """Cosine score per trial, looking utterance ids up in the corpus grid,
-    with the dot-and-clip of scoring.score_trials."""
-    k, m, _ = embeddings.shape
-    flat = embeddings.reshape(k * m, -1)
+def trial_scores(embeddings: np.ndarray, trials: Trials) -> ScoreSet:
+    """Cosine score per trial, whose ids are the corpus grid in row-major
+    order, with the dot-and-clip of scoring.score_trials."""
+    flat = embeddings.reshape(-1, embeddings.shape[-1])
     norms = np.linalg.norm(flat, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("zero-norm embedding in corpus")
     unit = flat / norms[:, None]
-    index = {_utt_id(a, b): a * m + b for a in range(k) for b in range(m)}
-    enroll = np.array([index[t.enroll] for t in trials], dtype=np.intp)
-    test = np.array([index[t.test] for t in trials], dtype=np.intp)
-    return ScoreSet(trials=tuple(trials), scores=_dot_scores(unit[enroll], unit[test]))
-
-
-def mean_angular_gap(embeddings: np.ndarray) -> float:
-    """Mean inter-class angular gap in degrees over all utterances.
-
-    Per utterance: angle to the nearest *other* speaker's centroid minus
-    angle to its own speaker's centroid (centroid = mean of the speaker's
-    unit-normalized embeddings). Larger means classes sit farther apart
-    relative to their spread; this is the quantity a cosine margin
-    directly enlarges.
-    """
-    e = np.asarray(embeddings, dtype=np.float64)
-    k = e.shape[0]
-    unit = e / np.linalg.norm(e, axis=-1, keepdims=True)
-    centroids = unit.mean(axis=1)
-    centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
-    cos = np.clip(np.einsum("kmd,jd->kmj", unit, centroids), -1.0, 1.0)
-    angles = np.degrees(np.arccos(cos))  # (K, M, K): utterance -> centroid j
-    own = angles[np.arange(k), :, np.arange(k)]
-    others = angles.copy()
-    others[np.arange(k), :, np.arange(k)] = np.inf
-    return float((others.min(axis=2) - own).mean())
+    return ScoreSet(trials.labels, _dot_scores(unit[trials.enroll], unit[trials.test]))
 
 
 class DivergenceError(RuntimeError):

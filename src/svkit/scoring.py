@@ -34,7 +34,7 @@ import functools
 import os
 import threading
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -250,20 +250,13 @@ def score_from_embeddings(a: np.ndarray, b: np.ndarray) -> float:
     return float(_dot_scores(mean_unit_vector(a), mean_unit_vector(b)))
 
 
-def score_trials(
-    embeddings_by_id: Mapping[str, np.ndarray],
-    pairs: Sequence[tuple[str, str]],
-) -> np.ndarray:
-    """Score of each (enroll, test) pair of ids, as score_from_embeddings
-    gives it, bit for bit. Each utterance's mean unit vector is computed
-    once, however many trials it is in."""
-    ids = list(dict.fromkeys(utt for pair in pairs for utt in pair))
-    row = {utt: i for i, utt in enumerate(ids)}
-    means = np.stack([mean_unit_vector(embeddings_by_id[utt]) for utt in ids]) if ids else None
-    enroll = np.array([row[a] for a, _ in pairs], dtype=np.intp)
-    test = np.array([row[b] for _, b in pairs], dtype=np.intp)
-    out = np.empty(len(pairs))
-    for start in range(0, len(pairs), TRIAL_CHUNK):
+def score_trials(embeddings: Sequence[np.ndarray], enroll: np.ndarray, test: np.ndarray) -> np.ndarray:
+    """Score of each trial enroll[i], test[i] (rows of embeddings, one
+    (n_crops, D) matrix per utterance id), bit for bit as score_from_embeddings
+    gives it. Each utterance's mean is computed once, however many trials it is in."""
+    means = np.stack([mean_unit_vector(e) for e in embeddings]) if len(embeddings) else None
+    out = np.empty(len(enroll))
+    for start in range(0, len(out), TRIAL_CHUNK):
         chunk = slice(start, start + TRIAL_CHUNK)
         _dot_scores(means[enroll[chunk]], means[test[chunk]], out=out[chunk])
     return out

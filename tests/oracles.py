@@ -4,8 +4,9 @@ Deliberately naive implementations: central finite differences for
 gradients, an exhaustive midpoint threshold sweep for EER/MinDCF, a
 float64 trunk that applies every batch norm after its conv, a trial
 score that averages the cosine of every crop pair one pair at a time,
-the SNR of a mix and a mix at a target SNR, and full direct-form
-convolution. Kept free of any imports from the package under test.
+the SNR of a mix and a mix at a target SNR, full direct-form
+convolution, the HTK mel filter centres, and the mean angular gap between
+speaker classes. Kept free of any imports from the package under test.
 """
 
 from __future__ import annotations
@@ -188,3 +189,33 @@ def mix_at_snr(clean, noise, target_snr_db: float) -> np.ndarray:
 def direct_convolution(x, h, n: int) -> np.ndarray:
     """The first n samples of the full direct-form convolution of x and h."""
     return np.convolve(np.asarray(x, dtype=np.float64), np.asarray(h, dtype=np.float64))[:n]
+
+
+def mel_center_frequencies(n_mels: int = 64, f_max: float = 8000.0) -> np.ndarray:
+    """Peak frequency in Hz of each of n_mels triangular filters whose edges
+    are n_mels + 2 points equally spaced on the HTK mel scale over 0..f_max."""
+    mels = np.linspace(0.0, 2595.0 * np.log10(1.0 + f_max / 700.0), n_mels + 2)
+    return (700.0 * (10.0 ** (mels / 2595.0) - 1.0))[1:-1]
+
+
+def mean_angular_gap(embeddings) -> float:
+    """Mean inter-class angular gap in degrees over all utterances of a
+    (K speakers, M utterances, D) array.
+
+    Per utterance: angle to the nearest *other* speaker's centroid minus
+    angle to its own speaker's centroid (centroid = mean of the speaker's
+    unit-normalized embeddings). Larger means classes sit farther apart
+    relative to their spread; this is the quantity a cosine margin
+    directly enlarges.
+    """
+    e = np.asarray(embeddings, dtype=np.float64)
+    k = e.shape[0]
+    unit = e / np.linalg.norm(e, axis=-1, keepdims=True)
+    centroids = unit.mean(axis=1)
+    centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
+    cos = np.clip(np.einsum("kmd,jd->kmj", unit, centroids), -1.0, 1.0)
+    angles = np.degrees(np.arccos(cos))  # (K, M, K): utterance -> centroid j
+    own = angles[np.arange(k), :, np.arange(k)]
+    others = angles.copy()
+    others[np.arange(k), :, np.arange(k)] = np.inf
+    return float((others.min(axis=2) - own).mean())

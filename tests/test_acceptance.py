@@ -27,6 +27,7 @@ from oracles import (
     brute_force_eer,
     brute_force_min_dcf,
     central_difference,
+    mean_angular_gap,
     measure_snr_db,
 )
 from svkit.audio import Waveform
@@ -47,9 +48,9 @@ from svkit.losses import (
     ap_plus_softmax,
     softmax_ce,
 )
-from svkit.metrics import DCFParams, ScoreSet, Trial, eer, evaluate, min_dcf
+from svkit.metrics import DCFParams, ScoreSet, eer, evaluate, min_dcf
 from svkit.network import FoldedWeights, forward
-from svkit.optim import make_corpus, mean_angular_gap, train_demo
+from svkit.optim import make_corpus, train_demo
 from svkit.scoring import (
     crop_embeddings,
     network_embedder,
@@ -177,18 +178,14 @@ def test_criterion_04_metric_oracle(reported):
             if rng.random() < 0.5:
                 targets = np.round(targets, 1)
                 nontargets = np.round(nontargets, 1)
-            trials = [Trial(1, f"t{i}", f"x{i}") for i in range(n_target)]
-            trials += [Trial(0, f"n{i}", f"y{i}") for i in range(n_nontarget)]
-            ss = ScoreSet(tuple(trials), np.concatenate([targets, nontargets]))
+            labels = np.repeat([1, 0], [n_target, n_nontarget])
+            ss = ScoreSet(labels, np.concatenate([targets, nontargets]))
 
             assert abs(eer(ss)[0] - brute_force_eer(targets, nontargets)) <= 1e-12
             assert min_dcf(ss)[0] == brute_force_min_dcf(targets, nontargets)
 
         toy = ScoreSet(
-            tuple(
-                [Trial(1, f"t{i}", f"x{i}") for i in range(3)]
-                + [Trial(0, f"n{i}", f"y{i}") for i in range(3)]
-            ),
+            np.array([1, 1, 1, 0, 0, 0]),
             np.array([0.9, 0.8, 0.7, 0.75, 0.2, 0.1]),
         )
         report = evaluate(toy, DCFParams())

@@ -111,6 +111,13 @@ class TestFeaturize:
         assert main(["featurize", "--in", str(bad), "--out", str(tmp_path / "o.svf1")]) == 2
         assert "bad.wav" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [[], ["--no-normalize"]])
+    def test_wav_shorter_than_one_hop_exits_two_naming_it(self, tmp_path, flag, capsys):
+        short = tmp_path / "short.wav"
+        write_wav(short, make_wave(seed=0, seconds=0.005))
+        assert main(["featurize", "--in", str(short), "--out", str(tmp_path / "o.svf1"), *flag]) == 2
+        assert capsys.readouterr().err == f"error: {short}: waveform too short: 80 samples < one hop (160)\n"
+
     def test_no_normalize_changes_output(self, tmp_path, wav_file):
         norm, raw = tmp_path / "n.svf1", tmp_path / "r.svf1"
         assert main(["featurize", "--in", str(wav_file), "--out", str(norm)]) == 0
@@ -198,6 +205,21 @@ class TestEmbed:
         assert main(["embed", str(wav_file), "--weights", str(bad), "--out", str(out)]) == 2
         assert "running variance" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_running_var_error_names_the_weights_file(self, tmp_path, wav_file, q_weights_file, capsys):
+        tensors = load_tensors(q_weights_file)
+        tensors["conv1.bn.running_var"][0] = -1.0
+        bad = tmp_path / "neg.svw1"
+        save_tensors(bad, tensors)
+        assert main(["embed", str(wav_file), "--weights", str(bad), "--out", str(tmp_path / "e.svw1")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: conv1.bn.running_var: batch norm running variance must be non-negative\n"
+
+    def test_weights_without_a_tensor_exit_two_naming_file(self, tmp_path, wav_file, capsys):
+        bad = tmp_path / "stub.svw1"
+        save_tensors(bad, {"embed.weight": np.zeros((512, 128), dtype=np.float32)})
+        assert main(["embed", str(wav_file), "--weights", str(bad), "--out", str(tmp_path / "e.svw1")]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: weights have no tensor named 'conv1.weight'\n"
 
     def test_repeated_inputs_are_embedded_once(self, tmp_path, q_weights_file, monkeypatch):
         wav = tmp_path / "a.wav"
@@ -393,6 +415,14 @@ class TestScore:
         assert "duplicate trial a.wav vs b.wav (first on line 1)" in capsys.readouterr().err
         assert not (root / "s.txt").exists()
 
+    def test_trial_file_not_utf8_exits_two_naming_it(self, trial_setup, q_weights_file, monkeypatch, capsys):
+        root, trials = trial_setup
+        trials.write_bytes(b"1 a.wav b.wav\n0 a\xff.wav c.wav\n")
+        self.forbid_embedding(monkeypatch)
+        assert main(self.score_args(root, trials, q_weights_file, root / "s.txt")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {trials}: 'utf-8' codec can't decode byte 0xff")
+        assert not (root / "s.txt").exists()
+
     @pytest.fixture
     def long_list(self, tmp_path):
         """20 trials over short (one distinct crop) and long utterances,
@@ -495,7 +525,8 @@ class TestEvaluate:
     def test_defaults_match_library_defaults(self, toy_eval_files, capsys):
         scores, trials = toy_eval_files
         assert main(["evaluate", "--scores", str(scores), "--trials", str(trials)]) == 0
-        report = evaluate(ScoreSet.from_map(read_trials(trials), read_scores(scores)), DCFParams())
+        listed = read_trials(trials)
+        report = evaluate(ScoreSet(listed.labels, read_scores(scores, listed)), DCFParams())
         assert capsys.readouterr().out == report.to_text()
 
     def test_missing_score_exits_two(self, toy_eval_files, capsys):
@@ -503,6 +534,26 @@ class TestEvaluate:
         scores.write_text("t0.wav t1.wav 0.9\n")
         assert main(["evaluate", "--scores", str(scores), "--trials", str(trials)]) == 2
         assert "no score" in capsys.readouterr().err
+
+    def test_missing_score_names_the_score_file(self, toy_eval_files, capsys):
+        scores, trials = toy_eval_files
+        scores.write_text("".join(scores.read_text().splitlines(keepends=True)[:-1]))
+        assert main(["evaluate", "--scores", str(scores), "--trials", str(trials)]) == 2
+        assert capsys.readouterr().err == f"error: {scores}: 1 trials have no score: n4.wav vs n5.wav\n"
+
+    @pytest.mark.parametrize("which", ["trials", "scores"])
+    def test_file_not_utf8_exits_two_naming_it(self, toy_eval_files, which, capsys):
+        files = dict(zip(("scores", "trials"), toy_eval_files))
+        bad = files[which]
+        bad.write_bytes(bad.read_bytes().replace(b"n2.wav", b"n\xff.wav"))
+        assert main(["evaluate", "--scores", str(files["scores"]), "--trials", str(files["trials"])]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_list_without_nontarget_trials_names_the_trial_file(self, toy_eval_files, capsys):
+        scores, trials = toy_eval_files
+        trials.write_text("1 t0.wav t1.wav\n1 t2.wav t3.wav\n")
+        assert main(["evaluate", "--scores", str(scores), "--trials", str(trials)]) == 2
+        assert capsys.readouterr().err == f"error: {trials}: score set has no nontarget trials\n"
 
     def test_non_finite_score_exits_two_naming_file_and_line(self, toy_eval_files, capsys):
         scores, trials = toy_eval_files

@@ -6,6 +6,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import make_wave
+from oracles import mel_center_frequencies
 from svkit.audio import Waveform
 from svkit.features import (
     LOG_FLOOR,
@@ -14,7 +15,6 @@ from svkit.features import (
     extract_features,
     instance_normalize,
     log_mel_spectrogram,
-    mel_center_frequencies,
     mel_filterbank,
     preemphasize,
 )
@@ -63,7 +63,12 @@ class TestMelFilterbank:
         # independent table: m = 2595 log10(1 + f/700), 66 points over 0..8000
         mels = np.linspace(0.0, 2595.0 * np.log10(1.0 + 8000.0 / 700.0), 66)
         expected = 700.0 * (10.0 ** (mels / 2595.0) - 1.0)
-        assert_allclose(mel_center_frequencies(64), expected[1:65], rtol=1e-12)
+        centers = mel_center_frequencies(64)
+        assert_allclose(centers, expected[1:65], rtol=1e-12)
+        # each library filter peaks at one of the two FFT bins around its centre
+        bin_hz = 16000 / 512
+        peaks_hz = np.argmax(mel_filterbank(64, 512), axis=1) * bin_hz
+        assert np.all(np.abs(peaks_hz - centers) < bin_hz)
 
 
 class TestLogMelSpectrogram:

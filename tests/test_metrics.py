@@ -9,7 +9,7 @@ from svkit.metrics import (
     EvalReport,
     MissingScoresError,
     ScoreSet,
-    Trial,
+    Trials,
     eer,
     evaluate,
     min_dcf,
@@ -24,9 +24,14 @@ TOY_NONTARGETS = [0.75, 0.2, 0.1]
 
 
 def score_set(target_scores, nontarget_scores) -> ScoreSet:
-    trials = [Trial(1, f"t{i}", f"u{i}") for i in range(len(target_scores))]
-    trials += [Trial(0, f"n{i}", f"v{i}") for i in range(len(nontarget_scores))]
-    return ScoreSet(tuple(trials), np.concatenate([target_scores, nontarget_scores]))
+    labels = np.repeat([1, 0], [len(target_scores), len(nontarget_scores)])
+    return ScoreSet(labels, np.concatenate([target_scores, nontarget_scores]))
+
+
+def trials_of(tmp_path, text="1 a b\n") -> Trials:
+    path = tmp_path / "trials.txt"
+    path.write_text(text)
+    return read_trials(path)
 
 
 @pytest.fixture
@@ -164,7 +169,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(6)
         for transform in (lambda s: 2.0 * s + 1.0, np.exp, np.arctan):
             ss = random_score_set(rng)
-            mapped = ScoreSet(ss.trials, transform(ss.scores))
+            mapped = ScoreSet(ss.labels, transform(ss.scores))
             assert eer(mapped)[0] == eer(ss)[0]
             assert min_dcf(mapped)[0] == min_dcf(ss)[0]
 
@@ -210,28 +215,13 @@ class TestEvaluate:
 
 
 class TestScoreSet:
-    def test_from_map_orders_scores_by_trial(self):
-        trials = (Trial(1, "a", "b"), Trial(0, "c", "d"))
-        ss = ScoreSet.from_map(trials, {("c", "d"): 0.25, ("a", "b"): 0.75})
-        np.testing.assert_array_equal(ss.scores, [0.75, 0.25])
-
-    def test_from_map_missing_scores_listed(self):
-        trials = (Trial(1, "a", "b"), Trial(0, "c", "d"))
-        with pytest.raises(MissingScoresError, match=r"1 trials.*c vs d"):
-            ScoreSet.from_map(trials, {("a", "b"): 0.75})
-
-    def test_from_map_truncates_long_missing_list(self):
-        trials = tuple(Trial(1, f"e{i}", f"t{i}") for i in range(12))
-        with pytest.raises(MissingScoresError, match=r"12 trials.*\+2 more"):
-            ScoreSet.from_map(trials, {})
-
     def test_score_count_must_match(self):
         with pytest.raises(ValueError, match="one score per trial"):
-            ScoreSet((Trial(1, "a", "b"),), np.array([0.1, 0.2]))
+            ScoreSet(np.array([1]), np.array([0.1, 0.2]))
 
     def test_scores_must_be_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            ScoreSet((Trial(1, "a", "b"),), np.array([np.nan]))
+            ScoreSet(np.array([1]), np.array([np.nan]))
 
     def test_label_split(self, toy):
         np.testing.assert_array_equal(np.sort(toy.target_scores), [0.7, 0.8, 0.9])
@@ -239,7 +229,7 @@ class TestScoreSet:
 
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError, match="label"):
-            Trial(2, "a", "b")
+            ScoreSet(np.array([2]), np.array([0.5]))
 
 
 class TestDcfParams:
@@ -266,9 +256,11 @@ class TestTrialFile:
         path = tmp_path / "trials.txt"
         path.write_text("1 spk1/a.wav spk1/b.wav\n\n0 spk1/a.wav spk2/c.wav\n")
         trials = read_trials(path)
-        assert len(trials) == 2
-        assert trials[0] == Trial(1, "spk1/a.wav", "spk1/b.wav")
-        assert trials[1] == Trial(0, "spk1/a.wav", "spk2/c.wav")
+        assert trials.ids == ("spk1/a.wav", "spk1/b.wav", "spk2/c.wav")
+        assert trials.labels.dtype == np.int8 and trials.labels.tolist() == [1, 0]
+        assert trials.enroll.dtype == trials.test.dtype == np.intp
+        assert trials.enroll.tolist() == [0, 0]
+        assert trials.test.tolist() == [1, 2]
 
     def test_bad_label_token_rejected(self, tmp_path):
         path = tmp_path / "trials.txt"
@@ -294,10 +286,25 @@ class TestTrialFile:
         with pytest.raises(ValueError, match=r"trials.txt:4: duplicate trial a.wav vs b.wav \(first on line 1\)"):
             read_trials(path)
 
+    def test_file_that_is_not_utf8_names_file(self, tmp_path):
+        path = tmp_path / "trials.txt"
+        path.write_bytes(b"1 a\xff b\n")
+        with pytest.raises(ValueError, match=r"^\S*trials.txt: 'utf-8' codec can't decode byte 0xff"):
+            read_trials(path)
+
+    def test_ids_list_enroll_ids_then_new_test_ids(self, tmp_path):
+        path = tmp_path / "trials.txt"
+        path.write_text("1 c a\n0 b c\n1 c d\n0 a e\n")
+        trials = read_trials(path)
+        assert trials.ids == ("c", "b", "a", "d", "e")
+        assert (trials.enroll.tolist(), trials.test.tolist()) == ([0, 1, 0, 2], [2, 0, 3, 4])
+
     def test_swapped_pair_is_a_distinct_trial(self, tmp_path):
         path = tmp_path / "trials.txt"
         path.write_text("1 a.wav b.wav\n1 b.wav a.wav\n")
-        assert [(t.enroll, t.test) for t in read_trials(path)] == [("a.wav", "b.wav"), ("b.wav", "a.wav")]
+        trials = read_trials(path)
+        assert trials.ids == ("a.wav", "b.wav")
+        assert (trials.enroll.tolist(), trials.test.tolist()) == ([0, 1], [1, 0])
 
 
 class TestScoreFile:
@@ -305,9 +312,9 @@ class TestScoreFile:
         path = tmp_path / "scores.txt"
         rows = [("a.wav", "b.wav", 0.123456789), ("a.wav", "c.wav", -1.5)]
         write_scores(path, rows)
-        got = read_scores(path)
-        assert got[("a.wav", "b.wav")] == pytest.approx(0.123456789, abs=5e-7)
-        assert got[("a.wav", "c.wav")] == -1.5
+        got = read_scores(path, trials_of(tmp_path, "1 a.wav b.wav\n0 a.wav c.wav\n"))
+        assert got[0] == pytest.approx(0.123456789, abs=5e-7)
+        assert got[1] == -1.5
 
     def test_written_scores_have_six_decimals(self, tmp_path):
         path = tmp_path / "scores.txt"
@@ -318,23 +325,63 @@ class TestScoreFile:
         path = tmp_path / "scores.txt"
         path.write_text("a b 0.5\na b 0.6\n")
         with pytest.raises(ValueError, match="duplicate"):
-            read_scores(path)
+            read_scores(path, trials_of(tmp_path))
 
     def test_bad_score_token_rejected(self, tmp_path):
         path = tmp_path / "scores.txt"
         path.write_text("a b not-a-number\n")
         with pytest.raises(ValueError, match="bad score"):
-            read_scores(path)
+            read_scores(path, trials_of(tmp_path))
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "scores.txt"
         path.write_text("")
         with pytest.raises(ValueError, match="no scores"):
-            read_scores(path)
+            read_scores(path, trials_of(tmp_path))
+
+    def test_scores_follow_trial_order(self, tmp_path):
+        path = tmp_path / "scores.txt"
+        path.write_text("c d 0.25\na b 0.75\n")
+        scores = read_scores(path, trials_of(tmp_path, "1 a b\n0 c d\n"))
+        assert scores.dtype == np.float64
+        np.testing.assert_array_equal(scores, [0.75, 0.25])
+
+    def test_missing_scores_listed_naming_file(self, tmp_path):
+        path = tmp_path / "scores.txt"
+        path.write_text("a b 0.75\n")
+        with pytest.raises(MissingScoresError, match=r"scores.txt: 1 trials have no score: c vs d$"):
+            read_scores(path, trials_of(tmp_path, "1 a b\n0 c d\n"))
+
+    def test_long_missing_list_truncated(self, tmp_path):
+        path = tmp_path / "scores.txt"
+        path.write_text("x y 0.5\n")
+        trials = trials_of(tmp_path, "".join(f"1 e{i} t{i}\n" for i in range(12)))
+        with pytest.raises(MissingScoresError, match=r"12 trials.*e9 vs t9 \(\+2 more\)$"):
+            read_scores(path, trials)
+
+    def test_pairs_not_in_the_list_are_checked_then_ignored(self, tmp_path):
+        path = tmp_path / "scores.txt"
+        path.write_text("x y 0.1\na b 0.5\nb a 0.2\n")
+        assert read_scores(path, trials_of(tmp_path)).tolist() == [0.5]
+        path.write_text("a b 0.5\nx y 0.1\nx y 0.2\n")
+        with pytest.raises(ValueError, match="scores.txt:3: duplicate score for x vs y"):
+            read_scores(path, trials_of(tmp_path))
+
+    def test_written_file_is_utf8(self, tmp_path):
+        path = tmp_path / "scores.txt"
+        write_scores(path, [("é.wav", "ü.wav", 0.5)])
+        assert path.read_bytes() == "é.wav ü.wav 0.500000\n".encode("utf-8")
+        assert read_scores(path, trials_of(tmp_path, "1 é.wav ü.wav\n")).tolist() == [0.5]
+
+    def test_file_that_is_not_utf8_names_file(self, tmp_path):
+        path = tmp_path / "scores.txt"
+        path.write_bytes(b"a b\xff 0.5\n")
+        with pytest.raises(ValueError, match=r"^\S*scores.txt: 'utf-8' codec can't decode byte 0xff"):
+            read_scores(path, trials_of(tmp_path))
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
     def test_non_finite_score_names_file_and_line(self, tmp_path, token):
         path = tmp_path / "scores.txt"
         path.write_text(f"a b 0.5\n\nc d {token}\ne f nan\n")
         with pytest.raises(ValueError, match=f"scores.txt:3: score must be finite, got '{token}'"):
-            read_scores(path)
+            read_scores(path, trials_of(tmp_path))

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles import mean_angular_gap
 from svkit.losses import APParams
-from svkit.metrics import Trial
+from svkit.metrics import Trials
 from svkit.optim import (
     WEIGHT_DECAY,
     AdamState,
@@ -13,7 +14,6 @@ from svkit.optim import (
     adam_step,
     lr_at,
     make_corpus,
-    mean_angular_gap,
     train_demo,
     trial_scores,
 )
@@ -151,31 +151,35 @@ class TestMakeCorpus:
     def test_trial_lists_balanced(self):
         corpus = make_corpus(n_speakers=6, n_utts=4, dim=8, n_trials=30, seed=0)
         for trials in (corpus.train_trials, corpus.heldout_trials):
-            assert len(trials) == 30
-            labels = [t.label for t in trials]
+            assert len(trials.labels) == len(trials.enroll) == len(trials.test) == 30
+            labels = trials.labels.tolist()
             assert labels.count(1) == 15
             assert labels.count(0) == 15
 
     def test_target_trials_share_speaker_prefix(self):
         corpus = make_corpus(n_speakers=6, n_utts=4, dim=8, n_trials=30, seed=1)
-        for t in list(corpus.train_trials) + list(corpus.heldout_trials):
-            same_speaker = t.enroll[:4] == t.test[:4]
-            assert same_speaker == bool(t.label)
+        for trials in (corpus.train_trials, corpus.heldout_trials):
+            for label, a, b in zip(trials.labels, trials.enroll, trials.test):
+                same_speaker = trials.ids[a][:4] == trials.ids[b][:4]
+                assert same_speaker == bool(label)
 
     def test_train_and_heldout_pairs_disjoint(self):
         corpus = make_corpus(n_speakers=8, n_utts=5, dim=4, n_trials=60, seed=2)
-        train_pairs = {(t.enroll, t.test) for t in corpus.train_trials}
-        heldout_pairs = {(t.enroll, t.test) for t in corpus.heldout_trials}
-        assert len(train_pairs) == len(corpus.train_trials)
-        assert len(heldout_pairs) == len(corpus.heldout_trials)
+        train, heldout = corpus.train_trials, corpus.heldout_trials
+        train_pairs = set(zip(train.enroll.tolist(), train.test.tolist()))
+        heldout_pairs = set(zip(heldout.enroll.tolist(), heldout.test.tolist()))
+        assert len(train_pairs) == len(train.labels)
+        assert len(heldout_pairs) == len(heldout.labels)
         assert not train_pairs & heldout_pairs
 
     def test_same_seed_reproduces_corpus(self):
         a = make_corpus(n_speakers=4, n_utts=3, dim=4, n_trials=12, seed=3)
         b = make_corpus(n_speakers=4, n_utts=3, dim=4, n_trials=12, seed=3)
         np.testing.assert_array_equal(a.embeddings, b.embeddings)
-        assert a.train_trials == b.train_trials
-        assert a.heldout_trials == b.heldout_trials
+        for x, y in ((a.train_trials, b.train_trials), (a.heldout_trials, b.heldout_trials)):
+            assert x.ids == y.ids
+            for field in ("labels", "enroll", "test"):
+                np.testing.assert_array_equal(getattr(x, field), getattr(y, field))
 
     def test_too_small_corpus_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -184,16 +188,19 @@ class TestMakeCorpus:
             make_corpus(n_speakers=2, n_utts=2, dim=4, n_trials=100)
 
 
+def grid_trials(rows) -> Trials:
+    """(label, enroll, test) rows into the ids of a 2 x 2 corpus grid."""
+    labels, enroll, test = np.array(rows).T
+    ids = ("s000u000", "s000u001", "s001u000", "s001u001")
+    return Trials(ids, labels.astype(np.int8), enroll.astype(np.intp), test.astype(np.intp))
+
+
 class TestTrialScores:
     def test_scores_are_pairwise_cosines(self):
         embeddings = np.array(
             [[[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]], [[0.0, 0.0, 2.0], [0.0, 1.0, 1.0]]]
         )
-        trials = (
-            Trial(1, "s000u000", "s000u001"),
-            Trial(0, "s000u000", "s001u000"),
-            Trial(0, "s000u001", "s001u001"),
-        )
+        trials = grid_trials([(1, 0, 1), (0, 0, 2), (0, 1, 3)])
         ss = trial_scores(embeddings, trials)
         np.testing.assert_allclose(
             ss.scores, [np.sqrt(0.5), 0.0, 0.5], rtol=1e-12, atol=1e-15
@@ -201,7 +208,7 @@ class TestTrialScores:
 
     def test_zero_norm_embedding_rejected(self):
         embeddings = np.zeros((2, 2, 3))
-        trials = (Trial(1, "s000u000", "s000u001"),)
+        trials = grid_trials([(1, 0, 1)])
         with pytest.raises(ValueError, match="zero-norm"):
             trial_scores(embeddings, trials)
 

@@ -147,14 +147,16 @@ class TestScoreTrials:
         rng = np.random.default_rng(7)
         by_id = {f"u{i}": rng.normal(size=(int(rng.integers(1, 11)), 64)) for i in range(7)}
         by_id["short"] = np.tile(rng.normal(size=(1, 64)), (10, 1))
-        ids = list(by_id)
-        pairs = [(a, b) for a in ids for b in ids if a != b][:37]  # two full chunks and a partial one
+        embeddings = list(by_id.values())
+        pairs = [(a, b) for a in range(8) for b in range(8) if a != b][:37]  # two full chunks and a partial one
         assert len(pairs) > 2 * scoring.TRIAL_CHUNK
-        want = [score_from_embeddings(by_id[a], by_id[b]) for a, b in pairs]
-        assert score_trials(by_id, pairs).tolist() == want
+        want = [score_from_embeddings(embeddings[a], embeddings[b]) for a, b in pairs]
+        enroll, test = np.array(pairs, dtype=np.intp).T
+        assert score_trials(embeddings, enroll, test).tolist() == want
 
     def test_empty_list_scores_nothing(self):
-        assert score_trials({}, []).shape == (0,)
+        none = np.zeros(0, dtype=np.intp)
+        assert score_trials([], none, none).shape == (0,)
 
 
 def first_sample_embedder(waveform: Waveform) -> np.ndarray:
