@@ -35,7 +35,7 @@ from .metrics import (
     read_trials,
     write_scores,
 )
-from .network import FoldedWeights, NetworkWeights, TrunkConfig, infer_config, init_weights
+from .network import EMBED_DIM, VARIANTS, FoldedWeights, NetworkWeights, infer_config, init_weights
 from .optim import WEIGHT_DECAY, Schedule, make_corpus, train_demo
 from .scoring import (
     CROP_SECONDS,
@@ -103,7 +103,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--gain-max", type=float, default=aug.DEFAULT_RIR_GAIN_DB[1], help="max RIR gain in dB")
 
     p = sub.add_parser("init", help="write randomly initialized trunk weights")
-    p.add_argument("--variant", required=True, choices=("q-sap", "h-asp"))
+    p.add_argument("--variant", required=True, choices=tuple(VARIANTS))
     p.add_argument("--out", required=True, help="output weights file (SVW1)")
     p.add_argument("--seed", type=int, default=0)
 
@@ -156,23 +156,20 @@ def _build_parser() -> _Parser:
 
 
 def _feature_params(args) -> FeatureParams:
-    return FeatureParams(
-        preemphasis=args.preemphasis,
-        win_ms=args.win_ms,
-        hop_ms=args.hop_ms,
-        fft_size=args.fft_size,
-        n_mels=args.n_mels,
-    )
+    try:
+        return FeatureParams(args.preemphasis, args.win_ms, args.hop_ms, args.fft_size, args.n_mels)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _cmd_featurize(args) -> int:
+    params = _feature_params(args)  # a bad flag is reported before the WAV is read
     wave = read_wav(args.input)
     if args.crop_seconds is not None:
         offset = 0 if args.offset is None and args.seed is None else args.offset
         wave = crop_segment(wave, args.crop_seconds, offset=offset, seed=args.seed)
     elif args.offset is not None or args.seed is not None:
         raise UsageError("--offset/--seed require --crop-seconds")
-    params = _feature_params(args)
     try:  # the audio may be too short for its frames
         if args.no_normalize:
             fmap = log_mel_spectrogram(preemphasize(wave, params.preemphasis), params)
@@ -196,8 +193,7 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_init(args) -> int:
-    cfg = TrunkConfig.from_variant(args.variant)
-    weights = init_weights(cfg, seed=args.seed)
+    weights = init_weights(VARIANTS[args.variant], seed=args.seed)
     _atomic_save(args.out, weights.save)
     print(f"variant={args.variant}")
     print(f"parameters={weights.parameter_count()}")
@@ -237,11 +233,14 @@ def _wav_record(key: str) -> str:
     return f"#svkit-wav sha256={_sha256(key)} {key}"
 
 
-def _load_cache(path: str | None, record: str | None) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+def _load_cache(
+    path: str | None, record: str | None, n_crops: int
+) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Cached entries and their WAV records, by key. There are none when
     the file is missing or its first metadata record differs from `record`
     (other weights, crop settings, or a cache written without a record);
-    an entry without a WAV record is left out."""
+    an entry without a WAV record is left out. An entry that is not a
+    finite (n_crops, EMBED_DIM) matrix with non-zero rows is an error."""
     if not (path and Path(path).exists()):
         return {}, {}
     records: list[str] = []
@@ -249,7 +248,18 @@ def _load_cache(path: str | None, record: str | None) -> tuple[dict[str, np.ndar
     if records[:1] != [record]:
         return {}, {}
     wavs = {r.split(" ", 2)[-1]: r for r in records[1:]}
-    return {key: emb for key, emb in entries.items() if key in wavs}, wavs
+    cache = {key: emb for key, emb in entries.items() if key in wavs}
+    for key, emb in cache.items():
+        if emb.shape != (n_crops, EMBED_DIM):
+            problem = f"shape {emb.shape}, not {(n_crops, EMBED_DIM)}"
+        elif not np.isfinite(emb).all():
+            problem = "non-finite values"
+        elif not emb.any(axis=1).all():
+            problem = "zero-norm embedding"
+        else:
+            continue
+        raise ValueError(f"{path}: cache entry {key}: {problem}")
+    return cache, wavs
 
 
 def _cmd_embed(args) -> int:
@@ -268,7 +278,7 @@ def _cmd_score(args) -> int:
     trials = read_trials(args.trials)
     # The record hashes the whole weights file, so it is built only for a cache.
     record = _cache_record(args.weights, args.crop_seconds, args.n_crops) if args.cache else None
-    cache, wavs = _load_cache(args.cache, record)
+    cache, wavs = _load_cache(args.cache, record, args.n_crops)
     keys = [_canonical(utt_id, args.wav_root) for utt_id in trials.ids]
     # Each WAV record is taken before the WAV is read, so a rewrite during
     # the read makes the entry stale at the next run rather than wrongly current.

@@ -47,6 +47,10 @@ class FeatureParams:
     def __post_init__(self):
         if not 0.0 <= self.preemphasis < 1.0:
             raise ValueError("preemphasis must be in [0, 1)")
+        if not (np.isfinite(self.win_ms) and np.isfinite(self.hop_ms)):
+            raise ValueError("win_ms and hop_ms must be finite")
+        if self.win_length < 1 or self.hop_length < 1:
+            raise ValueError("win_ms and hop_ms must each round to at least one sample")
         if self.fft_size < self.win_length:
             raise ValueError("fft_size must be >= window length in samples")
         if self.n_mels < 1:

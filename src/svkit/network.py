@@ -11,19 +11,24 @@ time x mel input and emit a 512-d embedding:
     pooling (weighted mean concatenated with weighted std). ~8.0M
     trainable parameters.
 
-All tensors are float32. Inference runs on FoldedWeights only: each batch
-norm is folded once into the conv or embedding layer before it, and the
-variant's TrunkConfig is inferred from the tensor shapes at the same time,
-so the weights alone decide how they run. Every conv is an im2col + GEMM
-over tiles whose column buffer fits a byte budget, with bias, residual and
-ReLU applied per tile. Inference is pure: weights are immutable after load
-and no state is shared between calls.
+VARIANTS holds the two TrunkConfigs, and a TrunkConfig describes its
+trunk once: the block layout (blocks), each conv's kernel shape and batch
+norm (convs) and the shape of every weight tensor (shapes), which
+init_weights fills and FoldedWeights checks. All tensors are float32.
+Inference runs on FoldedWeights only: each batch norm is folded once into
+the conv or embedding layer before it, and the variant is inferred from
+conv1's width at the same time, so the weights alone decide how they run.
+Every conv is an im2col + GEMM over tiles whose column buffer fits a byte
+budget, with bias, residual and ReLU applied per tile. Inference is pure:
+weights are immutable after load and no state is shared between calls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -50,33 +55,6 @@ class TrunkConfig:
     pooling: str  # "sap" | "asp"
     frame_agg: str  # "mean" | "flatten"
 
-    @classmethod
-    def q_sap(cls) -> "TrunkConfig":
-        return cls(
-            variant="q-sap",
-            channels=(16, 32, 64, 128),
-            conv1_stride=(2, 2),
-            pooling="sap",
-            frame_agg="mean",
-        )
-
-    @classmethod
-    def h_asp(cls) -> "TrunkConfig":
-        return cls(
-            variant="h-asp",
-            channels=(32, 64, 128, 256),
-            conv1_stride=(1, 1),
-            pooling="asp",
-            frame_agg="flatten",
-        )
-
-    @classmethod
-    def from_variant(cls, variant: str) -> "TrunkConfig":
-        factories = {"q-sap": cls.q_sap, "h-asp": cls.h_asp}
-        if variant not in factories:
-            raise ValueError(f"unknown variant {variant!r}, expected one of {sorted(factories)}")
-        return factories[variant]()
-
     @property
     def final_freq(self) -> int:
         """Frequency extent after conv1 and the three stride-2 stages."""
@@ -94,6 +72,50 @@ class TrunkConfig:
     @property
     def pooled_dim(self) -> int:
         return 2 * self.frame_dim if self.pooling == "asp" else self.frame_dim
+
+    def blocks(self) -> Iterator[tuple[str, int, int, int]]:
+        """(prefix, stride, in channels, out channels) of each residual
+        block, in the order they run: each stage after the first starts
+        with a stride-2 block."""
+        c_in = self.channels[0]
+        for layer, (c_out, n_blocks) in enumerate(zip(self.channels, BLOCK_COUNTS), start=1):
+            for block in range(n_blocks):
+                yield f"layer{layer}.block{block}", 2 if layer > 1 and block == 0 else 1, c_in, c_out
+                c_in = c_out
+
+    def convs(self) -> dict[str, tuple[tuple[int, int, int, int], str]]:
+        """Kernel shape and following batch norm of every conv, in the
+        order they run. A block has a 1x1 shortcut conv when it changes
+        stride or channel count."""
+        convs = {"conv1": ((3, 3, 1, self.channels[0]), "conv1.bn")}
+        for prefix, stride, c_in, c_out in self.blocks():
+            convs[f"{prefix}.conv1"] = ((3, 3, c_in, c_out), f"{prefix}.bn1")
+            convs[f"{prefix}.conv2"] = ((3, 3, c_out, c_out), f"{prefix}.bn2")
+            if stride != 1 or c_in != c_out:
+                convs[f"{prefix}.shortcut"] = ((1, 1, c_in, c_out), f"{prefix}.shortcut_bn")
+        return convs
+
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        """Shape of every tensor of the variant's weights, in file order:
+        each conv's kernel then its batch norm, the attention pooling and
+        the embedding layer."""
+        shapes: dict[str, tuple[int, ...]] = {}
+        for conv, (kernel, bn) in self.convs().items():
+            shapes[f"{conv}.weight"] = kernel
+            shapes.update(dict.fromkeys(_bn_names(bn), kernel[-1:]))
+        return shapes | {
+            "pool.w": (self.frame_dim, ATTN_DIM),
+            "pool.b": (ATTN_DIM,),
+            "pool.u": (ATTN_DIM,),
+            "embed.weight": (self.pooled_dim, EMBED_DIM),
+            "embed.bias": (EMBED_DIM,),
+        }
+
+
+VARIANTS = {
+    "q-sap": TrunkConfig("q-sap", (16, 32, 64, 128), (2, 2), pooling="sap", frame_agg="mean"),
+    "h-asp": TrunkConfig("h-asp", (32, 64, 128, 256), (1, 1), pooling="asp", frame_agg="flatten"),
+}
 
 
 def _conv_out(size: int, kernel: int, stride: int, pad: int) -> int:
@@ -229,25 +251,9 @@ class NetworkWeights:
         return cls(containers.load_tensors(path))
 
 
-def _bn(weights, prefix: str):
-    return (
-        weights[f"{prefix}.gamma"],
-        weights[f"{prefix}.beta"],
-        weights[f"{prefix}.running_mean"],
-        weights[f"{prefix}.running_var"],
-    )
-
-
-_BLOCK_BN = {"conv1": "bn1", "conv2": "bn2", "shortcut": "shortcut_bn"}
-
-
-def _bn_of_conv(conv: str) -> str:
-    """Name of the batch norm that follows a conv: conv1.bn for the stem,
-    <block>.bn1 / bn2 / shortcut_bn for a block's conv1 / conv2 / shortcut."""
-    if conv == "conv1":
-        return "conv1.bn"
-    block, _, name = conv.rpartition(".")
-    return f"{block}.{_BLOCK_BN[name]}"
+def _bn_names(prefix: str) -> tuple[str, str, str, str]:
+    """Tensor names of a batch norm: (gamma, beta, running_mean, running_var)."""
+    return tuple(f"{prefix}.{k}" for k in ("gamma", "beta", "running_mean", "running_var"))
 
 
 class FoldedWeights:
@@ -257,71 +263,62 @@ class FoldedWeights:
     kernel and a per-channel bias; the optional batch norm after the
     embedding layer, applied when the weight set has one, becomes
     embed.weight and embed.bias. Holds no batch-norm tensor, so the raw
-    weight set can be released. The weights passed in are left unchanged.
-    config is the TrunkConfig inferred from the tensor shapes as they are
-    folded.
+    weight set can be released.
+
+    The weights are checked whole as they are folded: the variant is
+    inferred from conv1's width (config), and every tensor the variant
+    needs (TrunkConfig.shapes) must be present with its shape. convs maps
+    each conv to its folded (kernel, bias); tensors holds pool.* and
+    embed.*. Other tensors are ignored.
     """
 
     def __init__(self, weights: NetworkWeights):
-        self._fold(weights, in_place=False)
+        """Fold a copy of weights, which are left unchanged."""
+        self._fold(NetworkWeights({name: t.copy() for name, t in weights.tensors.items()}))
 
     @classmethod
     def load(cls, path: str | Path) -> "FoldedWeights":
         """Load a weight file and fold each batch norm into the weight array
         it was read into, so the weight set is held once, not twice.
         Bit-identical to FoldedWeights(NetworkWeights.load(path))."""
-        weights = NetworkWeights.load(path)
         folded = cls.__new__(cls)
         try:
-            folded._fold(weights, in_place=True)
+            folded._fold(NetworkWeights.load(path))
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{path}: {exc.args[0]}") from None
         return folded
 
-    def _fold(self, weights: NetworkWeights, in_place: bool) -> None:
+    def _fold(self, weights: NetworkWeights) -> None:
+        """Check weights and fold each batch norm into their arrays, in place."""
         for name, t in weights.tensors.items():
             if name.endswith(".running_var") and np.any(t < 0):
                 raise ValueError(f"{name}: batch norm running variance must be non-negative")
         self.config = infer_config(weights)
+        embed_bn = any(name.startswith("embed_bn.") for name in weights.tensors)
+        shapes = self.config.shapes()
+        if embed_bn:
+            shapes.update(dict.fromkeys(_bn_names("embed_bn"), (EMBED_DIM,)))
+        for name, shape in shapes.items():
+            if weights[name].shape != shape:
+                raise ValueError(f"{name} has shape {weights[name].shape}, {self.config.variant} needs {shape}")
 
-        def scaled(t: np.ndarray, bn: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            """t with each output channel (last axis) times bn's scale, and
+        def fold(t: np.ndarray, bn: str) -> tuple[np.ndarray, np.ndarray]:
+            """Multiply each output channel (last axis) of t by bn's scale;
             bn's float64 (scale, shift)."""
-            scale, shift = _bn_affine(*(s.astype(np.float64) for s in _bn(weights, bn)))
+            scale, shift = _bn_affine(*(weights[name].astype(np.float64) for name in _bn_names(bn)))
             # A float64 product stored as float32, as (t * scale).astype(np.float32).
-            out = t if in_place else np.empty_like(t)
-            np.multiply(t, scale, out=out, casting="unsafe")
-            return out, scale, shift
+            np.multiply(t, scale, out=t, casting="unsafe")
+            return scale, shift
 
         self.convs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for name, kernel in weights.tensors.items():
-            if name.endswith(".weight") and kernel.ndim == 4:
-                conv = name.removesuffix(".weight")
-                out, _, shift = scaled(kernel, _bn_of_conv(conv))
-                self.convs[conv] = (out, shift.astype(np.float32))
-        folded = {_bn_of_conv(conv) for conv in self.convs} | {"embed_bn"}
-        self.tensors = {
-            name: t
-            for name, t in weights.tensors.items()
-            if name.removesuffix(".weight") not in self.convs and name.rpartition(".")[0] not in folded
-        }
-        if any(name.startswith("embed_bn.") for name in weights.tensors):
-            weight, scale, shift = scaled(weights["embed.weight"], "embed_bn")
-            bias = weights["embed.bias"] * scale + shift
-            self.tensors.update({"embed.weight": weight, "embed.bias": bias.astype(np.float32)})
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        try:
-            return self.tensors[name]
-        except KeyError:
-            raise KeyError(f"weights have no tensor named {name!r}") from None
-
-    def conv(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """(kernel, bias) of the named conv with its batch norm folded in."""
-        try:
-            return self.convs[name]
-        except KeyError:
-            raise KeyError(f"weights have no conv named {name!r}") from None
+        for conv, (_, bn) in self.config.convs().items():
+            kernel = weights[f"{conv}.weight"]
+            _, shift = fold(kernel, bn)
+            self.convs[conv] = (kernel, shift.astype(np.float32))
+        self.tensors = {name: weights[name] for name in ("pool.w", "pool.b", "pool.u", "embed.weight", "embed.bias")}
+        if embed_bn:
+            scale, shift = fold(self.tensors["embed.weight"], "embed_bn")
+            self.tensors["embed.bias"] = (self.tensors["embed.bias"] * scale + shift).astype(np.float32)
 
 
 def residual_block(x: np.ndarray, weights: FoldedWeights, prefix: str, stride: int) -> np.ndarray:
@@ -332,18 +329,18 @@ def residual_block(x: np.ndarray, weights: FoldedWeights, prefix: str, stride: i
     folded into its conv; the first conv writes into the interior of a
     zero-bordered buffer that the second conv reads unpadded.
     """
-    kernel, bias = weights.conv(f"{prefix}.conv1")
+    kernel, bias = weights.convs[f"{prefix}.conv1"]
     kh, kw, _, c_mid = kernel.shape
     t_mid = _conv_out(x.shape[0], kh, stride, 1)
     f_mid = _conv_out(x.shape[1], kw, stride, 1)
     mid = _zero_bordered((t_mid, f_mid, c_mid), (1, 1))
     conv2d(x, kernel, (stride, stride), (1, 1), bias=bias, relu=True, out=mid[1:-1, 1:-1])
     if f"{prefix}.shortcut" in weights.convs:
-        kernel, bias = weights.conv(f"{prefix}.shortcut")
+        kernel, bias = weights.convs[f"{prefix}.shortcut"]
         shortcut = conv2d(x, kernel, (stride, stride), (0, 0), bias=bias)
     else:
         shortcut = x
-    kernel, bias = weights.conv(f"{prefix}.conv2")
+    kernel, bias = weights.convs[f"{prefix}.conv2"]
     return conv2d(mid, kernel, (1, 1), (0, 0), bias=bias, residual=shortcut, relu=True)
 
 
@@ -382,120 +379,62 @@ def asp_pool(frames: np.ndarray, w: np.ndarray, b: np.ndarray, u: np.ndarray) ->
     return np.concatenate([mu, sigma])
 
 
+_BN_INIT = {"gamma": np.ones, "beta": np.zeros, "running_mean": np.zeros, "running_var": np.ones}
+
+
 def init_weights(cfg: TrunkConfig, seed: int = 0) -> NetworkWeights:
-    """Random untrained weights: He-uniform fan-in for conv/linear layers,
-    identity batch-norm (gamma 1, beta 0, running mean 0, running var 1)."""
+    """Random untrained weights of cfg.shapes(): He-uniform over the fan-in
+    for conv/linear layers and pool.u, zero biases, identity batch norm
+    (gamma 1, beta 0, running mean 0, running var 1)."""
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
-
-    def he_uniform(shape, fan_in):
-        bound = np.sqrt(6.0 / fan_in)
-        return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-    def add_bn(prefix, channels):
-        tensors[f"{prefix}.gamma"] = np.ones(channels, dtype=np.float32)
-        tensors[f"{prefix}.beta"] = np.zeros(channels, dtype=np.float32)
-        tensors[f"{prefix}.running_mean"] = np.zeros(channels, dtype=np.float32)
-        tensors[f"{prefix}.running_var"] = np.ones(channels, dtype=np.float32)
-
-    tensors["conv1.weight"] = he_uniform((3, 3, 1, cfg.channels[0]), 9)
-    add_bn("conv1.bn", cfg.channels[0])
-
-    c_in = cfg.channels[0]
-    for layer_idx, (c_out, n_blocks) in enumerate(zip(cfg.channels, BLOCK_COUNTS), start=1):
-        for block_idx in range(n_blocks):
-            prefix = f"layer{layer_idx}.block{block_idx}"
-            stride = 2 if (layer_idx > 1 and block_idx == 0) else 1
-            block_in = c_in if block_idx == 0 else c_out
-            tensors[f"{prefix}.conv1.weight"] = he_uniform((3, 3, block_in, c_out), 9 * block_in)
-            add_bn(f"{prefix}.bn1", c_out)
-            tensors[f"{prefix}.conv2.weight"] = he_uniform((3, 3, c_out, c_out), 9 * c_out)
-            add_bn(f"{prefix}.bn2", c_out)
-            if stride != 1 or block_in != c_out:
-                tensors[f"{prefix}.shortcut.weight"] = he_uniform((1, 1, block_in, c_out), block_in)
-                add_bn(f"{prefix}.shortcut_bn", c_out)
-        c_in = c_out
-
-    d = cfg.frame_dim
-    tensors["pool.w"] = he_uniform((d, ATTN_DIM), d)
-    tensors["pool.b"] = np.zeros(ATTN_DIM, dtype=np.float32)
-    tensors["pool.u"] = he_uniform((ATTN_DIM,), ATTN_DIM)
-
-    tensors["embed.weight"] = he_uniform((cfg.pooled_dim, EMBED_DIM), cfg.pooled_dim)
-    tensors["embed.bias"] = np.zeros(EMBED_DIM, dtype=np.float32)
-
+    for name, shape in cfg.shapes().items():
+        kind = name.rpartition(".")[2]
+        if kind in _BN_INIT:
+            tensors[name] = _BN_INIT[kind](shape, dtype=np.float32)
+        elif kind in ("b", "bias"):
+            tensors[name] = np.zeros(shape, dtype=np.float32)
+        else:  # the fan-in is every axis but the output one; pool.u has only that
+            bound = np.sqrt(6.0 / (math.prod(shape[:-1]) if len(shape) > 1 else shape[0]))
+            tensors[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
     return NetworkWeights(tensors)
 
 
 def infer_config(weights: NetworkWeights) -> TrunkConfig:
-    """Recover the trunk configuration from tensor shapes."""
-    by_width = {16: TrunkConfig.q_sap, 32: TrunkConfig.h_asp}
-    width = weights["conv1.weight"].shape[-1]
-    if width not in by_width:
-        raise ValueError(f"cannot infer variant from conv1 width {width}")
-    return by_width[width]()
+    """The variant of VARIANTS whose stem width conv1.weight has."""
+    shape = weights["conv1.weight"].shape
+    for cfg in VARIANTS.values():
+        if shape[-1:] == (cfg.channels[0],):
+            return cfg
+    raise ValueError(f"cannot infer variant from conv1.weight of shape {shape}")
 
 
-def forward(
-    features: np.ndarray,
-    weights: FoldedWeights,
-    cfg: TrunkConfig | None = None,
-    *,
-    shape_log: list | None = None,
-) -> np.ndarray:
+def forward(features: np.ndarray, weights: FoldedWeights) -> np.ndarray:
     """Embed a normalized (L, N_MELS) feature matrix as a 512-d vector.
 
     The weights decide everything: the variant is weights.config, and every
     batch norm, an embedding batch norm included, is applied as folded into
     the layer before it. Raw NetworkWeights are rejected; fold them once
-    with FoldedWeights(weights). shape_log, when given, collects
-    (stage, shape) pairs for the intermediate activations.
-
-    cfg exists only for the older call forward(features, raw, cfg) that
-    perfbench's reference-trunk test still makes: raw NetworkWeights given
-    with a cfg are folded on that call. A cfg other than the one the
-    weights infer to raises ValueError.
+    with FoldedWeights(weights).
     """
-    if cfg is not None and isinstance(weights, NetworkWeights):
-        weights = FoldedWeights(weights)
     if not isinstance(weights, FoldedWeights):
         raise TypeError(f"forward takes FoldedWeights, got {type(weights).__name__}")
-    if cfg is not None and cfg != weights.config:
-        raise ValueError(f"weights are {weights.config.variant}, not {cfg.variant}")
     cfg = weights.config
     features = np.asarray(features, dtype=np.float32)
     if features.ndim != 2 or features.shape[1] != N_MELS:
         raise ValueError(f"expected (L, {N_MELS}) features, got shape {features.shape}")
 
-    def log(stage, shape):
-        if shape_log is not None:
-            shape_log.append((stage, tuple(shape)))
+    kernel, bias = weights.convs["conv1"]
+    x = conv2d(features[:, :, None], kernel, cfg.conv1_stride, (1, 1), bias=bias, relu=True)
+    for prefix, stride, _, _ in cfg.blocks():
+        x = residual_block(x, weights, prefix, stride)
 
-    x = features[:, :, None]
-    kernel, bias = weights.conv("conv1")
-    x = conv2d(x, kernel, cfg.conv1_stride, (1, 1), bias=bias, relu=True)
-    log("conv1", x.shape)
-
-    for layer_idx, n_blocks in enumerate(BLOCK_COUNTS, start=1):
-        for block_idx in range(n_blocks):
-            stride = 2 if (layer_idx > 1 and block_idx == 0) else 1
-            x = residual_block(x, weights, f"layer{layer_idx}.block{block_idx}", stride)
-        log(f"layer{layer_idx}", x.shape)
-
-    if cfg.frame_agg == "flatten":
-        frames = x.reshape(x.shape[0], -1)  # freq-major, then channel
-    else:
-        frames = x.mean(axis=1)
-    log("frames", frames.shape)
-
-    if cfg.pooling == "sap":
-        pooled = sap_pool(frames, weights["pool.w"], weights["pool.b"], weights["pool.u"])
-    else:
-        pooled = asp_pool(frames, weights["pool.w"], weights["pool.b"], weights["pool.u"])
-    log("pooled", pooled.shape)
-
-    embedding = pooled @ weights["embed.weight"] + weights["embed.bias"]
+    # flatten is freq-major, then channel
+    frames = x.reshape(x.shape[0], -1) if cfg.frame_agg == "flatten" else x.mean(axis=1)
+    pool = sap_pool if cfg.pooling == "sap" else asp_pool
+    t = weights.tensors
+    pooled = pool(frames, t["pool.w"], t["pool.b"], t["pool.u"])
+    embedding = pooled @ t["embed.weight"] + t["embed.bias"]
     if not np.all(np.isfinite(embedding)):
         raise ValueError("non-finite embedding")
-    log("embedding", embedding.shape)
     return embedding.astype(np.float32)

@@ -21,7 +21,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import make_wave
+from conftest import forward_stages, make_wave
 from oracles import (
     assert_grad_matches,
     brute_force_eer,
@@ -49,7 +49,7 @@ from svkit.losses import (
     softmax_ce,
 )
 from svkit.metrics import DCFParams, ScoreSet, eer, evaluate, min_dcf
-from svkit.network import FoldedWeights, forward
+from svkit.network import FoldedWeights
 from svkit.optim import make_corpus, train_demo
 from svkit.scoring import (
     crop_embeddings,
@@ -96,13 +96,11 @@ def test_criterion_01_parameter_counts(q_weights, h_weights, reported):
         assert abs(h_count - 8.0e6) <= 0.05 * 8.0e6, h_count
 
 
-def test_criterion_02_deep_trunk_shapes(h_weights, reported):
+def test_criterion_02_deep_trunk_shapes(h_weights, reported, monkeypatch):
     with reported(2, "deep trunk shapes"):
         rng = np.random.default_rng(0)
         features = rng.normal(size=(201, 64))
-        shape_log: list = []
-        embedding = forward(features, FoldedWeights(h_weights), shape_log=shape_log)
-        stages = dict(shape_log)
+        stages = forward_stages(monkeypatch, features, FoldedWeights(h_weights))
         assert stages["conv1"] == (201, 64, 32)
         assert stages["layer1"] == (201, 64, 32)
         assert stages["layer2"] == (101, 32, 64)
@@ -111,7 +109,6 @@ def test_criterion_02_deep_trunk_shapes(h_weights, reported):
         assert stages["frames"] == (26, 2048)
         assert stages["pooled"] == (4096,)
         assert stages["embedding"] == (512,)
-        assert embedding.shape == (512,)
 
 
 def test_criterion_03_gradient_oracle(reported):

@@ -111,6 +111,19 @@ class TestFeaturize:
         assert main(["featurize", "--in", str(bad), "--out", str(tmp_path / "o.svf1")]) == 2
         assert "bad.wav" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag", [["--win-ms", "0"], ["--hop-ms", "0"], ["--fft-size", "100"], ["--n-mels", "0"], ["--win-ms", "inf"]]
+    )
+    def test_bad_feature_flag_is_a_usage_error_before_the_wav_is_read(self, tmp_path, flag, monkeypatch, capsys):
+        def no_read(path):
+            raise AssertionError("the WAV was read")
+
+        monkeypatch.setattr(cli, "read_wav", no_read)
+        out = tmp_path / "o.svf1"
+        assert main(["featurize", "--in", str(tmp_path / "a.wav"), "--out", str(out), *flag]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", [[], ["--no-normalize"]])
     def test_wav_shorter_than_one_hop_exits_two_naming_it(self, tmp_path, flag, capsys):
         short = tmp_path / "short.wav"
@@ -467,6 +480,37 @@ class TestScore:
         assert scores[0] == scores[1] == scores[2] == scores[3]
         if cached:
             assert len(load_tensors(cache)) == 2
+
+    @pytest.mark.parametrize(
+        "corrupt, problem",
+        [
+            (lambda e: np.where(np.arange(len(e))[:, None] == 1, np.nan, e), "non-finite values"),
+            (lambda e: np.concatenate([e, e[:1]]), "shape (3, 512), not (2, 512)"),
+            (lambda e: e[:, :7], "shape (2, 7), not (2, 512)"),
+            (np.zeros_like, "zero-norm embedding"),
+        ],
+        ids=["nan-row", "three-rows", "width-7", "all-zero"],
+    )
+    def test_bad_cache_entry_exits_two_naming_cache_and_entry(
+        self, trial_setup, q_weights_file, corrupt, problem, monkeypatch, capsys
+    ):
+        root, trials = trial_setup
+        cache = root / "cache.svw1"
+        assert main(self.score_args(root, trials, q_weights_file, root / "s0.txt", cache)) == 0
+        records: list[str] = []
+        entries = load_tensors(cache, records)
+        key = (root / "b.wav").resolve().as_posix()
+        entries[key] = corrupt(entries[key]).astype(np.float32)
+        save_tensors(cache, entries, tuple(records))
+        self.forbid_embedding(monkeypatch)
+
+        def no_hash(key):
+            raise AssertionError("a WAV was hashed")
+
+        monkeypatch.setattr(cli, "_wav_record", no_hash)
+        assert main(self.score_args(root, trials, q_weights_file, root / "s1.txt", cache)) == 2
+        assert capsys.readouterr().err == f"error: {cache}: cache entry {key}: {problem}\n"
+        assert not (root / "s1.txt").exists()
 
     def test_zero_norm_cached_row_exits_two(self, trial_setup, q_weights_file, monkeypatch, capsys):
         root, trials = trial_setup

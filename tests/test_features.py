@@ -167,3 +167,15 @@ class TestPipeline:
             FeatureParams(fft_size=256)  # below the 400-sample window
         with pytest.raises(ValueError):
             FeatureParams(n_mels=0)
+
+    @pytest.mark.parametrize(
+        "field,value", [("win_ms", 0.0), ("win_ms", 0.03), ("hop_ms", 0.0), ("hop_ms", -10.0), ("hop_ms", float("nan"))]
+    )
+    def test_window_and_hop_need_at_least_one_sample(self, field, value):
+        # 0.03 ms is 0.48 samples at 16 kHz, which rounds to none.
+        with pytest.raises(ValueError, match="win_ms and hop_ms"):
+            FeatureParams(**{field: value})
+
+    def test_one_sample_window_and_hop_are_allowed(self):
+        p = FeatureParams(win_ms=0.0625, hop_ms=0.0625)  # 1 sample at 16 kHz
+        assert (p.win_length, p.hop_length) == (1, 1)

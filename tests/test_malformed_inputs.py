@@ -1,7 +1,9 @@
 """Property test: a mutated or truncated input file exits 0 or 2, never
 raises out of main(), and every exit 2 names the file. `evaluate` may name
 either of its two files instead: a pair the trial list has and the score
-file lacks is reported against the score file.
+file lacks is reported against the score file. An embedding cache is run
+through `score --cache`, and when that exits 0 every score it wrote is a
+finite number.
 
 Each input starts as a small valid file of one format. Hypothesis
 overwrites up to three bytes and may cut the file short, then the file is
@@ -69,16 +71,27 @@ def files(tmp_path_factory):
     }, ("#record",))
     (root / "trials.txt").write_bytes(TRIALS)
     (root / "scores.txt").write_bytes(SCORES)
+    for seed, name in enumerate("abcd"):
+        write_wav(root / f"{name}.wav", make_wave(seed=seed, seconds=0.2))
+    assert run(["init", "--variant", "q-sap", "--out", str(root / "q.svw1")])[0] == 0
+    cache = root / "cache.svw1"
+    assert run([*score_argv(root, cache), "--out", str(root / "cached_scores.txt")])[0] == 0
     return {"root": root, "wav": wav.read_bytes(), "features": features.read_bytes(),
-            "weights": weights.read_bytes()}
+            "weights": weights.read_bytes(), "cache": cache.read_bytes()}
 
 
-def check(path, data: bytes, argv, also=None) -> None:
+def score_argv(root, cache) -> list[str]:
+    return ["score", "--trials", str(root / "trials.txt"), "--weights", str(root / "q.svw1"),
+            "--wav-root", str(root), "--cache", str(cache), "--crop-seconds", "0.1", "--n-crops", "2"]
+
+
+def check(path, data: bytes, argv, also=None) -> int:
     path.write_bytes(data)
     code, err = run(argv)
     assert code in (0, 2), (code, err)
     if code == 2:
         assert str(path) in err or (also is not None and str(also) in err), err
+    return code
 
 
 FUZZ = settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
@@ -91,6 +104,9 @@ def test_valid_inputs_exit_zero(files):
     assert run(["featurize", "--in", str(root / "in.wav"), "--out", str(root / "out.svf1")])[0] == 0
     assert run(["info", "--features", str(root / "in.features")])[0] == 0
     assert run(["info", "--weights", str(root / "in.weights")])[0] == 0
+    (root / "in.cache").write_bytes(files["cache"])
+    assert run([*score_argv(root, root / "in.cache"), "--out", str(root / "out.txt")])[0] == 0
+    assert (root / "out.txt").read_bytes() == (root / "cached_scores.txt").read_bytes()
     assert run(["evaluate", "--trials", str(root / "trials.txt"), "--scores", str(root / "scores.txt")])[0] == 0
 
 
@@ -127,6 +143,19 @@ def test_feature_file(files, data):
     path = files["root"] / "mutated.svf1"
     mutation = data.draw(mutations(len(files["features"])))
     check(path, mutate(files["features"], mutation), ["info", "--features", str(path)])
+
+
+@FUZZ
+@given(data=st.data())
+def test_cache_file(files, data):
+    root = files["root"]
+    path, out = root / "mutated_cache.svw1", root / "fuzzed_scores.txt"
+    out.unlink(missing_ok=True)
+    mutation = data.draw(mutations(len(files["cache"])))
+    code = check(path, mutate(files["cache"], mutation), [*score_argv(root, path), "--out", str(out)])
+    if code == 0:
+        scores = [float(line.split()[2]) for line in out.read_text().splitlines()]
+        assert len(scores) == TRIALS.count(b"\n") and all(np.isfinite(scores)), scores
 
 
 @FUZZ

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import make_wave
+from conftest import forward_stages, make_wave
 from oracles import relative_l2, trunk_embedding
-from svkit import network
+from svkit import cli, network
 from svkit.scoring import network_embedder
 from svkit.network import (
+    VARIANTS,
     FoldedWeights,
     NetworkWeights,
-    TrunkConfig,
     asp_pool,
     conv2d,
     forward,
@@ -134,10 +134,20 @@ class TestConfig:
         assert h_config.pooled_dim == 4096
 
     def test_from_variant(self):
-        assert TrunkConfig.from_variant("q-sap").pooling == "sap"
-        assert TrunkConfig.from_variant("h-asp").pooling == "asp"
-        with pytest.raises(ValueError):
-            TrunkConfig.from_variant("full")
+        assert VARIANTS["q-sap"].pooling == "sap"
+        assert VARIANTS["h-asp"].pooling == "asp"
+        assert list(VARIANTS) == ["q-sap", "h-asp"]
+        assert all(cfg.variant == name for name, cfg in VARIANTS.items())
+        with pytest.raises(KeyError):
+            VARIANTS["full"]
+
+    def test_block_layout(self, q_config):
+        blocks = list(q_config.blocks())
+        assert len(blocks) == 16
+        assert blocks[0] == ("layer1.block0", 1, 16, 16)
+        assert blocks[3] == ("layer2.block0", 2, 16, 32)
+        assert blocks[4] == ("layer2.block1", 1, 32, 32)
+        assert blocks[-1] == ("layer4.block2", 1, 128, 128)
 
 
 class TestWeights:
@@ -191,13 +201,10 @@ class TestResidualBlock:
 
 
 class TestForward:
-    def test_h_shape_log_matches_reference_table(self, h_weights):
+    def test_h_shape_log_matches_reference_table(self, h_weights, monkeypatch):
         rng = np.random.default_rng(7)
         feats = rng.standard_normal((201, 64))
-        log = []
-        emb = forward(feats, FoldedWeights(h_weights), shape_log=log)
-        assert emb.shape == (512,)
-        stages = dict(log)
+        stages = forward_stages(monkeypatch, feats, FoldedWeights(h_weights))
         assert stages["conv1"] == (201, 64, 32)
         assert stages["layer1"] == (201, 64, 32)
         assert stages["layer2"] == (101, 32, 64)
@@ -207,13 +214,11 @@ class TestForward:
         assert stages["pooled"] == (4096,)
         assert stages["embedding"] == (512,)
 
-    def test_q_shape_log(self, q_weights):
+    def test_q_shape_log(self, q_weights, monkeypatch):
         rng = np.random.default_rng(8)
         feats = rng.standard_normal((201, 64))
-        log = []
-        emb = forward(feats, FoldedWeights(q_weights), shape_log=log)
-        assert emb.shape == (512,)
-        stages = dict(log)
+        stages = forward_stages(monkeypatch, feats, FoldedWeights(q_weights))
+        assert stages["embedding"] == (512,)
         assert stages["conv1"] == (101, 32, 16)
         assert stages["layer4"] == (13, 4, 128)
         assert stages["frames"] == (13, 128)
@@ -236,13 +241,14 @@ class TestForward:
         with pytest.raises(TypeError, match="FoldedWeights"):
             embed(make_wave(seed=12, seconds=0.5))
 
-    def test_raw_weights_with_their_config_match_folded_weights(self, q_weights, q_config, h_config):
+    def test_raw_weights_or_a_config_are_type_errors(self, q_weights, q_config):
         feats = np.random.default_rng(14).standard_normal((201, 64))
-        assert_array_equal(forward(feats, q_weights, q_config), forward(feats, FoldedWeights(q_weights)))
-        with pytest.raises(ValueError, match="q-sap, not h-asp"):
-            forward(feats, q_weights, h_config)
-        with pytest.raises(ValueError, match="q-sap, not h-asp"):
-            forward(feats, FoldedWeights(q_weights), h_config)
+        with pytest.raises(TypeError, match="FoldedWeights"):
+            forward(feats, q_weights)
+        with pytest.raises(TypeError):
+            forward(feats, q_weights, q_config)
+        with pytest.raises(TypeError):
+            forward(feats, FoldedWeights(q_weights), q_config)
 
     def test_embed_bn_variant_runs(self, q_config):
         weights = FoldedWeights(with_embed_bn(init_weights(q_config, seed=1)))
@@ -281,7 +287,7 @@ def random_batchnorm(weights: NetworkWeights, seed: int) -> NetworkWeights:
 class TestFoldedForward:
     @pytest.mark.parametrize("variant,embed_bn", [("q-sap", False), ("h-asp", False), ("q-sap", True)])
     def test_matches_float64_oracle(self, variant, embed_bn):
-        cfg = TrunkConfig.from_variant(variant)
+        cfg = VARIANTS[variant]
         weights = init_weights(cfg, seed=3)
         weights = random_batchnorm(with_embed_bn(weights) if embed_bn else weights, seed=4)
         feats = np.random.default_rng(13).standard_normal((201, 64))
@@ -290,7 +296,7 @@ class TestFoldedForward:
 
     @pytest.mark.parametrize("variant", ["q-sap", "h-asp"])
     def test_embedding_batch_norm_is_folded_under_the_variant_config(self, variant, tmp_path):
-        cfg = TrunkConfig.from_variant(variant)
+        cfg = VARIANTS[variant]
         weights = random_batchnorm(with_embed_bn(init_weights(cfg, seed=15)), seed=16)
         path = tmp_path / "w.svw1"
         weights.save(path)
@@ -305,7 +311,7 @@ class TestFoldedForward:
 
     @pytest.mark.parametrize("variant", ["q-sap", "h-asp"])
     def test_reused_weights_leak_no_state_between_calls(self, variant):
-        cfg = TrunkConfig.from_variant(variant)
+        cfg = VARIANTS[variant]
         weights = random_batchnorm(init_weights(cfg, seed=5), seed=6)
         rng = np.random.default_rng(14)
         feats = {n: rng.standard_normal((n, 64)) for n in (201, 401)}
@@ -332,11 +338,11 @@ class TestFoldedForward:
 
 class TestFoldedLoad:
     """FoldedWeights.load folds in place as it loads; FoldedWeights(w)
-    folds into new arrays. Both give the same bits."""
+    folds a copy. Both give the same bits."""
 
     @pytest.mark.parametrize("variant,embed_bn", [("q-sap", False), ("h-asp", False), ("q-sap", True)])
     def test_in_place_load_matches_folding_loaded_weights(self, variant, embed_bn, tmp_path):
-        cfg = TrunkConfig.from_variant(variant)
+        cfg = VARIANTS[variant]
         path = tmp_path / "w.svw1"
         weights = init_weights(cfg, seed=7)
         random_batchnorm(with_embed_bn(weights) if embed_bn else weights, seed=8).save(path)
@@ -356,7 +362,7 @@ class TestFoldedLoad:
         bn = [raw[f"conv1.bn.{k}"].astype(np.float64) for k in ("gamma", "running_var")]
         scale = bn[0] / np.sqrt(bn[1] + 1e-5)
         old = (raw["conv1.weight"] * scale).astype(np.float32)
-        assert got.conv("conv1")[0].tobytes() == old.tobytes()
+        assert got.convs["conv1"][0].tobytes() == old.tobytes()
 
     def test_in_place_load_rejects_negative_running_var_by_name(self, q_config, tmp_path):
         for name in ("layer2.block0.shortcut_bn.running_var", "embed_bn.running_var"):
@@ -373,3 +379,50 @@ class TestFoldedLoad:
         before = {name: t.tobytes() for name, t in weights.tensors.items()}
         FoldedWeights(weights)
         assert {name: t.tobytes() for name, t in weights.tensors.items()} == before
+
+
+# (tensor, shape to give it or None to remove it): every q-sap conv in turn,
+# a misshapen conv kernel and batch norm, and the pooling and embedding layers.
+BROKEN = [
+    *[(f"{conv}.weight", None) for conv in VARIANTS["q-sap"].convs()],
+    ("layer2.block0.conv2.weight", (3, 3, 16, 32)),
+    ("conv1.bn.gamma", (1,)),
+    ("pool.w", None),
+    ("embed.bias", None),
+]
+
+
+class TestCheckedAtLoad:
+    """A weight set is checked whole as it is folded, so a missing or
+    misshapen tensor is reported with the file before any audio is read,
+    not at the first forward."""
+
+    @pytest.mark.parametrize("name,shape", BROKEN, ids=[f"{n}-{s or 'missing'}" for n, s in BROKEN])
+    def test_missing_or_misshapen_tensor_is_named_with_the_file(
+        self, name, shape, q_weights, tmp_path, monkeypatch, capsys
+    ):
+        tensors = dict(q_weights.tensors)
+        if shape is None:
+            del tensors[name]
+        else:
+            tensors[name] = np.zeros(shape, dtype=np.float32)
+        path = tmp_path / "broken.svw1"
+        NetworkWeights(tensors).save(path)
+        with pytest.raises(ValueError) as exc:
+            FoldedWeights.load(path)
+        assert str(exc.value).startswith(f"{path}: ") and name in str(exc.value)
+
+        def no_read(path):
+            raise AssertionError("the WAV was read")
+
+        monkeypatch.setattr(cli, "read_wav", no_read)
+        argv = ["embed", str(tmp_path / "utt.wav"), "--weights", str(path), "--out", str(tmp_path / "e.svw1")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and name in err
+
+    def test_a_misshapen_embedding_batch_norm_is_named(self, q_weights):
+        tensors = with_embed_bn(q_weights).tensors
+        tensors["embed_bn.gamma"] = np.ones(1, dtype=np.float32)  # would broadcast
+        with pytest.raises(ValueError, match="embed_bn.gamma has shape"):
+            FoldedWeights(NetworkWeights(tensors))
