@@ -40,10 +40,6 @@ class Waveform:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration_seconds(self) -> float:
-        return self.samples.size / SAMPLE_RATE
-
 
 def read_wav(path: str | Path) -> Waveform:
     """Load a 16-bit PCM mono 16 kHz WAV file; malformed files raise ValueError."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import math
 import os
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import augment as aug
-from .audio import crop_segment, read_wav, write_wav
+from .audio import SAMPLE_RATE, crop_segment, read_wav, write_wav
 from .containers import load_features, load_tensors, save_features, save_tensors
 from .features import FeatureParams, extract_features, log_mel_spectrogram, preemphasize
 from .losses import LOSS_NAMES, APParams, MarginParams
@@ -35,7 +36,7 @@ from .metrics import (
     read_trials,
     write_scores,
 )
-from .network import EMBED_DIM, VARIANTS, FoldedWeights, NetworkWeights, infer_config, init_weights
+from .network import EMBED_DIM, VARIANTS, FoldedWeights, init_weights, parameter_count
 from .optim import WEIGHT_DECAY, Schedule, make_corpus, train_demo
 from .scoring import (
     CROP_SECONDS,
@@ -155,15 +156,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _feature_params(args) -> FeatureParams:
+def _flags(params, *values):
+    """params(*values), a dataclass of flag values: a value it rejects is a
+    usage error. Commands build these before they read any file."""
     try:
-        return FeatureParams(args.preemphasis, args.win_ms, args.hop_ms, args.fft_size, args.n_mels)
+        return params(*values)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
+def _check_crop_flags(args) -> None:
+    if not (math.isfinite(args.crop_seconds) and round(args.crop_seconds * SAMPLE_RATE) >= 1):
+        raise UsageError("--crop-seconds must be finite and round to at least one sample")
+    if args.n_crops < 1:
+        raise UsageError("--n-crops must be at least 1")
+
+
 def _cmd_featurize(args) -> int:
-    params = _feature_params(args)  # a bad flag is reported before the WAV is read
+    params = _flags(FeatureParams, args.preemphasis, args.win_ms, args.hop_ms, args.fft_size, args.n_mels)
     wave = read_wav(args.input)
     if args.crop_seconds is not None:
         offset = 0 if args.offset is None and args.seed is None else args.offset
@@ -193,10 +203,10 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_init(args) -> int:
-    weights = init_weights(VARIANTS[args.variant], seed=args.seed)
-    _atomic_save(args.out, weights.save)
+    tensors = init_weights(VARIANTS[args.variant], seed=args.seed)
+    _atomic_save(args.out, lambda p: save_tensors(p, tensors))
     print(f"variant={args.variant}")
-    print(f"parameters={weights.parameter_count()}")
+    print(f"parameters={parameter_count(tensors)}")
     return 0
 
 
@@ -263,6 +273,7 @@ def _load_cache(
 
 
 def _cmd_embed(args) -> int:
+    _check_crop_flags(args)
     embedder = _load_embedder(args.weights)
     paths: dict[str, str] = {}  # each file once, read under its first spelling
     for wav in args.wavs:
@@ -275,6 +286,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    _check_crop_flags(args)
     trials = read_trials(args.trials)
     # The record hashes the whole weights file, so it is built only for a cache.
     record = _cache_record(args.weights, args.crop_seconds, args.n_crops) if args.cache else None
@@ -300,9 +312,9 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    params = _flags(DCFParams, args.c_miss, args.c_fa, args.p_target, not args.no_normalize)
     trials = read_trials(args.trials)
     scores = read_scores(args.scores, trials)
-    params = DCFParams(args.c_miss, args.c_fa, args.p_target, not args.no_normalize)
     try:  # a list with no target or no nontarget trials
         report = evaluate(ScoreSet(trials.labels, scores), params)
     except ValueError as exc:
@@ -315,15 +327,17 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_train_demo(args) -> int:
+    schedule = _flags(Schedule, args.decay_factor, args.decay_every)
+    margin = _flags(MarginParams, args.margin, args.scale)
     corpus = make_corpus(args.speakers, args.utts, args.dim, args.trials, seed=args.seed)
     result = train_demo(
         corpus,
         loss_name=args.loss,
         epochs=args.epochs,
         lr0=args.lr0,
-        schedule=Schedule(args.decay_factor, args.decay_every),
+        schedule=schedule,
         weight_decay=args.weight_decay,
-        margin=MarginParams(args.margin, args.scale),
+        margin=margin,
         ap=APParams(),
         seed=args.seed,
     )
@@ -340,15 +354,13 @@ def _cmd_info(args) -> int:
     if (args.weights is None) == (args.features is None):
         raise UsageError("provide exactly one of --weights or --features")
     if args.weights:
-        weights = NetworkWeights.load(args.weights)
-        try:
-            variant = infer_config(weights).variant
-        except (KeyError, ValueError):
-            variant = "unknown"
+        tensors = load_tensors(args.weights)
+        # The check embed makes: a weight set that does not fold is an error.
+        variant = FoldedWeights.fold_in_place(tensors, args.weights).config.variant
         print(f"variant={variant}")
-        print(f"tensors={len(weights)}")
-        print(f"parameters={weights.parameter_count()}")
-        print(f"parameters_millions={weights.parameter_count() / 1e6:.3f}")
+        print(f"tensors={len(tensors)}")
+        print(f"parameters={parameter_count(tensors)}")
+        print(f"parameters_millions={parameter_count(tensors) / 1e6:.3f}")
     else:
         values = load_features(args.features)
         print(f"frames={values.shape[0]}")

@@ -161,24 +161,6 @@ class EvalReport:
             lines.append(f"{f.name}={value!r}" if f.type == "float" else f"{f.name}={value}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "EvalReport":
-        values: dict = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            key, sep, raw = line.partition("=")
-            if not sep:
-                raise ValueError(f"malformed report line: {line!r}")
-            values[key] = raw
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in values:
-                raise ValueError(f"report missing field {f.name!r}")
-            kwargs[f.name] = (float if f.type == "float" else int)(values[f.name])
-        return cls(**kwargs)
-
 
 def evaluate(scores: ScoreSet, params: DCFParams = DCFParams()) -> EvalReport:
     eer_value, eer_thr = eer(scores)

@@ -220,35 +220,10 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-class NetworkWeights:
-    """Named float32 tensors for one trunk variant.
-
-    Names ending in running_mean / running_var are batch-norm buffers and
-    do not count as trainable parameters.
-    """
-
-    def __init__(self, tensors: dict[str, np.ndarray]):
-        self.tensors = {name: np.asarray(t, dtype=np.float32) for name, t in tensors.items()}
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        try:
-            return self.tensors[name]
-        except KeyError:
-            raise KeyError(f"weights have no tensor named {name!r}") from None
-
-    def __len__(self) -> int:
-        return len(self.tensors)
-
-    def parameter_count(self) -> int:
-        """Total trainable scalar count (conv, BN gamma/beta, attention, linear)."""
-        return sum(t.size for name, t in self.tensors.items() if "running_" not in name)
-
-    def save(self, path: str | Path) -> None:
-        containers.save_tensors(path, self.tensors)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "NetworkWeights":
-        return cls(containers.load_tensors(path))
+def parameter_count(tensors: dict[str, np.ndarray]) -> int:
+    """Trainable scalars of a weight set: every tensor but the batch-norm
+    buffers (names with running_mean / running_var)."""
+    return sum(t.size for name, t in tensors.items() if "running_" not in name)
 
 
 def _bn_names(prefix: str) -> tuple[str, str, str, str]:
@@ -272,50 +247,66 @@ class FoldedWeights:
     embed.*. Other tensors are ignored.
     """
 
-    def __init__(self, weights: NetworkWeights):
-        """Fold a copy of weights, which are left unchanged."""
-        self._fold(NetworkWeights({name: t.copy() for name, t in weights.tensors.items()}))
+    def __init__(self, tensors: dict[str, np.ndarray]):
+        """Fold a float32 copy of tensors, which are left unchanged."""
+        self._fold({name: np.array(t, dtype=np.float32) for name, t in tensors.items()})
 
     @classmethod
     def load(cls, path: str | Path) -> "FoldedWeights":
-        """Load a weight file and fold each batch norm into the weight array
-        it was read into, so the weight set is held once, not twice.
-        Bit-identical to FoldedWeights(NetworkWeights.load(path))."""
+        """Load a weight file and fold it in place (fold_in_place).
+        Bit-identical to FoldedWeights(containers.load_tensors(path))."""
+        return cls.fold_in_place(containers.load_tensors(path), path)
+
+    @classmethod
+    def fold_in_place(cls, tensors: dict[str, np.ndarray], path: str | Path) -> "FoldedWeights":
+        """Fold tensors as load_tensors read them from path, each batch norm
+        into the weight array it was read into, so the weight set is held
+        once, not twice. An error names path."""
         folded = cls.__new__(cls)
         try:
-            folded._fold(NetworkWeights.load(path))
-        except (KeyError, ValueError) as exc:
+            folded._fold(tensors)
+        except ValueError as exc:
             raise ValueError(f"{path}: {exc.args[0]}") from None
         return folded
 
-    def _fold(self, weights: NetworkWeights) -> None:
-        """Check weights and fold each batch norm into their arrays, in place."""
-        for name, t in weights.tensors.items():
+    def _fold(self, tensors: dict[str, np.ndarray]) -> None:
+        """Check tensors, infer their variant and fold each batch norm into
+        their arrays, in place."""
+
+        def tensor(name: str) -> np.ndarray:
+            if name not in tensors:
+                raise ValueError(f"weights have no tensor named {name!r}")
+            return tensors[name]
+
+        for name, t in tensors.items():
             if name.endswith(".running_var") and np.any(t < 0):
                 raise ValueError(f"{name}: batch norm running variance must be non-negative")
-        self.config = infer_config(weights)
-        embed_bn = any(name.startswith("embed_bn.") for name in weights.tensors)
+        stem = tensor("conv1.weight").shape
+        self.config = next((cfg for cfg in VARIANTS.values() if stem[-1:] == (cfg.channels[0],)), None)
+        if self.config is None:
+            raise ValueError(f"cannot infer variant from conv1.weight of shape {stem}")
+        embed_bn = any(name.startswith("embed_bn.") for name in tensors)
         shapes = self.config.shapes()
         if embed_bn:
             shapes.update(dict.fromkeys(_bn_names("embed_bn"), (EMBED_DIM,)))
         for name, shape in shapes.items():
-            if weights[name].shape != shape:
-                raise ValueError(f"{name} has shape {weights[name].shape}, {self.config.variant} needs {shape}")
+            if tensor(name).shape != shape:
+                raise ValueError(f"{name} has shape {tensors[name].shape}, {self.config.variant} needs {shape}")
 
         def fold(t: np.ndarray, bn: str) -> tuple[np.ndarray, np.ndarray]:
             """Multiply each output channel (last axis) of t by bn's scale;
             bn's float64 (scale, shift)."""
-            scale, shift = _bn_affine(*(weights[name].astype(np.float64) for name in _bn_names(bn)))
+            scale, shift = _bn_affine(*(tensors[name].astype(np.float64) for name in _bn_names(bn)))
             # A float64 product stored as float32, as (t * scale).astype(np.float32).
             np.multiply(t, scale, out=t, casting="unsafe")
             return scale, shift
 
         self.convs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for conv, (_, bn) in self.config.convs().items():
-            kernel = weights[f"{conv}.weight"]
+            kernel = tensors[f"{conv}.weight"]
             _, shift = fold(kernel, bn)
             self.convs[conv] = (kernel, shift.astype(np.float32))
-        self.tensors = {name: weights[name] for name in ("pool.w", "pool.b", "pool.u", "embed.weight", "embed.bias")}
+        self.tensors = {name: tensors[name] for name in ("pool.w", "pool.b", "pool.u", "embed.weight", "embed.bias")}
         if embed_bn:
             scale, shift = fold(self.tensors["embed.weight"], "embed_bn")
             self.tensors["embed.bias"] = (self.tensors["embed.bias"] * scale + shift).astype(np.float32)
@@ -382,7 +373,7 @@ def asp_pool(frames: np.ndarray, w: np.ndarray, b: np.ndarray, u: np.ndarray) ->
 _BN_INIT = {"gamma": np.ones, "beta": np.zeros, "running_mean": np.zeros, "running_var": np.ones}
 
 
-def init_weights(cfg: TrunkConfig, seed: int = 0) -> NetworkWeights:
+def init_weights(cfg: TrunkConfig, seed: int = 0) -> dict[str, np.ndarray]:
     """Random untrained weights of cfg.shapes(): He-uniform over the fan-in
     for conv/linear layers and pool.u, zero biases, identity batch norm
     (gamma 1, beta 0, running mean 0, running var 1)."""
@@ -397,16 +388,7 @@ def init_weights(cfg: TrunkConfig, seed: int = 0) -> NetworkWeights:
         else:  # the fan-in is every axis but the output one; pool.u has only that
             bound = np.sqrt(6.0 / (math.prod(shape[:-1]) if len(shape) > 1 else shape[0]))
             tensors[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
-    return NetworkWeights(tensors)
-
-
-def infer_config(weights: NetworkWeights) -> TrunkConfig:
-    """The variant of VARIANTS whose stem width conv1.weight has."""
-    shape = weights["conv1.weight"].shape
-    for cfg in VARIANTS.values():
-        if shape[-1:] == (cfg.channels[0],):
-            return cfg
-    raise ValueError(f"cannot infer variant from conv1.weight of shape {shape}")
+    return tensors
 
 
 def forward(features: np.ndarray, weights: FoldedWeights) -> np.ndarray:
@@ -414,8 +396,8 @@ def forward(features: np.ndarray, weights: FoldedWeights) -> np.ndarray:
 
     The weights decide everything: the variant is weights.config, and every
     batch norm, an embedding batch norm included, is applied as folded into
-    the layer before it. Raw NetworkWeights are rejected; fold them once
-    with FoldedWeights(weights).
+    the layer before it. A raw tensor dict is rejected; fold it once with
+    FoldedWeights(tensors).
     """
     if not isinstance(weights, FoldedWeights):
         raise TypeError(f"forward takes FoldedWeights, got {type(weights).__name__}")

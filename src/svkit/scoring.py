@@ -276,7 +276,7 @@ def score_pair(
 
 def network_embedder(weights: FoldedWeights) -> Embedder:
     """Embedder that runs the default feature front end and the trunk on
-    folded weights, which decide the variant. Raw NetworkWeights raise
+    folded weights, which decide the variant. A raw tensor dict raises
     TypeError at the first call."""
 
     def embed(waveform: Waveform) -> np.ndarray:

@@ -5,11 +5,14 @@ gradients, an exhaustive midpoint threshold sweep for EER/MinDCF, a
 float64 trunk that applies every batch norm after its conv, a trial
 score that averages the cosine of every crop pair one pair at a time,
 the SNR of a mix and a mix at a target SNR, full direct-form
-convolution, the HTK mel filter centres, and the mean angular gap between
-speaker classes. Kept free of any imports from the package under test.
+convolution, the HTK mel filter centres, the mean angular gap between
+speaker classes, and a parser of report text. Kept free of any imports
+from the package under test.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import numpy as np
 
@@ -219,3 +222,24 @@ def mean_angular_gap(embeddings) -> float:
     others = angles.copy()
     others[np.arange(k), :, np.arange(k)] = np.inf
     return float((others.min(axis=2) - own).mean())
+
+
+def report_from_text(report_type, text: str):
+    """The report_type dataclass (metrics.EvalReport) that report text
+    describes: one key=value line per field, each read as its field's
+    type (float or int). Blank lines are skipped."""
+    values: dict = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        key, sep, raw = line.partition("=")
+        if not sep:
+            raise ValueError(f"malformed report line: {line!r}")
+        values[key] = raw
+    kwargs = {}
+    for f in fields(report_type):
+        if f.name not in values:
+            raise ValueError(f"report missing field {f.name!r}")
+        kwargs[f.name] = (float if f.type == "float" else int)(values[f.name])
+    return report_type(**kwargs)

@@ -26,7 +26,6 @@ class TestWaveform:
         w = Waveform(np.array([0.0, 0.5, -0.5], dtype=np.float32))
         assert w.samples.dtype == np.float64
         assert len(w) == 3
-        assert w.duration_seconds == pytest.approx(3 / SAMPLE_RATE)
 
     def test_rejects_bad_shapes_and_values(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import make_wave
+from oracles import report_from_text
 from svkit import cli, containers, scoring
 from svkit.audio import Waveform, read_wav, write_wav
 from svkit.cli import main
@@ -62,6 +63,29 @@ class TestUsageErrors:
     def test_missing_required_flag_exits_one(self, capsys):
         assert main(["featurize", "--out", "x.svf1"]) == 1
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("evaluate", ["--p-target", "2"]),
+        ("evaluate", ["--c-miss", "0"]),
+        ("train-demo", ["--decay-factor", "0"]),
+        ("train-demo", ["--margin", "-1"]),
+        ("embed", ["--n-crops", "0"]),
+        ("embed", ["--crop-seconds", "0"]),
+        ("embed", ["--crop-seconds", "nan"]),
+        ("score", ["--crop-seconds", "0.00003"]),
+        ("score", ["--n-crops", "-1"]),
+    ])
+    def test_bad_flag_value_is_a_usage_error_before_any_file_is_read(self, tmp_path, command, flag, capsys):
+        missing = str(tmp_path / "missing")  # every input file is missing
+        argv = {
+            "evaluate": ["--scores", missing, "--trials", missing],
+            "train-demo": ["--history", str(tmp_path / "history.csv")],
+            "embed": [missing, "--weights", missing, "--out", str(tmp_path / "out")],
+            "score": ["--trials", missing, "--weights", missing, "--out", str(tmp_path / "out")],
+        }[command]
+        assert main([command, *argv, *flag]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFeaturize:
@@ -550,7 +574,7 @@ class TestEvaluate:
         assert main(["evaluate", "--scores", str(scores), "--trials", str(trials)]) == 0
         text = capsys.readouterr().out
         assert "eer_pct=33.3333" in text
-        report = EvalReport.from_text(text)
+        report = report_from_text(EvalReport, text)
         assert report.min_dcf == pytest.approx(1.0 / 3.0, rel=1e-6)
         assert report.n_target == 3
 
@@ -563,7 +587,7 @@ class TestEvaluate:
     def test_no_normalize_reports_raw_cost(self, toy_eval_files, capsys):
         scores, trials = toy_eval_files
         assert main(["evaluate", "--scores", str(scores), "--trials", str(trials), "--no-normalize"]) == 0
-        report = EvalReport.from_text(capsys.readouterr().out)
+        report = report_from_text(EvalReport, capsys.readouterr().out)
         assert report.min_dcf == report.min_dcf_raw
 
     def test_defaults_match_library_defaults(self, toy_eval_files, capsys):
@@ -712,11 +736,36 @@ class TestInfo:
         bad.write_bytes(b"\x00" * 32)
         assert main(["info", "--weights", str(bad)]) == 2
 
-    def test_unknown_variant_reported(self, tmp_path, capsys):
+    def test_unknown_variant_exits_two_naming_file(self, tmp_path, capsys):
         odd = tmp_path / "odd.svw1"
         save_tensors(odd, {"conv1.weight": np.zeros((3, 3, 1, 99), dtype=np.float32)})
-        assert main(["info", "--weights", str(odd)]) == 0
-        assert "variant=unknown" in capsys.readouterr().out
+        assert main(["info", "--weights", str(odd)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {odd}: cannot infer variant from conv1.weight of shape (3, 3, 1, 99)\n"
+
+    @pytest.mark.parametrize("name,value", [
+        ("layer4.block1.conv1.weight", None),
+        ("pool.w", np.zeros((5, 128), dtype=np.float32)),
+        ("conv1.bn.running_var", -np.ones(16, dtype=np.float32)),
+    ], ids=["missing-conv", "misshapen-pool", "negative-running-var"])
+    def test_weights_embed_rejects_exit_two_with_embeds_message(
+        self, tmp_path, q_weights_file, wav_file, name, value, capsys
+    ):
+        tensors = load_tensors(q_weights_file)
+        if value is None:
+            del tensors[name]
+        else:
+            tensors[name] = value
+        bad = tmp_path / "bad.svw1"
+        save_tensors(bad, tensors)
+        capsys.readouterr()
+        assert main(["info", "--weights", str(bad)]) == 2
+        info = capsys.readouterr()
+        assert main(["embed", str(wav_file), "--weights", str(bad), "--out", str(tmp_path / "e.svw1")]) == 2
+        assert info.out == ""
+        assert info.err == capsys.readouterr().err
+        assert info.err.startswith(f"error: {bad}: ") and name in info.err
 
 
 def _write_partial_then_fail(path, *args, **kwargs):
@@ -743,7 +792,7 @@ class TestAtomicOutputs:
     WRITERS = {
         "featurize": (cli, "save_features"),
         "augment": (cli, "write_wav"),
-        "init": (containers, "save_tensors"),
+        "init": (cli, "save_tensors"),
         "evaluate": (pathlib.Path, "write_text"),
         "train-demo": (pathlib.Path, "write_text"),
     }

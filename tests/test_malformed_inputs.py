@@ -3,10 +3,13 @@ raises out of main(), and every exit 2 names the file. `evaluate` may name
 either of its two files instead: a pair the trial list has and the score
 file lacks is reported against the score file. An embedding cache is run
 through `score --cache`, and when that exits 0 every score it wrote is a
-finite number.
+finite number, and a weight file that `info --weights` accepts also loads
+as FoldedWeights, the check `embed` makes.
 
-Each input starts as a small valid file of one format. Hypothesis
-overwrites up to three bytes and may cut the file short, then the file is
+Each input starts as a small valid file of one format; a weight file is
+a whole q-sap set, since a partial one does not fold, and only its first
+WEIGHTS_HEAD bytes are edited. Hypothesis overwrites up to three bytes
+and may cut the file short, then the file is
 run through the subcommand that reads it. Examples are derandomized and
 their number is fixed, so the suite stays deterministic.
 """
@@ -22,9 +25,13 @@ from hypothesis import strategies as st
 from conftest import make_wave
 from svkit.audio import write_wav
 from svkit.cli import main
-from svkit.containers import save_features, save_tensors
+from svkit.containers import save_features
+from svkit.network import FoldedWeights
 
 EXAMPLES = 150
+# Bytes of a q-sap weight file that the fuzz edits: the header, conv1's
+# kernel and batch norm (967 bytes), and the start of layer1's first kernel.
+WEIGHTS_HEAD = 1024
 
 TRIALS = b"1 a.wav b.wav\n0 a.wav c.wav\n1 c.wav d.wav\n0 b.wav d.wav\n"
 SCORES = b"a.wav b.wav 0.900000\na.wav c.wav 0.100000\nc.wav d.wav 0.700000\nb.wav d.wav -0.200000\n"
@@ -62,13 +69,6 @@ def files(tmp_path_factory):
     write_wav(wav, make_wave(seed=0, seconds=0.01))
     features = root / "valid.svf1"
     save_features(features, np.arange(12, dtype=np.float32).reshape(3, 4))
-    weights = root / "valid.svw1"
-    rng = np.random.default_rng(0)
-    save_tensors(weights, {
-        "conv1.weight": rng.normal(size=(1, 1, 1, 16)).astype(np.float32),
-        "conv1.bn.running_var": np.ones(16, dtype=np.float32),
-        "embed.bias": np.zeros(4, dtype=np.float32),
-    }, ("#record",))
     (root / "trials.txt").write_bytes(TRIALS)
     (root / "scores.txt").write_bytes(SCORES)
     for seed, name in enumerate("abcd"):
@@ -77,7 +77,7 @@ def files(tmp_path_factory):
     cache = root / "cache.svw1"
     assert run([*score_argv(root, cache), "--out", str(root / "cached_scores.txt")])[0] == 0
     return {"root": root, "wav": wav.read_bytes(), "features": features.read_bytes(),
-            "weights": weights.read_bytes(), "cache": cache.read_bytes()}
+            "weights": (root / "q.svw1").read_bytes(), "cache": cache.read_bytes()}
 
 
 def score_argv(root, cache) -> list[str]:
@@ -162,5 +162,6 @@ def test_cache_file(files, data):
 @given(data=st.data())
 def test_weight_file(files, data):
     path = files["root"] / "mutated.svw1"
-    mutation = data.draw(mutations(len(files["weights"])))
-    check(path, mutate(files["weights"], mutation), ["info", "--weights", str(path)])
+    mutation = data.draw(mutations(len(files["weights"]), head=WEIGHTS_HEAD))
+    if check(path, mutate(files["weights"], mutation), ["info", "--weights", str(path)]) == 0:
+        FoldedWeights.load(path)

@@ -5,17 +5,17 @@ from numpy.testing import assert_allclose, assert_array_equal
 from conftest import forward_stages, make_wave
 from oracles import relative_l2, trunk_embedding
 from svkit import cli, network
+from svkit.containers import load_tensors, save_tensors
 from svkit.scoring import network_embedder
 from svkit.network import (
     VARIANTS,
     FoldedWeights,
-    NetworkWeights,
     asp_pool,
     conv2d,
     forward,
     frame_attention,
-    infer_config,
     init_weights,
+    parameter_count,
     residual_block,
     sap_pool,
 )
@@ -152,37 +152,40 @@ class TestConfig:
 
 class TestWeights:
     def test_parameter_counts(self, q_weights, h_weights):
-        assert q_weights.parameter_count() == 1_415_728
-        assert h_weights.parameter_count() == 7_683_424
+        assert parameter_count(q_weights) == 1_415_728
+        assert parameter_count(h_weights) == 7_683_424
 
     def test_running_stats_not_counted(self, q_weights):
-        buffered = sum(t.size for n, t in q_weights.tensors.items() if "running_" in n)
-        total = sum(t.size for t in q_weights.tensors.values())
+        buffered = sum(t.size for n, t in q_weights.items() if "running_" in n)
+        total = sum(t.size for t in q_weights.values())
         assert buffered > 0
-        assert q_weights.parameter_count() == total - buffered
+        assert parameter_count(q_weights) == total - buffered
 
     def test_init_deterministic_per_seed(self, q_config):
         a = init_weights(q_config, seed=7)
         b = init_weights(q_config, seed=7)
-        assert list(a.tensors) == list(b.tensors)
-        for name in a.tensors:
+        assert list(a) == list(b)
+        for name in a:
+            assert a[name].dtype == np.float32
             assert_array_equal(a[name], b[name])
         c = init_weights(q_config, seed=8)
-        assert any(not np.array_equal(a[n], c[n]) for n in a.tensors)
+        assert any(not np.array_equal(a[n], c[n]) for n in a)
 
     def test_save_load_round_trip(self, tmp_path, q_weights):
         path = tmp_path / "q.svw1"
-        q_weights.save(path)
-        back = NetworkWeights.load(path)
-        assert back.parameter_count() == q_weights.parameter_count()
-        for name in q_weights.tensors:
+        save_tensors(path, q_weights)
+        back = load_tensors(path)
+        assert parameter_count(back) == parameter_count(q_weights)
+        for name in q_weights:
             assert_array_equal(back[name], q_weights[name])
 
-    def test_infer_config(self, q_weights, h_weights, q_config, h_config):
-        assert infer_config(q_weights) == q_config
-        assert infer_config(h_weights) == h_config
-        with pytest.raises((ValueError, KeyError)):
-            infer_config(NetworkWeights({"x": np.zeros((2, 2), dtype=np.float32)}))
+    def test_fold_infers_config(self, q_weights, h_weights, q_config, h_config):
+        assert FoldedWeights(q_weights).config == q_config
+        assert FoldedWeights(h_weights).config == h_config
+        with pytest.raises(ValueError, match="no tensor named 'conv1.weight'"):
+            FoldedWeights({"x": np.zeros((2, 2), dtype=np.float32)})
+        with pytest.raises(ValueError, match="cannot infer variant"):
+            FoldedWeights({**q_weights, "conv1.weight": np.zeros((3, 3, 1, 99), dtype=np.float32)})
 
 
 class TestResidualBlock:
@@ -257,16 +260,16 @@ class TestForward:
         assert np.all(np.isfinite(emb))
 
 
-def with_embed_bn(weights: NetworkWeights) -> NetworkWeights:
+def with_embed_bn(weights: dict) -> dict:
     """The weights plus an identity batch norm after the embedding layer
     (embed_bn.*), which init_weights never writes."""
     dim = weights["embed.bias"].shape[0]
-    ones, zeros = np.ones(dim), np.zeros(dim)
+    ones, zeros = np.ones(dim, dtype=np.float32), np.zeros(dim, dtype=np.float32)
     bn = {"gamma": ones, "beta": zeros, "running_mean": zeros, "running_var": ones}
-    return NetworkWeights({**weights.tensors, **{f"embed_bn.{k}": t for k, t in bn.items()}})
+    return {**weights, **{f"embed_bn.{k}": t for k, t in bn.items()}}
 
 
-def random_batchnorm(weights: NetworkWeights, seed: int) -> NetworkWeights:
+def random_batchnorm(weights: dict, seed: int) -> dict:
     """The weights with random, non-identity batch-norm parameters and
     running statistics (init_weights gives identity batch norm)."""
     rng = np.random.default_rng(seed)
@@ -276,12 +279,12 @@ def random_batchnorm(weights: NetworkWeights, seed: int) -> NetworkWeights:
         "running_mean": lambda n: rng.normal(0.0, 0.2, n),
         "running_var": lambda n: rng.uniform(0.5, 2.0, n),
     }
-    tensors = dict(weights.tensors)
-    for name, t in weights.tensors.items():
+    tensors = dict(weights)
+    for name, t in weights.items():
         kind = name.rpartition(".")[2]
         if kind in draw:
-            tensors[name] = draw[kind](t.shape)
-    return NetworkWeights(tensors)
+            tensors[name] = draw[kind](t.shape).astype(np.float32)
+    return tensors
 
 
 class TestFoldedForward:
@@ -291,7 +294,7 @@ class TestFoldedForward:
         weights = init_weights(cfg, seed=3)
         weights = random_batchnorm(with_embed_bn(weights) if embed_bn else weights, seed=4)
         feats = np.random.default_rng(13).standard_normal((201, 64))
-        want = trunk_embedding(feats, weights.tensors)
+        want = trunk_embedding(feats, weights)
         assert relative_l2(forward(feats, FoldedWeights(weights)), want) <= 1e-4
 
     @pytest.mark.parametrize("variant", ["q-sap", "h-asp"])
@@ -299,9 +302,9 @@ class TestFoldedForward:
         cfg = VARIANTS[variant]
         weights = random_batchnorm(with_embed_bn(init_weights(cfg, seed=15)), seed=16)
         path = tmp_path / "w.svw1"
-        weights.save(path)
+        save_tensors(path, weights)
         feats = np.random.default_rng(17).standard_normal((201, 64))
-        want = trunk_embedding(feats, weights.tensors)
+        want = trunk_embedding(feats, weights)
         before = weights["embed.weight"].tobytes()
         for folded in (FoldedWeights(weights), FoldedWeights.load(path)):
             assert not any(name.startswith("embed_bn.") for name in folded.tensors)
@@ -323,17 +326,17 @@ class TestFoldedForward:
     def test_holds_only_folded_tensors(self, q_weights):
         folded = FoldedWeights(q_weights)
         assert set(folded.tensors) == {"pool.w", "pool.b", "pool.u", "embed.weight", "embed.bias"}
-        convs = {n.removesuffix(".weight") for n, t in q_weights.tensors.items() if t.ndim == 4}
+        convs = {n.removesuffix(".weight") for n, t in q_weights.items() if t.ndim == 4}
         assert set(folded.convs) == convs
         for name, (kernel, bias) in folded.convs.items():
             assert kernel.shape == q_weights[f"{name}.weight"].shape
             assert bias.shape == kernel.shape[-1:]
 
     def test_negative_running_var_rejected_at_fold_time(self, q_config):
-        tensors = dict(init_weights(q_config, seed=0).tensors)
+        tensors = init_weights(q_config, seed=0)
         tensors["layer3.block1.bn2.running_var"] = -np.ones(64, dtype=np.float32)
         with pytest.raises(ValueError, match="layer3.block1.bn2.running_var"):
-            FoldedWeights(NetworkWeights(tensors))
+            FoldedWeights(tensors)
 
 
 class TestFoldedLoad:
@@ -345,8 +348,8 @@ class TestFoldedLoad:
         cfg = VARIANTS[variant]
         path = tmp_path / "w.svw1"
         weights = init_weights(cfg, seed=7)
-        random_batchnorm(with_embed_bn(weights) if embed_bn else weights, seed=8).save(path)
-        raw = NetworkWeights.load(path)
+        save_tensors(path, random_batchnorm(with_embed_bn(weights) if embed_bn else weights, seed=8))
+        raw = load_tensors(path)
         want = FoldedWeights(raw)
         got = FoldedWeights.load(path)
         assert got.convs.keys() == want.convs.keys()
@@ -357,7 +360,7 @@ class TestFoldedLoad:
         assert got.tensors.keys() == want.tensors.keys()
         for name, t in want.tensors.items():
             assert got.tensors[name].tobytes() == t.tobytes()
-        assert got.config == want.config == infer_config(raw) == cfg
+        assert got.config == want.config == cfg
         # The fold is a float64 product rounded once to float32.
         bn = [raw[f"conv1.bn.{k}"].astype(np.float64) for k in ("gamma", "running_var")]
         scale = bn[0] / np.sqrt(bn[1] + 1e-5)
@@ -366,19 +369,19 @@ class TestFoldedLoad:
 
     def test_in_place_load_rejects_negative_running_var_by_name(self, q_config, tmp_path):
         for name in ("layer2.block0.shortcut_bn.running_var", "embed_bn.running_var"):
-            tensors = dict(with_embed_bn(init_weights(q_config, seed=0)).tensors)
+            tensors = with_embed_bn(init_weights(q_config, seed=0))
             tensors[name] = -np.ones_like(tensors[name])
             path = tmp_path / "neg.svw1"
-            NetworkWeights(tensors).save(path)
-            for fold in (FoldedWeights.load, lambda p: FoldedWeights(NetworkWeights.load(p))):
+            save_tensors(path, tensors)
+            for fold in (FoldedWeights.load, lambda p: FoldedWeights(load_tensors(p))):
                 with pytest.raises(ValueError, match=name):
                     fold(path)
 
     def test_folding_leaves_the_weights_unchanged(self, h_config):
         weights = random_batchnorm(init_weights(h_config, seed=9), seed=10)
-        before = {name: t.tobytes() for name, t in weights.tensors.items()}
+        before = {name: t.tobytes() for name, t in weights.items()}
         FoldedWeights(weights)
-        assert {name: t.tobytes() for name, t in weights.tensors.items()} == before
+        assert {name: t.tobytes() for name, t in weights.items()} == before
 
 
 # (tensor, shape to give it or None to remove it): every q-sap conv in turn,
@@ -401,13 +404,13 @@ class TestCheckedAtLoad:
     def test_missing_or_misshapen_tensor_is_named_with_the_file(
         self, name, shape, q_weights, tmp_path, monkeypatch, capsys
     ):
-        tensors = dict(q_weights.tensors)
+        tensors = dict(q_weights)
         if shape is None:
             del tensors[name]
         else:
             tensors[name] = np.zeros(shape, dtype=np.float32)
         path = tmp_path / "broken.svw1"
-        NetworkWeights(tensors).save(path)
+        save_tensors(path, tensors)
         with pytest.raises(ValueError) as exc:
             FoldedWeights.load(path)
         assert str(exc.value).startswith(f"{path}: ") and name in str(exc.value)
@@ -422,7 +425,7 @@ class TestCheckedAtLoad:
         assert err.startswith(f"error: {path}: ") and name in err
 
     def test_a_misshapen_embedding_batch_norm_is_named(self, q_weights):
-        tensors = with_embed_bn(q_weights).tensors
+        tensors = with_embed_bn(q_weights)
         tensors["embed_bn.gamma"] = np.ones(1, dtype=np.float32)  # would broadcast
         with pytest.raises(ValueError, match="embed_bn.gamma has shape"):
-            FoldedWeights(NetworkWeights(tensors))
+            FoldedWeights(tensors)
