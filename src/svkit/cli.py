@@ -37,7 +37,7 @@ from .metrics import (
     write_scores,
 )
 from .network import EMBED_DIM, VARIANTS, FoldedWeights, init_weights, parameter_count
-from .optim import WEIGHT_DECAY, Schedule, make_corpus, train_demo
+from .optim import WEIGHT_DECAY, DivergenceError, Schedule, make_corpus, train_demo
 from .scoring import (
     CROP_SECONDS,
     N_CROPS,
@@ -157,29 +157,50 @@ def _build_parser() -> _Parser:
 
 
 def _flags(params, *values):
-    """params(*values), a dataclass of flag values: a value it rejects is a
-    usage error. Commands build these before they read any file."""
+    """params(*values), built from flag values alone, such as a dataclass
+    of them: a value it rejects is a usage error. Commands build these
+    before they read any file."""
     try:
         return params(*values)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
+def _check_at_least(args, **minimums) -> None:
+    """Each named flag that has a value is at least its minimum."""
+    for name, minimum in minimums.items():
+        value = getattr(args, name)
+        if value is not None and value < minimum:
+            raise UsageError(f"--{name.replace('_', '-')} must be at least {minimum}, got {value}")
+
+
+def _check_finite(args, *names) -> None:
+    """Each named flag that has a value is finite."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
+
+
 def _check_crop_flags(args) -> None:
-    if not (math.isfinite(args.crop_seconds) and round(args.crop_seconds * SAMPLE_RATE) >= 1):
+    """--crop-seconds, which featurize may leave out, is finite and rounds
+    to at least one sample."""
+    if args.crop_seconds is not None and not (
+        math.isfinite(args.crop_seconds) and round(args.crop_seconds * SAMPLE_RATE) >= 1
+    ):
         raise UsageError("--crop-seconds must be finite and round to at least one sample")
-    if args.n_crops < 1:
-        raise UsageError("--n-crops must be at least 1")
 
 
 def _cmd_featurize(args) -> int:
     params = _flags(FeatureParams, args.preemphasis, args.win_ms, args.hop_ms, args.fft_size, args.n_mels)
+    _check_crop_flags(args)
+    if args.crop_seconds is None and (args.offset is not None or args.seed is not None):
+        raise UsageError("--offset/--seed require --crop-seconds")
+    _check_at_least(args, offset=0)
     wave = read_wav(args.input)
     if args.crop_seconds is not None:
         offset = 0 if args.offset is None and args.seed is None else args.offset
         wave = crop_segment(wave, args.crop_seconds, offset=offset, seed=args.seed)
-    elif args.offset is not None or args.seed is not None:
-        raise UsageError("--offset/--seed require --crop-seconds")
     try:  # the audio may be too short for its frames
         if args.no_normalize:
             fmap = log_mel_spectrogram(preemphasize(wave, params.preemphasis), params)
@@ -191,7 +212,27 @@ def _cmd_featurize(args) -> int:
     return 0
 
 
+def _check_augment_flags(args) -> None:
+    """Counts from 1 and finite SNR and gain bounds; then, in each range
+    the kind draws from, with the kind's defaults for bounds not given, a
+    min at most its max."""
+    _check_at_least(args, count_min=1, count_max=1)
+    _check_finite(args, "snr_min", "snr_max", "gain_min", "gain_max")
+    if args.kind == "rir":
+        ranges = {"gain": (args.gain_min, args.gain_max)}
+    else:
+        given = {"count": (args.count_min, args.count_max), "snr": (args.snr_min, args.snr_max)}
+        ranges = {
+            name: tuple(d if g is None else g for g, d in zip(given[name], defaults))
+            for name, defaults in zip(given, aug.ADDITIVE_DEFAULTS[args.kind])
+        }
+    for name, (low, high) in ranges.items():
+        if low > high:
+            raise UsageError(f"--{name}-min ({low}) must not exceed --{name}-max ({high})")
+
+
 def _cmd_augment(args) -> int:
+    _check_augment_flags(args)
     wave = read_wav(args.input)
     catalogs = aug.scan_catalogs(args.catalog)
     out = aug.apply_augmentation(
@@ -274,6 +315,7 @@ def _load_cache(
 
 def _cmd_embed(args) -> int:
     _check_crop_flags(args)
+    _check_at_least(args, n_crops=1)
     embedder = _load_embedder(args.weights)
     paths: dict[str, str] = {}  # each file once, read under its first spelling
     for wav in args.wavs:
@@ -287,6 +329,7 @@ def _cmd_embed(args) -> int:
 
 def _cmd_score(args) -> int:
     _check_crop_flags(args)
+    _check_at_least(args, n_crops=1)
     trials = read_trials(args.trials)
     # The record hashes the whole weights file, so it is built only for a cache.
     record = _cache_record(args.weights, args.crop_seconds, args.n_crops) if args.cache else None
@@ -329,7 +372,9 @@ def _cmd_evaluate(args) -> int:
 def _cmd_train_demo(args) -> int:
     schedule = _flags(Schedule, args.decay_factor, args.decay_every)
     margin = _flags(MarginParams, args.margin, args.scale)
-    corpus = make_corpus(args.speakers, args.utts, args.dim, args.trials, seed=args.seed)
+    _check_at_least(args, speakers=2, utts=2, dim=1, trials=2, epochs=0)
+    _check_finite(args, "lr0", "weight_decay")
+    corpus = _flags(make_corpus, args.speakers, args.utts, args.dim, args.trials, args.seed)
     result = train_demo(
         corpus,
         loss_name=args.loss,
@@ -388,7 +433,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

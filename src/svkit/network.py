@@ -18,9 +18,11 @@ init_weights fills and FoldedWeights checks. All tensors are float32.
 Inference runs on FoldedWeights only: each batch norm is folded once into
 the conv or embedding layer before it, and the variant is inferred from
 conv1's width at the same time, so the weights alone decide how they run.
-Every conv is an im2col + GEMM over tiles whose column buffer fits a byte
-budget, with bias, residual and ReLU applied per tile. Inference is pure:
-weights are immutable after load and no state is shared between calls.
+Every conv is an unpadded im2col + GEMM over tiles whose column buffer
+fits a byte budget, with bias, residual and ReLU applied per tile. Each
+activation lives in a (t + 2, f + 2, c) buffer with a zero border, which
+pads the 3x3 conv that reads it. Inference is pure: weights are immutable
+after load and no state is shared between calls.
 """
 
 from __future__ import annotations
@@ -133,32 +135,31 @@ def _conv_out(size: int, kernel: int, stride: int, pad: int) -> int:
 TILE_BYTES = 1 << 20
 
 
-def _zero_bordered(shape: tuple[int, int, int], pad: tuple[int, int], dtype=np.float32) -> np.ndarray:
-    """A (t + 2*pad_t, f + 2*pad_f, c) buffer for a (t, f, c) tensor: the
-    border is zero, the interior is left for the caller to fill."""
-    (t, f, c), (pt, pf) = shape, pad
-    buf = np.empty((t + 2 * pt, f + 2 * pf, c), dtype=dtype)
-    buf[:pt] = buf[pt + t :] = 0.0
-    buf[:, :pf] = buf[:, pf + f :] = 0.0
+def _zero_bordered(shape: tuple[int, int, int]) -> np.ndarray:
+    """A (t + 2, f + 2, c) float32 buffer for a (t, f, c) tensor: the
+    one-wide border is zero, the interior is left for the caller to fill."""
+    t, f, c = shape
+    buf = np.empty((t + 2, f + 2, c), dtype=np.float32)
+    buf[0] = buf[-1] = 0.0
+    buf[:, 0] = buf[:, -1] = 0.0
     return buf
 
 
 def conv2d(
     x: np.ndarray,
     kernel: np.ndarray,
-    stride: tuple[int, int] = (1, 1),
-    pad: tuple[int, int] = (1, 1),
-    bias: np.ndarray | None = None,
+    stride: tuple[int, int],
+    bias: np.ndarray,
     residual: np.ndarray | None = None,
     relu: bool = False,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """2-D convolution of a (time, freq, ch_in) tensor.
+    """Unpadded 2-D convolution of a (time, freq, ch_in) tensor.
 
     kernel is (kh, kw, ch_in, ch_out); output spatial extents follow
-    floor((in + 2*pad - k) / stride) + 1. A per-channel bias, a residual
-    of the output's shape and a ReLU are applied, in that order, when
-    given.
+    floor((in - k) / stride) + 1, so a padded conv reads a zero-bordered
+    input. A per-channel bias, then a residual of the output's shape when
+    given, then a ReLU when asked for, are applied.
 
     The conv runs as im2col + GEMM over tiles of whole output rows whose
     column buffer takes at most TILE_BYTES (at least one row); each tile
@@ -171,16 +172,8 @@ def conv2d(
     if x.shape[2] != c_in:
         raise ValueError(f"channel mismatch: input has {x.shape[2]}, kernel expects {c_in}")
     st, sf = stride
-    pt, pf = pad
     dtype = np.result_type(x, kernel)
-    if pt or pf:
-        xp = _zero_bordered(x.shape, pad, dtype)
-        xp[pt : pt + x.shape[0], pf : pf + x.shape[1]] = x
-    else:
-        xp = x
-    if xp.shape[0] < kh or xp.shape[1] < kw:
-        raise ValueError(f"input {x.shape} too small for kernel {kernel.shape} with pad {pad}")
-    windows = sliding_window_view(xp, (kh, kw), axis=(0, 1))[::st, ::sf].transpose(0, 1, 3, 4, 2)
+    windows = sliding_window_view(x, (kh, kw), axis=(0, 1))[::st, ::sf].transpose(0, 1, 3, 4, 2)
     t_out, f_out = windows.shape[:2]
     if out is None:
         out = np.empty((t_out, f_out, c_out), dtype=dtype)
@@ -196,8 +189,7 @@ def conv2d(
         m = (t1 - t0) * f_out
         np.copyto(cols[:m].reshape(t1 - t0, f_out, kh, kw, c_in), windows[t0:t1])
         tile = np.matmul(cols[:m], matrix, out=acc[:m]).reshape(t1 - t0, f_out, c_out)
-        if bias is not None:
-            tile += bias
+        tile += bias
         if residual is not None:
             tile += residual[t0:t1]
         if relu:
@@ -312,27 +304,32 @@ class FoldedWeights:
             self.tensors["embed.bias"] = (self.tensors["embed.bias"] * scale + shift).astype(np.float32)
 
 
+def _conv_relu_bordered(x, conv, stride, residual) -> np.ndarray:
+    """ReLU of a folded (kernel, bias) conv of the zero-bordered x, plus
+    residual unless None, in the interior of a new zero-bordered buffer."""
+    kernel, bias = conv
+    kh, kw, _, c_out = kernel.shape
+    t, f = _conv_out(x.shape[0], kh, stride[0], 0), _conv_out(x.shape[1], kw, stride[1], 0)
+    out = _zero_bordered((t, f, c_out))
+    conv2d(x, kernel, stride, bias, residual, relu=True, out=out[1:-1, 1:-1])
+    return out
+
+
 def residual_block(x: np.ndarray, weights: FoldedWeights, prefix: str, stride: int) -> np.ndarray:
     """Basic block: conv-BN-ReLU-conv-BN plus shortcut, final ReLU.
 
-    The shortcut is a 1x1 conv + BN (present in the weight set) when the
-    block changes stride or channel count, identity otherwise. Each BN is
-    folded into its conv; the first conv writes into the interior of a
-    zero-bordered buffer that the second conv reads unpadded.
+    Takes the block's input in a zero-bordered buffer and returns its
+    output in a new one; each BN is folded into its conv. The shortcut,
+    which reads the interior of x, is a 1x1 conv + BN (present in the
+    weight set) when the block changes stride or channel count, identity
+    otherwise.
     """
-    kernel, bias = weights.convs[f"{prefix}.conv1"]
-    kh, kw, _, c_mid = kernel.shape
-    t_mid = _conv_out(x.shape[0], kh, stride, 1)
-    f_mid = _conv_out(x.shape[1], kw, stride, 1)
-    mid = _zero_bordered((t_mid, f_mid, c_mid), (1, 1))
-    conv2d(x, kernel, (stride, stride), (1, 1), bias=bias, relu=True, out=mid[1:-1, 1:-1])
+    mid = _conv_relu_bordered(x, weights.convs[f"{prefix}.conv1"], (stride, stride), None)
+    shortcut = x[1:-1, 1:-1]
     if f"{prefix}.shortcut" in weights.convs:
         kernel, bias = weights.convs[f"{prefix}.shortcut"]
-        shortcut = conv2d(x, kernel, (stride, stride), (0, 0), bias=bias)
-    else:
-        shortcut = x
-    kernel, bias = weights.convs[f"{prefix}.conv2"]
-    return conv2d(mid, kernel, (1, 1), (0, 0), bias=bias, residual=shortcut, relu=True)
+        shortcut = conv2d(shortcut, kernel, (stride, stride), bias)
+    return _conv_relu_bordered(mid, weights.convs[f"{prefix}.conv2"], (1, 1), shortcut)
 
 
 def frame_attention(
@@ -406,11 +403,13 @@ def forward(features: np.ndarray, weights: FoldedWeights) -> np.ndarray:
     if features.ndim != 2 or features.shape[1] != N_MELS:
         raise ValueError(f"expected (L, {N_MELS}) features, got shape {features.shape}")
 
-    kernel, bias = weights.convs["conv1"]
-    x = conv2d(features[:, :, None], kernel, cfg.conv1_stride, (1, 1), bias=bias, relu=True)
+    x = _zero_bordered((*features.shape, 1))
+    x[1:-1, 1:-1, 0] = features
+    x = _conv_relu_bordered(x, weights.convs["conv1"], cfg.conv1_stride, None)
     for prefix, stride, _, _ in cfg.blocks():
         x = residual_block(x, weights, prefix, stride)
 
+    x = x[1:-1, 1:-1]
     # flatten is freq-major, then channel
     frames = x.reshape(x.shape[0], -1) if cfg.frame_agg == "flatten" else x.mean(axis=1)
     pool = sap_pool if cfg.pooling == "sap" else asp_pool

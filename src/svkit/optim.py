@@ -167,11 +167,7 @@ def make_corpus(
 def trial_scores(embeddings: np.ndarray, trials: Trials) -> ScoreSet:
     """Cosine score per trial, whose ids are the corpus grid in row-major
     order, with the dot-and-clip of scoring.score_trials."""
-    flat = embeddings.reshape(-1, embeddings.shape[-1])
-    norms = np.linalg.norm(flat, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("zero-norm embedding in corpus")
-    unit = flat / norms[:, None]
+    unit, _ = losses._normalize_rows(embeddings.reshape(-1, embeddings.shape[-1]), "embedding in corpus")
     return ScoreSet(trials.labels, _dot_scores(unit[trials.enroll], unit[trials.test]))
 
 

@@ -28,14 +28,15 @@ def forward_stages(monkeypatch, features, weights) -> dict:
     wrapping the module globals forward calls: the input of the first
     residual block is conv1's output, the last block of each layer gives
     that layer's, and the pooling function sees the frames and gives the
-    pooled vector."""
+    pooled vector. A block's input and output are zero-bordered buffers,
+    so their stage shape is that of the interior."""
     stages: dict = {}
     block = network.residual_block
 
     def traced_block(x, weights, prefix, stride):
-        stages.setdefault("conv1", x.shape)
+        stages.setdefault("conv1", x[1:-1, 1:-1].shape)
         out = block(x, weights, prefix, stride)
-        stages[prefix.partition(".")[0]] = out.shape
+        stages[prefix.partition(".")[0]] = out[1:-1, 1:-1].shape
         return out
 
     def traced(pool):

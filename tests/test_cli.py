@@ -87,6 +87,42 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith("usage error: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command,flag,named", [
+        ("augment", ["--kind", "noise", "--snr-min", "nan"], "--snr-min"),
+        ("augment", ["--kind", "speech", "--snr-max", "inf"], "--snr-max"),
+        ("augment", ["--kind", "rir", "--gain-min", "nan"], "--gain-min"),
+        ("augment", ["--kind", "rir", "--gain-max=-inf"], "--gain-max"),
+        ("augment", ["--kind", "music", "--count-min", "0"], "--count-min"),
+        ("augment", ["--kind", "noise", "--snr-min", "9", "--snr-max", "3"], "--snr-min"),
+        ("augment", ["--kind", "music", "--snr-min", "20"], "--snr-max"),  # past music's default max
+        ("augment", ["--kind", "speech", "--count-max", "2"], "--count-max"),  # below speech's default min
+        ("augment", ["--kind", "rir", "--gain-min", "1"], "--gain-max"),
+        ("featurize", ["--crop-seconds", "nan"], "--crop-seconds"),
+        ("featurize", ["--crop-seconds", "0"], "--crop-seconds"),
+        ("featurize", ["--crop-seconds", "1", "--offset", "-5"], "--offset"),
+        ("featurize", ["--seed", "3"], "--crop-seconds"),
+        ("train-demo", ["--speakers", "1"], "--speakers"),
+        ("train-demo", ["--utts", "1"], "--utts"),
+        ("train-demo", ["--dim", "0"], "--dim"),
+        ("train-demo", ["--trials", "0"], "--trials"),
+        ("train-demo", ["--epochs", "-1"], "--epochs"),
+        ("train-demo", ["--lr0", "nan"], "--lr0"),
+    ])
+    def test_bad_flag_is_a_usage_error_naming_it_before_any_file_is_read(
+        self, tmp_path, command, flag, named, capsys
+    ):
+        missing = str(tmp_path / "missing.wav")  # read after the checks, it would exit 2
+        argv = {
+            "augment": ["--in", missing, "--out", str(tmp_path / "o.wav"), "--catalog", str(tmp_path)],
+            "featurize": ["--in", missing, "--out", str(tmp_path / "o.svf1")],
+            "train-demo": ["--history", str(tmp_path / "history.csv")],
+        }[command]
+        assert main([command, *argv, *flag]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert named in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFeaturize:
     def test_repeat_runs_are_bit_identical(self, tmp_path, wav_file):
@@ -658,6 +694,15 @@ class TestTrainDemo:
 
     def test_unknown_loss_exits_one(self):
         assert main(["train-demo", "--loss", "hinge"]) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_diverging_run_exits_two_naming_the_epoch(self, tmp_path, capsys):
+        hist = tmp_path / "hist.csv"
+        args = ["train-demo", "--speakers", "4", "--utts", "3", "--dim", "8", "--trials", "12",
+                "--epochs", "3", "--lr0", "1e300", "--history", str(hist)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: loss became non-finite at epoch 1\n"
+        assert not hist.exists()
 
 
 @pytest.fixture

@@ -21,20 +21,24 @@ from svkit.network import (
 )
 
 
-def brute_force_conv2d(x, kernel, stride, pad):
-    """Direct O(everything) convolution used as the oracle."""
+def brute_force_conv2d(x, kernel, stride, bias):
+    """Direct O(everything) unpadded convolution plus bias, used as the oracle."""
     kh, kw, c_in, c_out = kernel.shape
     st, sf = stride
-    xp = np.pad(x, ((pad[0], pad[0]), (pad[1], pad[1]), (0, 0)))
-    t_out = (xp.shape[0] - kh) // st + 1
-    f_out = (xp.shape[1] - kw) // sf + 1
+    t_out = (x.shape[0] - kh) // st + 1
+    f_out = (x.shape[1] - kw) // sf + 1
     out = np.zeros((t_out, f_out, c_out))
     for ti in range(t_out):
         for fi in range(f_out):
-            patch = xp[ti * st : ti * st + kh, fi * sf : fi * sf + kw, :]
+            patch = x[ti * st : ti * st + kh, fi * sf : fi * sf + kw, :]
             for co in range(c_out):
-                out[ti, fi, co] = np.sum(patch * kernel[:, :, :, co])
+                out[ti, fi, co] = np.sum(patch * kernel[:, :, :, co]) + bias[co]
     return out
+
+
+def bordered(x):
+    """x in the interior of a zero-bordered buffer, as the trunk carries it."""
+    return np.pad(x, ((1, 1), (1, 1), (0, 0)))
 
 
 class TestConv2d:
@@ -42,21 +46,24 @@ class TestConv2d:
     def test_matches_brute_force(self, stride, pad):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((9, 7, 3)).astype(np.float32)
+        xp = np.pad(x, ((pad[0], pad[0]), (pad[1], pad[1]), (0, 0)))
         k = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
-        got = conv2d(x, k, stride, pad)
-        want = brute_force_conv2d(x.astype(np.float64), k.astype(np.float64), stride, pad)
+        bias = rng.standard_normal(4).astype(np.float32)
+        got = conv2d(xp, k, stride, bias)
+        want = brute_force_conv2d(xp.astype(np.float64), k.astype(np.float64), stride, bias)
         assert got.shape == want.shape
         assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
     def test_shape_arithmetic(self):
-        x = np.zeros((201, 64, 1), dtype=np.float32)
+        x = np.zeros((203, 66, 1), dtype=np.float32)
         k = np.zeros((3, 3, 1, 16), dtype=np.float32)
-        assert conv2d(x, k, (2, 2), (1, 1)).shape == (101, 32, 16)
-        assert conv2d(x, k, (1, 1), (1, 1)).shape == (201, 64, 16)
+        bias = np.zeros(16, dtype=np.float32)
+        assert conv2d(x, k, (2, 2), bias).shape == (101, 32, 16)
+        assert conv2d(x, k, (1, 1), bias).shape == (201, 64, 16)
 
     def test_fused_epilogue_over_several_tiles(self, monkeypatch):
         rng = np.random.default_rng(12)
-        x = rng.standard_normal((70, 20, 3)).astype(np.float32)
+        x = bordered(rng.standard_normal((70, 20, 3)).astype(np.float32))
         # 30 output rows of 20 positions, 3x3x3 float32 columns each, per
         # tile: two full tiles and a partial one.
         monkeypatch.setattr(network, "TILE_BYTES", 30 * 20 * 27 * 4)
@@ -64,17 +71,17 @@ class TestConv2d:
         bias = rng.standard_normal(4).astype(np.float32)
         residual = rng.standard_normal((70, 20, 4)).astype(np.float32)
         buf = np.full((72, 22, 4), np.nan, dtype=np.float32)
-        got = conv2d(x, k, (1, 1), (1, 1), bias=bias, residual=residual, relu=True, out=buf[1:-1, 1:-1])
-        want = brute_force_conv2d(x.astype(np.float64), k.astype(np.float64), (1, 1), (1, 1))
+        got = conv2d(x, k, (1, 1), bias, residual=residual, relu=True, out=buf[1:-1, 1:-1])
+        want = brute_force_conv2d(x.astype(np.float64), k.astype(np.float64), (1, 1), bias)
         assert np.shares_memory(got, buf)
-        assert_allclose(got, np.maximum(want + bias + residual, 0.0), rtol=1e-5, atol=1e-5)
+        assert_allclose(got, np.maximum(want + residual, 0.0), rtol=1e-5, atol=1e-5)
         border = np.ones(buf.shape, dtype=bool)
         border[1:-1, 1:-1] = False
         assert np.all(np.isnan(buf[border]))
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError, match="channel"):
-            conv2d(np.zeros((4, 4, 2)), np.zeros((3, 3, 3, 4)))
+            conv2d(np.zeros((4, 4, 2)), np.zeros((3, 3, 3, 4)), (1, 1), np.zeros(4))
 
 
 class TestPooling:
@@ -191,16 +198,18 @@ class TestWeights:
 class TestResidualBlock:
     def test_identity_shortcut_when_no_projection(self, q_weights):
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((11, 8, 16)).astype(np.float32)
+        x = bordered(rng.standard_normal((11, 8, 16)).astype(np.float32))
         out = residual_block(x, FoldedWeights(q_weights), "layer1.block1", stride=1)
         assert out.shape == x.shape
         assert np.all(out >= 0)  # final ReLU
+        assert_array_equal(out, bordered(out[1:-1, 1:-1]))  # zero border
 
     def test_projection_shortcut_changes_shape(self, q_weights):
         rng = np.random.default_rng(6)
-        x = rng.standard_normal((12, 8, 16)).astype(np.float32)
+        x = bordered(rng.standard_normal((12, 8, 16)).astype(np.float32))
         out = residual_block(x, FoldedWeights(q_weights), "layer2.block0", stride=2)
-        assert out.shape == (6, 4, 32)
+        assert out.shape == (6 + 2, 4 + 2, 32)
+        assert_array_equal(out, bordered(out[1:-1, 1:-1]))
 
 
 class TestForward:
@@ -288,12 +297,15 @@ def random_batchnorm(weights: dict, seed: int) -> dict:
 
 
 class TestFoldedForward:
+    # Frame counts of 1-4 and 400 are the shortest inputs and an even count
+    # through the stride-2 stages.
+    @pytest.mark.parametrize("frames", [201, 1, 2, 3, 4, 400])
     @pytest.mark.parametrize("variant,embed_bn", [("q-sap", False), ("h-asp", False), ("q-sap", True)])
-    def test_matches_float64_oracle(self, variant, embed_bn):
+    def test_matches_float64_oracle(self, variant, embed_bn, frames):
         cfg = VARIANTS[variant]
         weights = init_weights(cfg, seed=3)
         weights = random_batchnorm(with_embed_bn(weights) if embed_bn else weights, seed=4)
-        feats = np.random.default_rng(13).standard_normal((201, 64))
+        feats = np.random.default_rng(13).standard_normal((frames, 64))
         want = trunk_embedding(feats, weights)
         assert relative_l2(forward(feats, FoldedWeights(weights)), want) <= 1e-4
 
