@@ -57,6 +57,35 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _checked(kind, rule: str, test):
+    """A type= converter: the flag's text as a `kind` for which test(value)
+    holds. argparse reports a rejection as a usage error naming the flag."""
+
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:  # the message argparse gives for a plain int or float
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    return convert
+
+
+def _at_least(minimum: int):
+    return _checked(int, f"at least {minimum}", lambda value: value >= minimum)
+
+
+_finite = _checked(float, "finite", math.isfinite)
+_positive = _checked(float, "finite and positive", lambda value: math.isfinite(value) and value > 0)
+_non_negative = _checked(float, "finite and non-negative", lambda value: math.isfinite(value) and value >= 0)
+_crop_seconds = _checked(
+    float, "finite and round to at least one sample",
+    lambda value: math.isfinite(value) and round(value * SAMPLE_RATE) >= 1,
+)
+
+
 def _atomic_save(path: str | Path, save) -> None:
     # Single atomic publish: save() writes a uniquely named temp file beside
     # the target, with the mode a plain open() gives, then it is renamed over
@@ -77,12 +106,13 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("featurize", help="convert a WAV file to a feature file")
+    p.set_defaults(run=_cmd_featurize)
     p.add_argument("--in", dest="input", required=True, help="input WAV (16-bit PCM mono 16 kHz)")
     p.add_argument("--out", required=True, help="output feature file (SVF1)")
-    p.add_argument("--crop-seconds", type=float, help="crop to this many seconds before analysis")
+    p.add_argument("--crop-seconds", type=_crop_seconds, help="crop to this many seconds before analysis")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--offset", type=int, help="fixed crop start in samples")
-    group.add_argument("--seed", type=int, help="seed for a random crop start")
+    group.add_argument("--offset", type=_at_least(0), help="fixed crop start in samples")
+    group.add_argument("--seed", type=_at_least(0), help="seed for a random crop start")
     p.add_argument("--preemphasis", type=float, default=features.preemphasis)
     p.add_argument("--win-ms", type=float, default=features.win_ms)
     p.add_argument("--hop-ms", type=float, default=features.hop_ms)
@@ -91,40 +121,45 @@ def _build_parser() -> _Parser:
     p.add_argument("--no-normalize", action="store_true", help="skip instance normalization")
 
     p = sub.add_parser("augment", help="add noise or reverberation to a WAV file")
+    p.set_defaults(run=_cmd_augment)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--kind", required=True, choices=aug.AUGMENT_KINDS)
     p.add_argument("--catalog", required=True, help="directory with speech/ music/ noise/ rir/ subdirs")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count-min", type=int, help="min recordings to mix (additive kinds)")
-    p.add_argument("--count-max", type=int, help="max recordings to mix (additive kinds)")
-    p.add_argument("--snr-min", type=float, help="min SNR in dB (additive kinds)")
-    p.add_argument("--snr-max", type=float, help="max SNR in dB (additive kinds)")
-    p.add_argument("--gain-min", type=float, default=aug.DEFAULT_RIR_GAIN_DB[0], help="min RIR gain in dB")
-    p.add_argument("--gain-max", type=float, default=aug.DEFAULT_RIR_GAIN_DB[1], help="max RIR gain in dB")
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--count-min", type=_at_least(1), help="min recordings to mix (additive kinds)")
+    p.add_argument("--count-max", type=_at_least(1), help="max recordings to mix (additive kinds)")
+    p.add_argument("--snr-min", type=_finite, help="min SNR in dB (additive kinds)")
+    p.add_argument("--snr-max", type=_finite, help="max SNR in dB (additive kinds)")
+    p.add_argument("--gain-min", type=_finite, default=aug.DEFAULT_RIR_GAIN_DB[0], help="min RIR gain in dB")
+    p.add_argument("--gain-max", type=_finite, default=aug.DEFAULT_RIR_GAIN_DB[1], help="max RIR gain in dB")
 
     p = sub.add_parser("init", help="write randomly initialized trunk weights")
+    p.set_defaults(run=_cmd_init)
     p.add_argument("--variant", required=True, choices=tuple(VARIANTS))
     p.add_argument("--out", required=True, help="output weights file (SVW1)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
 
     p = sub.add_parser("embed", help="embed utterance crops and store them")
+    p.set_defaults(run=_cmd_embed)
     p.add_argument("wavs", nargs="+", help="input WAV files")
     p.add_argument("--weights", required=True)
     p.add_argument("--out", required=True, help="output embedding file (SVW1)")
-    p.add_argument("--crop-seconds", type=float, default=CROP_SECONDS)
-    p.add_argument("--n-crops", type=int, default=N_CROPS)
+    p.add_argument("--crop-seconds", type=_crop_seconds, default=CROP_SECONDS)
+    p.add_argument("--n-crops", type=_at_least(1), default=N_CROPS)
 
     p = sub.add_parser("score", help="score every trial in a trial file")
+    p.set_defaults(run=_cmd_score)
     p.add_argument("--trials", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--out", required=True, help="output score file")
     p.add_argument("--cache", help="embedding cache file (SVW1), read and updated")
     p.add_argument("--wav-root", default=".", help="base directory for relative trial paths")
-    p.add_argument("--crop-seconds", type=float, default=CROP_SECONDS)
-    p.add_argument("--n-crops", type=int, default=N_CROPS)
+    p.add_argument("--crop-seconds", type=_crop_seconds, default=CROP_SECONDS)
+    p.add_argument("--n-crops", type=_at_least(1), default=N_CROPS)
 
     p = sub.add_parser("evaluate", help="compute EER and MinDCF from scores")
+    p.set_defaults(run=_cmd_evaluate)
     p.add_argument("--scores", required=True)
     p.add_argument("--trials", required=True)
     p.add_argument("--c-miss", type=float, default=dcf.c_miss)
@@ -134,22 +169,24 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", help="also write the report to this file")
 
     p = sub.add_parser("train-demo", help="free-embedding training demo on a synthetic corpus")
+    p.set_defaults(run=_cmd_train_demo)
     p.add_argument("--loss", default="ap+softmax", choices=LOSS_NAMES)
-    p.add_argument("--speakers", type=int, default=20)
-    p.add_argument("--utts", type=int, default=10)
-    p.add_argument("--dim", type=int, default=512)
-    p.add_argument("--trials", type=int, default=400)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr0", type=float, default=0.1)
+    p.add_argument("--speakers", type=_at_least(2), default=20)
+    p.add_argument("--utts", type=_at_least(2), default=10)
+    p.add_argument("--dim", type=_at_least(1), default=512)
+    p.add_argument("--trials", type=_at_least(2), default=400)
+    p.add_argument("--epochs", type=_at_least(0), default=200)
+    p.add_argument("--lr0", type=_positive, default=0.1)
     p.add_argument("--decay-factor", type=float, default=schedule.decay_factor)
     p.add_argument("--decay-every", type=int, default=schedule.decay_every)
-    p.add_argument("--weight-decay", type=float, default=WEIGHT_DECAY)
-    p.add_argument("--margin", type=float, default=margin.margin)
-    p.add_argument("--scale", type=float, default=margin.scale)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--weight-decay", type=_non_negative, default=WEIGHT_DECAY)
+    p.add_argument("--margin", type=_non_negative, default=margin.margin)
+    p.add_argument("--scale", type=_positive, default=margin.scale)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--history", help="write per-epoch CSV (epoch,lr,loss,heldout_eer)")
 
     p = sub.add_parser("info", help="describe a weights or feature file")
+    p.set_defaults(run=_cmd_info)
     p.add_argument("--weights")
     p.add_argument("--features")
 
@@ -166,37 +203,10 @@ def _flags(params, *values):
         raise UsageError(str(exc)) from None
 
 
-def _check_at_least(args, **minimums) -> None:
-    """Each named flag that has a value is at least its minimum."""
-    for name, minimum in minimums.items():
-        value = getattr(args, name)
-        if value is not None and value < minimum:
-            raise UsageError(f"--{name.replace('_', '-')} must be at least {minimum}, got {value}")
-
-
-def _check_finite(args, *names) -> None:
-    """Each named flag that has a value is finite."""
-    for name in names:
-        value = getattr(args, name)
-        if value is not None and not math.isfinite(value):
-            raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
-
-
-def _check_crop_flags(args) -> None:
-    """--crop-seconds, which featurize may leave out, is finite and rounds
-    to at least one sample."""
-    if args.crop_seconds is not None and not (
-        math.isfinite(args.crop_seconds) and round(args.crop_seconds * SAMPLE_RATE) >= 1
-    ):
-        raise UsageError("--crop-seconds must be finite and round to at least one sample")
-
-
 def _cmd_featurize(args) -> int:
     params = _flags(FeatureParams, args.preemphasis, args.win_ms, args.hop_ms, args.fft_size, args.n_mels)
-    _check_crop_flags(args)
     if args.crop_seconds is None and (args.offset is not None or args.seed is not None):
         raise UsageError("--offset/--seed require --crop-seconds")
-    _check_at_least(args, offset=0)
     wave = read_wav(args.input)
     if args.crop_seconds is not None:
         offset = 0 if args.offset is None and args.seed is None else args.offset
@@ -213,11 +223,8 @@ def _cmd_featurize(args) -> int:
 
 
 def _check_augment_flags(args) -> None:
-    """Counts from 1 and finite SNR and gain bounds; then, in each range
-    the kind draws from, with the kind's defaults for bounds not given, a
-    min at most its max."""
-    _check_at_least(args, count_min=1, count_max=1)
-    _check_finite(args, "snr_min", "snr_max", "gain_min", "gain_max")
+    """In each range the kind draws from, with the kind's defaults for
+    bounds not given, a min at most its max."""
     if args.kind == "rir":
         ranges = {"gain": (args.gain_min, args.gain_max)}
     else:
@@ -314,8 +321,6 @@ def _load_cache(
 
 
 def _cmd_embed(args) -> int:
-    _check_crop_flags(args)
-    _check_at_least(args, n_crops=1)
     embedder = _load_embedder(args.weights)
     paths: dict[str, str] = {}  # each file once, read under its first spelling
     for wav in args.wavs:
@@ -328,8 +333,6 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    _check_crop_flags(args)
-    _check_at_least(args, n_crops=1)
     trials = read_trials(args.trials)
     # The record hashes the whole weights file, so it is built only for a cache.
     record = _cache_record(args.weights, args.crop_seconds, args.n_crops) if args.cache else None
@@ -372,9 +375,16 @@ def _cmd_evaluate(args) -> int:
 def _cmd_train_demo(args) -> int:
     schedule = _flags(Schedule, args.decay_factor, args.decay_every)
     margin = _flags(MarginParams, args.margin, args.scale)
-    _check_at_least(args, speakers=2, utts=2, dim=1, trials=2, epochs=0)
-    _check_finite(args, "lr0", "weight_decay")
-    corpus = _flags(make_corpus, args.speakers, args.utts, args.dim, args.trials, args.seed)
+    # The train and held-out lists each take trials // 2 distinct pairs of each label.
+    need = 2 * (args.trials // 2)
+    targets = args.speakers * math.comb(args.utts, 2)
+    nontargets = math.comb(args.speakers, 2) * args.utts**2
+    if need > min(targets, nontargets):
+        raise UsageError(
+            f"--trials {args.trials} needs {need} distinct pairs of each label; --speakers {args.speakers} "
+            f"--utts {args.utts} give {targets} target and {nontargets} nontarget pairs"
+        )
+    corpus = make_corpus(args.speakers, args.utts, args.dim, args.trials, args.seed)
     result = train_demo(
         corpus,
         loss_name=args.loss,
@@ -398,7 +408,7 @@ def _cmd_train_demo(args) -> int:
 def _cmd_info(args) -> int:
     if (args.weights is None) == (args.features is None):
         raise UsageError("provide exactly one of --weights or --features")
-    if args.weights:
+    if args.weights is not None:
         tensors = load_tensors(args.weights)
         # The check embed makes: a weight set that does not fold is an error.
         variant = FoldedWeights.fold_in_place(tensors, args.weights).config.variant
@@ -413,23 +423,11 @@ def _cmd_info(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "featurize": _cmd_featurize,
-    "augment": _cmd_augment,
-    "init": _cmd_init,
-    "embed": _cmd_embed,
-    "score": _cmd_score,
-    "evaluate": _cmd_evaluate,
-    "train-demo": _cmd_train_demo,
-    "info": _cmd_info,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -28,10 +28,10 @@ class MarginParams:
     scale: float = 30.0
 
     def __post_init__(self):
-        if self.margin < 0:
-            raise ValueError("margin must be non-negative")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 <= self.margin < np.inf:  # nan fails too
+            raise ValueError("margin must be finite and non-negative")
+        if not 0 < self.scale < np.inf:
+            raise ValueError("scale must be finite and positive")
 
 
 @dataclass(frozen=True)

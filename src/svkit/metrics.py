@@ -82,8 +82,8 @@ class DCFParams:
     normalize: bool = True
 
     def __post_init__(self):
-        if self.c_miss <= 0 or self.c_fa <= 0:
-            raise ValueError("detection costs must be positive")
+        if not (0 < self.c_miss < np.inf and 0 < self.c_fa < np.inf):  # nan fails too
+            raise ValueError("detection costs must be finite and positive")
         if not 0.0 < self.p_target < 1.0:
             raise ValueError("p_target must lie strictly between 0 and 1")
 

@@ -74,6 +74,9 @@ class TestUsageErrors:
         ("embed", ["--crop-seconds", "nan"]),
         ("score", ["--crop-seconds", "0.00003"]),
         ("score", ["--n-crops", "-1"]),
+        ("evaluate", ["--c-miss", "nan"]),
+        ("evaluate", ["--c-fa", "nan"]),
+        ("evaluate", ["--c-miss", "inf"]),
     ])
     def test_bad_flag_value_is_a_usage_error_before_any_file_is_read(self, tmp_path, command, flag, capsys):
         missing = str(tmp_path / "missing")  # every input file is missing
@@ -107,6 +110,15 @@ class TestUsageErrors:
         ("train-demo", ["--trials", "0"], "--trials"),
         ("train-demo", ["--epochs", "-1"], "--epochs"),
         ("train-demo", ["--lr0", "nan"], "--lr0"),
+        ("train-demo", ["--lr0", "-1"], "--lr0"),
+        ("train-demo", ["--weight-decay", "-1"], "--weight-decay"),
+        ("train-demo", ["--margin", "nan"], "--margin"),
+        ("train-demo", ["--scale", "nan"], "--scale"),
+        ("train-demo", ["--scale", "inf"], "--scale"),
+        ("featurize", ["--crop-seconds", "1", "--seed", "-1"], "--seed"),
+        ("augment", ["--kind", "noise", "--seed", "-1"], "--seed"),
+        ("init", ["--seed", "-1"], "--seed"),
+        ("train-demo", ["--seed", "-1"], "--seed"),
     ])
     def test_bad_flag_is_a_usage_error_naming_it_before_any_file_is_read(
         self, tmp_path, command, flag, named, capsys
@@ -115,12 +127,19 @@ class TestUsageErrors:
         argv = {
             "augment": ["--in", missing, "--out", str(tmp_path / "o.wav"), "--catalog", str(tmp_path)],
             "featurize": ["--in", missing, "--out", str(tmp_path / "o.svf1")],
+            "init": ["--variant", "q-sap", "--out", str(tmp_path / "q.svw1")],
             "train-demo": ["--history", str(tmp_path / "history.csv")],
         }[command]
         assert main([command, *argv, *flag]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: ")
         assert named in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_value_that_is_no_number_keeps_argparse_message(self, tmp_path, capsys):
+        argv = ["embed", "a.wav", "--weights", "w", "--out", str(tmp_path / "o"), "--n-crops", "x"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "usage error: argument --n-crops: invalid int value: 'x'\n"
         assert list(tmp_path.iterdir()) == []
 
 
@@ -692,6 +711,15 @@ class TestTrainDemo:
         assert main(args) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("trials,code", [(3, 0), (4, 1)])  # 2 speakers x C(2, 2) = 2 target pairs
+    def test_trials_beyond_the_pair_pool_is_a_usage_error_naming_the_flags(self, trials, code, capsys):
+        argv = ["train-demo", "--speakers", "2", "--utts", "2", "--dim", "4", "--trials", str(trials), "--epochs", "0"]
+        assert main(argv) == code
+        if code:
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: ")
+            assert all(flag in err for flag in ("--trials", "--speakers", "--utts"))
+
     def test_unknown_loss_exits_one(self):
         assert main(["train-demo", "--loss", "hinge"]) == 1
 
@@ -780,6 +808,12 @@ class TestInfo:
         bad = tmp_path / "bad.svw1"
         bad.write_bytes(b"\x00" * 32)
         assert main(["info", "--weights", str(bad)]) == 2
+
+    def test_empty_weights_path_exits_two_naming_it(self, capsys):
+        assert main(["info", "--weights", ""]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith(": ''\n")
 
     def test_unknown_variant_exits_two_naming_file(self, tmp_path, capsys):
         odd = tmp_path / "odd.svw1"

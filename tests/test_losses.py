@@ -259,6 +259,13 @@ class TestCommon:
         for value in checks:
             assert np.isfinite(value) and value >= 0.0
 
+    @pytest.mark.parametrize("params", [
+        {"margin": np.nan}, {"margin": np.inf}, {"scale": np.nan}, {"scale": np.inf},
+    ])
+    def test_margin_params_must_be_finite(self, params):
+        with pytest.raises(ValueError, match="finite"):
+            MarginParams(**params)
+
     def test_margin_params_validation(self):
         with pytest.raises(ValueError):
             MarginParams(margin=-0.1)

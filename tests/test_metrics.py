@@ -244,6 +244,11 @@ class TestDcfParams:
         with pytest.raises(ValueError, match="cost"):
             DCFParams(c_fa=-1.0)
 
+    @pytest.mark.parametrize("costs", [{"c_miss": np.nan}, {"c_fa": np.nan}, {"c_miss": np.inf}, {"c_fa": np.inf}])
+    def test_costs_must_be_finite(self, costs):
+        with pytest.raises(ValueError, match="cost"):
+            DCFParams(**costs)
+
     def test_p_target_strictly_inside_unit_interval(self):
         with pytest.raises(ValueError, match="p_target"):
             DCFParams(p_target=0.0)
