@@ -86,6 +86,11 @@ class NoiseCatalog:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def where(self, index: int) -> str:
+        """A message prefix naming a WAV entry's file; empty for a Waveform."""
+        entry = self.entries[index]
+        return "" if isinstance(entry, Waveform) else f"{entry}: "
+
     def get(self, index: int) -> Waveform:
         entry = self.entries[index]
         if isinstance(entry, Waveform):
@@ -107,6 +112,10 @@ def scan_catalogs(root: str | Path) -> dict:
         if paths:
             catalogs[kind] = NoiseCatalog(paths)
     return catalogs
+
+
+class SilentSignalError(ValueError):
+    """The signal to augment has zero power, so no SNR can be set against it."""
 
 
 def _power(x: np.ndarray) -> float:
@@ -160,12 +169,12 @@ def augment_additive(clean: Waveform, cat: NoiseCatalog, spec: AugmentSpec) -> W
     out = clean.samples.copy()
     p_clean = _power(clean.samples)
     if p_clean == 0.0:
-        raise ValueError("clean signal has zero power")
+        raise SilentSignalError("clean signal has zero power")
     for draw in plan_additive(len(clean), cat, spec):
         noise = _matched_noise(draw.recording, len(clean), draw.crop_offset)
         p_noise = _power(noise.samples)
         if p_noise == 0.0:
-            raise ValueError(f"catalog entry {draw.catalog_index} has zero power")
+            raise ValueError(f"{cat.where(draw.catalog_index)}catalog entry {draw.catalog_index} has zero power")
         out += snr_gain(p_clean, p_noise, draw.snr_db) * noise.samples
     return Waveform(out)
 
@@ -202,7 +211,7 @@ def augment_rir(
     rir = cat.get(index).samples
     energy = float(np.sum(rir * rir))
     if energy == 0.0:
-        raise ValueError(f"RIR entry {index} has zero energy")
+        raise ValueError(f"{cat.where(index)}RIR entry {index} has zero energy")
     scaled = rir * (10.0 ** (gain_db / 20.0) / np.sqrt(energy))
     n = len(clean)
     wet = np.convolve(clean.samples, scaled[:DIRECT_TAPS])[:n]
@@ -214,23 +223,3 @@ def augment_rir(
         wet[DIRECT_TAPS:] += np.fft.irfft(spectrum, size)[: dry.size]
     return Waveform(wet)
 
-
-def apply_augmentation(
-    clean: Waveform,
-    kind: str,
-    catalogs: dict,
-    seed: int,
-    rir_gain_db_range: tuple[float, float] = DEFAULT_RIR_GAIN_DB,
-    count_range: tuple[int | None, int | None] = (None, None),
-    snr_range_db: tuple[float | None, float | None] = (None, None),
-) -> Waveform:
-    """Apply exactly one augmentation kind (one-of semantics). The ranges
-    given for other kinds are ignored; see AugmentSpec.for_kind."""
-    if kind not in AUGMENT_KINDS:
-        raise ValueError(f"kind must be one of {AUGMENT_KINDS}, got {kind!r}")
-    if kind not in catalogs:
-        raise ValueError(f"no catalog available for kind {kind!r}")
-    if kind == "rir":
-        return augment_rir(clean, catalogs["rir"], seed, rir_gain_db_range)
-    spec = AugmentSpec.for_kind(kind, seed, count_range, snr_range_db)
-    return augment_additive(clean, catalogs[kind], spec)

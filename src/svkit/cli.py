@@ -27,7 +27,7 @@ from . import augment as aug
 from .audio import SAMPLE_RATE, crop_segment, read_wav, write_wav
 from .containers import load_features, load_tensors, save_features, save_tensors
 from .features import FeatureParams, extract_features, log_mel_spectrogram, preemphasize
-from .losses import LOSS_NAMES, APParams, MarginParams
+from .losses import LOSS_NAMES, MarginParams
 from .metrics import (
     DCFParams,
     ScoreSet,
@@ -37,7 +37,7 @@ from .metrics import (
     write_scores,
 )
 from .network import EMBED_DIM, VARIANTS, FoldedWeights, init_weights, parameter_count
-from .optim import WEIGHT_DECAY, DivergenceError, Schedule, make_corpus, train_demo
+from .optim import WEIGHT_DECAY, DivergenceError, Schedule, make_corpus, pair_pools, train_demo
 from .scoring import (
     CROP_SECONDS,
     N_CROPS,
@@ -222,9 +222,9 @@ def _cmd_featurize(args) -> int:
     return 0
 
 
-def _check_augment_flags(args) -> None:
-    """In each range the kind draws from, with the kind's defaults for
-    bounds not given, a min at most its max."""
+def _check_augment_flags(args) -> dict:
+    """The ranges the kind draws from, by flag stem, with the kind's
+    defaults for bounds not given; in each a min at most its max."""
     if args.kind == "rir":
         ranges = {"gain": (args.gain_min, args.gain_max)}
     else:
@@ -236,16 +236,23 @@ def _check_augment_flags(args) -> None:
     for name, (low, high) in ranges.items():
         if low > high:
             raise UsageError(f"--{name}-min ({low}) must not exceed --{name}-max ({high})")
+    return ranges
 
 
 def _cmd_augment(args) -> int:
-    _check_augment_flags(args)
+    ranges = _check_augment_flags(args)
     wave = read_wav(args.input)
-    catalogs = aug.scan_catalogs(args.catalog)
-    out = aug.apply_augmentation(
-        wave, args.kind, catalogs, args.seed, rir_gain_db_range=(args.gain_min, args.gain_max),
-        count_range=(args.count_min, args.count_max), snr_range_db=(args.snr_min, args.snr_max),
-    )
+    catalog = aug.scan_catalogs(args.catalog).get(args.kind)
+    if catalog is None:
+        raise ValueError(f"no catalog available for kind {args.kind!r}")
+    if args.kind == "rir":
+        out = aug.augment_rir(wave, catalog, args.seed, ranges["gain"])
+    else:
+        spec = aug.AugmentSpec(args.kind, args.seed, ranges["count"], ranges["snr"])
+        try:
+            out = aug.augment_additive(wave, catalog, spec)
+        except aug.SilentSignalError as exc:
+            raise ValueError(f"{args.input}: {exc}") from None
     _atomic_save(args.out, lambda p: write_wav(p, out))
     return 0
 
@@ -377,8 +384,7 @@ def _cmd_train_demo(args) -> int:
     margin = _flags(MarginParams, args.margin, args.scale)
     # The train and held-out lists each take trials // 2 distinct pairs of each label.
     need = 2 * (args.trials // 2)
-    targets = args.speakers * math.comb(args.utts, 2)
-    nontargets = math.comb(args.speakers, 2) * args.utts**2
+    targets, nontargets = pair_pools(args.speakers, args.utts)
     if need > min(targets, nontargets):
         raise UsageError(
             f"--trials {args.trials} needs {need} distinct pairs of each label; --speakers {args.speakers} "
@@ -393,7 +399,6 @@ def _cmd_train_demo(args) -> int:
         schedule=schedule,
         weight_decay=args.weight_decay,
         margin=margin,
-        ap=APParams(),
         seed=args.seed,
     )
     if args.history:
@@ -431,8 +436,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, KeyError, DivergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, KeyError, MemoryError, DivergenceError) as exc:
+        # numpy's MemoryError names the allocation; Python's own may be bare.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -10,6 +10,7 @@ cosine trials after each epoch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,11 +111,10 @@ class SyntheticCorpus:
         return np.repeat(np.arange(self.n_speakers), self.n_utterances)
 
 
-def _sample_pairs(pool: list, n: int, rng: np.random.Generator) -> list:
-    if n > len(pool):
-        raise ValueError(f"cannot sample {n} distinct pairs from a pool of {len(pool)}")
-    picks = rng.choice(len(pool), size=n, replace=False)
-    return [pool[i] for i in picks]
+def pair_pools(n_speakers: int, n_utts: int) -> tuple[int, int]:
+    """Sizes of a K x M corpus's target pool (two utterances of one speaker)
+    and nontarget pool (one utterance each of two speakers), both unordered."""
+    return n_speakers * math.comb(n_utts, 2), math.comb(n_speakers, 2) * n_utts**2
 
 
 def make_corpus(
@@ -130,37 +130,34 @@ def make_corpus(
     trials' ids are the K x M utterance grid in row-major order."""
     if n_speakers < 2 or n_utts < 2:
         raise ValueError("need at least 2 speakers and 2 utterances each")
+    half = n_trials // 2
+    targets, nontargets = pair_pools(n_speakers, n_utts)
+    if 2 * half > targets:  # the smaller pool, as K >= 2
+        raise ValueError(f"cannot sample {2 * half} distinct pairs from a pool of {targets}")
     rng = np.random.default_rng(seed)
     emb = rng.standard_normal((n_speakers, n_utts, dim))
 
-    same = [
-        (k * n_utts + i, k * n_utts + j)
-        for k in range(n_speakers)
-        for i in range(n_utts)
-        for j in range(i + 1, n_utts)
-    ]
-    cross = [
-        (k1 * n_utts + i, k2 * n_utts + j)
-        for k1 in range(n_speakers)
-        for k2 in range(k1 + 1, n_speakers)
-        for i in range(n_utts)
-        for j in range(n_utts)
-    ]
-    half = n_trials // 2
-    targets = _sample_pairs(same, 2 * half, rng)
-    nontargets = _sample_pairs(cross, 2 * half, rng)
+    # Each pool is numbered row-major, targets by (speaker, i < j) and nontargets
+    # by (speakers k1 < k2, i, j); drawn numbers are decoded, so no pool is built.
+    first, second = np.triu_indices(n_utts, 1)
+    speaker, utt_pair = np.divmod(rng.choice(targets, 2 * half, replace=False), first.size)
+    same = np.stack([speaker * n_utts + first[utt_pair], speaker * n_utts + second[utt_pair]], axis=1)
+    speaker_pair, utts = np.divmod(rng.choice(nontargets, 2 * half, replace=False), n_utts**2)
+    k1, k2 = np.triu_indices(n_speakers, 1)
+    i, j = np.divmod(utts, n_utts)
+    cross = np.stack([k1[speaker_pair] * n_utts + i, k2[speaker_pair] * n_utts + j], axis=1)
 
     ids = tuple(f"s{a:03d}u{b:03d}" for a in range(n_speakers) for b in range(n_utts))
 
-    def to_trials(targets, nontargets) -> Trials:
-        rows = np.array(targets + nontargets, dtype=np.intp).reshape(-1, 2)
-        labels = np.repeat(np.array([1, 0], dtype=np.int8), [len(targets), len(nontargets)])
+    def to_trials(part: slice) -> Trials:
+        rows = np.concatenate([same[part], cross[part]])
+        labels = np.repeat(np.array([1, 0], dtype=np.int8), [half, half])
         return Trials(ids, labels, rows[:, 0], rows[:, 1])
 
     return SyntheticCorpus(
         embeddings=emb,
-        train_trials=to_trials(targets[:half], nontargets[:half]),
-        heldout_trials=to_trials(targets[half:], nontargets[half:]),
+        train_trials=to_trials(slice(half)),
+        heldout_trials=to_trials(slice(half, None)),
     )
 
 

@@ -6,7 +6,8 @@ float64 trunk that applies every batch norm after its conv, a trial
 score that averages the cosine of every crop pair one pair at a time,
 the SNR of a mix and a mix at a target SNR, full direct-form
 convolution, the HTK mel filter centres, the mean angular gap between
-speaker classes, and a parser of report text. Kept free of any imports
+speaker classes, a synthetic corpus's trial lists drawn from listed pair
+pools, and a parser of report text. Kept free of any imports
 from the package under test.
 """
 
@@ -222,6 +223,45 @@ def mean_angular_gap(embeddings) -> float:
     others = angles.copy()
     others[np.arange(k), :, np.arange(k)] = np.inf
     return float((others.min(axis=2) - own).mean())
+
+
+def corpus_pair_pools(n_speakers: int, n_utts: int) -> tuple[list, list]:
+    """Every target and every nontarget pair of a K x M utterance grid, as
+    (row, row) tuples in row-major order: targets by (speaker, i < j),
+    nontargets by (speakers k1 < k2, utterance i, utterance j)."""
+    same = [
+        (k * n_utts + i, k * n_utts + j)
+        for k in range(n_speakers)
+        for i in range(n_utts)
+        for j in range(i + 1, n_utts)
+    ]
+    cross = [
+        (k1 * n_utts + i, k2 * n_utts + j)
+        for k1 in range(n_speakers)
+        for k2 in range(k1 + 1, n_speakers)
+        for i in range(n_utts)
+        for j in range(n_utts)
+    ]
+    return same, cross
+
+
+def corpus_trial_lists(n_speakers: int, n_utts: int, dim: int, n_trials: int, seed: int) -> list:
+    """(labels, enroll, test) of a synthetic corpus's train and held-out
+    lists, drawn from the listed pools: one generator seeded with seed
+    draws the (K, M, dim) embeddings, then 2 * (n_trials // 2) distinct
+    picks from the target pool and as many from the nontarget pool. Each
+    list takes half of each label's picks, targets first."""
+    rng = np.random.default_rng(seed)
+    rng.standard_normal((n_speakers, n_utts, dim))
+    half = n_trials // 2
+    drawn = [[pool[i] for i in rng.choice(len(pool), 2 * half, replace=False)]
+             for pool in corpus_pair_pools(n_speakers, n_utts)]
+    lists = []
+    for part in (slice(half), slice(half, None)):
+        rows = np.array(drawn[0][part] + drawn[1][part], dtype=np.intp).reshape(-1, 2)
+        labels = np.array([1] * half + [0] * half, dtype=np.int8)
+        lists.append((labels, rows[:, 0], rows[:, 1]))
+    return lists
 
 
 def report_from_text(report_type, text: str):

@@ -12,7 +12,6 @@ from svkit.augment import (
     DIRECT_TAPS,
     AugmentSpec,
     NoiseCatalog,
-    apply_augmentation,
     augment_additive,
     augment_rir,
     plan_additive,
@@ -109,6 +108,10 @@ class TestAugmentSpec:
         assert noise.count_range == (1, 1)
         assert noise.snr_range_db == (0.0, 15.0)
 
+    def test_for_kind_replaces_only_the_given_bounds(self):
+        spec = AugmentSpec("speech", 4, count_range=(3, 4), snr_range_db=(1.0, 20.0))
+        assert AugmentSpec.for_kind("speech", 4, (None, 4), (1.0, None)) == spec
+
     def test_invalid_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             AugmentSpec(kind="rir", seed=0)
@@ -191,6 +194,12 @@ class TestAugmentAdditive:
         out = augment_additive(clean, cat, AugmentSpec.for_kind("speech", seed=1))
         assert len(out) == len(clean)
 
+    @pytest.mark.parametrize("kind", ADDITIVE_DEFAULTS)
+    def test_output_length_preserved_for_every_additive_kind(self, kind):
+        clean = make_wave(seed=22, seconds=0.3)
+        out = augment_additive(clean, small_catalog(seconds=0.1), AugmentSpec.for_kind(kind, seed=2))
+        assert len(out) == len(clean)
+
     def test_single_noise_residual_hits_drawn_snr(self):
         clean = make_wave(seed=7, seconds=0.25)
         cat = small_catalog()
@@ -243,6 +252,16 @@ class TestAugmentAdditive:
         cat = NoiseCatalog([Waveform(np.zeros(1600))])
         with pytest.raises(ValueError, match="zero power"):
             augment_additive(clean, cat, AugmentSpec.for_kind("noise", 0))
+
+    def test_zero_power_entry_is_named_by_its_path_or_index(self, tmp_path):
+        clean = make_wave(seed=9, seconds=0.1)
+        write_wav(tmp_path / "silent.wav", Waveform(np.zeros(1600)))
+        spec = AugmentSpec.for_kind("noise", 0)
+        with pytest.raises(ValueError, match="^catalog entry 0 has zero power$"):
+            augment_additive(clean, NoiseCatalog([Waveform(np.zeros(1600))]), spec)
+        with pytest.raises(ValueError) as exc:
+            augment_additive(clean, NoiseCatalog([tmp_path / "silent.wav"]), spec)
+        assert str(exc.value) == f"{tmp_path / 'silent.wav'}: catalog entry 0 has zero power"
 
 
 def unit_impulse(position: int = 0, length: int = 16) -> Waveform:
@@ -332,6 +351,20 @@ class TestAugmentRir:
         with pytest.raises(ValueError, match="zero energy"):
             augment_rir(make_wave(seed=1, seconds=0.1), cat, seed=0)
 
+    def test_zero_energy_entry_is_named_by_its_path_or_index(self, tmp_path):
+        clean = make_wave(seed=1, seconds=0.1)
+        write_wav(tmp_path / "silent.wav", Waveform(np.zeros(16)))
+        with pytest.raises(ValueError, match="^RIR entry 0 has zero energy$"):
+            augment_rir(clean, NoiseCatalog([Waveform(np.zeros(16))]), seed=0)
+        with pytest.raises(ValueError) as exc:
+            augment_rir(clean, NoiseCatalog([tmp_path / "silent.wav"]), seed=0)
+        assert str(exc.value) == f"{tmp_path / 'silent.wav'}: RIR entry 0 has zero energy"
+
+    def test_output_length_preserved(self):
+        clean = make_wave(seed=22, seconds=0.3)
+        out = augment_rir(clean, NoiseCatalog([unit_impulse(position=5, length=64)]), seed=2)
+        assert len(out) == len(clean)
+
 
 class TestScanCatalogs:
     def test_scans_present_categories(self, tmp_path):
@@ -367,46 +400,3 @@ class TestScanCatalogs:
         catalogs = scan_catalogs(tmp_path)
         loaded = catalogs["music"].get(0)
         np.testing.assert_allclose(loaded.samples, wave.samples, atol=1.0 / 32768.0)
-
-
-class TestApplyAugmentation:
-    def test_dispatches_additive_kinds(self):
-        clean = make_wave(seed=20, seconds=0.2)
-        catalogs = {kind: small_catalog() for kind in ("speech", "music", "noise")}
-        for kind in ("speech", "music", "noise"):
-            direct = augment_additive(
-                clean, catalogs[kind], AugmentSpec.for_kind(kind, seed=8)
-            )
-            routed = apply_augmentation(clean, kind, catalogs, seed=8)
-            np.testing.assert_array_equal(routed.samples, direct.samples)
-
-    def test_dispatches_rir(self):
-        clean = make_wave(seed=21, seconds=0.2)
-        catalogs = {"rir": NoiseCatalog([unit_impulse()])}
-        direct = augment_rir(clean, catalogs["rir"], seed=8)
-        routed = apply_augmentation(clean, "rir", catalogs, seed=8)
-        np.testing.assert_array_equal(routed.samples, direct.samples)
-
-    def test_range_overrides_replace_only_the_given_bounds(self):
-        clean = make_wave(seed=23, seconds=0.2)
-        catalogs = {"speech": small_catalog()}
-        spec = AugmentSpec("speech", 4, count_range=(3, 4), snr_range_db=(1.0, 20.0))
-        assert AugmentSpec.for_kind("speech", 4, (None, 4), (1.0, None)) == spec
-        routed = apply_augmentation(clean, "speech", catalogs, seed=4, count_range=(None, 4), snr_range_db=(1.0, None))
-        np.testing.assert_array_equal(routed.samples, augment_additive(clean, catalogs["speech"], spec).samples)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            apply_augmentation(make_wave(seed=1, seconds=0.1), "codec", {}, seed=0)
-
-    def test_missing_catalog_rejected(self):
-        with pytest.raises(ValueError, match="catalog"):
-            apply_augmentation(make_wave(seed=1, seconds=0.1), "music", {}, seed=0)
-
-    def test_output_length_preserved_for_every_kind(self):
-        clean = make_wave(seed=22, seconds=0.3)
-        catalogs = {kind: small_catalog(seconds=0.1) for kind in ("speech", "music", "noise")}
-        catalogs["rir"] = NoiseCatalog([unit_impulse(position=5, length=64)])
-        for kind in ("speech", "music", "noise", "rir"):
-            out = apply_augmentation(clean, kind, catalogs, seed=2)
-            assert len(out) == len(clean)

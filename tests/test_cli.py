@@ -14,7 +14,7 @@ import pytest
 
 from conftest import make_wave
 from oracles import report_from_text
-from svkit import cli, containers, scoring
+from svkit import augment, cli, containers, scoring
 from svkit.audio import Waveform, read_wav, write_wav
 from svkit.cli import main
 from svkit.containers import load_tensors, save_features, save_tensors
@@ -723,6 +723,20 @@ class TestTrainDemo:
     def test_unknown_loss_exits_one(self):
         assert main(["train-demo", "--loss", "hinge"]) == 1
 
+    @pytest.mark.parametrize("message,err", [
+        ("Unable to allocate 149. GiB", "error: Unable to allocate 149. GiB\n"),
+        ("", "error: MemoryError\n"),
+    ], ids=["numpy", "bare"])
+    def test_allocation_failure_is_a_data_error(self, tmp_path, monkeypatch, capsys, message, err):
+        def out_of_memory(*args):  # what numpy raises for --dim 100000000; nothing is allocated
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "make_corpus", out_of_memory)
+        hist = tmp_path / "hist.csv"
+        assert main(["train-demo", "--dim", "100000000", "--epochs", "0", "--history", str(hist)]) == 2
+        assert capsys.readouterr().err == err
+        assert not hist.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_diverging_run_exits_two_naming_the_epoch(self, tmp_path, capsys):
         hist = tmp_path / "hist.csv"
@@ -788,6 +802,46 @@ class TestAugmentCommand:
         )
         assert code == 2
         assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,flags,direct", [
+        ("speech", ["--count-max", "4", "--snr-min", "1"],
+         lambda clean, cat: augment.augment_additive(clean, cat, augment.AugmentSpec("speech", 3, (3, 4), (1.0, 20.0)))),
+        ("music", [], lambda clean, cat: augment.augment_additive(clean, cat, augment.AugmentSpec.for_kind("music", 3))),
+        ("noise", ["--count-min", "2", "--count-max", "3", "--snr-max", "4", "--gain-min", "9"],
+         lambda clean, cat: augment.augment_additive(clean, cat, augment.AugmentSpec("noise", 3, (2, 3), (0.0, 4.0)))),
+        ("rir", ["--gain-min", "-4", "--gain-max", "-1", "--snr-min", "40"],
+         lambda clean, cat: augment.augment_rir(clean, cat, 3, (-4.0, -1.0))),
+    ], ids=["speech", "music", "noise", "rir"])
+    def test_writes_the_augmentation_it_names(self, tmp_path, wav_file, catalog_tree, kind, flags, direct):
+        (catalog_tree / "speech").mkdir()
+        for seed in (13, 14):
+            write_wav(catalog_tree / "speech" / f"{seed}.wav", make_wave(seed=seed, seconds=0.2))
+        out, want = tmp_path / "o.wav", tmp_path / "want.wav"
+        argv = ["augment", "--in", str(wav_file), "--out", str(out), "--kind", kind,
+                "--catalog", str(catalog_tree), "--seed", "3", *flags]
+        assert main(argv) == 0
+        write_wav(want, direct(read_wav(wav_file), augment.scan_catalogs(catalog_tree)[kind]))
+        assert out.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("kind,silent,message", [
+        ("noise", "in.wav", "clean signal has zero power"),
+        ("noise", "noise/12.wav", "catalog entry 0 has zero power"),
+        ("rir", "rir/delta.wav", "RIR entry 0 has zero energy"),
+    ], ids=["input", "noise-entry", "rir-entry"])
+    def test_silent_wav_exits_two_naming_it(self, tmp_path, wav_file, catalog_tree, capsys, kind, silent, message):
+        bad = catalog_tree / silent
+        write_wav(bad, Waveform(np.zeros(1600)))
+        wav = bad if silent == "in.wav" else wav_file
+        out = tmp_path / "o.wav"
+        argv = ["augment", "--in", str(wav), "--out", str(out), "--kind", kind, "--catalog", str(catalog_tree)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not out.exists()
+
+    def test_unknown_kind_exits_one(self, tmp_path, wav_file, catalog_tree):
+        argv = ["augment", "--in", str(wav_file), "--out", str(tmp_path / "o.wav"),
+                "--kind", "codec", "--catalog", str(catalog_tree)]
+        assert main(argv) == 1
 
     def test_missing_catalog_kind_exits_two(self, tmp_path, wav_file, catalog_tree):
         code = main(

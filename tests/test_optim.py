@@ -1,9 +1,11 @@
 """Tests for the Adam optimizer, LR schedule, and free-embedding demo."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import mean_angular_gap
+from oracles import corpus_pair_pools, corpus_trial_lists, mean_angular_gap
 from svkit.losses import APParams
 from svkit.metrics import Trials
 from svkit.optim import (
@@ -14,6 +16,7 @@ from svkit.optim import (
     adam_step,
     lr_at,
     make_corpus,
+    pair_pools,
     train_demo,
     trial_scores,
 )
@@ -180,6 +183,34 @@ class TestMakeCorpus:
             assert x.ids == y.ids
             for field in ("labels", "enroll", "test"):
                 np.testing.assert_array_equal(getattr(x, field), getattr(y, field))
+
+    @pytest.mark.parametrize("n_speakers,n_utts", [(2, 2), (2, 5), (5, 2), (12, 6), (7, 4)])
+    def test_pair_pools_count_the_listed_pools(self, n_speakers, n_utts):
+        assert pair_pools(n_speakers, n_utts) == tuple(map(len, corpus_pair_pools(n_speakers, n_utts)))
+
+    # (speakers, utterances, trials): the smallest grid, the train-prep
+    # benchmark's grid, acceptance criterion 9's, and odd trial counts.
+    @pytest.mark.parametrize("grid", [(2, 2, 2), (2, 2, 3), (12, 6, 120), (20, 10, 400), (9, 5, 77)])
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_trial_lists_match_draws_from_the_listed_pools(self, grid, seed):
+        n_speakers, n_utts, n_trials = grid
+        corpus = make_corpus(n_speakers, n_utts, dim=3, n_trials=n_trials, seed=seed)
+        want = corpus_trial_lists(n_speakers, n_utts, 3, n_trials, seed)
+        for trials, (labels, enroll, test) in zip((corpus.train_trials, corpus.heldout_trials), want):
+            for got, expected in ((trials.labels, labels), (trials.enroll, enroll), (trials.test, test)):
+                assert got.dtype == expected.dtype
+                np.testing.assert_array_equal(got, expected)
+
+    def test_draws_without_listing_the_pair_pools(self):
+        # 60 speakers x 20 utterances give 708,000 nontarget pairs; as a
+        # list of tuples they peaked at ~80 MB.
+        tracemalloc.start()
+        try:
+            make_corpus(60, 20, dim=2, n_trials=40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_too_small_corpus_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
