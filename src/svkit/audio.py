@@ -3,14 +3,22 @@
 All audio in the toolkit is mono float at SAMPLE_RATE (16 kHz), nominally
 in [-1, 1]. A Waveform carries no rate of its own: every reader uses the
 constant. Resampling and multi-channel audio are out of scope; files that
-are not 16-bit PCM mono 16 kHz are rejected at load time.
+are not 16-bit PCM mono 16 kHz are rejected when their header is read.
+
+A WAV is read in two steps. open_wav checks its header, reading no
+samples, and gives a WavFile: the path and frame count. WavFile.windows
+then reads only the frames each crop needs, decoded as int16 / 32768.
+read_wav is the whole-file window, and crop_segment takes one window of a
+WavFile or of a Waveform.
 """
 
 from __future__ import annotations
 
+import contextlib
 import wave
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -40,11 +48,19 @@ class Waveform:
     def __len__(self) -> int:
         return self.samples.size
 
+    def windows(self, offsets: Iterable[int], n: int) -> Iterator[Waveform]:
+        """Samples [offset, offset + n) for each offset, the waveform tiled
+        first where it is shorter than offset + n."""
+        for offset in offsets:
+            yield Waveform(tile_to_length(self, offset + n).samples[offset : offset + n])
 
-def read_wav(path: str | Path) -> Waveform:
-    """Load a 16-bit PCM mono 16 kHz WAV file; malformed files raise ValueError."""
+
+@contextlib.contextmanager
+def _checked(path: str | Path) -> Iterator[tuple[wave.Wave_read, int]]:
+    """The open file's reader and frame count, once its header has passed
+    every check. Any fault of the file raises ValueError naming it."""
     try:
-        with wave.open(str(path), "rb") as f:
+        with open(path, "rb") as raw, wave.open(raw) as f:
             if f.getnchannels() != 1:
                 raise ValueError(f"{path}: expected mono audio, got {f.getnchannels()} channels")
             if f.getsampwidth() != 2:
@@ -52,16 +68,60 @@ def read_wav(path: str | Path) -> Waveform:
             if f.getframerate() != SAMPLE_RATE:
                 raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz, got {f.getframerate()} Hz")
             declared = f.getnframes()
-            raw = f.readframes(declared)
+            if not declared:
+                raise ValueError(f"{path}: WAV file has no samples")
+            # The last declared frame can be read exactly when a read of the
+            # whole file gets every frame.
+            f.setpos(declared - 1)
+            if len(f.readframes(1)) != 2:
+                raise ValueError(f"{path}: truncated WAV file: fewer than the {declared} frames its header declares")
+            yield f, declared
     # wave raises a bare RuntimeError for a chunk size past the end of the file.
     except (wave.Error, EOFError, RuntimeError) as exc:
         raise ValueError(f"{path}: malformed WAV file: {str(exc) or 'truncated file'}") from exc
-    if len(raw) != 2 * declared:
-        raise ValueError(f"{path}: truncated WAV file: {len(raw) // 2} of {declared} frames")
-    if not raw:
-        raise ValueError(f"{path}: WAV file has no samples")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return Waveform(samples)
+
+
+@dataclass(frozen=True)
+class WavFile:
+    """A WAV file whose header passed every check (open_wav): its path and
+    frame count, and no samples."""
+
+    path: str | Path
+    n_frames: int
+
+    def __len__(self) -> int:
+        return self.n_frames
+
+    def windows(self, offsets: Iterable[int], n: int) -> Iterator[Waveform]:
+        """Frames [offset, offset + n) for each offset, as the file's
+        Waveform.windows gives them, each read when it is pulled, all
+        through one open file. A window no longer in the file (it changed
+        after open_wav) raises ValueError naming the file."""
+        with _checked(self.path) as (f, _):
+            for offset in offsets:
+                # A file shorter than the window is read whole, then tiled.
+                start, count = (offset, n) if offset + n <= self.n_frames else (0, self.n_frames)
+                f.setpos(start)
+                raw = f.readframes(count)
+                if len(raw) != 2 * count:
+                    got = len(raw) // 2
+                    raise ValueError(f"{self.path}: truncated WAV file: read {got} of {count} frames at {start}")
+                read = Waveform(np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0)
+                yield from read.windows([offset - start], n)
+
+
+def open_wav(path: str | Path) -> WavFile:
+    """Check a 16-bit PCM mono 16 kHz WAV file's header, reading no
+    samples; a malformed file raises ValueError naming it."""
+    with _checked(path) as (_, n_frames):
+        return WavFile(path, n_frames)
+
+
+def read_wav(path: str | Path) -> Waveform:
+    """Load a 16-bit PCM mono 16 kHz WAV file; malformed files raise ValueError."""
+    wav = open_wav(path)
+    [whole] = wav.windows([0], len(wav))
+    return whole
 
 
 def write_wav(path: str | Path, w: Waveform) -> None:
@@ -92,7 +152,7 @@ def tile_to_length(w: Waveform, n_samples: int) -> Waveform:
 
 
 def crop_segment(
-    w: Waveform,
+    w: Waveform | WavFile,
     seconds: float,
     offset: int | None = None,
     seed: int | None = None,
@@ -103,7 +163,7 @@ def crop_segment(
     random start) selects the crop position.
 
     Args:
-        w: input waveform.
+        w: input waveform, or a WAV file, of which only the segment is read.
         seconds: segment length in seconds; must be positive.
         offset: fixed start offset in samples.
         seed: seed for a random start draw.
@@ -116,13 +176,10 @@ def crop_segment(
     if (offset is None) == (seed is None):
         raise ValueError("provide exactly one of offset or seed")
     n = int(round(seconds * SAMPLE_RATE))
-    if offset is not None:
-        if offset < 0:
-            raise ValueError("offset must be non-negative")
-        tiled = tile_to_length(w, offset + n)
-        start = offset
-    else:
-        tiled = tile_to_length(w, n)
-        rng = np.random.default_rng(seed)
-        start = int(rng.integers(0, len(tiled) - n + 1))
-    return Waveform(tiled.samples[start : start + n])
+    if offset is None:
+        # a start in the input tiled to at least n samples
+        offset = int(np.random.default_rng(seed).integers(0, max(len(w), n) - n + 1))
+    elif offset < 0:
+        raise ValueError("offset must be non-negative")
+    [segment] = w.windows([offset], n)
+    return segment

@@ -33,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .audio import Waveform, read_wav, tile_to_length
+from .audio import Waveform, read_wav
 
 ADDITIVE_KINDS = ("speech", "music", "noise")
 AUGMENT_KINDS = ADDITIVE_KINDS + ("rir",)
@@ -158,11 +158,6 @@ def plan_additive(clean_length: int, cat: NoiseCatalog, spec: AugmentSpec) -> It
         yield AdditiveDraw(index, offset, snr_db, recording)
 
 
-def _matched_noise(noise: Waveform, clean_length: int, offset: int) -> Waveform:
-    tiled = tile_to_length(noise, clean_length + offset)
-    return Waveform(tiled.samples[offset : offset + clean_length])
-
-
 def augment_additive(clean: Waveform, cat: NoiseCatalog, spec: AugmentSpec) -> Waveform:
     """Sum seeded draws of catalog recordings onto the signal, each scaled
     against the clean signal's power to its own drawn SNR."""
@@ -171,7 +166,7 @@ def augment_additive(clean: Waveform, cat: NoiseCatalog, spec: AugmentSpec) -> W
     if p_clean == 0.0:
         raise SilentSignalError("clean signal has zero power")
     for draw in plan_additive(len(clean), cat, spec):
-        noise = _matched_noise(draw.recording, len(clean), draw.crop_offset)
+        [noise] = draw.recording.windows([draw.crop_offset], len(clean))
         p_noise = _power(noise.samples)
         if p_noise == 0.0:
             raise ValueError(f"{cat.where(draw.catalog_index)}catalog entry {draw.catalog_index} has zero power")

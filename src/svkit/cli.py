@@ -14,17 +14,17 @@ discarded when it was built with other weights or crop settings.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import augment as aug
-from .audio import SAMPLE_RATE, crop_segment, read_wav, write_wav
+from .audio import SAMPLE_RATE, WavFile, crop_segment, open_wav, read_wav, write_wav
 from .containers import load_features, load_tensors, save_features, save_tensors
 from .features import FeatureParams, extract_features, log_mel_spectrogram, preemphasize
 from .losses import LOSS_NAMES, MarginParams
@@ -207,10 +207,11 @@ def _cmd_featurize(args) -> int:
     params = _flags(FeatureParams, args.preemphasis, args.win_ms, args.hop_ms, args.fft_size, args.n_mels)
     if args.crop_seconds is None and (args.offset is not None or args.seed is not None):
         raise UsageError("--offset/--seed require --crop-seconds")
-    wave = read_wav(args.input)
-    if args.crop_seconds is not None:
+    if args.crop_seconds is None:
+        wave = read_wav(args.input)
+    else:  # only the crop's window is read
         offset = 0 if args.offset is None and args.seed is None else args.offset
-        wave = crop_segment(wave, args.crop_seconds, offset=offset, seed=args.seed)
+        wave = crop_segment(open_wav(args.input), args.crop_seconds, offset=offset, seed=args.seed)
     try:  # the audio may be too short for its frames
         if args.no_normalize:
             fmap = log_mel_spectrogram(preemphasize(wave, params.preemphasis), params)
@@ -327,13 +328,18 @@ def _load_cache(
     return cache, wavs
 
 
+def _opened(paths: Iterable[str]) -> list[Callable[[], WavFile]]:
+    """A load for embed_utterances of each WAV, whose header is checked
+    here, so a bad file anywhere in the command fails before any crop runs."""
+    return [lambda wav=open_wav(path): wav for path in paths]
+
+
 def _cmd_embed(args) -> int:
     embedder = _load_embedder(args.weights)
     paths: dict[str, str] = {}  # each file once, read under its first spelling
     for wav in args.wavs:
         paths.setdefault(_canonical(wav), wav)
-    loads = [functools.partial(read_wav, wav) for wav in paths.values()]
-    embedded = embed_utterances(loads, embedder, args.crop_seconds, args.n_crops)
+    embedded = embed_utterances(_opened(paths.values()), embedder, args.crop_seconds, args.n_crops)
     out = {key: emb.astype(np.float32) for key, emb in zip(paths, embedded)}
     _atomic_save(args.out, lambda p: save_tensors(p, out))
     return 0
@@ -351,8 +357,8 @@ def _cmd_score(args) -> int:
     missing = [key for key, wav in current.items() if not (key in cache and wavs.get(key) == wav)]
     if missing:
         embedder = _load_embedder(args.weights)
-        loads = [functools.partial(read_wav, key) for key in missing]
-        for key, emb in zip(missing, embed_utterances(loads, embedder, args.crop_seconds, args.n_crops)):
+        embedded = embed_utterances(_opened(missing), embedder, args.crop_seconds, args.n_crops)
+        for key, emb in zip(missing, embedded):
             cache[key] = emb.astype(np.float32)
             wavs[key] = current[key]
     scores = score_trials([cache[key] for key in keys], trials.enroll, trials.test)

@@ -117,6 +117,16 @@ def pair_pools(n_speakers: int, n_utts: int) -> tuple[int, int]:
     return n_speakers * math.comb(n_utts, 2), math.comb(n_speakers, 2) * n_utts**2
 
 
+def _pair_at(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j), i < j < n, numbered row-major as np.triu_indices(n, 1)
+    lists them, at each index; in O(n) memory. Row k starts at
+    k * (2n - k - 1) / 2."""
+    k = np.arange(n - 1)
+    starts = k * (2 * n - k - 1) // 2
+    row = np.searchsorted(starts, index, side="right") - 1
+    return row, index - starts[row] + row + 1
+
+
 def make_corpus(
     n_speakers: int = 20,
     n_utts: int = 10,
@@ -139,13 +149,13 @@ def make_corpus(
 
     # Each pool is numbered row-major, targets by (speaker, i < j) and nontargets
     # by (speakers k1 < k2, i, j); drawn numbers are decoded, so no pool is built.
-    first, second = np.triu_indices(n_utts, 1)
-    speaker, utt_pair = np.divmod(rng.choice(targets, 2 * half, replace=False), first.size)
-    same = np.stack([speaker * n_utts + first[utt_pair], speaker * n_utts + second[utt_pair]], axis=1)
+    speaker, utt_pair = np.divmod(rng.choice(targets, 2 * half, replace=False), math.comb(n_utts, 2))
+    first, second = _pair_at(utt_pair, n_utts)
+    same = np.stack([speaker * n_utts + first, speaker * n_utts + second], axis=1)
     speaker_pair, utts = np.divmod(rng.choice(nontargets, 2 * half, replace=False), n_utts**2)
-    k1, k2 = np.triu_indices(n_speakers, 1)
+    k1, k2 = _pair_at(speaker_pair, n_speakers)
     i, j = np.divmod(utts, n_utts)
-    cross = np.stack([k1[speaker_pair] * n_utts + i, k2[speaker_pair] * n_utts + j], axis=1)
+    cross = np.stack([k1 * n_utts + i, k2 * n_utts + j], axis=1)
 
     ids = tuple(f"s{a:03d}u{b:03d}" for a in range(n_speakers) for b in range(n_utts))
 

@@ -14,12 +14,12 @@ score_from_embeddings gives that one pair.
 
 The distinct crops of every utterance a call embeds form one queue, run
 in order on one thread per usable CPU (crop_workers) with a bounded number
-in flight, and the utterances are read as the queue reaches them. numpy's
-OpenBLAS is held to one thread per call while the queue runs and restored
-after. numpy's GEMM, FFT and ufunc loops release the interpreter lock, and
-each crop is independent, so the embeddings are bit-identical to embedding
-the crops one by one. When numpy's BLAS is not an OpenBLAS whose thread
-count can be set, crops run one by one.
+in flight, and each crop is read as the queue reaches it: from a WAV, only
+its window. numpy's OpenBLAS is held to one thread per call while the
+queue runs and restored after. numpy's GEMM, FFT and ufunc loops release
+the interpreter lock, and each crop is independent, so the embeddings are
+bit-identical to embedding the crops one by one. When numpy's BLAS is not
+an OpenBLAS whose thread count can be set, crops run one by one.
 
 The embedder is injected as a callable so the scoring layer can run
 against the real network or any substitute.
@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .audio import SAMPLE_RATE, Waveform, crop_segment
+from .audio import SAMPLE_RATE, WavFile, Waveform
 from .features import extract_features
 from .network import FoldedWeights, forward
 
@@ -150,7 +150,7 @@ class _Deferred:
 
 
 def embed_utterances(
-    loads: Iterable[Callable[[], Waveform]],
+    loads: Iterable[Callable[[], Waveform | WavFile]],
     embedder: Embedder,
     crop_seconds: float = CROP_SECONDS,
     n_crops: int = N_CROPS,
@@ -164,18 +164,35 @@ def embed_utterances(
     order, run on up to crop_workers() threads with two crops per thread
     in flight, or one by one when they are shorter than
     MIN_PARALLEL_CROP_SECONDS; rows are the same either way. Each load()
-    reads one utterance and is called when the queue reaches it. The
-    first failure in utterance order is raised, whether a load, a crop or
-    a non-finite row. When crops run concurrently, numpy's BLAS runs one
+    gives one utterance, a Waveform or a WavFile, when the queue reaches
+    it, and each crop is read when the queue reaches that crop, so a
+    WavFile is never held whole. The first failure in utterance order is
+    raised, whether a load, a read, a crop or a non-finite row. `svkit
+    embed` and `svkit score` check every WAV header (open_wav) before
+    calling this, so a bad header anywhere in the command wins over any
+    failure here. When crops run concurrently, numpy's BLAS runs one
     thread per call until the iterator is exhausted or closed.
     """
     workers = crop_workers() if crop_seconds >= MIN_PARALLEL_CROP_SECONDS else 1
     submit = _crop_pool(workers).submit if workers > 1 else _Deferred
+    crop_samples = int(round(crop_seconds * SAMPLE_RATE))
     # (future, offsets, rows, offset, last crop of its utterance), oldest first
     queue: collections.deque = collections.deque()
 
     def embed(crop: Waveform) -> np.ndarray:
         return np.asarray(embedder(crop), dtype=np.float64).ravel()
+
+    def planned() -> Iterator[tuple]:
+        """Each distinct crop in queue order, read when it is pulled, with
+        where its row goes."""
+        for load in loads:
+            audio = load()
+            offsets = plan_crops(len(audio), crop_samples, n_crops).tolist()
+            unique = list(dict.fromkeys(offsets))
+            rows: dict[int, np.ndarray] = {}
+            with contextlib.closing(audio.windows(unique, crop_samples)) as crops:
+                for offset, crop in zip(unique, crops):
+                    yield crop, offsets, rows, offset, offset == unique[-1]
 
     def finish(in_flight: int) -> Iterator[np.ndarray]:
         """Wait for the oldest crops until in_flight are left, yielding
@@ -189,30 +206,28 @@ def embed_utterances(
                     raise ValueError("embedder produced non-finite values")
                 yield emb
 
+    crops = planned()
     with _one_blas_thread() if workers > 1 else contextlib.nullcontext():
         try:
-            for load in loads:
+            while True:
+                yield from finish(2 * workers - 1)
                 try:
-                    waveform = load()
+                    crop, *where = next(crops)
+                except StopIteration:
+                    break
                 except Exception:
-                    yield from finish(0)  # an earlier utterance's failure comes first
+                    yield from finish(0)  # an earlier crop's failure comes first
                     raise
-                crop_samples = int(round(crop_seconds * SAMPLE_RATE))
-                offsets = plan_crops(len(waveform), crop_samples, n_crops).tolist()
-                unique = list(dict.fromkeys(offsets))
-                rows: dict[int, np.ndarray] = {}
-                for offset in unique:
-                    yield from finish(2 * workers - 1)
-                    crop = crop_segment(waveform, crop_seconds, offset=offset)
-                    queue.append((submit(embed, crop), offsets, rows, offset, offset == unique[-1]))
+                queue.append((submit(embed, crop), *where))
             yield from finish(0)
         finally:
+            crops.close()
             for future, *_ in queue:
                 future.cancel()
 
 
 def crop_embeddings(
-    waveform: Waveform,
+    waveform: Waveform | WavFile,
     embedder: Embedder,
     crop_seconds: float = CROP_SECONDS,
     n_crops: int = N_CROPS,

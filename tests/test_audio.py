@@ -6,8 +6,9 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import make_wave
-from svkit.audio import SAMPLE_RATE, Waveform, crop_segment, read_wav, tile_to_length, write_wav
+from svkit.audio import SAMPLE_RATE, Waveform, crop_segment, open_wav, read_wav, tile_to_length, write_wav
 from svkit.cli import main
+from svkit.scoring import plan_crops
 
 
 def wav_bytes(frames: bytes) -> bytes:
@@ -93,6 +94,8 @@ class TestWavIO:
         path.write_bytes(content)
         with pytest.raises(ValueError, match="broken.wav"):
             read_wav(path)
+        with pytest.raises(ValueError, match="broken.wav"):
+            open_wav(path)
         assert main(["featurize", "--in", str(path), "--out", str(tmp_path / "o.svf1")]) == 2
         assert str(path) in capsys.readouterr().err
 
@@ -152,3 +155,57 @@ class TestCropSegment:
             crop_segment(w, 0.0, offset=0)
         with pytest.raises(ValueError):
             crop_segment(w, 1.0, offset=-1)
+
+
+def with_chunk_after_data(content: bytes, chunk: bytes) -> bytes:
+    """A WAV file's bytes with `chunk` appended and the RIFF size grown to match."""
+    riff_size = int.from_bytes(content[4:8], "little") + len(chunk)
+    return content[:4] + riff_size.to_bytes(4, "little") + content[8:] + chunk
+
+
+class TestWavWindows:
+    CROP = 4 * SAMPLE_RATE
+
+    # below, at and above one crop, and an odd length
+    @pytest.mark.parametrize("n_samples", [CROP // 3, CROP, CROP + 8, 5 * CROP // 2, CROP + 1001])
+    def test_windows_match_crops_of_the_whole_file(self, tmp_path, n_samples):
+        path = tmp_path / "x.wav"
+        write_wav(path, make_wave(seed=n_samples, seconds=n_samples / SAMPLE_RATE))
+        wav, whole = open_wav(path), read_wav(path)
+        assert len(wav) == len(whole) == n_samples
+        offsets = [*plan_crops(n_samples, self.CROP).tolist(), n_samples - 1, n_samples + 5]
+        for offset, window in zip(offsets, wav.windows(offsets, self.CROP), strict=True):
+            want = crop_segment(whole, 4.0, offset=offset).samples
+            assert window.samples.tobytes() == want.tobytes()
+        for seed in range(5):
+            got, want = crop_segment(wav, 4.0, seed=seed), crop_segment(whole, 4.0, seed=seed)
+            assert got.samples.tobytes() == want.samples.tobytes()
+
+    def test_a_chunk_after_the_data_is_not_read_as_samples(self, tmp_path):
+        path = tmp_path / "list.wav"
+        frames = (np.arange(6 * SAMPLE_RATE) % 2000 - 1000).astype("<i2").tobytes()
+        path.write_bytes(with_chunk_after_data(wav_bytes(frames), b"LIST\x0c\x00\x00\x00INFOISFT\x00\x00\x00\x00"))
+        wav, whole = open_wav(path), read_wav(path)
+        assert len(wav) == len(whole) == 6 * SAMPLE_RATE
+        assert whole.samples.tobytes() == (np.frombuffer(frames, "<i2") / 32768.0).tobytes()
+        offsets = plan_crops(len(wav), self.CROP).tolist()
+        for offset, window in zip(offsets, wav.windows(offsets, self.CROP), strict=True):
+            assert window.samples.tobytes() == crop_segment(whole, 4.0, offset=offset).samples.tobytes()
+
+    def test_header_check_reads_no_samples(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.wav"
+        write_wav(path, make_wave(seed=1, seconds=2.0))
+        reads = []
+        readframes = wave_mod.Wave_read.readframes
+        monkeypatch.setattr(wave_mod.Wave_read, "readframes", lambda f, n: reads.append(n) or readframes(f, n))
+        assert len(open_wav(path)) == 2 * SAMPLE_RATE
+        assert reads == [1]  # the last declared frame, to check the file holds it
+
+    def test_a_file_cut_short_after_its_header_was_read_names_it(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        write_wav(path, make_wave(seed=2, seconds=2.0))
+        wav = open_wav(path)
+        path.write_bytes(path.read_bytes()[: -SAMPLE_RATE])
+        windows = wav.windows([0, SAMPLE_RATE], SAMPLE_RATE // 2)
+        with pytest.raises(ValueError, match="cut.wav"):
+            list(windows)

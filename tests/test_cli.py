@@ -8,6 +8,8 @@ import hashlib
 import itertools
 import pathlib
 import stat
+import tracemalloc
+import wave
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import pytest
 from conftest import make_wave
 from oracles import report_from_text
 from svkit import augment, cli, containers, scoring
-from svkit.audio import Waveform, read_wav, write_wav
+from svkit.audio import Waveform, crop_segment, read_wav, write_wav
 from svkit.cli import main
 from svkit.containers import load_tensors, save_features, save_tensors
 from svkit.features import FeatureParams, extract_features
@@ -157,6 +159,20 @@ class TestFeaturize:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("seconds", [0.3, 2.3])
+    @pytest.mark.parametrize("flags,place", [
+        ([], {"offset": 0}),
+        (["--offset", "12345"], {"offset": 12345}),
+        (["--seed", "0"], {"seed": 0}),
+        (["--seed", "7"], {"seed": 7}),
+    ])
+    def test_crop_features_equal_those_of_a_crop_of_the_whole_file(self, tmp_path, seconds, flags, place):
+        wav, out, want = tmp_path / "x.wav", tmp_path / "out.svf1", tmp_path / "want.svf1"
+        write_wav(wav, make_wave(seed=9, seconds=seconds))
+        assert main(["featurize", "--in", str(wav), "--out", str(out), "--crop-seconds", "1.5", *flags]) == 0
+        save_features(want, extract_features(crop_segment(read_wav(wav), 1.5, **place)).values)
+        assert out.read_bytes() == want.read_bytes()
 
     def test_info_reports_feature_shape(self, tmp_path, wav_file, capsys):
         out = tmp_path / "a.svf1"
@@ -330,14 +346,16 @@ class TestEmbed:
     def test_failing_crop_exits_two_and_writes_nothing(self, tmp_path, workers, monkeypatch, capsys):
         wav = tmp_path / "utt.wav"
         write_wav(wav, make_wave(seed=5, seconds=3.0))
-        # A truncated file after it: the crop error of the first file, earlier
-        # in command order, wins over the read error of the next.
+        # A truncated file after it: its header is checked before the first
+        # crop runs, so its error wins over the crop error of the first file.
         bad = tmp_path / "bad.wav"
         write_wav(bad, make_wave(seed=6, seconds=1.0))
         bad.write_bytes(bad.read_bytes()[:-100])
         bad_start = read_wav(wav).samples[16000]  # the second of three 1 s crops
+        crops = []
 
         def embedder(crop):
+            crops.append(crop)
             if crop.samples[0] == bad_start:
                 raise ValueError("crop failed")
             return np.ones(512)
@@ -346,12 +364,46 @@ class TestEmbed:
         monkeypatch.setattr(scoring, "crop_workers", lambda: workers)
         out = tmp_path / "out" / "e.svw1"
         out.parent.mkdir()
-        for wavs in ([wav], [wav, bad]):
+        for wavs, error in (([wav], "crop failed"), ([wav, bad], f"{bad}: truncated WAV file")):
+            crops.clear()
             argv = ["embed", *map(str, wavs), "--weights", "unused", "--out", str(out),
                     "--crop-seconds", "1", "--n-crops", "3"]
             assert main(argv) == 2
-            assert "crop failed" in capsys.readouterr().err
+            assert error in capsys.readouterr().err
             assert list(out.parent.iterdir()) == []
+        assert crops == []
+
+
+    def test_bad_header_last_exits_two_before_any_crop(self, tmp_path, q_weights_file, monkeypatch, capsys):
+        wavs = [tmp_path / f"{name}.wav" for name in "abc"]
+        for seed, wav in enumerate(wavs):
+            write_wav(wav, make_wave(seed=seed, seconds=1.0))
+        wavs[-1].write_bytes(wavs[-1].read_bytes()[:-2])
+        crops = count_crops(monkeypatch)
+        out = tmp_path / "e.svw1"
+        assert main(["embed", *map(str, wavs), "--weights", str(q_weights_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {wavs[-1]}: truncated WAV file")
+        assert crops == []
+        assert not out.exists()
+
+    def test_a_long_wav_is_read_one_crop_window_at_a_time(self, tmp_path, q_weights_file, monkeypatch):
+        # 10 min of audio: a whole-file float64 copy alone takes ~77 MB.
+        wav = tmp_path / "long.wav"
+        second = (np.random.default_rng(0).standard_normal(16000) * 3000).astype("<i2").tobytes()
+        with wave.open(str(wav), "wb") as f:
+            f.setnchannels(1)
+            f.setsampwidth(2)
+            f.setframerate(16000)
+            for _ in range(600):
+                f.writeframes(second)
+        monkeypatch.setattr(scoring, "crop_workers", lambda: 2)
+        tracemalloc.start()
+        try:
+            assert main(["embed", str(wav), "--weights", str(q_weights_file), "--out", str(tmp_path / "e.svw1")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20  # ~13 MB measured: weights, four crops in flight, their features
 
 
 @pytest.fixture
@@ -498,6 +550,18 @@ class TestScore:
         root, trials = trial_setup
         (root / "c.wav").unlink()
         assert main(self.score_args(root, trials, q_weights_file, root / "s.txt")) == 2
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_bad_header_last_exits_two_before_any_crop(self, trial_setup, q_weights_file, cached, monkeypatch, capsys):
+        root, trials = trial_setup
+        bad = root / "c.wav"  # the last utterance of the list
+        bad.write_bytes(bad.read_bytes()[:-2])
+        crops = count_crops(monkeypatch)
+        cache = root / "cache.svw1" if cached else None
+        assert main(self.score_args(root, trials, q_weights_file, root / "s.txt", cache)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: truncated WAV file")
+        assert crops == []
+        assert sorted(p.name for p in root.iterdir()) == ["a.wav", "b.wav", "c.wav", "trials.txt"]
 
     def test_repeated_trial_exits_two_before_loading_weights(self, trial_setup, q_weights_file, monkeypatch, capsys):
         root, trials = trial_setup

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import corpus_pair_pools, corpus_trial_lists, mean_angular_gap
+from svkit import optim
 from svkit.losses import APParams
 from svkit.metrics import Trials
 from svkit.optim import (
@@ -211,6 +212,24 @@ class TestMakeCorpus:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("n", range(2, 60))
+    def test_pair_decode_matches_triu_indices(self, n):
+        first, second = np.triu_indices(n, 1)
+        rows, cols = optim._pair_at(np.arange(first.size), n)
+        np.testing.assert_array_equal(rows, first)
+        np.testing.assert_array_equal(cols, second)
+
+    def test_nontarget_draws_grow_linearly_in_speakers(self):
+        # 4,000 speakers give ~8M speaker pairs; np.triu_indices listed
+        # them in two int64 arrays, a ~144 MB peak.
+        tracemalloc.start()
+        try:
+            make_corpus(4000, 2, dim=1, n_trials=40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     def test_too_small_corpus_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
