@@ -21,8 +21,9 @@ FFT convolution, so its cost grows with the sum of the two lengths, not
 their product (see augment_rir for what stays exact).
 
 Each kind draws from a NoiseCatalog of Waveforms or WAV paths (impulse
-responses for rir). A drawn recording is read once, when it is drawn, and
-only the one being mixed is held.
+responses for rir). A drawn WAV's header is read when it is drawn, and of
+an additive recording only the window it mixes is read, so memory does not
+grow with the catalog's recordings; an impulse response is read whole.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .audio import Waveform, read_wav
+from .audio import WavFile, Waveform, open_wav, read_wav
 
 ADDITIVE_KINDS = ("speech", "music", "noise")
 AUGMENT_KINDS = ADDITIVE_KINDS + ("rir",)
@@ -91,11 +92,16 @@ class NoiseCatalog:
         entry = self.entries[index]
         return "" if isinstance(entry, Waveform) else f"{entry}: "
 
-    def get(self, index: int) -> Waveform:
+    def get(self, index: int) -> Waveform | WavFile:
+        """The entry; a WAV path is opened (open_wav), its samples read
+        only as windows of it are."""
         entry = self.entries[index]
-        if isinstance(entry, Waveform):
-            return entry
-        return read_wav(entry)
+        return entry if isinstance(entry, Waveform) else open_wav(entry)
+
+    def read(self, index: int) -> Waveform:
+        """The entry; a WAV path is read whole."""
+        entry = self.entries[index]
+        return entry if isinstance(entry, Waveform) else read_wav(entry)
 
 
 def scan_catalogs(root: str | Path) -> dict:
@@ -132,7 +138,7 @@ class AdditiveDraw:
     catalog_index: int
     crop_offset: int
     snr_db: float
-    recording: Waveform = field(compare=False, repr=False)
+    recording: Waveform | WavFile = field(compare=False, repr=False)
 
 
 def plan_additive(clean_length: int, cat: NoiseCatalog, spec: AugmentSpec) -> Iterator[AdditiveDraw]:
@@ -140,9 +146,10 @@ def plan_additive(clean_length: int, cat: NoiseCatalog, spec: AugmentSpec) -> It
 
     Draw order per the randomness contract: count, then per recording
     (catalog index, crop offset, SNR). The crop offset is drawn over the
-    slack left after tiling the recording to at least the clean length.
-    Each draw carries its recording, read once from the catalog, so a
-    caller that mixes each draw before taking the next holds one at a time.
+    slack left after tiling the recording to at least the clean length,
+    which needs only its length. Each draw carries its recording as the
+    catalog gives it (NoiseCatalog.get), so a WAV is read only as the
+    caller reads a window of it.
     """
     if len(cat) == 0:
         raise ValueError(f"empty {spec.kind} catalog")
@@ -203,7 +210,7 @@ def augment_rir(
     rng = np.random.default_rng(seed)
     index = int(rng.integers(0, len(cat)))
     gain_db = float(rng.uniform(*gain_db_range))
-    rir = cat.get(index).samples
+    rir = cat.read(index).samples
     energy = float(np.sum(rir * rir))
     if energy == 0.0:
         raise ValueError(f"{cat.where(index)}RIR entry {index} has zero energy")

@@ -39,7 +39,8 @@ class Trials:
 
     def pairs(self) -> list[tuple[str, str]]:
         """(enroll id, test id) of each trial, in order."""
-        return [(self.ids[a], self.ids[b]) for a, b in zip(self.enroll.tolist(), self.test.tolist())]
+        ids = np.array(self.ids, dtype=object)
+        return list(zip(ids[self.enroll].tolist(), ids[self.test].tolist()))
 
 
 @dataclass(frozen=True)

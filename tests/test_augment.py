@@ -230,8 +230,8 @@ class TestAugmentAdditive:
         for path, wave in zip(paths, waves):
             write_wav(path, wave)
         reads = []
-        read_wav = augment.read_wav
-        monkeypatch.setattr(augment, "read_wav", lambda path: reads.append(path) or read_wav(path))
+        open_wav = augment.open_wav
+        monkeypatch.setattr(augment, "open_wav", lambda path: reads.append(path) or open_wav(path))
         clean = make_wave(seed=8, seconds=0.2)
         for seed in range(5):
             spec = AugmentSpec.for_kind("speech", seed=seed)
@@ -398,5 +398,9 @@ class TestScanCatalogs:
         wave = make_wave(seed=3, seconds=0.05)
         write_wav(sub / "m.wav", wave)
         catalogs = scan_catalogs(tmp_path)
-        loaded = catalogs["music"].get(0)
+        loaded = catalogs["music"].read(0)
         np.testing.assert_allclose(loaded.samples, wave.samples, atol=1.0 / 32768.0)
+        opened = catalogs["music"].get(0)  # the header only; windows are read on demand
+        assert len(opened) == len(wave)
+        [whole] = opened.windows([0], len(opened))
+        np.testing.assert_array_equal(whole.samples, loaded.samples)

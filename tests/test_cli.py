@@ -6,6 +6,7 @@ Each test drives main() in process and checks exit codes: 0 success,
 
 import hashlib
 import itertools
+import os
 import pathlib
 import stat
 import tracemalloc
@@ -36,6 +37,17 @@ def q_weights_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("weights") / "q.svw1"
     assert main(["init", "--variant", "q-sap", "--out", str(path), "--seed", "0"]) == 0
     return path
+
+
+def write_noise_wav(path, seconds: int) -> None:
+    """A WAV of one second of seeded noise repeated `seconds` times."""
+    second = (np.random.default_rng(0).standard_normal(16000) * 3000).astype("<i2").tobytes()
+    with wave.open(str(path), "wb") as f:
+        f.setnchannels(1)
+        f.setsampwidth(2)
+        f.setframerate(16000)
+        for _ in range(seconds):
+            f.writeframes(second)
 
 
 def count_crops(monkeypatch) -> list:
@@ -389,13 +401,7 @@ class TestEmbed:
     def test_a_long_wav_is_read_one_crop_window_at_a_time(self, tmp_path, q_weights_file, monkeypatch):
         # 10 min of audio: a whole-file float64 copy alone takes ~77 MB.
         wav = tmp_path / "long.wav"
-        second = (np.random.default_rng(0).standard_normal(16000) * 3000).astype("<i2").tobytes()
-        with wave.open(str(wav), "wb") as f:
-            f.setnchannels(1)
-            f.setsampwidth(2)
-            f.setframerate(16000)
-            for _ in range(600):
-                f.writeframes(second)
+        write_noise_wav(wav, 600)
         monkeypatch.setattr(scoring, "crop_workers", lambda: 2)
         tracemalloc.start()
         try:
@@ -404,6 +410,43 @@ class TestEmbed:
         finally:
             tracemalloc.stop()
         assert peak < 40 * 2**20  # ~13 MB measured: weights, four crops in flight, their features
+
+
+class TestCanonical:
+    """cli._canonical resolves each directory once; its keys must still be
+    the ones a full resolve() of each path gives."""
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        root, outside = tmp_path / "root", tmp_path / "outside"
+        (root / "real").mkdir(parents=True)
+        outside.mkdir()
+        (root / "real" / "a.wav").write_bytes(b"a")
+        (outside / "x.wav").write_bytes(b"x")
+        (root / "file-link.wav").symlink_to("real/a.wav")
+        (root / "dir-link").symlink_to("real")
+        (root / "dangling.wav").symlink_to("real/gone.wav")
+        (root / "real" / "up-link").symlink_to("..")
+        (root / "outside-link").symlink_to(outside)
+        return root, outside
+
+    @pytest.mark.parametrize("ids", [
+        ["file-link.wav", "real/a.wav", "dir-link/file-link.wav"],
+        ["dir-link/a.wav", "dir-link/../real/a.wav", "dir-link/../file-link.wav", "real/up-link/dir-link/a.wav"],
+        ["dangling.wav", "dir-link/../dangling.wav"],
+        ["./real/./a.wav", "real/../real/a.wav", "real/.", "real/..", "real/", ".", "..", "dir-link/.", "dir-link/.."],
+        ["real/missing.wav", "missing/dir/b.wav", "dir-link/missing.wav", "file-link.wav/x.wav"],
+        ["{outside}/x.wav", "{outside}/../outside/x.wav", "outside-link/x.wav", "{root}/dir-link/a.wav"],
+    ], ids=["symlinked-file", "symlinked-dir", "dangling-link", "dot-components", "missing-file", "absolute-outside-root"])
+    @pytest.mark.parametrize("relative_root", [False, True])
+    def test_keys_equal_a_full_resolve(self, tree, ids, relative_root, monkeypatch):
+        root, outside = tree
+        ids = [i.format(root=root, outside=outside) for i in ids]
+        if relative_root:
+            monkeypatch.chdir(root.parent)
+            root = pathlib.Path(root.name)
+        want = [pathlib.Path(root, i).resolve().as_posix() for i in ids]
+        assert cli._canonical(ids, str(root)) == want
 
 
 @pytest.fixture
@@ -546,6 +589,59 @@ class TestScore:
         assert main(self.score_args(root, trials, q_weights_file, after)) == 0
         assert after.read_bytes() == before.read_bytes()
 
+    def test_missing_weights_are_reported_before_a_corrupt_cache_file(self, trial_setup, capsys):
+        root, trials = trial_setup
+        weights, cache = root / "missing.svw1", root / "cache.svw1"
+        cache.write_bytes(b"not a cache")
+        assert main(self.score_args(root, trials, weights, root / "s.txt", cache)) == 2
+        err = capsys.readouterr().err
+        assert str(weights) in err and str(cache) not in err
+        assert not (root / "s.txt").exists()
+
+    def test_each_wav_is_hashed_once_through_wav_record(self, trial_setup, q_weights_file, monkeypatch):
+        # The seam the no-hash tests patch: a warm run hashes each file through it once,
+        # however many spellings of its path the list holds.
+        root, trials = trial_setup
+        trials.write_text("1 a.wav b.wav\n0 ./a.wav c.wav\n0 b.wav c.wav\n")
+        cache = root / "cache.svw1"
+        assert main(self.score_args(root, trials, q_weights_file, root / "s0.txt", cache)) == 0
+        hashed = []
+        wav_record = cli._wav_record
+        monkeypatch.setattr(cli, "_wav_record", lambda key: hashed.append(key) or wav_record(key))
+        assert main(self.score_args(root, trials, q_weights_file, root / "s1.txt", cache)) == 0
+        assert hashed == [(root / name).resolve().as_posix() for name in ("a.wav", "b.wav", "c.wav")]
+
+    def test_first_missing_wav_in_list_order_is_reported(self, long_list, q_weights_file, capsys):
+        root, trials, names, _ = long_list
+        cache = root / "cache.svw1"
+        assert main(self.score_args(root, trials, q_weights_file, root / "s0.txt", cache)) == 0
+        first, later = (root / names[3]).resolve(), (root / names[10]).resolve()
+        later.unlink()
+        first.unlink()
+        assert main(self.score_args(root, trials, q_weights_file, root / "s1.txt", cache)) == 2
+        err = capsys.readouterr().err
+        assert str(first) in err and str(later) not in err
+        assert not (root / "s1.txt").exists()
+
+    def test_wav_rewritten_in_place_is_embedded_again(self, trial_setup, q_weights_file, monkeypatch):
+        root, trials = trial_setup
+        cache = root / "cache.svw1"
+        assert main(self.score_args(root, trials, q_weights_file, root / "s0.txt", cache)) == 0
+        wav = root / "b.wav"
+        before = wav.stat()
+        rewritten = bytearray(wav.read_bytes())
+        rewritten[-2] ^= 1  # the last sample's low bit: same size
+        with open(wav, "r+b") as f:
+            f.write(rewritten)
+        os.utime(wav, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = wav.stat()
+        assert (after.st_ino, after.st_size, after.st_mtime_ns) == (before.st_ino, before.st_size, before.st_mtime_ns)
+        crops = count_crops(monkeypatch)
+        assert main(self.score_args(root, trials, q_weights_file, root / "s1.txt", cache)) == 0
+        assert len(crops) == 2  # b.wav's two crops, and nothing else
+        assert main(self.score_args(root, trials, q_weights_file, root / "fresh.txt")) == 0
+        assert (root / "s1.txt").read_bytes() == (root / "fresh.txt").read_bytes()
+
     def test_missing_wav_exits_two(self, trial_setup, q_weights_file):
         root, trials = trial_setup
         (root / "c.wav").unlink()
@@ -581,14 +677,14 @@ class TestScore:
 
     @pytest.fixture
     def long_list(self, tmp_path):
-        """20 trials over short (one distinct crop) and long utterances,
-        each pair in both orders, so scoring crosses chunk boundaries."""
+        """132 trials over short (one distinct crop) and long utterances,
+        each pair in both orders, so scoring fills two chunks and part of a third."""
         names = []
-        for i, seconds in enumerate((0.3, 1.2, 0.4, 0.9, 0.6)):
+        for i, seconds in enumerate((0.3, 1.2, 0.4, 0.9, 0.6, 0.35, 1.0, 0.45, 0.8, 0.3, 0.7, 1.1)):
             names.append(f"u{i}.wav")
             write_wav(tmp_path / names[-1], make_wave(seed=30 + i, seconds=seconds))
         pairs = list(itertools.permutations(names, 2))
-        assert len(pairs) > scoring.TRIAL_CHUNK
+        assert len(pairs) > 2 * scoring.TRIAL_CHUNK and len(pairs) % scoring.TRIAL_CHUNK
         trials = tmp_path / "trials.txt"
         trials.write_text("".join(f"{k % 2} {a} {b}\n" for k, (a, b) in enumerate(pairs)))
         return tmp_path, trials, names, pairs
@@ -901,6 +997,24 @@ class TestAugmentCommand:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert not out.exists()
+
+    def test_a_long_catalog_recording_is_read_one_window_at_a_time(self, tmp_path, wav_file, catalog_tree):
+        # 10 min of noise: read whole, its bytes and float64 copy take ~96 MB.
+        noise = catalog_tree / "noise" / "12.wav"
+        write_noise_wav(noise, 600)
+        out, want = tmp_path / "o.wav", tmp_path / "want.wav"
+        argv = ["augment", "--in", str(wav_file), "--out", str(out), "--kind", "noise",
+                "--catalog", str(catalog_tree), "--seed", "4"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20  # ~0.3 MB measured
+        whole = augment.NoiseCatalog([read_wav(noise)])
+        write_wav(want, augment.augment_additive(read_wav(wav_file), whole, augment.AugmentSpec.for_kind("noise", 4)))
+        assert out.read_bytes() == want.read_bytes()
 
     def test_unknown_kind_exits_one(self, tmp_path, wav_file, catalog_tree):
         argv = ["augment", "--in", str(wav_file), "--out", str(tmp_path / "o.wav"),

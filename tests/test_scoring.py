@@ -145,14 +145,20 @@ class TestScoreFromEmbeddings:
 class TestScoreTrials:
     def test_each_score_has_the_bits_of_its_pair(self):
         rng = np.random.default_rng(7)
-        by_id = {f"u{i}": rng.normal(size=(int(rng.integers(1, 11)), 64)) for i in range(7)}
+        by_id = {f"u{i}": rng.normal(size=(int(rng.integers(1, 11)), 64)) for i in range(11)}
         by_id["short"] = np.tile(rng.normal(size=(1, 64)), (10, 1))
         embeddings = list(by_id.values())
-        pairs = [(a, b) for a in range(8) for b in range(8) if a != b][:37]  # two full chunks and a partial one
-        assert len(pairs) > 2 * scoring.TRIAL_CHUNK
+        pairs = [(a, b) for a in range(12) for b in range(12) if a != b]  # two full chunks and a partial one
+        assert len(pairs) > 2 * scoring.TRIAL_CHUNK and len(pairs) % scoring.TRIAL_CHUNK
         want = [score_from_embeddings(embeddings[a], embeddings[b]) for a, b in pairs]
         enroll, test = np.array(pairs, dtype=np.intp).T
         assert score_trials(embeddings, enroll, test).tolist() == want
+
+    @pytest.mark.parametrize("enroll,test", [([0, 3], [1, 0]), ([0, 1], [-1, 0]), ([2, 0], [0, 7])])
+    def test_row_outside_the_embeddings_raises(self, enroll, test):
+        embeddings = [np.eye(2, 4) + k for k in range(3)]
+        with pytest.raises(IndexError):
+            score_trials(embeddings, np.array(enroll, dtype=np.intp), np.array(test, dtype=np.intp))
 
     def test_empty_list_scores_nothing(self):
         none = np.zeros(0, dtype=np.intp)
