@@ -14,6 +14,7 @@ discarded when it was built with other weights or crop settings.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -100,7 +101,10 @@ def _atomic_save(path: str | Path, save) -> None:
         raise
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built once per process: parse_args keeps no
+    state between calls, and every default is immutable."""
     features, dcf, schedule, margin = FeatureParams(), DCFParams(), Schedule(), MarginParams()
     parser = _Parser(prog="svkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

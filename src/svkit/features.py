@@ -19,6 +19,7 @@ Frame count is L = 1 + floor(T / hop) for a T-sample input.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,6 +131,19 @@ def mel_filterbank(n_mels: int = 64, fft_size: int = 512) -> np.ndarray:
     return np.maximum(0.0, np.minimum(rising, falling))
 
 
+@functools.lru_cache(maxsize=8)
+def _constants(p: FeatureParams) -> tuple[np.ndarray, np.ndarray]:
+    """The front end's constants for p, computed once per FeatureParams and
+    read-only: the Hamming window zero-padded to fft_size and centred, and
+    the mel filterbank."""
+    window = np.zeros(p.fft_size)
+    pad_left = (p.fft_size - p.win_length) // 2
+    window[pad_left : pad_left + p.win_length] = np.hamming(p.win_length)
+    fb = mel_filterbank(p.n_mels, p.fft_size)
+    window.flags.writeable = fb.flags.writeable = False
+    return window, fb
+
+
 def log_mel_spectrogram(w: Waveform, p: FeatureParams = FeatureParams()) -> FeatureMap:
     """Compute the L x n_mels log-mel energy matrix of a waveform.
 
@@ -139,10 +153,7 @@ def log_mel_spectrogram(w: Waveform, p: FeatureParams = FeatureParams()) -> Feat
     if x.size < p.hop_length:
         raise ValueError(f"waveform too short: {x.size} samples < one hop ({p.hop_length})")
 
-    window = np.zeros(p.fft_size)
-    pad_left = (p.fft_size - p.win_length) // 2
-    window[pad_left : pad_left + p.win_length] = np.hamming(p.win_length)
-
+    window, fb = _constants(p)
     padded = np.pad(x, p.fft_size // 2, mode="reflect")
     frames = sliding_window_view(padded, p.fft_size)[:: p.hop_length]
     spectrum = np.empty((len(frames), p.fft_size // 2 + 1))
@@ -150,7 +161,6 @@ def log_mel_spectrogram(w: Waveform, p: FeatureParams = FeatureParams()) -> Feat
         block = frames[i : i + STFT_BLOCK_FRAMES] * window
         spectrum[i : i + STFT_BLOCK_FRAMES] = np.abs(np.fft.rfft(block, n=p.fft_size, axis=1)) ** 2
 
-    fb = mel_filterbank(p.n_mels, p.fft_size)
     energies = spectrum @ fb.T
     return FeatureMap(np.log(energies + LOG_FLOOR))
 

@@ -21,16 +21,20 @@ conv1's width at the same time, so the weights alone decide how they run.
 Every conv is an unpadded im2col + GEMM over tiles whose column buffer
 fits a byte budget, with bias, residual and ReLU applied per tile. Each
 activation lives in a (t + 2, f + 2, c) buffer with a zero border, which
-pads the 3x3 conv that reads it. Inference is pure: weights are immutable
-after load and no state is shared between calls.
+pads the 3x3 conv that reads it. forward runs a TrunkPlan, built once per
+(variant, input length): every conv in run order, each buffer a view of
+one arena that each call allocates. Inference is pure: weights are
+immutable after load, and calls share only plans, which hold no array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -135,14 +139,41 @@ def _conv_out(size: int, kernel: int, stride: int, pad: int) -> int:
 TILE_BYTES = 1 << 20
 
 
-def _zero_bordered(shape: tuple[int, int, int]) -> np.ndarray:
-    """A (t + 2, f + 2, c) float32 buffer for a (t, f, c) tensor: the
-    one-wide border is zero, the interior is left for the caller to fill."""
-    t, f, c = shape
-    buf = np.empty((t + 2, f + 2, c), dtype=np.float32)
-    buf[0] = buf[-1] = 0.0
-    buf[:, 0] = buf[:, -1] = 0.0
-    return buf
+def _conv_tiles(windows, matrix, bias, out, residual, relu, cols, acc) -> None:
+    """The tile loop of every conv: for each tile of whole output rows,
+    copy its windows into cols, multiply by the (kh*kw*c_in, c_out) matrix
+    into acc, add bias, then residual's rows when given, and write the
+    result, through a ReLU when asked for, to out's rows.
+
+    windows is the (t_out, f_out, kh, kw, c_in) window view of the input,
+    cols a C-contiguous (rows, f_out, kh, kw, c_in) buffer and acc a
+    (rows, f_out, c_out) one: rows sets the tile size. out and residual may
+    be strided views, and the same one: a tile reads residual's rows before
+    it writes out's.
+    """
+    rows, f_out = cols.shape[:2]
+    cols2 = cols.reshape(rows * f_out, -1)
+    acc2 = acc.reshape(rows * f_out, -1)
+    t_out = out.shape[0]
+    for t0 in range(0, t_out, rows):
+        r = min(rows, t_out - t0)
+        np.copyto(cols[:r], windows[t0 : t0 + r])
+        np.matmul(cols2[: r * f_out], matrix, out=acc2[: r * f_out])
+        tile = acc[:r]
+        tile += bias
+        if residual is not None:
+            tile += residual[t0 : t0 + r]
+        if relu:
+            np.maximum(tile, 0.0, out=out[t0 : t0 + r])
+        else:
+            out[t0 : t0 + r] = tile
+
+
+def _tile_rows(t_out: int, f_out: int, kernel_shape: tuple[int, ...], itemsize: int) -> int:
+    """Output rows per tile: as many as keep the column buffer within
+    TILE_BYTES, at least one."""
+    kh, kw, c_in, _ = kernel_shape
+    return min(t_out, max(1, TILE_BYTES // (f_out * kh * kw * c_in * itemsize)))
 
 
 def conv2d(
@@ -162,9 +193,10 @@ def conv2d(
     given, then a ReLU when asked for, are applied.
 
     The conv runs as im2col + GEMM over tiles of whole output rows whose
-    column buffer takes at most TILE_BYTES (at least one row); each tile
-    is finished while it is in cache and written to out, which may be a
-    strided view such as the interior of a zero-bordered buffer.
+    column buffer takes at most TILE_BYTES (at least one row), the loop
+    that forward runs for each conv of its plan. Each tile is finished
+    while it is in cache and written to out, which may be a strided view
+    such as the interior of a zero-bordered buffer.
     """
     if x.ndim != 3:
         raise ValueError(f"input must be (time, freq, channels), got shape {x.shape}")
@@ -179,23 +211,10 @@ def conv2d(
         out = np.empty((t_out, f_out, c_out), dtype=dtype)
     if residual is not None and residual.shape != out.shape:
         raise ValueError(f"residual shape mismatch: {out.shape} vs shortcut {residual.shape}")
-    row_bytes = f_out * kh * kw * c_in * np.dtype(dtype).itemsize
-    rows = min(t_out, max(1, TILE_BYTES // row_bytes))
-    cols = np.empty((rows * f_out, kh * kw * c_in), dtype=dtype)
-    acc = np.empty((rows * f_out, c_out), dtype=dtype)
-    matrix = kernel.reshape(kh * kw * c_in, c_out)
-    for t0 in range(0, t_out, rows):
-        t1 = min(t0 + rows, t_out)
-        m = (t1 - t0) * f_out
-        np.copyto(cols[:m].reshape(t1 - t0, f_out, kh, kw, c_in), windows[t0:t1])
-        tile = np.matmul(cols[:m], matrix, out=acc[:m]).reshape(t1 - t0, f_out, c_out)
-        tile += bias
-        if residual is not None:
-            tile += residual[t0:t1]
-        if relu:
-            np.maximum(tile, 0.0, out=out[t0:t1])
-        else:
-            out[t0:t1] = tile
+    rows = _tile_rows(t_out, f_out, kernel.shape, np.dtype(dtype).itemsize)
+    cols = np.empty((rows, f_out, kh, kw, c_in), dtype=dtype)
+    acc = np.empty((rows, f_out, c_out), dtype=dtype)
+    _conv_tiles(windows, kernel.reshape(kh * kw * c_in, c_out), bias, out, residual, relu, cols, acc)
     return out
 
 
@@ -304,34 +323,6 @@ class FoldedWeights:
             self.tensors["embed.bias"] = (self.tensors["embed.bias"] * scale + shift).astype(np.float32)
 
 
-def _conv_relu_bordered(x, conv, stride, residual) -> np.ndarray:
-    """ReLU of a folded (kernel, bias) conv of the zero-bordered x, plus
-    residual unless None, in the interior of a new zero-bordered buffer."""
-    kernel, bias = conv
-    kh, kw, _, c_out = kernel.shape
-    t, f = _conv_out(x.shape[0], kh, stride[0], 0), _conv_out(x.shape[1], kw, stride[1], 0)
-    out = _zero_bordered((t, f, c_out))
-    conv2d(x, kernel, stride, bias, residual, relu=True, out=out[1:-1, 1:-1])
-    return out
-
-
-def residual_block(x: np.ndarray, weights: FoldedWeights, prefix: str, stride: int) -> np.ndarray:
-    """Basic block: conv-BN-ReLU-conv-BN plus shortcut, final ReLU.
-
-    Takes the block's input in a zero-bordered buffer and returns its
-    output in a new one; each BN is folded into its conv. The shortcut,
-    which reads the interior of x, is a 1x1 conv + BN (present in the
-    weight set) when the block changes stride or channel count, identity
-    otherwise.
-    """
-    mid = _conv_relu_bordered(x, weights.convs[f"{prefix}.conv1"], (stride, stride), None)
-    shortcut = x[1:-1, 1:-1]
-    if f"{prefix}.shortcut" in weights.convs:
-        kernel, bias = weights.convs[f"{prefix}.shortcut"]
-        shortcut = conv2d(shortcut, kernel, (stride, stride), bias)
-    return _conv_relu_bordered(mid, weights.convs[f"{prefix}.conv2"], (1, 1), shortcut)
-
-
 def frame_attention(
     frames: np.ndarray, w: np.ndarray, b: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
@@ -388,6 +379,195 @@ def init_weights(cfg: TrunkConfig, seed: int = 0) -> dict[str, np.ndarray]:
     return tensors
 
 
+class _View(NamedTuple):
+    """A float32 view of a crop's arena: byte offset, shape and byte strides
+    (None for C order)."""
+
+    offset: int
+    shape: tuple[int, ...]
+    strides: tuple[int, ...] | None = None
+
+
+class _Step(NamedTuple):
+    """One conv of a trunk plan, each buffer a view of the crop's arena."""
+
+    conv: str  # key of FoldedWeights.convs
+    borders: tuple[_View, ...]  # the zero-bordered buffers it starts: their borders are zeroed first
+    windows: _View  # (t_out, f_out, kh, kw, c_in) windows of its zero-bordered input
+    out: _View  # (t_out, f_out, c_out) interior of its zero-bordered output
+    residual: bool  # add what out holds before the conv (the block's shortcut)
+    relu: bool
+    cols: _View  # (rows, f_out, kh, kw, c_in) im2col tile
+    acc: _View  # (rows, f_out, c_out) GEMM tile
+
+
+class _Stage(NamedTuple):
+    steps: int  # steps of the plan that end the stage
+    output: _View  # its (t + 2, f + 2, c) zero-bordered output
+
+
+class TrunkPlan(NamedTuple):
+    """Every conv of a trunk for one input length, in run order, over one
+    arena of `floats` float32 values: the zero-bordered buffer whose
+    interior takes the features, each step, and where each stage (conv1,
+    layer1-4) leaves its output."""
+
+    floats: int
+    features: _View  # (L + 2, N_MELS + 2, 1)
+    steps: tuple[_Step, ...]
+    stages: Mapping[str, _Stage]
+
+
+_ALIGN = 64  # bytes; every buffer of an arena starts on a cache line
+
+
+def _aligned(nbytes: int) -> int:
+    return -(-nbytes // _ALIGN) * _ALIGN
+
+
+def _place(buffers: list[list[int]]) -> tuple[list[int], int]:
+    """Byte offsets in one arena for buffers given as [bytes, first step,
+    last step]: each buffer takes the lowest offset where it overlaps no
+    placed buffer that is live at one of its steps (greedy by size,
+    Pisarchyk & Lee 2020, arXiv 2001.03288). Buffers live at several steps
+    go first, then the one-step tiles fill the gaps, each group largest
+    first; for a 4 s crop that comes within 2% of the most bytes live at
+    one step on both variants. Returns the offsets and the arena's size."""
+    offsets = [0] * len(buffers)
+    placed: list[int] = []
+    for i in sorted(range(len(buffers)), key=lambda i: (buffers[i][1] == buffers[i][2], -buffers[i][0])):
+        size, first, last = buffers[i]
+        offset = 0
+        for j in sorted(placed, key=offsets.__getitem__):
+            other, start, end = buffers[j]
+            if start <= last and first <= end and offsets[j] < offset + size:
+                offset = max(offset, offsets[j] + other)
+        offsets[i] = offset
+        placed.append(i)
+    return offsets, max(o + b[0] for o, b in zip(offsets, buffers))
+
+
+@functools.lru_cache(maxsize=8)
+def trunk_plan(cfg: TrunkConfig, n_frames: int) -> TrunkPlan:
+    """The trunk of cfg for n_frames of features as a list of convs, built
+    once per (cfg, n_frames) and holding no array.
+
+    The stem conv is followed by basic blocks: conv-BN-ReLU-conv-BN plus a
+    shortcut, then ReLU, each BN folded into its conv. The shortcut is a
+    1x1 conv + BN when the block changes stride or channel count, the
+    identity otherwise. Each activation is a (t + 2, f + 2, c) buffer with
+    a zero border. A block's conv1 writes a mid-point buffer that every
+    block of its stage reuses. Its conv2 adds what its output buffer holds:
+    the block's input, which it overwrites, for an identity shortcut, or
+    what the 1x1 shortcut wrote into a new buffer first. Every buffer and
+    each conv's im2col and GEMM tiles are placed in one arena so that
+    buffers live at the same step never overlap, and a buffer's border is
+    zeroed at the step that starts it.
+    """
+    itemsize = np.dtype(np.float32).itemsize
+    kernels = {name: shape for name, (shape, _) in cfg.convs().items()}
+    buffers: list[list[int]] = []  # [bytes, first step, last step]
+    convs: list[tuple] = []  # (conv, started, src, dst, stride, residual, relu, tile, rows)
+
+    def buffer(nbytes: int) -> int:
+        buffers.append([_aligned(nbytes), len(convs), len(convs)])
+        return len(buffers) - 1
+
+    def activation(shape: tuple[int, int, int]) -> tuple[int, tuple[int, int, int]]:
+        t, f, c = shape
+        return buffer((t + 2) * (f + 2) * c * itemsize), shape
+
+    def conv(name, src, stride, dst=None, residual=False, relu=True, started=()):
+        """Plan conv name of the activation src into dst, or into a new
+        activation when dst is None or of another shape; return dst."""
+        kh, kw, c_in, c_out = kernels[name]
+        (t, f, _), (st, sf) = src[1], stride
+        shape = (_conv_out(t, kh, st, kh // 2), _conv_out(f, kw, sf, kw // 2), c_out)
+        if dst is None or dst[1] != shape:
+            dst = activation(shape)
+            started += (dst,)
+        rows = _tile_rows(shape[0], shape[1], kernels[name], itemsize)
+        tile = buffer(_aligned(rows * shape[1] * kh * kw * c_in * itemsize) + rows * shape[1] * c_out * itemsize)
+        for buf, _ in (src, dst):
+            buffers[buf][2] = len(convs)
+        convs.append((name, started, src, dst, stride, residual, relu, tile, rows))
+        return dst
+
+    stem = activation((n_frames, N_MELS, 1))
+    x = conv("conv1", stem, cfg.conv1_stride, started=(stem,))
+    stages = {"conv1": (len(convs), x)}
+    mid = None
+    for prefix, stride, _, _ in cfg.blocks():
+        mid = conv(f"{prefix}.conv1", x, (stride, stride), dst=mid)
+        if f"{prefix}.shortcut" in kernels:
+            x = conv(f"{prefix}.shortcut", x, (stride, stride), relu=False)
+        conv(f"{prefix}.conv2", mid, (1, 1), dst=x, residual=True)
+        stages[prefix.partition(".")[0]] = (len(convs), x)
+
+    offsets, size = _place(buffers)
+
+    def bordered(act) -> _View:
+        buf, (t, f, c) = act
+        return _View(offsets[buf], (t + 2, f + 2, c), ((f + 2) * c * itemsize, c * itemsize, itemsize))
+
+    steps = []
+    for name, started, src, dst, (st, sf), residual, relu, tile, rows in convs:
+        kh, kw, c_in, c_out = kernels[name]
+        (t_out, f_out, _), (offset, _, (row, col, _)), out = dst[1], bordered(src), bordered(dst)
+        cols = (rows, f_out, kh, kw, c_in)
+        steps.append(
+            _Step(
+                conv=name,
+                borders=tuple(map(bordered, started)),
+                # a k x k conv reads its input padded by k // 2
+                windows=_View(
+                    offset + (1 - kh // 2) * row + (1 - kw // 2) * col,
+                    (t_out, f_out, kh, kw, c_in),
+                    (st * row, sf * col, row, col, itemsize),
+                ),
+                out=_View(out.offset + out.strides[0] + out.strides[1], dst[1], out.strides),
+                residual=residual,
+                relu=relu,
+                cols=_View(offsets[tile], cols),
+                acc=_View(offsets[tile] + _aligned(math.prod(cols) * itemsize), (rows, f_out, c_out)),
+            )
+        )
+    return TrunkPlan(
+        floats=size // itemsize,
+        features=bordered(stem),
+        steps=tuple(steps),
+        stages=MappingProxyType({name: _Stage(n, bordered(act)) for name, (n, act) in stages.items()}),
+    )
+
+
+def run_trunk(features: np.ndarray, weights: FoldedWeights, stage: str = "layer4") -> np.ndarray:
+    """Run the trunk plan of weights for (L, N_MELS) float32 features to the
+    end of stage (conv1 or layer1-4) and return its output in its
+    zero-bordered (t + 2, f + 2, c) buffer, a view of the crop's arena.
+
+    The arena is allocated per call, so concurrent calls share nothing; the
+    plan is built once per input length.
+    """
+    plan = trunk_plan(weights.config, features.shape[0])
+    arena = np.empty(plan.floats, dtype=np.float32)
+
+    def view(v: _View) -> np.ndarray:
+        return np.ndarray(v.shape, np.float32, arena, v.offset, v.strides)
+
+    view(plan.features)[1:-1, 1:-1, 0] = features
+    n_steps, output = plan.stages[stage]
+    for step in plan.steps[:n_steps]:
+        for buf in map(view, step.borders):
+            buf[0] = buf[-1] = 0.0
+            buf[:, 0] = buf[:, -1] = 0.0
+        kernel, bias = weights.convs[step.conv]
+        out = view(step.out)
+        residual = out if step.residual else None
+        matrix = kernel.reshape(-1, kernel.shape[-1])
+        _conv_tiles(view(step.windows), matrix, bias, out, residual, step.relu, view(step.cols), view(step.acc))
+    return view(output)
+
+
 def forward(features: np.ndarray, weights: FoldedWeights) -> np.ndarray:
     """Embed a normalized (L, N_MELS) feature matrix as a 512-d vector.
 
@@ -403,13 +583,7 @@ def forward(features: np.ndarray, weights: FoldedWeights) -> np.ndarray:
     if features.ndim != 2 or features.shape[1] != N_MELS:
         raise ValueError(f"expected (L, {N_MELS}) features, got shape {features.shape}")
 
-    x = _zero_bordered((*features.shape, 1))
-    x[1:-1, 1:-1, 0] = features
-    x = _conv_relu_bordered(x, weights.convs["conv1"], cfg.conv1_stride, None)
-    for prefix, stride, _, _ in cfg.blocks():
-        x = residual_block(x, weights, prefix, stride)
-
-    x = x[1:-1, 1:-1]
+    x = run_trunk(features, weights)[1:-1, 1:-1]
     # flatten is freq-major, then channel
     frames = x.reshape(x.shape[0], -1) if cfg.frame_agg == "flatten" else x.mean(axis=1)
     pool = sap_pool if cfg.pooling == "sap" else asp_pool

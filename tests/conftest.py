@@ -24,20 +24,16 @@ def make_wave(seed: int, seconds: float, amplitude: float = 0.3) -> Waveform:
 
 def forward_stages(monkeypatch, features, weights) -> dict:
     """Run network.forward and record the shape of each stage's output:
-    conv1, layer1-4, frames, pooled and embedding. The stages are read by
-    wrapping the module globals forward calls: the input of the first
-    residual block is conv1's output, the last block of each layer gives
-    that layer's, and the pooling function sees the frames and gives the
-    pooled vector. A block's input and output are zero-bordered buffers,
-    so their stage shape is that of the interior."""
+    conv1, layer1-4, frames, pooled and embedding. conv1 and layer1-4 are
+    read from the trunk plan for the features' length, whose stage outputs
+    are zero-bordered buffers, so their stage shape is that of the
+    interior; the pooling function forward calls is wrapped, so it sees the
+    frames and gives the pooled vector."""
+    plan = network.trunk_plan(weights.config, len(features))
     stages: dict = {}
-    block = network.residual_block
-
-    def traced_block(x, weights, prefix, stride):
-        stages.setdefault("conv1", x[1:-1, 1:-1].shape)
-        out = block(x, weights, prefix, stride)
-        stages[prefix.partition(".")[0]] = out[1:-1, 1:-1].shape
-        return out
+    for name, stage in plan.stages.items():
+        t, f, c = stage.output.shape
+        stages[name] = (t - 2, f - 2, c)
 
     def traced(pool):
         def run(frames, *args):
@@ -48,7 +44,6 @@ def forward_stages(monkeypatch, features, weights) -> dict:
 
         return run
 
-    monkeypatch.setattr(network, "residual_block", traced_block)
     for name in ("sap_pool", "asp_pool"):
         monkeypatch.setattr(network, name, traced(getattr(network, name)))
     stages["embedding"] = network.forward(features, weights).shape

@@ -9,6 +9,8 @@ import itertools
 import os
 import pathlib
 import stat
+import subprocess
+import sys
 import tracemalloc
 import wave
 
@@ -155,6 +157,34 @@ class TestUsageErrors:
         assert main(argv) == 1
         assert capsys.readouterr().err == "usage error: argument --n-crops: invalid int value: 'x'\n"
         assert list(tmp_path.iterdir()) == []
+
+
+class TestParserBuiltOnce:
+    def test_tree_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_usage_error_between_good_calls_behaves_as_in_fresh_processes(self, q_weights_file, tmp_path, capfd):
+        calls = [
+            ["info", "--weights", str(q_weights_file)],
+            ["embed", "x.wav", "--weights", str(q_weights_file), "--out", str(tmp_path / "e.svw1"), "--n-crops", "0"],
+            ["info", "--weights", str(q_weights_file)],
+        ]
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        fresh = []
+        for argv in calls:
+            done = subprocess.run([sys.executable, "-m", "svkit.cli", *argv], capture_output=True, text=True, env=env)
+            fresh.append((done.returncode, done.stdout, done.stderr))
+        capfd.readouterr()
+        in_process = []
+        for argv in calls:
+            status = main(argv)
+            out, err = capfd.readouterr()
+            in_process.append((status, out, err))
+        assert in_process == fresh
+        assert [status for status, _, _ in fresh] == [0, 1, 0]
+        assert fresh[1][2].startswith("usage error: argument --n-crops")
+        assert not (tmp_path / "e.svw1").exists()
 
 
 class TestFeaturize:

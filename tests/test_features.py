@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import make_wave
 from oracles import mel_center_frequencies
+from svkit import features
 from svkit.audio import Waveform
 from svkit.features import (
     LOG_FLOOR,
@@ -112,6 +113,18 @@ class TestLogMelSpectrogram:
     def test_too_short_input_rejected(self):
         with pytest.raises(ValueError):
             log_mel_spectrogram(Waveform(np.ones(100)))
+
+    def test_window_and_filterbank_are_built_once_per_params(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(features, "mel_filterbank", lambda *args: calls.append(args) or mel_filterbank(*args))
+        p = FeatureParams(n_mels=23, fft_size=1024)  # used by no other test
+        w = make_wave(5, 0.5)
+        first = log_mel_spectrogram(w, p).values
+        assert log_mel_spectrogram(w, p).values.tobytes() == first.tobytes()
+        assert calls == [(23, 1024)]
+        fb = mel_filterbank(23, 1024)  # still a new, writable array
+        fb[:] = 0.0
+        assert log_mel_spectrogram(w, p).values.tobytes() == first.tobytes()
 
     @pytest.mark.parametrize("n_frames", [63, 64, 65, 401])
     def test_blocked_fft_matches_one_call(self, n_frames):

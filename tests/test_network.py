@@ -1,7 +1,12 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import per_conv_trunk
 from conftest import forward_stages, make_wave
 from oracles import relative_l2, trunk_embedding
 from svkit import cli, network
@@ -16,8 +21,9 @@ from svkit.network import (
     frame_attention,
     init_weights,
     parameter_count,
-    residual_block,
+    run_trunk,
     sap_pool,
+    trunk_plan,
 )
 
 
@@ -196,20 +202,115 @@ class TestWeights:
 
 
 class TestResidualBlock:
+    """A block's output, read from the trunk plan's stage outputs: layer1
+    has identity shortcuts only, layer2 starts with a projection."""
+
     def test_identity_shortcut_when_no_projection(self, q_weights):
-        rng = np.random.default_rng(5)
-        x = bordered(rng.standard_normal((11, 8, 16)).astype(np.float32))
-        out = residual_block(x, FoldedWeights(q_weights), "layer1.block1", stride=1)
-        assert out.shape == x.shape
+        feats = np.random.default_rng(5).standard_normal((21, 64)).astype(np.float32)
+        folded = FoldedWeights(q_weights)
+        x = run_trunk(feats, folded, "conv1")
+        out = run_trunk(feats, folded, "layer1")
+        assert out.shape == x.shape == (11 + 2, 32 + 2, 16)
         assert np.all(out >= 0)  # final ReLU
         assert_array_equal(out, bordered(out[1:-1, 1:-1]))  # zero border
 
     def test_projection_shortcut_changes_shape(self, q_weights):
-        rng = np.random.default_rng(6)
-        x = bordered(rng.standard_normal((12, 8, 16)).astype(np.float32))
-        out = residual_block(x, FoldedWeights(q_weights), "layer2.block0", stride=2)
-        assert out.shape == (6 + 2, 4 + 2, 32)
+        feats = np.random.default_rng(6).standard_normal((23, 64)).astype(np.float32)
+        out = run_trunk(feats, FoldedWeights(q_weights), "layer2")
+        assert out.shape == (6 + 2, 16 + 2, 32)
+        assert np.all(out >= 0)
         assert_array_equal(out, bordered(out[1:-1, 1:-1]))
+
+
+def per_conv_forward(monkeypatch, feats, folded, tile_bytes):
+    """forward's embedding with the trunk run one conv2d call at a time."""
+    with monkeypatch.context() as m:
+        m.setattr(network, "run_trunk", lambda x, w: per_conv_trunk.trunk(x, w, tile_bytes=tile_bytes))
+        return forward(feats, folded)
+
+
+class TestPlannedTrunk:
+    """forward runs a plan built once per input length; it must give the
+    bits of the per-conv trunk (tests/per_conv_trunk.py), which makes the
+    same numpy calls on the same tile rows."""
+
+    @pytest.mark.parametrize("frames", [401, 11, 203])
+    @pytest.mark.parametrize("variant", ["q-sap", "h-asp"])
+    def test_matches_the_per_conv_trunk_bit_for_bit(self, variant, frames, monkeypatch):
+        folded = FoldedWeights(random_batchnorm(init_weights(VARIANTS[variant], seed=20), seed=21))
+        feats = np.random.default_rng(frames).standard_normal((frames, 64)).astype(np.float32)
+        for stage in ("conv1", "layer1", "layer2", "layer3", "layer4"):
+            want = per_conv_trunk.trunk(feats, folded, stage, tile_bytes=network.TILE_BYTES)
+            assert run_trunk(feats, folded, stage).tobytes() == want.tobytes(), stage
+        want = per_conv_forward(monkeypatch, feats, folded, network.TILE_BYTES)
+        assert forward(feats, folded).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("variant", ["q-sap", "h-asp"])
+    def test_alternating_frame_counts(self, variant, monkeypatch):
+        folded = FoldedWeights(random_batchnorm(init_weights(VARIANTS[variant], seed=22), seed=23))
+        rng = np.random.default_rng(24)
+        feats = {n: rng.standard_normal((n, 64)).astype(np.float32) for n in (401, 11, 203)}
+        want = {n: per_conv_forward(monkeypatch, f, folded, network.TILE_BYTES) for n, f in feats.items()}
+        for n in (11, 401, 11, 203, 401, 203, 11):
+            assert forward(feats[n], folded).tobytes() == want[n].tobytes(), n
+
+    def test_plan_is_built_once_per_length(self, q_config):
+        assert trunk_plan(q_config, 401) is trunk_plan(q_config, 401)
+        assert trunk_plan(q_config, 401) is not trunk_plan(q_config, 203)
+        plan = trunk_plan(q_config, 401)
+        assert sorted(step.conv for step in plan.steps) == sorted(q_config.convs())  # each conv once
+        assert plan.stages["layer4"].steps == len(plan.steps)
+
+    def test_concurrent_forwards_match_serial(self, q_weights):
+        # 4 threads, more than a 2-CPU host has cores, switching the
+        # interpreter lock every 100 us, each embedding inputs of three
+        # lengths twice, in its own order.
+        folded = FoldedWeights(q_weights)
+        rng = np.random.default_rng(25)
+        feats = [rng.standard_normal((n, 64)).astype(np.float32) for n in (401, 11, 203)]
+        want = np.stack([forward(f, folded) for f in feats])
+        results, errors = {}, []
+        barrier = threading.Barrier(4, timeout=30)
+
+        def work(k):
+            try:
+                barrier.wait()
+                results[k] = [np.stack([forward(f, folded) for f in feats[k % 3:] + feats[: k % 3]]) for _ in range(2)]
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            threads = [threading.Thread(target=work, args=(k,), daemon=True) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        for k, runs in results.items():
+            for rows in runs:
+                assert np.roll(rows, k % 3, axis=0).tobytes() == want.tobytes(), k
+        assert len(results) == 4
+
+    # The traced peaks of the per-conv trunk at 401 frames (numpy 2.4,
+    # OpenBLAS 0.3.31), each plus 5%: one crop's arena must hold no more
+    # than the fresh per-conv buffers did.
+    @pytest.mark.parametrize("variant,peak_mb", [("h-asp", 11.4), ("q-sap", 2.51)])
+    def test_traced_peak_of_a_4s_forward(self, variant, peak_mb):
+        folded = FoldedWeights(init_weights(VARIANTS[variant], seed=0))
+        feats = np.random.default_rng(26).standard_normal((401, 64)).astype(np.float32)
+        forward(feats, folded)  # builds the plan
+        tracemalloc.start()
+        try:
+            forward(feats, folded)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * peak_mb * 1e6, peak
 
 
 class TestForward:
