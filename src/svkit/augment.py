@@ -54,8 +54,8 @@ DIRECT_TAPS = 16
 class AugmentSpec:
     kind: str
     seed: int
-    count_range: tuple[int, int] = (1, 1)
-    snr_range_db: tuple[float, float] = (0.0, 15.0)
+    count_range: tuple[int, int]
+    snr_range_db: tuple[float, float]
 
     def __post_init__(self):
         if self.kind not in ADDITIVE_KINDS:
@@ -64,17 +64,6 @@ class AugmentSpec:
             raise ValueError(f"bad count range {self.count_range}")
         if self.snr_range_db[0] > self.snr_range_db[1]:
             raise ValueError(f"bad SNR range {self.snr_range_db}")
-
-    @classmethod
-    def for_kind(
-        cls, kind: str, seed: int, count_range=(None, None), snr_range_db=(None, None)
-    ) -> "AugmentSpec":
-        """The kind's ranges from ADDITIVE_DEFAULTS, with each bound given
-        (not None) in count_range or snr_range_db in place of its default."""
-        counts, snrs = ADDITIVE_DEFAULTS[kind]
-        def pick(given, default):
-            return tuple(d if g is None else g for g, d in zip(given, default))
-        return cls(kind, seed, pick(count_range, counts), pick(snr_range_db, snrs))
 
 
 @dataclass

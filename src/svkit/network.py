@@ -37,7 +37,6 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import containers
 
@@ -167,55 +166,6 @@ def _conv_tiles(windows, matrix, bias, out, residual, relu, cols, acc) -> None:
             np.maximum(tile, 0.0, out=out[t0 : t0 + r])
         else:
             out[t0 : t0 + r] = tile
-
-
-def _tile_rows(t_out: int, f_out: int, kernel_shape: tuple[int, ...], itemsize: int) -> int:
-    """Output rows per tile: as many as keep the column buffer within
-    TILE_BYTES, at least one."""
-    kh, kw, c_in, _ = kernel_shape
-    return min(t_out, max(1, TILE_BYTES // (f_out * kh * kw * c_in * itemsize)))
-
-
-def conv2d(
-    x: np.ndarray,
-    kernel: np.ndarray,
-    stride: tuple[int, int],
-    bias: np.ndarray,
-    residual: np.ndarray | None = None,
-    relu: bool = False,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Unpadded 2-D convolution of a (time, freq, ch_in) tensor.
-
-    kernel is (kh, kw, ch_in, ch_out); output spatial extents follow
-    floor((in - k) / stride) + 1, so a padded conv reads a zero-bordered
-    input. A per-channel bias, then a residual of the output's shape when
-    given, then a ReLU when asked for, are applied.
-
-    The conv runs as im2col + GEMM over tiles of whole output rows whose
-    column buffer takes at most TILE_BYTES (at least one row), the loop
-    that forward runs for each conv of its plan. Each tile is finished
-    while it is in cache and written to out, which may be a strided view
-    such as the interior of a zero-bordered buffer.
-    """
-    if x.ndim != 3:
-        raise ValueError(f"input must be (time, freq, channels), got shape {x.shape}")
-    kh, kw, c_in, c_out = kernel.shape
-    if x.shape[2] != c_in:
-        raise ValueError(f"channel mismatch: input has {x.shape[2]}, kernel expects {c_in}")
-    st, sf = stride
-    dtype = np.result_type(x, kernel)
-    windows = sliding_window_view(x, (kh, kw), axis=(0, 1))[::st, ::sf].transpose(0, 1, 3, 4, 2)
-    t_out, f_out = windows.shape[:2]
-    if out is None:
-        out = np.empty((t_out, f_out, c_out), dtype=dtype)
-    if residual is not None and residual.shape != out.shape:
-        raise ValueError(f"residual shape mismatch: {out.shape} vs shortcut {residual.shape}")
-    rows = _tile_rows(t_out, f_out, kernel.shape, np.dtype(dtype).itemsize)
-    cols = np.empty((rows, f_out, kh, kw, c_in), dtype=dtype)
-    acc = np.empty((rows, f_out, c_out), dtype=dtype)
-    _conv_tiles(windows, kernel.reshape(kh * kw * c_in, c_out), bias, out, residual, relu, cols, acc)
-    return out
 
 
 def _bn_affine(gamma, beta, mean, var):
@@ -486,7 +436,8 @@ def trunk_plan(cfg: TrunkConfig, n_frames: int) -> TrunkPlan:
         if dst is None or dst[1] != shape:
             dst = activation(shape)
             started += (dst,)
-        rows = _tile_rows(shape[0], shape[1], kernels[name], itemsize)
+        # output rows per tile: as many as keep its columns within TILE_BYTES, at least one
+        rows = min(shape[0], max(1, TILE_BYTES // (shape[1] * kh * kw * c_in * itemsize)))
         tile = buffer(_aligned(rows * shape[1] * kh * kw * c_in * itemsize) + rows * shape[1] * c_out * itemsize)
         for buf, _ in (src, dst):
             buffers[buf][2] = len(convs)

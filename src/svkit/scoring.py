@@ -16,10 +16,11 @@ The distinct crops of every utterance a call embeds form one queue, run
 in order on one thread per usable CPU (crop_workers) with a bounded number
 in flight, and each crop is read as the queue reaches it: from a WAV, only
 its window. numpy's OpenBLAS is held to one thread per call while the
-queue runs and restored after. numpy's GEMM, FFT and ufunc loops release
-the interpreter lock, and each crop is independent, so the embeddings are
-bit-identical to embedding the crops one by one. When numpy's BLAS is not
-an OpenBLAS whose thread count can be set, crops run one by one.
+queue runs, whether its crops run concurrently or one by one, and restored
+after. numpy's GEMM, FFT and ufunc loops release the interpreter lock, and
+each crop is independent, so the embeddings are bit-identical to embedding
+the crops one by one, whatever the CPU count. When numpy's BLAS is not an
+OpenBLAS whose thread count can be set, crops run one by one.
 
 The embedder is injected as a callable so the scoring layer can run
 against the real network or any substitute.
@@ -100,16 +101,18 @@ def crop_workers() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-# Held while crops run concurrently, so one queue at a time lowers and
-# restores the BLAS thread count. Reentrant, so a thread may start a queue
-# while an iterator of its own is suspended between utterances.
+# Held while a crop queue runs, concurrently or one by one, so one queue at
+# a time lowers and restores the BLAS thread count. Reentrant, so a thread
+# may start a queue while an iterator of its own is suspended between
+# utterances.
 _parallel = threading.RLock()
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block with numpy's OpenBLAS on one thread per call: crops
-    running concurrently would otherwise each start threads on every CPU."""
+    running concurrently would otherwise each start threads on every CPU,
+    and a GEMM split over threads may sum in another order."""
     with _parallel:
         blas = _openblas()
         if blas is None:
@@ -170,8 +173,9 @@ def embed_utterances(
     raised, whether a load, a read, a crop or a non-finite row. `svkit
     embed` and `svkit score` check every WAV header (open_wav) before
     calling this, so a bad header anywhere in the command wins over any
-    failure here. When crops run concurrently, numpy's BLAS runs one
-    thread per call until the iterator is exhausted or closed.
+    failure here. numpy's BLAS runs one thread per call until the
+    iterator is exhausted or closed, so a GEMM sums in the same order
+    whether crops run concurrently or one by one.
     """
     workers = crop_workers() if crop_seconds >= MIN_PARALLEL_CROP_SECONDS else 1
     submit = _crop_pool(workers).submit if workers > 1 else _Deferred
@@ -207,7 +211,7 @@ def embed_utterances(
                 yield emb
 
     crops = planned()
-    with _one_blas_thread() if workers > 1 else contextlib.nullcontext():
+    with _one_blas_thread():
         try:
             while True:
                 yield from finish(2 * workers - 1)

@@ -32,6 +32,7 @@ from oracles import (
 )
 from svkit.audio import Waveform
 from svkit.augment import (
+    ADDITIVE_DEFAULTS,
     AugmentSpec,
     NoiseCatalog,
     augment_additive,
@@ -195,7 +196,7 @@ def test_criterion_05_snr_fidelity(reported):
         catalog = NoiseCatalog([make_wave(seed=500 + i, seconds=0.7) for i in range(5)])
         for seed in range(100):
             clean = make_wave(seed=seed, seconds=0.5)
-            spec = AugmentSpec.for_kind("noise", seed=seed)
+            spec = AugmentSpec("noise", seed, *ADDITIVE_DEFAULTS["noise"])
             (draw,) = plan_additive(len(clean), catalog, spec)
             noisy = augment_additive(clean, catalog, spec)
             measured = measure_snr_db(clean.samples, noisy.samples - clean.samples)

@@ -98,33 +98,34 @@ class TestMixAtSnr:
 
 class TestAugmentSpec:
     def test_per_kind_defaults(self):
-        speech = AugmentSpec.for_kind("speech", seed=0)
-        assert speech.count_range == (3, 7)
-        assert speech.snr_range_db == (13.0, 20.0)
-        music = AugmentSpec.for_kind("music", seed=0)
-        assert music.count_range == (1, 1)
-        assert music.snr_range_db == (5.0, 15.0)
-        noise = AugmentSpec.for_kind("noise", seed=0)
-        assert noise.count_range == (1, 1)
-        assert noise.snr_range_db == (0.0, 15.0)
+        assert ADDITIVE_DEFAULTS == {
+            "speech": ((3, 7), (13.0, 20.0)),
+            "music": ((1, 1), (5.0, 15.0)),
+            "noise": ((1, 1), (0.0, 15.0)),
+        }
 
-    def test_for_kind_replaces_only_the_given_bounds(self):
-        spec = AugmentSpec("speech", 4, count_range=(3, 4), snr_range_db=(1.0, 20.0))
-        assert AugmentSpec.for_kind("speech", 4, (None, 4), (1.0, None)) == spec
+    def test_ranges_have_no_defaults(self):
+        # A kind's ranges come from ADDITIVE_DEFAULTS or the caller, never
+        # from another kind's.
+        with pytest.raises(TypeError):
+            AugmentSpec("music", 0)
+        with pytest.raises(TypeError):
+            AugmentSpec("music", 0, (1, 1))
 
     def test_invalid_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
-            AugmentSpec(kind="rir", seed=0)
+            AugmentSpec("rir", 0, (1, 1), (0.0, 15.0))
 
     def test_bad_count_range_rejected(self):
+        snrs = ADDITIVE_DEFAULTS["music"][1]
         with pytest.raises(ValueError, match="count"):
-            AugmentSpec(kind="music", seed=0, count_range=(0, 1))
+            AugmentSpec("music", 0, (0, 1), snrs)
         with pytest.raises(ValueError, match="count"):
-            AugmentSpec(kind="music", seed=0, count_range=(3, 2))
+            AugmentSpec("music", 0, (3, 2), snrs)
 
     def test_bad_snr_range_rejected(self):
         with pytest.raises(ValueError, match="SNR"):
-            AugmentSpec(kind="music", seed=0, snr_range_db=(5.0, 4.0))
+            AugmentSpec("music", 0, (1, 1), (5.0, 4.0))
 
 
 def small_catalog(n_entries: int = 4, seconds: float = 0.2) -> NoiseCatalog:
@@ -135,14 +136,14 @@ def small_catalog(n_entries: int = 4, seconds: float = 0.2) -> NoiseCatalog:
 class TestPlanAdditive:
     def test_same_seed_gives_identical_draws(self):
         cat = small_catalog()
-        spec = AugmentSpec.for_kind("music", seed=42)
+        spec = AugmentSpec("music", 42, *ADDITIVE_DEFAULTS["music"])
         assert list(plan_additive(1600, cat, spec)) == list(plan_additive(1600, cat, spec))
 
     def test_speech_count_within_bounds(self):
         cat = small_catalog()
         counts = set()
         for seed in range(30):
-            draws = list(plan_additive(1600, cat, AugmentSpec.for_kind("speech", seed=seed)))
+            draws = list(plan_additive(1600, cat, AugmentSpec("speech", seed, *ADDITIVE_DEFAULTS["speech"])))
             counts.add(len(draws))
             for draw in draws:
                 assert 13.0 <= draw.snr_db <= 20.0
@@ -152,7 +153,7 @@ class TestPlanAdditive:
     def test_music_always_single_draw(self):
         cat = small_catalog()
         for seed in range(10):
-            draws = list(plan_additive(1600, cat, AugmentSpec.for_kind("music", seed=seed)))
+            draws = list(plan_additive(1600, cat, AugmentSpec("music", seed, *ADDITIVE_DEFAULTS["music"])))
             assert len(draws) == 1
             assert 5.0 <= draws[0].snr_db <= 15.0
 
@@ -160,7 +161,7 @@ class TestPlanAdditive:
         cat = small_catalog(seconds=0.3)  # 4800 samples per entry
         clean_length = 4000
         for seed in range(20):
-            spec = AugmentSpec.for_kind("noise", seed=seed)
+            spec = AugmentSpec("noise", seed, *ADDITIVE_DEFAULTS["noise"])
             for draw in plan_additive(clean_length, cat, spec):
                 noise_len = len(cat.get(draw.catalog_index))
                 assert 0 <= draw.catalog_index < len(cat)
@@ -170,20 +171,20 @@ class TestPlanAdditive:
         cat = small_catalog(seconds=0.1)  # 1600-sample entries
         clean_length = 4000  # needs ceil(4000/1600) = 3 tiles -> 4800
         for seed in range(10):
-            spec = AugmentSpec.for_kind("noise", seed=seed)
+            spec = AugmentSpec("noise", seed, *ADDITIVE_DEFAULTS["noise"])
             for draw in plan_additive(clean_length, cat, spec):
                 assert 0 <= draw.crop_offset <= 4800 - clean_length
 
     def test_empty_catalog_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            list(plan_additive(1600, NoiseCatalog([]), AugmentSpec.for_kind("music", 0)))
+            list(plan_additive(1600, NoiseCatalog([]), AugmentSpec("music", 0, *ADDITIVE_DEFAULTS["music"])))
 
 
 class TestAugmentAdditive:
     def test_same_seed_is_bit_identical(self):
         clean = make_wave(seed=5, seconds=0.2)
         cat = small_catalog()
-        spec = AugmentSpec.for_kind("speech", seed=9)
+        spec = AugmentSpec("speech", 9, *ADDITIVE_DEFAULTS["speech"])
         first = augment_additive(clean, cat, spec)
         second = augment_additive(clean, cat, spec)
         np.testing.assert_array_equal(first.samples, second.samples)
@@ -191,20 +192,20 @@ class TestAugmentAdditive:
     def test_output_length_matches_input(self):
         clean = make_wave(seed=6, seconds=0.37)
         cat = small_catalog(seconds=0.11)
-        out = augment_additive(clean, cat, AugmentSpec.for_kind("speech", seed=1))
+        out = augment_additive(clean, cat, AugmentSpec("speech", 1, *ADDITIVE_DEFAULTS["speech"]))
         assert len(out) == len(clean)
 
     @pytest.mark.parametrize("kind", ADDITIVE_DEFAULTS)
     def test_output_length_preserved_for_every_additive_kind(self, kind):
         clean = make_wave(seed=22, seconds=0.3)
-        out = augment_additive(clean, small_catalog(seconds=0.1), AugmentSpec.for_kind(kind, seed=2))
+        out = augment_additive(clean, small_catalog(seconds=0.1), AugmentSpec(kind, 2, *ADDITIVE_DEFAULTS[kind]))
         assert len(out) == len(clean)
 
     def test_single_noise_residual_hits_drawn_snr(self):
         clean = make_wave(seed=7, seconds=0.25)
         cat = small_catalog()
         for seed in range(10):
-            spec = AugmentSpec.for_kind("noise", seed=seed)
+            spec = AugmentSpec("noise", seed, *ADDITIVE_DEFAULTS["noise"])
             (draw,) = plan_additive(len(clean), cat, spec)
             out = augment_additive(clean, cat, spec)
             residual = out.samples - clean.samples
@@ -213,7 +214,7 @@ class TestAugmentAdditive:
     def test_multi_noise_matches_reconstruction_from_plan(self):
         clean = make_wave(seed=8, seconds=0.2)
         cat = small_catalog(seconds=0.15)
-        spec = AugmentSpec.for_kind("speech", seed=11)
+        spec = AugmentSpec("speech", 11, *ADDITIVE_DEFAULTS["speech"])
         expected = clean.samples.copy()
         p_clean = np.mean(clean.samples**2)
         for draw in plan_additive(len(clean), cat, spec):
@@ -234,7 +235,7 @@ class TestAugmentAdditive:
         monkeypatch.setattr(augment, "open_wav", lambda path: reads.append(path) or open_wav(path))
         clean = make_wave(seed=8, seconds=0.2)
         for seed in range(5):
-            spec = AugmentSpec.for_kind("speech", seed=seed)
+            spec = AugmentSpec("speech", seed, *ADDITIVE_DEFAULTS["speech"])
             draws = list(plan_additive(len(clean), NoiseCatalog(waves), spec))
             reads.clear()
             augment_additive(clean, NoiseCatalog(paths), spec)
@@ -244,19 +245,19 @@ class TestAugmentAdditive:
         cat = small_catalog()
         with pytest.raises(ValueError, match="zero power"):
             augment_additive(
-                Waveform(np.zeros(1600)), cat, AugmentSpec.for_kind("noise", 0)
+                Waveform(np.zeros(1600)), cat, AugmentSpec("noise", 0, *ADDITIVE_DEFAULTS["noise"])
             )
 
     def test_zero_power_catalog_entry_rejected(self):
         clean = make_wave(seed=9, seconds=0.1)
         cat = NoiseCatalog([Waveform(np.zeros(1600))])
         with pytest.raises(ValueError, match="zero power"):
-            augment_additive(clean, cat, AugmentSpec.for_kind("noise", 0))
+            augment_additive(clean, cat, AugmentSpec("noise", 0, *ADDITIVE_DEFAULTS["noise"]))
 
     def test_zero_power_entry_is_named_by_its_path_or_index(self, tmp_path):
         clean = make_wave(seed=9, seconds=0.1)
         write_wav(tmp_path / "silent.wav", Waveform(np.zeros(1600)))
-        spec = AugmentSpec.for_kind("noise", 0)
+        spec = AugmentSpec("noise", 0, *ADDITIVE_DEFAULTS["noise"])
         with pytest.raises(ValueError, match="^catalog entry 0 has zero power$"):
             augment_additive(clean, NoiseCatalog([Waveform(np.zeros(1600))]), spec)
         with pytest.raises(ValueError) as exc:

@@ -41,6 +41,15 @@ def q_weights_file(tmp_path_factory):
     return path
 
 
+def run_svkit(argv, **env) -> subprocess.CompletedProcess:
+    """Run `svkit argv` in a fresh interpreter on this checkout's source,
+    with env added to the environment."""
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, **env}
+    return subprocess.run([sys.executable, "-m", "svkit.cli", *argv], capture_output=True, text=True, env=env)
+
+
 def write_noise_wav(path, seconds: int) -> None:
     """A WAV of one second of seeded noise repeated `seconds` times."""
     second = (np.random.default_rng(0).standard_normal(16000) * 3000).astype("<i2").tobytes()
@@ -169,11 +178,9 @@ class TestParserBuiltOnce:
             ["embed", "x.wav", "--weights", str(q_weights_file), "--out", str(tmp_path / "e.svw1"), "--n-crops", "0"],
             ["info", "--weights", str(q_weights_file)],
         ]
-        src = str(pathlib.Path(cli.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         fresh = []
         for argv in calls:
-            done = subprocess.run([sys.executable, "-m", "svkit.cli", *argv], capture_output=True, text=True, env=env)
+            done = run_svkit(argv)
             fresh.append((done.returncode, done.stdout, done.stderr))
         capfd.readouterr()
         in_process = []
@@ -440,6 +447,29 @@ class TestEmbed:
         finally:
             tracemalloc.stop()
         assert peak < 40 * 2**20  # ~13 MB measured: weights, four crops in flight, their features
+
+    @pytest.mark.parametrize("variant", ["q-sap", "h-asp"])
+    def test_short_crops_give_the_same_bytes_on_one_or_two_blas_threads(self, tmp_path, variant):
+        # OpenBLAS's AVX2 Haswell kernel sums a GEMM split over two threads
+        # in another order than on one; 0.5 s crops run one by one.
+        cpuinfo = pathlib.Path("/proc/cpuinfo")
+        if not cpuinfo.exists() or "avx2" not in cpuinfo.read_text().split():
+            pytest.skip("the CPU cannot run OpenBLAS's Haswell kernel")
+        if scoring._openblas() is None:
+            pytest.skip("numpy links no OpenBLAS whose thread count can be set")
+        weights = tmp_path / "w.svw1"
+        assert main(["init", "--variant", variant, "--out", str(weights), "--seed", "0"]) == 0
+        wavs = [tmp_path / f"{name}.wav" for name in "ab"]
+        for seed, wav in enumerate(wavs):
+            write_wav(wav, make_wave(seed=seed, seconds=3.0))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"e{threads}.svw1"
+            argv = ["embed", *map(str, wavs), "--weights", str(weights), "--out", str(out), "--crop-seconds", "0.5"]
+            done = run_svkit(argv, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS=threads)
+            assert done.returncode == 0, done.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestCanonical:
@@ -996,7 +1026,7 @@ class TestAugmentCommand:
     @pytest.mark.parametrize("kind,flags,direct", [
         ("speech", ["--count-max", "4", "--snr-min", "1"],
          lambda clean, cat: augment.augment_additive(clean, cat, augment.AugmentSpec("speech", 3, (3, 4), (1.0, 20.0)))),
-        ("music", [], lambda clean, cat: augment.augment_additive(clean, cat, augment.AugmentSpec.for_kind("music", 3))),
+        ("music", [], lambda clean, cat: augment.augment_additive(clean, cat, augment.AugmentSpec("music", 3, *augment.ADDITIVE_DEFAULTS["music"]))),
         ("noise", ["--count-min", "2", "--count-max", "3", "--snr-max", "4", "--gain-min", "9"],
          lambda clean, cat: augment.augment_additive(clean, cat, augment.AugmentSpec("noise", 3, (2, 3), (0.0, 4.0)))),
         ("rir", ["--gain-min", "-4", "--gain-max", "-1", "--snr-min", "40"],
@@ -1043,7 +1073,7 @@ class TestAugmentCommand:
             tracemalloc.stop()
         assert peak < 8 * 2**20  # ~0.3 MB measured
         whole = augment.NoiseCatalog([read_wav(noise)])
-        write_wav(want, augment.augment_additive(read_wav(wav_file), whole, augment.AugmentSpec.for_kind("noise", 4)))
+        write_wav(want, augment.augment_additive(read_wav(wav_file), whole, augment.AugmentSpec("noise", 4, *augment.ADDITIVE_DEFAULTS["noise"])))
         assert out.read_bytes() == want.read_bytes()
 
     def test_unknown_kind_exits_one(self, tmp_path, wav_file, catalog_tree):

@@ -16,7 +16,6 @@ from svkit.network import (
     VARIANTS,
     FoldedWeights,
     asp_pool,
-    conv2d,
     forward,
     frame_attention,
     init_weights,
@@ -48,6 +47,9 @@ def bordered(x):
 
 
 class TestConv2d:
+    """The per-conv trunk's conv2d, the bit-for-bit oracle of run_trunk's
+    tile loop, against a direct convolution."""
+
     @pytest.mark.parametrize("stride,pad", [((1, 1), (1, 1)), ((2, 2), (1, 1)), ((2, 1), (0, 1))])
     def test_matches_brute_force(self, stride, pad):
         rng = np.random.default_rng(0)
@@ -55,7 +57,7 @@ class TestConv2d:
         xp = np.pad(x, ((pad[0], pad[0]), (pad[1], pad[1]), (0, 0)))
         k = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
         bias = rng.standard_normal(4).astype(np.float32)
-        got = conv2d(xp, k, stride, bias)
+        got = per_conv_trunk.conv2d(xp, k, stride, bias, network.TILE_BYTES)
         want = brute_force_conv2d(xp.astype(np.float64), k.astype(np.float64), stride, bias)
         assert got.shape == want.shape
         assert_allclose(got, want, rtol=1e-5, atol=1e-5)
@@ -64,30 +66,26 @@ class TestConv2d:
         x = np.zeros((203, 66, 1), dtype=np.float32)
         k = np.zeros((3, 3, 1, 16), dtype=np.float32)
         bias = np.zeros(16, dtype=np.float32)
-        assert conv2d(x, k, (2, 2), bias).shape == (101, 32, 16)
-        assert conv2d(x, k, (1, 1), bias).shape == (201, 64, 16)
+        assert per_conv_trunk.conv2d(x, k, (2, 2), bias, network.TILE_BYTES).shape == (101, 32, 16)
+        assert per_conv_trunk.conv2d(x, k, (1, 1), bias, network.TILE_BYTES).shape == (201, 64, 16)
 
-    def test_fused_epilogue_over_several_tiles(self, monkeypatch):
+    def test_fused_epilogue_over_several_tiles(self):
         rng = np.random.default_rng(12)
         x = bordered(rng.standard_normal((70, 20, 3)).astype(np.float32))
         # 30 output rows of 20 positions, 3x3x3 float32 columns each, per
         # tile: two full tiles and a partial one.
-        monkeypatch.setattr(network, "TILE_BYTES", 30 * 20 * 27 * 4)
+        tile_bytes = 30 * 20 * 27 * 4
         k = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
         bias = rng.standard_normal(4).astype(np.float32)
         residual = rng.standard_normal((70, 20, 4)).astype(np.float32)
         buf = np.full((72, 22, 4), np.nan, dtype=np.float32)
-        got = conv2d(x, k, (1, 1), bias, residual=residual, relu=True, out=buf[1:-1, 1:-1])
+        got = per_conv_trunk.conv2d(x, k, (1, 1), bias, tile_bytes, residual=residual, relu=True, out=buf[1:-1, 1:-1])
         want = brute_force_conv2d(x.astype(np.float64), k.astype(np.float64), (1, 1), bias)
         assert np.shares_memory(got, buf)
         assert_allclose(got, np.maximum(want + residual, 0.0), rtol=1e-5, atol=1e-5)
         border = np.ones(buf.shape, dtype=bool)
         border[1:-1, 1:-1] = False
         assert np.all(np.isnan(buf[border]))
-
-    def test_channel_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="channel"):
-            conv2d(np.zeros((4, 4, 2)), np.zeros((3, 3, 3, 4)), (1, 1), np.zeros(4))
 
 
 class TestPooling:

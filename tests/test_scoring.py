@@ -362,6 +362,23 @@ class TestParallelCrops:
         finally:
             set_(before)
 
+    def test_blas_runs_one_thread_per_call_while_short_crops_run_one_by_one(self, monkeypatch):
+        blas = scoring._openblas()
+        if blas is None:
+            pytest.skip("numpy links no OpenBLAS whose thread count can be set")
+        get, set_ = blas
+        before = get()
+        seen, threads = set(), set()
+        recording = lambda w: seen.add(get()) or threads.add(threading.get_ident()) or failing_at()(w)
+        set_(2)
+        try:
+            embed_on(monkeypatch, 2, self.WAVE, recording, crop_seconds=0.5)
+            assert threads == {threading.get_ident()}
+            assert seen == {1}
+            assert get() == 2
+        finally:
+            set_(before)
+
     def test_crops_run_one_by_one_without_settable_blas(self, monkeypatch):
         monkeypatch.setattr(scoring, "_openblas", lambda: None)
         assert scoring.crop_workers.__wrapped__() == 1
