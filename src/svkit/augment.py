@@ -183,7 +183,7 @@ def augment_rir(
     clean: Waveform,
     cat: NoiseCatalog,
     seed: int,
-    gain_db_range: tuple[float, float] = DEFAULT_RIR_GAIN_DB,
+    gain_db_range: tuple[float, float],
 ) -> Waveform:
     """Reverberate by convolution with a randomly chosen impulse response.
 

@@ -8,7 +8,8 @@ malformed content, invalid values). All randomness is controlled by
 give bit-identical outputs. Trial files reference utterances by path;
 the embedding cache is keyed by canonicalized path, an entry is reused
 only while the WAV's content is unchanged, and the whole cache is
-discarded when it was built with other weights or crop settings.
+discarded when it was built with other weights, crop settings or
+OpenBLAS build.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .scoring import (
     Embedder,
     embed_utterances,
     network_embedder,
+    openblas_build,
     score_trials,
 )
 
@@ -306,9 +308,10 @@ def _sha256(path: str | Path) -> str:
 
 
 def _cache_record(weights_path: str, crop_seconds: float, n_crops: int) -> str:
-    """Name of the cache's metadata record: what its entries were built with."""
-    digest = _sha256(weights_path)
-    return f"#svkit-cache weights-sha256={digest} crop-seconds={crop_seconds!r} n-crops={n_crops}"
+    """Name of the cache's metadata record: what its entries were built
+    with, the OpenBLAS kernel that ran their GEMMs included."""
+    digest, blas = _sha256(weights_path), openblas_build()
+    return f"#svkit-cache weights-sha256={digest} crop-seconds={crop_seconds!r} n-crops={n_crops} openblas={blas}"
 
 
 def _wav_record(key: str) -> str:
@@ -322,8 +325,8 @@ def _load_cache(
 ) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Cached entries and their WAV records, by key. There are none when
     the file is missing or its first metadata record differs from `record`
-    (other weights, crop settings, or a cache written without a record);
-    an entry without a WAV record is left out. An entry that is not a
+    (other weights, crop settings or OpenBLAS build, or no record); an
+    entry without a WAV record is left out. An entry that is not a
     finite (n_crops, EMBED_DIM) matrix with non-zero rows is an error."""
     if not (path and Path(path).exists()):
         return {}, {}

@@ -113,7 +113,7 @@ def _mel_edges_hz(n_mels: int) -> np.ndarray:
     return mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(MEL_F_MAX), n_mels + 2))
 
 
-def mel_filterbank(n_mels: int = 64, fft_size: int = 512) -> np.ndarray:
+def mel_filterbank(n_mels: int, fft_size: int) -> np.ndarray:
     """Triangular mel filters evaluated at FFT bin frequencies.
 
     Returns an (n_mels, fft_size // 2 + 1) matrix. Filter k rises from edge
@@ -144,7 +144,7 @@ def _constants(p: FeatureParams) -> tuple[np.ndarray, np.ndarray]:
     return window, fb
 
 
-def log_mel_spectrogram(w: Waveform, p: FeatureParams = FeatureParams()) -> FeatureMap:
+def log_mel_spectrogram(w: Waveform, p: FeatureParams) -> FeatureMap:
     """Compute the L x n_mels log-mel energy matrix of a waveform.
 
     L = 1 + floor(T / hop). Requires at least one hop of input.

@@ -36,12 +36,11 @@ class MarginParams:
 
 @dataclass(frozen=True)
 class APParams:
-    """Learnable scale/bias of the prototypical similarity, with a floor
-    (w_min) the trainer clamps the scale to after each update."""
+    """Learnable scale w and bias b of the prototypical similarity; the
+    defaults are the values training starts from."""
 
     w: float = 10.0
     b: float = -5.0
-    w_min: float = 1e-6
 
 
 LOSS_NAMES = ("softmax", "amsoftmax", "aamsoftmax", "ap", "ap+softmax")
@@ -69,35 +68,34 @@ def _normalize_backward(grad_unit: np.ndarray, unit: np.ndarray, norms: np.ndarr
     return (grad_unit - radial * unit) / norms[..., None]
 
 
-def softmax_ce(
-    embeddings: np.ndarray,
-    labels: np.ndarray,
-    weights: np.ndarray,
-    bias: np.ndarray | None = None,
-) -> tuple[float, dict]:
+def _cross_entropy(logits: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean of -log softmax(logits)[rows, cols], the true class of each
+    row, and softmax - onehot, its gradient times the row count. The
+    one-hot is subtracted in the softmax's own array, so the two (N, C)
+    arrays held are logits and that one."""
+    probs = softmax(logits)
+    loss = float(-np.mean(np.log(probs[rows, cols])))
+    probs[rows, cols] -= 1.0
+    return loss, probs
+
+
+def softmax_ce(embeddings: np.ndarray, labels: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> tuple[float, dict]:
     """Vanilla softmax cross-entropy over logits W x + bias.
 
     Returns the mean of -log softmax(logits)[label] and gradients with
-    respect to embeddings, weights, and bias.
+    respect to embeddings, weights, and bias. A step holds about two
+    (B, C) float64 arrays: the logits and their softmax, which becomes
+    the gradient in place.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     n, _ = x.shape
     y = _check_labels(labels, n, w.shape[0])
 
-    logits = x @ w.T
-    if bias is not None:
-        logits = logits + np.asarray(bias, dtype=np.float64)
-    probs = softmax(logits)
-    loss = float(-np.mean(np.log(probs[np.arange(n), y])))
-
-    dlogits = probs.copy()
-    dlogits[np.arange(n), y] -= 1.0
+    # The logits are freed as _cross_entropy returns, before the backward GEMMs.
+    loss, dlogits = _cross_entropy(x @ w.T + np.asarray(bias, dtype=np.float64), np.arange(n), y)
     dlogits /= n
-    grads = {"embeddings": dlogits @ w, "weights": dlogits.T @ x}
-    if bias is not None:
-        grads["bias"] = dlogits.sum(axis=0)
-    return loss, grads
+    return loss, {"embeddings": dlogits @ w, "weights": dlogits.T @ x, "bias": dlogits.sum(axis=0)}
 
 
 def _margin_softmax(
@@ -135,13 +133,10 @@ def _margin_softmax(
         target = cos[rows, y] - m
         dtarget_dcos = np.ones(n)
 
-    logits = s * cos
-    logits[rows, y] = s * target
-    probs = softmax(logits)
-    loss = float(-np.mean(np.log(probs[rows, y])))
-
-    dlogits = probs.copy()
-    dlogits[rows, y] -= 1.0
+    cos *= s  # the logits, in cos's array: cos is not read again
+    cos[rows, y] = s * target
+    loss, dlogits = _cross_entropy(cos, rows, y)
+    del cos  # freed before the backward GEMMs
     dlogits *= s / n
     dcos = dlogits
     dcos[rows, y] *= dtarget_dcos
@@ -155,10 +150,7 @@ def _margin_softmax(
 
 
 def am_softmax(
-    embeddings: np.ndarray,
-    labels: np.ndarray,
-    weights: np.ndarray,
-    params: MarginParams = MarginParams(),
+    embeddings: np.ndarray, labels: np.ndarray, weights: np.ndarray, params: MarginParams
 ) -> tuple[float, dict]:
     """Additive margin softmax: true-class logit s (cos theta - m),
     competitors s cos theta, on length-normalized embeddings and rows."""
@@ -166,20 +158,14 @@ def am_softmax(
 
 
 def aam_softmax(
-    embeddings: np.ndarray,
-    labels: np.ndarray,
-    weights: np.ndarray,
-    params: MarginParams = MarginParams(),
+    embeddings: np.ndarray, labels: np.ndarray, weights: np.ndarray, params: MarginParams
 ) -> tuple[float, dict]:
     """Additive angular margin softmax: true-class logit s cos(theta + m),
     falling back to cos theta - m sin(m) once theta + m passes pi."""
     return _margin_softmax(embeddings, labels, weights, params, angular=True)
 
 
-def angular_prototypical(
-    embeddings: np.ndarray,
-    params: APParams = APParams(),
-) -> tuple[float, dict]:
+def angular_prototypical(embeddings: np.ndarray, params: APParams) -> tuple[float, dict]:
     """Prototypical loss with a cosine similarity S = w cos + b.
 
     embeddings is (N, M, D) for N >= 2 speakers and M >= 2 utterances:
@@ -201,12 +187,8 @@ def angular_prototypical(
     cos = q_unit @ p_unit.T
 
     scores = params.w * cos + params.b
-    probs = softmax(scores)
     diag = np.arange(n)
-    loss = float(-np.mean(np.log(probs[diag, diag])))
-
-    dscores = probs.copy()
-    dscores[diag, diag] -= 1.0
+    loss, dscores = _cross_entropy(scores, diag, diag)
     dscores /= n
     grad_w = float(np.sum(dscores * cos))
     grad_b = float(np.sum(dscores))
@@ -224,8 +206,8 @@ def angular_prototypical(
 def ap_plus_softmax(
     embeddings: np.ndarray,
     weights: np.ndarray,
-    ap_params: APParams = APParams(),
-    bias: np.ndarray | None = None,
+    ap_params: APParams,
+    bias: np.ndarray,
 ) -> tuple[float, dict]:
     """Sum of the prototypical loss and softmax cross-entropy.
 
@@ -242,13 +224,10 @@ def ap_plus_softmax(
     ap_loss, ap_grads = angular_prototypical(e, ap_params)
     ce_loss, ce_grads = softmax_ce(e.reshape(n * m, d), labels, weights, bias)
 
-    loss = ap_loss + ce_loss
-    grads = {
+    return ap_loss + ce_loss, {
         "embeddings": ap_grads["embeddings"] + ce_grads["embeddings"].reshape(n, m, d),
         "weights": ce_grads["weights"],
         "w": ap_grads["w"],
         "b": ap_grads["b"],
+        "bias": ce_grads["bias"],
     }
-    if bias is not None:
-        grads["bias"] = ce_grads["bias"]
-    return loss, grads

@@ -175,10 +175,11 @@ def _bn_affine(gamma, beta, mean, var):
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis."""
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Numerically stable softmax over the last axis, in one new array."""
+    out = x - np.max(x, axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def parameter_count(tensors: dict[str, np.ndarray]) -> int:
@@ -311,7 +312,7 @@ def asp_pool(frames: np.ndarray, w: np.ndarray, b: np.ndarray, u: np.ndarray) ->
 _BN_INIT = {"gamma": np.ones, "beta": np.zeros, "running_mean": np.zeros, "running_var": np.ones}
 
 
-def init_weights(cfg: TrunkConfig, seed: int = 0) -> dict[str, np.ndarray]:
+def init_weights(cfg: TrunkConfig, seed: int) -> dict[str, np.ndarray]:
     """Random untrained weights of cfg.shapes(): He-uniform over the fan-in
     for conv/linear layers and pool.u, zero biases, identity batch norm
     (gamma 1, beta 0, running mean 0, running var 1)."""

@@ -11,7 +11,7 @@ cosine trials after each epoch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,8 @@ WEIGHT_DECAY = 5e-5
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Floor train_demo clamps the prototypical scale w to after each step.
+AP_W_MIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -48,17 +50,15 @@ def lr_at(epoch: int, lr0: float, schedule: Schedule) -> float:
 class AdamState:
     """Step count and first/second moments, by parameter name."""
 
-    step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    step: int
+    m: dict
+    v: dict
 
     @classmethod
     def for_params(cls, params: dict) -> "AdamState":
-        state = cls()
-        for name, p in params.items():
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        return state
+        """Step 0, with zero moments shaped like params."""
+        m, v = ({name: np.zeros_like(p) for name, p in params.items()} for _ in range(2))
+        return cls(0, m, v)
 
 
 def adam_step(
@@ -66,7 +66,7 @@ def adam_step(
     grads: dict,
     state: AdamState,
     lr: float,
-    weight_decay: float = WEIGHT_DECAY,
+    weight_decay: float,
 ) -> dict:
     """One Adam update with bias correction, applied in place.
 
@@ -127,13 +127,7 @@ def _pair_at(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return row, index - starts[row] + row + 1
 
 
-def make_corpus(
-    n_speakers: int = 20,
-    n_utts: int = 10,
-    dim: int = 512,
-    n_trials: int = 400,
-    seed: int = 0,
-) -> SyntheticCorpus:
+def make_corpus(n_speakers: int, n_utts: int, dim: int, n_trials: int, seed: int) -> SyntheticCorpus:
     """Seeded corpus: standard-normal embeddings, then n_trials trials
     (half target, half nontarget) drawn without replacement for each of
     the train and held-out lists, so the lists never share a pair. The
@@ -206,20 +200,20 @@ class TrainResult:
 
 def train_demo(
     corpus: SyntheticCorpus,
-    loss_name: str = "ap+softmax",
-    epochs: int = 200,
-    lr0: float = 0.1,
-    schedule: Schedule = Schedule(),
-    weight_decay: float = WEIGHT_DECAY,
-    margin: MarginParams = MarginParams(),
-    ap: APParams = APParams(),
-    seed: int = 0,
+    loss_name: str,
+    epochs: int,
+    lr0: float,
+    schedule: Schedule,
+    weight_decay: float,
+    margin: MarginParams,
+    seed: int,
 ) -> TrainResult:
     """Full-batch optimization of the corpus embeddings under one loss.
 
     Classifier weights (for the softmax family) start from a seeded
-    Gaussian; the prototypical scale starts at ap.w and is clamped to
-    ap.w_min after every step. Raises DivergenceError naming the epoch
+    Gaussian and the softmax bias from zero; the prototypical scale and
+    bias start at APParams()'s w and b, and the scale is clamped to
+    AP_W_MIN after every step. Raises DivergenceError naming the epoch
     if the loss goes non-finite.
     """
     if loss_name not in losses.LOSS_NAMES:
@@ -238,8 +232,8 @@ def train_demo(
     elif loss_name in ("amsoftmax", "aamsoftmax"):
         params["weights"] = rng.standard_normal((k, d)) / np.sqrt(d)
     if loss_name in ("ap", "ap+softmax"):
-        params["w"] = np.array(float(ap.w))
-        params["b"] = np.array(float(ap.b))
+        params["w"] = np.array(float(APParams().w))
+        params["b"] = np.array(float(APParams().b))
 
     def evaluate_loss():
         e = params["embeddings"]
@@ -249,7 +243,7 @@ def train_demo(
             return losses.am_softmax(e.reshape(k * m, d), labels, params["weights"], margin)
         if loss_name == "aamsoftmax":
             return losses.aam_softmax(e.reshape(k * m, d), labels, params["weights"], margin)
-        ap_now = APParams(float(params["w"]), float(params["b"]), ap.w_min)
+        ap_now = APParams(float(params["w"]), float(params["b"]))
         if loss_name == "ap":
             return losses.angular_prototypical(e, ap_now)
         return losses.ap_plus_softmax(e, params["weights"], ap_now, params["bias"])
@@ -267,8 +261,8 @@ def train_demo(
         if grads["embeddings"].ndim == 2:
             grads = dict(grads, embeddings=grads["embeddings"].reshape(k, m, d))
         adam_step(params, grads, state, lr, weight_decay)
-        if "w" in params and params["w"] < ap.w_min:
-            params["w"][()] = ap.w_min
+        if "w" in params and params["w"] < AP_W_MIN:
+            params["w"][()] = AP_W_MIN
         history.append(EpochRecord(epoch, lr, float(loss), heldout_eer_now()))
 
     final_scores = trial_scores(params["embeddings"], corpus.heldout_trials)

@@ -61,7 +61,7 @@ MIN_PARALLEL_CROP_SECONDS = 1.0
 TRIAL_CHUNK = 64
 
 
-def plan_crops(n_samples: int, crop_samples: int, n_crops: int = N_CROPS) -> np.ndarray:
+def plan_crops(n_samples: int, crop_samples: int, n_crops: int) -> np.ndarray:
     """Start offsets of n_crops windows of crop_samples, spaced evenly
     over [0, n_samples - crop_samples]. n_samples below crop_samples is
     treated as exactly crop_samples (the caller tiles)."""
@@ -75,20 +75,32 @@ def plan_crops(n_samples: int, crop_samples: int, n_crops: int = N_CROPS) -> np.
 
 
 @functools.cache
-def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+def _openblas() -> tuple[Callable[[], int], Callable[[int], None], str] | None:
     """(get, set) of the thread count numpy's bundled OpenBLAS gives one
-    call, or None when numpy links no such library."""
+    call, and its build as `<version>/<core>`, the core being the kernel
+    it runs (which OPENBLAS_CORETYPE may choose); None when numpy links
+    no such library."""
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for lib in sorted(libs.glob("*openblas*")):
         handle = ctypes.CDLL(str(lib))
         for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
+            names = ("get_num_threads", "set_num_threads", "get_config", "get_corename")
+            get, set_, config, core = (getattr(handle, f"{prefix}_{name}{suffix}", None) for name in names)
+            if None not in (get, set_, config, core):
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+                config.argtypes, config.restype = [], ctypes.c_char_p
+                core.argtypes, core.restype = [], ctypes.c_char_p
+                version = config().decode().split()[1]  # "OpenBLAS 0.3.31.188.0 USE64BITINT ..."
+                return get, set_, f"{version}/{core().decode()}"
     return None
+
+
+def openblas_build() -> str:
+    """numpy's OpenBLAS as `<version>/<core>`, such as `0.3.31.188.0/SkylakeX`,
+    or `none`: GEMMs on another kernel may sum in another order."""
+    blas = _openblas()
+    return "none" if blas is None else blas[2]
 
 
 @functools.cache
@@ -118,7 +130,7 @@ def _one_blas_thread():
         if blas is None:
             yield
             return
-        get, set_ = blas
+        get, set_, _ = blas
         threads = get()
         set_(1)
         try:
@@ -155,8 +167,8 @@ class _Deferred:
 def embed_utterances(
     loads: Iterable[Callable[[], Waveform | WavFile]],
     embedder: Embedder,
-    crop_seconds: float = CROP_SECONDS,
-    n_crops: int = N_CROPS,
+    crop_seconds: float,
+    n_crops: int,
 ) -> Iterator[np.ndarray]:
     """Embed the planned crops of each utterance; yields one (n_crops, D)
     matrix per load, in order, as soon as its crops are done.

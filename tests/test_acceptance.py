@@ -43,6 +43,7 @@ from svkit.containers import load_features, load_tensors, save_features, save_te
 from svkit.features import FeatureMap, instance_normalize
 from svkit.losses import (
     APParams,
+    MarginParams,
     aam_softmax,
     am_softmax,
     angular_prototypical,
@@ -51,7 +52,7 @@ from svkit.losses import (
 )
 from svkit.metrics import DCFParams, ScoreSet, eer, evaluate, min_dcf
 from svkit.network import FoldedWeights, parameter_count
-from svkit.optim import make_corpus, train_demo
+from svkit.optim import WEIGHT_DECAY, Schedule, make_corpus, train_demo
 from svkit.scoring import (
     crop_embeddings,
     network_embedder,
@@ -126,13 +127,13 @@ def test_criterion_03_gradient_oracle(reported):
             (x, lambda: softmax_ce(x, labels, w, bias)),
             (w, lambda: softmax_ce(x, labels, w, bias)),
             (bias, lambda: softmax_ce(x, labels, w, bias)),
-            (x, lambda: am_softmax(x, labels, w)),
-            (w, lambda: am_softmax(x, labels, w)),
-            (x, lambda: aam_softmax(x, labels, w)),
-            (w, lambda: aam_softmax(x, labels, w)),
-            (e3, lambda: angular_prototypical(e3)),
-            (e3, lambda: ap_plus_softmax(e3, w, bias=bias)),
-            (w, lambda: ap_plus_softmax(e3, w, bias=bias)),
+            (x, lambda: am_softmax(x, labels, w, MarginParams())),
+            (w, lambda: am_softmax(x, labels, w, MarginParams())),
+            (x, lambda: aam_softmax(x, labels, w, MarginParams())),
+            (w, lambda: aam_softmax(x, labels, w, MarginParams())),
+            (e3, lambda: angular_prototypical(e3, APParams())),
+            (e3, lambda: ap_plus_softmax(e3, w, APParams(), bias=bias)),
+            (w, lambda: ap_plus_softmax(e3, w, APParams(), bias=bias)),
         ]
         grad_keys = {id(x): "embeddings", id(w): "weights", id(bias): "bias", id(e3): "embeddings"}
         for variable, evaluate_loss in checks:
@@ -250,7 +251,10 @@ def test_criterion_08_scoring_protocol(q_weights, reported):
 def test_criterion_09_training_demo_and_margin_gap(reported):
     with reported(9, "training demo and margin gap"):
         corpus = make_corpus(n_speakers=20, n_utts=10, dim=512, n_trials=400, seed=0)
-        result = train_demo(corpus, loss_name="ap+softmax", epochs=200, seed=0)
+        result = train_demo(
+            corpus, loss_name="ap+softmax", epochs=200, lr0=0.1, schedule=Schedule(),
+            weight_decay=WEIGHT_DECAY, margin=MarginParams(), seed=0,
+        )
         assert result.heldout_eer < 0.05, result.heldout_eer
 
         # Identical corpus, init seed, and budget for all three losses; the
@@ -259,7 +263,8 @@ def test_criterion_09_training_demo_and_margin_gap(reported):
         gaps = {}
         for loss_name in ("softmax", "amsoftmax", "aamsoftmax"):
             trained = train_demo(
-                corpus, loss_name=loss_name, epochs=100, lr0=0.01, seed=0
+                corpus, loss_name=loss_name, epochs=100, lr0=0.01, schedule=Schedule(),
+                weight_decay=WEIGHT_DECAY, margin=MarginParams(), seed=0,
             )
             gaps[loss_name] = mean_angular_gap(trained.embeddings)
         assert gaps["amsoftmax"] > gaps["softmax"], gaps

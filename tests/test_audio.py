@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from conftest import make_wave
 from svkit.audio import SAMPLE_RATE, Waveform, crop_segment, open_wav, read_wav, tile_to_length, write_wav
 from svkit.cli import main
-from svkit.scoring import plan_crops
+from svkit.scoring import N_CROPS, plan_crops
 
 
 def wav_bytes(frames: bytes) -> bytes:
@@ -173,7 +173,7 @@ class TestWavWindows:
         write_wav(path, make_wave(seed=n_samples, seconds=n_samples / SAMPLE_RATE))
         wav, whole = open_wav(path), read_wav(path)
         assert len(wav) == len(whole) == n_samples
-        offsets = [*plan_crops(n_samples, self.CROP).tolist(), n_samples - 1, n_samples + 5]
+        offsets = [*plan_crops(n_samples, self.CROP, N_CROPS).tolist(), n_samples - 1, n_samples + 5]
         for offset, window in zip(offsets, wav.windows(offsets, self.CROP), strict=True):
             want = crop_segment(whole, 4.0, offset=offset).samples
             assert window.samples.tobytes() == want.tobytes()
@@ -188,7 +188,7 @@ class TestWavWindows:
         wav, whole = open_wav(path), read_wav(path)
         assert len(wav) == len(whole) == 6 * SAMPLE_RATE
         assert whole.samples.tobytes() == (np.frombuffer(frames, "<i2") / 32768.0).tobytes()
-        offsets = plan_crops(len(wav), self.CROP).tolist()
+        offsets = plan_crops(len(wav), self.CROP, N_CROPS).tolist()
         for offset, window in zip(offsets, wav.windows(offsets, self.CROP), strict=True):
             assert window.samples.tobytes() == crop_segment(whole, 4.0, offset=offset).samples.tobytes()
 

@@ -9,6 +9,7 @@ from svkit import augment
 from svkit.audio import Waveform, tile_to_length, write_wav
 from svkit.augment import (
     ADDITIVE_DEFAULTS,
+    DEFAULT_RIR_GAIN_DB,
     DIRECT_TAPS,
     AugmentSpec,
     NoiseCatalog,
@@ -321,8 +322,8 @@ class TestAugmentRir:
         clean = make_wave(seed=11, seconds=0.15)
         rng = np.random.default_rng(99)
         cat = NoiseCatalog([Waveform(rng.normal(size=64) * np.exp(-np.arange(64) / 8.0))])
-        first = augment_rir(clean, cat, seed=5)
-        second = augment_rir(clean, cat, seed=5)
+        first = augment_rir(clean, cat, seed=5, gain_db_range=DEFAULT_RIR_GAIN_DB)
+        second = augment_rir(clean, cat, seed=5, gain_db_range=DEFAULT_RIR_GAIN_DB)
         np.testing.assert_array_equal(first.samples, second.samples)
 
     def test_energy_normalization_removes_rir_scale(self):
@@ -331,8 +332,8 @@ class TestAugmentRir:
         clean = make_wave(seed=12, seconds=0.1)
         rng = np.random.default_rng(4)
         rir = rng.normal(size=32)
-        out_base = augment_rir(clean, NoiseCatalog([Waveform(rir)]), seed=2)
-        out_scaled = augment_rir(clean, NoiseCatalog([Waveform(rir * 7.5)]), seed=2)
+        out_base = augment_rir(clean, NoiseCatalog([Waveform(rir)]), seed=2, gain_db_range=DEFAULT_RIR_GAIN_DB)
+        out_scaled = augment_rir(clean, NoiseCatalog([Waveform(rir * 7.5)]), seed=2, gain_db_range=DEFAULT_RIR_GAIN_DB)
         np.testing.assert_allclose(out_base.samples, out_scaled.samples, rtol=1e-12)
 
     def test_gain_scales_output_linearly(self):
@@ -345,25 +346,26 @@ class TestAugmentRir:
 
     def test_empty_catalog_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            augment_rir(make_wave(seed=1, seconds=0.1), NoiseCatalog([]), seed=0)
+            augment_rir(make_wave(seed=1, seconds=0.1), NoiseCatalog([]), seed=0, gain_db_range=DEFAULT_RIR_GAIN_DB)
 
     def test_zero_energy_rir_rejected(self):
         cat = NoiseCatalog([Waveform(np.zeros(16))])
         with pytest.raises(ValueError, match="zero energy"):
-            augment_rir(make_wave(seed=1, seconds=0.1), cat, seed=0)
+            augment_rir(make_wave(seed=1, seconds=0.1), cat, seed=0, gain_db_range=DEFAULT_RIR_GAIN_DB)
 
     def test_zero_energy_entry_is_named_by_its_path_or_index(self, tmp_path):
         clean = make_wave(seed=1, seconds=0.1)
         write_wav(tmp_path / "silent.wav", Waveform(np.zeros(16)))
         with pytest.raises(ValueError, match="^RIR entry 0 has zero energy$"):
-            augment_rir(clean, NoiseCatalog([Waveform(np.zeros(16))]), seed=0)
+            augment_rir(clean, NoiseCatalog([Waveform(np.zeros(16))]), seed=0, gain_db_range=DEFAULT_RIR_GAIN_DB)
         with pytest.raises(ValueError) as exc:
-            augment_rir(clean, NoiseCatalog([tmp_path / "silent.wav"]), seed=0)
+            augment_rir(clean, NoiseCatalog([tmp_path / "silent.wav"]), seed=0, gain_db_range=DEFAULT_RIR_GAIN_DB)
         assert str(exc.value) == f"{tmp_path / 'silent.wav'}: RIR entry 0 has zero energy"
 
     def test_output_length_preserved(self):
         clean = make_wave(seed=22, seconds=0.3)
-        out = augment_rir(clean, NoiseCatalog([unit_impulse(position=5, length=64)]), seed=2)
+        cat = NoiseCatalog([unit_impulse(position=5, length=64)])
+        out = augment_rir(clean, cat, seed=2, gain_db_range=DEFAULT_RIR_GAIN_DB)
         assert len(out) == len(clean)
 
 

@@ -622,6 +622,32 @@ class TestScore:
         assert main(fresh) == 0
         assert (root / "s1.txt").read_bytes() == (root / "fresh.txt").read_bytes()
 
+    def test_cache_built_on_another_blas_kernel_is_recomputed(self, trial_setup, q_weights_file, monkeypatch):
+        root, trials = trial_setup
+        cache = root / "cache.svw1"
+        # OpenBLAS names the kernel it selected on stderr under OPENBLAS_VERBOSE=2.
+        done = run_svkit(self.score_args(root, trials, q_weights_file, root / "s0.txt", cache), OPENBLAS_VERBOSE="2")
+        assert done.returncode == 0, done.stderr
+        records: list[str] = []
+        entries = load_tensors(cache, records)
+        build = scoring.openblas_build()
+        assert records[0].endswith(f" openblas={build}")
+        version, _, core = build.partition("/")
+        if build != "none":
+            assert f"Core: {core}" in done.stderr.splitlines()
+
+        other = f"{version}/{'Sandybridge' if core != 'Sandybridge' else 'Haswell'}"
+        stale = records[0].replace(f" openblas={build}", f" openblas={other}")
+        save_tensors(cache, entries, (stale, *records[1:]))
+        opened, open_wavs = [], cli._opened
+        monkeypatch.setattr(cli, "_opened", lambda paths: opened.extend(paths) or open_wavs(paths))
+        assert main(self.score_args(root, trials, q_weights_file, root / "s1.txt", cache)) == 0
+        assert sorted(opened) == sorted((root / name).resolve().as_posix() for name in ("a.wav", "b.wav", "c.wav"))
+        assert (root / "s1.txt").read_bytes() == (root / "s0.txt").read_bytes()
+        restored: list[str] = []
+        load_tensors(cache, restored)
+        assert restored == records
+
     def test_cache_without_metadata_record_is_recomputed(self, trial_setup, q_weights_file):
         root, trials = trial_setup
         cache = root / "cache.svw1"

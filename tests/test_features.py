@@ -76,12 +76,12 @@ class TestLogMelSpectrogram:
     @pytest.mark.parametrize("n_samples", [16000, 32000, 64000])
     def test_frame_count(self, n_samples):
         w = make_wave(1, n_samples / 16000)
-        fmap = log_mel_spectrogram(w)
+        fmap = log_mel_spectrogram(w, FeatureParams())
         assert fmap.n_frames == 1 + n_samples // 160
         assert fmap.n_mels == 64
 
     def test_all_zero_input_hits_log_floor(self):
-        fmap = log_mel_spectrogram(Waveform(np.zeros(16000)))
+        fmap = log_mel_spectrogram(Waveform(np.zeros(16000)), FeatureParams())
         assert_array_equal(fmap.values, np.full_like(fmap.values, np.log(1e-6)))
 
     def test_pure_tone_peaks_at_nearest_center(self):
@@ -91,7 +91,7 @@ class TestLogMelSpectrogram:
         expected_bin = int(np.argmin(np.abs(centers - 1000.0)))
         t = np.arange(32000) / 16000.0
         tone = Waveform(0.5 * np.sin(2 * np.pi * 1000.0 * t))
-        fmap = log_mel_spectrogram(preemphasize(tone, 0.97))
+        fmap = log_mel_spectrogram(preemphasize(tone, 0.97), FeatureParams())
         profile = fmap.values.mean(axis=0)
         assert int(np.argmax(profile)) == expected_bin
 
@@ -99,20 +99,20 @@ class TestLogMelSpectrogram:
         w = make_wave(2, 3.0)
         k = 5
         shifted = Waveform(w.samples[160 * k :])
-        full = log_mel_spectrogram(w).values
-        part = log_mel_spectrogram(shifted).values
+        full = log_mel_spectrogram(w, FeatureParams()).values
+        part = log_mel_spectrogram(shifted, FeatureParams()).values
         interior = slice(2, part.shape[0] - 3)
         assert_allclose(part[interior], full[k:][interior], atol=1e-6)
 
     def test_deterministic(self):
         w = make_wave(3, 1.0)
-        a = log_mel_spectrogram(w).values
-        b = log_mel_spectrogram(w).values
+        a = log_mel_spectrogram(w, FeatureParams()).values
+        b = log_mel_spectrogram(w, FeatureParams()).values
         assert_array_equal(a, b)
 
     def test_too_short_input_rejected(self):
         with pytest.raises(ValueError):
-            log_mel_spectrogram(Waveform(np.ones(100)))
+            log_mel_spectrogram(Waveform(np.ones(100)), FeatureParams())
 
     def test_window_and_filterbank_are_built_once_per_params(self, monkeypatch):
         calls = []
@@ -138,7 +138,7 @@ class TestLogMelSpectrogram:
         frames = sliding_window_view(padded, p.fft_size)[:: p.hop_length]
         spectrum = np.abs(np.fft.rfft(frames * window, n=p.fft_size, axis=1)) ** 2
         want = np.log(spectrum @ mel_filterbank(p.n_mels, p.fft_size).T + LOG_FLOOR)
-        got = log_mel_spectrogram(w).values
+        got = log_mel_spectrogram(w, FeatureParams()).values
         assert got.shape == (n_frames, p.n_mels)
         assert got.tobytes() == want.tobytes()
 
@@ -165,7 +165,7 @@ class TestInstanceNormalize:
 class TestPipeline:
     def test_extract_is_normalized_log_mel_of_preemphasized(self):
         w = make_wave(4, 2.0)
-        via_steps = instance_normalize(log_mel_spectrogram(preemphasize(w, 0.97)))
+        via_steps = instance_normalize(log_mel_spectrogram(preemphasize(w, 0.97), FeatureParams()))
         assert_array_equal(extract_features(w).values, via_steps.values)
 
     def test_custom_params_respected(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -37,7 +39,7 @@ class TestSoftmaxCE:
 
     def test_invalid_label_rejected(self):
         with pytest.raises(ValueError):
-            softmax_ce(np.ones((2, 3)), np.array([0, 5]), np.ones((2, 3)))
+            softmax_ce(np.ones((2, 3)), np.array([0, 5]), np.ones((2, 3)), np.zeros(2))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -62,7 +64,7 @@ class TestAMSoftmax:
         e_unit = emb / np.linalg.norm(emb, axis=1, keepdims=True)
         w_unit = weights / np.linalg.norm(weights, axis=1, keepdims=True)
         am, _ = am_softmax(emb, labels, weights, MarginParams(0.0, 30.0))
-        plain, _ = softmax_ce(30.0 * e_unit, labels, w_unit)
+        plain, _ = softmax_ce(30.0 * e_unit, labels, w_unit, np.zeros(len(w_unit)))
         assert am == pytest.approx(plain, rel=1e-12)
 
     def test_loss_non_decreasing_in_margin(self):
@@ -75,13 +77,13 @@ class TestAMSoftmax:
     def test_zero_norm_embedding_rejected(self):
         emb = np.zeros((1, 4))
         with pytest.raises(ValueError, match="zero-norm"):
-            am_softmax(emb, np.array([0]), np.ones((2, 4)))
+            am_softmax(emb, np.array([0]), np.ones((2, 4)), MarginParams())
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         emb, labels, weights = random_batch(rng)
-        base, _ = am_softmax(emb, labels, weights)
-        scaled, _ = am_softmax(emb * 3.7, labels, weights)
+        base, _ = am_softmax(emb, labels, weights, MarginParams())
+        scaled, _ = am_softmax(emb * 3.7, labels, weights, MarginParams())
         assert scaled == pytest.approx(base, abs=1e-6)
 
     def test_gradients_match_finite_differences(self):
@@ -141,8 +143,8 @@ class TestAAMSoftmax:
     def test_scale_invariance(self):
         rng = np.random.default_rng(8)
         emb, labels, weights = random_batch(rng)
-        base, _ = aam_softmax(emb, labels, weights)
-        scaled, _ = aam_softmax(emb * 0.2, labels, weights)
+        base, _ = aam_softmax(emb, labels, weights, MarginParams())
+        scaled, _ = aam_softmax(emb * 0.2, labels, weights, MarginParams())
         assert scaled == pytest.approx(base, abs=1e-6)
 
 
@@ -163,31 +165,31 @@ class TestAngularPrototypical:
     def test_batch_shape_validation(self):
         rng = np.random.default_rng(10)
         with pytest.raises(ValueError):
-            angular_prototypical(rng.standard_normal((1, 4, 8)))
+            angular_prototypical(rng.standard_normal((1, 4, 8)), APParams())
         with pytest.raises(ValueError):
-            angular_prototypical(rng.standard_normal((4, 1, 8)))
+            angular_prototypical(rng.standard_normal((4, 1, 8)), APParams())
         with pytest.raises(ValueError):
-            angular_prototypical(rng.standard_normal((4, 8)))
+            angular_prototypical(rng.standard_normal((4, 8)), APParams())
 
     def test_zero_norm_prototype_rejected(self):
         emb = np.zeros((2, 3, 4))
         emb[1, :, 0] = 1.0
         with pytest.raises(ValueError, match="zero-norm"):
-            angular_prototypical(emb)
+            angular_prototypical(emb, APParams())
 
     def test_speaker_permutation_invariance(self):
         rng = np.random.default_rng(11)
         emb = rng.standard_normal((5, 3, 8))
-        base, _ = angular_prototypical(emb)
+        base, _ = angular_prototypical(emb, APParams())
         perm = rng.permutation(5)
-        shuffled, _ = angular_prototypical(emb[perm])
+        shuffled, _ = angular_prototypical(emb[perm], APParams())
         assert shuffled == pytest.approx(base, rel=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(12)
         emb = rng.standard_normal((5, 3, 8))
-        base, _ = angular_prototypical(emb)
-        scaled, _ = angular_prototypical(emb * 11.0)
+        base, _ = angular_prototypical(emb, APParams())
+        scaled, _ = angular_prototypical(emb * 11.0, APParams())
         assert scaled == pytest.approx(base, abs=1e-6)
 
     def test_gradients_match_finite_differences(self):
@@ -240,6 +242,33 @@ class TestAPPlusSoftmax:
         assert_grad_matches(f, bias, grads["bias"], rng)
 
 
+class TestMemory:
+    """A step of a softmax-family loss holds about two (N, C) float64
+    arrays, the logits and their softmax, which becomes the gradient in
+    place; copies of either would show as more."""
+
+    @pytest.mark.parametrize("loss", ["softmax", "amsoftmax", "aamsoftmax", "ap+softmax"])
+    def test_one_step_peaks_at_about_two_logit_arrays(self, loss):
+        speakers, utts, dim = 400, 5, 8
+        rng = np.random.default_rng(20)
+        emb = rng.standard_normal((speakers, utts, dim))
+        flat, labels = emb.reshape(-1, dim), np.repeat(np.arange(speakers), utts)
+        weights, bias = rng.standard_normal((speakers, dim)), np.zeros(speakers)
+        step = {
+            "softmax": lambda: softmax_ce(flat, labels, weights, bias),
+            "amsoftmax": lambda: am_softmax(flat, labels, weights, MarginParams()),
+            "aamsoftmax": lambda: aam_softmax(flat, labels, weights, MarginParams()),
+            "ap+softmax": lambda: ap_plus_softmax(emb, weights, APParams(), bias),
+        }[loss]
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(flat) * speakers * 8
+
+
 class TestCommon:
     def test_registry_names(self):
         assert LOSS_NAMES == ("softmax", "amsoftmax", "aamsoftmax", "ap", "ap+softmax")
@@ -250,11 +279,11 @@ class TestCommon:
         emb3 = rng.standard_normal((4, 3, 12))
         w3 = rng.standard_normal((4, 12))
         checks = [
-            softmax_ce(emb, labels, weights)[0],
-            am_softmax(emb, labels, weights)[0],
-            aam_softmax(emb, labels, weights)[0],
-            angular_prototypical(emb3)[0],
-            ap_plus_softmax(emb3, w3)[0],
+            softmax_ce(emb, labels, weights, np.zeros(len(weights)))[0],
+            am_softmax(emb, labels, weights, MarginParams())[0],
+            aam_softmax(emb, labels, weights, MarginParams())[0],
+            angular_prototypical(emb3, APParams())[0],
+            ap_plus_softmax(emb3, w3, APParams(), np.zeros(len(w3)))[0],
         ]
         for value in checks:
             assert np.isfinite(value) and value >= 0.0

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import corpus_pair_pools, corpus_trial_lists, mean_angular_gap
 from svkit import optim
-from svkit.losses import APParams
+from svkit.losses import MarginParams
 from svkit.metrics import Trials
 from svkit.optim import (
     WEIGHT_DECAY,
@@ -99,7 +99,7 @@ class TestAdamStep:
         live = {k: v.copy() for k, v in params.items()}
         state = AdamState.for_params(live)
         for grads, lr in zip(grads_by_step, lrs):
-            adam_step(live, grads, state, lr)
+            adam_step(live, grads, state, lr, WEIGHT_DECAY)
         for name in params:
             np.testing.assert_allclose(live[name], expected[name], rtol=1e-12)
 
@@ -114,7 +114,7 @@ class TestAdamStep:
         x = np.array([1.0])
         params = {"x": x}
         state = AdamState.for_params(params)
-        adam_step(params, {"x": np.array([1.0])}, state, lr=0.1)
+        adam_step(params, {"x": np.array([1.0])}, state, lr=0.1, weight_decay=WEIGHT_DECAY)
         assert params["x"] is x
 
     def test_identical_runs_are_identical(self):
@@ -126,7 +126,7 @@ class TestAdamStep:
             params = {"x": init.copy()}
             state = AdamState.for_params(params)
             for g in grads:
-                adam_step(params, {"x": g}, state, lr=0.05)
+                adam_step(params, {"x": g}, state, lr=0.05, weight_decay=WEIGHT_DECAY)
             return params["x"]
 
         np.testing.assert_array_equal(run(), run())
@@ -135,13 +135,13 @@ class TestAdamStep:
         params = {"x": np.array([1.0])}
         state = AdamState.for_params(params)
         with pytest.raises(ValueError, match="non-finite"):
-            adam_step(params, {"x": np.array([np.inf])}, state, lr=0.1)
+            adam_step(params, {"x": np.array([np.inf])}, state, lr=0.1, weight_decay=WEIGHT_DECAY)
 
     def test_shape_mismatch_rejected(self):
         params = {"x": np.array([1.0, 2.0])}
         state = AdamState.for_params(params)
         with pytest.raises(ValueError, match="shape"):
-            adam_step(params, {"x": np.array([1.0])}, state, lr=0.1)
+            adam_step(params, {"x": np.array([1.0])}, state, lr=0.1, weight_decay=WEIGHT_DECAY)
 
 
 class TestMakeCorpus:
@@ -207,7 +207,7 @@ class TestMakeCorpus:
         # list of tuples they peaked at ~80 MB.
         tracemalloc.start()
         try:
-            make_corpus(60, 20, dim=2, n_trials=40)
+            make_corpus(60, 20, dim=2, n_trials=40, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -225,7 +225,7 @@ class TestMakeCorpus:
         # them in two int64 arrays, a ~144 MB peak.
         tracemalloc.start()
         try:
-            make_corpus(4000, 2, dim=1, n_trials=40)
+            make_corpus(4000, 2, dim=1, n_trials=40, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -233,9 +233,9 @@ class TestMakeCorpus:
 
     def test_too_small_corpus_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            make_corpus(n_speakers=1, n_utts=4)
+            make_corpus(n_speakers=1, n_utts=4, dim=512, n_trials=400, seed=0)
         with pytest.raises(ValueError, match="cannot sample"):
-            make_corpus(n_speakers=2, n_utts=2, dim=4, n_trials=100)
+            make_corpus(n_speakers=2, n_utts=2, dim=4, n_trials=100, seed=0)
 
 
 def grid_trials(rows) -> Trials:
@@ -301,9 +301,26 @@ def tiny_corpus(seed=0):
     return make_corpus(n_speakers=8, n_utts=5, dim=16, n_trials=60, seed=seed)
 
 
+# What `svkit train-demo` passes when no flag is given.
+DEMO_ARGS = dict(
+    loss_name="ap+softmax",
+    epochs=200,
+    lr0=0.1,
+    schedule=Schedule(),
+    weight_decay=WEIGHT_DECAY,
+    margin=MarginParams(),
+    seed=0,
+)
+
+
+def demo(corpus, **changes):
+    """train_demo with DEMO_ARGS, some of them changed."""
+    return train_demo(corpus, **{**DEMO_ARGS, **changes})
+
+
 class TestTrainDemo:
     def test_history_records_every_epoch(self):
-        result = train_demo(tiny_corpus(), epochs=5)
+        result = demo(tiny_corpus(), epochs=5)
         assert len(result.history) == 5
         assert [r.epoch for r in result.history] == [0, 1, 2, 3, 4]
         for record in result.history:
@@ -315,35 +332,35 @@ class TestTrainDemo:
         "loss_name", ["softmax", "amsoftmax", "aamsoftmax", "ap", "ap+softmax"]
     )
     def test_training_reduces_loss(self, loss_name):
-        result = train_demo(tiny_corpus(), loss_name=loss_name, epochs=30)
+        result = demo(tiny_corpus(), loss_name=loss_name, epochs=30)
         assert result.history[-1].loss < result.history[0].loss
 
     def test_untrained_embeddings_score_at_chance(self):
         corpus = make_corpus(n_speakers=20, n_utts=10, dim=32, n_trials=400, seed=0)
-        result = train_demo(corpus, epochs=0)
+        result = demo(corpus, epochs=0)
         assert len(result.history) == 0
         assert 0.35 < result.heldout_eer < 0.65
 
     def test_short_run_separates_heldout_trials(self):
         corpus = make_corpus(n_speakers=10, n_utts=7, dim=32, n_trials=200, seed=0)
-        result = train_demo(corpus, epochs=60)
+        result = demo(corpus, epochs=60)
         assert result.heldout_eer < 0.10
         assert 0.0 <= result.heldout_min_dcf <= 1.0
 
     def test_identical_runs_are_identical(self):
-        first = train_demo(tiny_corpus(), epochs=10)
-        second = train_demo(tiny_corpus(), epochs=10)
+        first = demo(tiny_corpus(), epochs=10)
+        second = demo(tiny_corpus(), epochs=10)
         np.testing.assert_array_equal(first.embeddings, second.embeddings)
         assert first.history == second.history
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergence_reports_epoch(self):
         with pytest.raises(DivergenceError, match=r"epoch \d+"):
-            train_demo(tiny_corpus(), loss_name="softmax", epochs=10, lr0=1e160)
+            demo(tiny_corpus(), loss_name="softmax", epochs=10, lr0=1e160)
 
     def test_smoothed_loss_non_increasing_late_in_training(self):
         corpus = make_corpus(n_speakers=10, n_utts=7, dim=32, n_trials=200, seed=1)
-        result = train_demo(corpus, epochs=120)
+        result = demo(corpus, epochs=120)
         losses = np.array([r.loss for r in result.history])
         window = 20
         means = np.array(
@@ -353,14 +370,14 @@ class TestTrainDemo:
 
     def test_unknown_loss_rejected(self):
         with pytest.raises(ValueError, match="unknown loss"):
-            train_demo(tiny_corpus(), loss_name="hinge")
+            demo(tiny_corpus(), loss_name="hinge")
 
     def test_negative_epochs_rejected(self):
         with pytest.raises(ValueError, match="epochs"):
-            train_demo(tiny_corpus(), epochs=-1)
+            demo(tiny_corpus(), epochs=-1)
 
     def test_history_csv_round_trips(self):
-        result = train_demo(tiny_corpus(), epochs=3)
+        result = demo(tiny_corpus(), epochs=3)
         text = result.history_csv()
         lines = text.strip().splitlines()
         assert lines[0] == "epoch,lr,loss,heldout_eer"
@@ -372,13 +389,9 @@ class TestTrainDemo:
         assert float(loss) == record.loss
         assert float(heldout) == record.heldout_eer
 
-    def test_prototypical_scale_clamp_keeps_scale_usable(self):
+    def test_prototypical_scale_clamp_keeps_scale_usable(self, monkeypatch):
         # A tight floor just below the initial scale forces the clamp to
         # engage if any step dips; training must stay finite either way.
-        result = train_demo(
-            tiny_corpus(),
-            loss_name="ap",
-            epochs=15,
-            ap=APParams(w=10.0, b=-5.0, w_min=9.9),
-        )
+        monkeypatch.setattr(optim, "AP_W_MIN", 9.9)
+        result = demo(tiny_corpus(), loss_name="ap", epochs=15)
         assert np.isfinite(result.history[-1].loss)

@@ -14,6 +14,7 @@ from svkit import scoring
 from svkit.audio import Waveform
 from svkit.network import FoldedWeights
 from svkit.scoring import (
+    N_CROPS,
     crop_embeddings,
     embed_utterances,
     network_embedder,
@@ -35,10 +36,10 @@ class TestPlanCrops:
         assert offsets[-1] == 6 * SR
 
     def test_crop_length_input_pins_all_offsets_to_zero(self):
-        np.testing.assert_array_equal(plan_crops(4 * SR, 4 * SR), np.zeros(10))
+        np.testing.assert_array_equal(plan_crops(4 * SR, 4 * SR, N_CROPS), np.zeros(10))
 
     def test_shorter_input_treated_as_zero_slack(self):
-        np.testing.assert_array_equal(plan_crops(SR, 4 * SR), np.zeros(10))
+        np.testing.assert_array_equal(plan_crops(SR, 4 * SR, N_CROPS), np.zeros(10))
 
     def test_endpoints_cover_start_and_end(self):
         rng = np.random.default_rng(0)
@@ -55,7 +56,7 @@ class TestPlanCrops:
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
-            plan_crops(SR, 0)
+            plan_crops(SR, 0, N_CROPS)
         with pytest.raises(ValueError):
             plan_crops(SR, SR, n_crops=0)
 
@@ -173,7 +174,7 @@ class TestCropEmbeddings:
     def test_rows_follow_planned_offsets(self):
         wave = make_wave(seed=0, seconds=6.0)
         rows = crop_embeddings(wave, first_sample_embedder)
-        offsets = plan_crops(len(wave), 4 * SR)
+        offsets = plan_crops(len(wave), 4 * SR, N_CROPS)
         np.testing.assert_array_equal(rows[:, 0], wave.samples[offsets])
         assert rows.shape == (10, 2)
 
@@ -207,7 +208,7 @@ class TestCropEmbeddings:
         calls = []
         counting = lambda w: calls.append(w) or first_sample_embedder(w)
         wave = make_wave(seed=14, seconds=4.0 + 8 / SR)  # slack 8: offsets 0..8 with 4 twice
-        offsets = plan_crops(len(wave), 4 * SR)
+        offsets = plan_crops(len(wave), 4 * SR, N_CROPS)
         assert len(set(offsets.tolist())) == 9
         rows = crop_embeddings(wave, counting)
         assert len(calls) == 9
@@ -291,7 +292,7 @@ class TestParallelCrops:
 
     # 3 s utterance, 1 s crops: ten distinct offsets
     WAVE = make_wave(seed=21, seconds=3.0)
-    OFFSETS = plan_crops(3 * SR, SR)
+    OFFSETS = plan_crops(3 * SR, SR, N_CROPS)
 
     def test_utterance_has_ten_distinct_crops(self):
         assert len(set(self.OFFSETS.tolist())) == 10
@@ -350,7 +351,7 @@ class TestParallelCrops:
         blas = scoring._openblas()
         if blas is None:
             pytest.skip("numpy links no OpenBLAS whose thread count can be set")
-        get, set_ = blas
+        get, set_, _ = blas
         before = get()
         seen = set()
         recording = lambda w: seen.add(get()) or failing_at()(w)
@@ -366,7 +367,7 @@ class TestParallelCrops:
         blas = scoring._openblas()
         if blas is None:
             pytest.skip("numpy links no OpenBLAS whose thread count can be set")
-        get, set_ = blas
+        get, set_, _ = blas
         before = get()
         seen, threads = set(), set()
         recording = lambda w: seen.add(get()) or threads.add(threading.get_ident()) or failing_at()(w)
@@ -399,7 +400,7 @@ class TestCropQueue:
             both.wait()
             return first_sample_embedder(waveform)
 
-        rows = list(embed_utterances([lambda w=w: w for w in self.WAVES[:4]], embed, crop_seconds=1.0))
+        rows = list(embed_utterances([lambda w=w: w for w in self.WAVES[:4]], embed, crop_seconds=1.0, n_crops=N_CROPS))
         assert [r[0, 0] for r in rows] == [w.samples[0] for w in self.WAVES[:4]]
         assert all(r.shape == (10, 2) for r in rows)
 
@@ -415,7 +416,7 @@ class TestCropQueue:
 
         embed = lambda w: done.append(w) or first_sample_embedder(w)
         loaded_at_yield = []
-        for _ in embed_utterances([lambda i=i: load(i) for i in range(6)], embed, crop_seconds=1.0):
+        for _ in embed_utterances([lambda i=i: load(i) for i in range(6)], embed, crop_seconds=1.0, n_crops=N_CROPS):
             loaded_at_yield.append(len(finished_at_load))
         assert len(loaded_at_yield) == len(done) == 6
         # Utterance i is read only once at most 2 * workers crops are in
@@ -434,12 +435,13 @@ class TestCropQueue:
             raise OSError("unreadable")
 
         with pytest.raises(ValueError, match="bad crop"):
-            list(embed_utterances([lambda: first, unreadable], embed, crop_seconds=1.0))
+            list(embed_utterances([lambda: first, unreadable], embed, crop_seconds=1.0, n_crops=N_CROPS))
         with pytest.raises(OSError, match="unreadable"):
-            list(embed_utterances([lambda: second, unreadable, lambda: first], embed, crop_seconds=1.0))
+            loads = [lambda: second, unreadable, lambda: first]
+            list(embed_utterances(loads, embed, crop_seconds=1.0, n_crops=N_CROPS))
         nan_first = lambda w: np.array([np.nan if w.samples[0] == first.samples[0] else 1.0])
         with pytest.raises(ValueError, match="non-finite"):
-            list(embed_utterances([lambda: first, unreadable], nan_first, crop_seconds=1.0))
+            list(embed_utterances([lambda: first, unreadable], nan_first, crop_seconds=1.0, n_crops=N_CROPS))
 
     def test_a_queue_may_start_while_another_is_suspended(self, monkeypatch):
         monkeypatch.setattr(scoring, "crop_workers", lambda: 2)
@@ -447,7 +449,9 @@ class TestCropQueue:
         inner = []
 
         def nested():
-            outer = embed_utterances([lambda: first, lambda: second], first_sample_embedder, crop_seconds=1.0)
+            outer = embed_utterances(
+                [lambda: first, lambda: second], first_sample_embedder, crop_seconds=1.0, n_crops=N_CROPS
+            )
             for _ in outer:
                 inner.append(crop_embeddings(third, first_sample_embedder, crop_seconds=1.0))
 
