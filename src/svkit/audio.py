@@ -49,10 +49,16 @@ class Waveform:
         return self.samples.size
 
     def windows(self, offsets: Iterable[int], n: int) -> Iterator[Waveform]:
-        """Samples [offset, offset + n) for each offset, the waveform tiled
-        first where it is shorter than offset + n."""
+        """Samples [offset, offset + n) for each offset of the waveform
+        repeated end to end: a view of its samples where it holds them, else
+        a slice of the waveform tiled to cover offset % len(self) + n
+        samples, so a window costs the same at any offset."""
         for offset in offsets:
-            yield Waveform(tile_to_length(self, offset + n).samples[offset : offset + n])
+            if offset + n <= len(self):
+                yield Waveform(self.samples[offset : offset + n])
+            else:
+                start = offset % len(self)
+                yield Waveform(np.tile(self.samples, -(-(start + n) // len(self)))[start : start + n])
 
 
 @contextlib.contextmanager
@@ -136,19 +142,6 @@ def write_wav(path: str | Path, w: Waveform) -> None:
         f.setsampwidth(2)
         f.setframerate(SAMPLE_RATE)
         f.writeframes(pcm.tobytes())
-
-
-def tile_to_length(w: Waveform, n_samples: int) -> Waveform:
-    """Repeat the waveform end-to-end to exactly n_samples.
-
-    Inputs already at least n_samples long pass through unchanged.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    if len(w) >= n_samples:
-        return w
-    reps = -(-n_samples // len(w))  # ceil division
-    return Waveform(np.tile(w.samples, reps)[:n_samples])
 
 
 def crop_segment(

@@ -91,9 +91,12 @@ def softmax_ce(embeddings: np.ndarray, labels: np.ndarray, weights: np.ndarray, 
     w = np.asarray(weights, dtype=np.float64)
     n, _ = x.shape
     y = _check_labels(labels, n, w.shape[0])
+    b = np.asarray(bias, dtype=np.float64)
+    if b.shape != w.shape[:1]:
+        raise ValueError(f"bias must have shape ({w.shape[0]},), got {b.shape}")
 
     # The logits are freed as _cross_entropy returns, before the backward GEMMs.
-    loss, dlogits = _cross_entropy(x @ w.T + np.asarray(bias, dtype=np.float64), np.arange(n), y)
+    loss, dlogits = _cross_entropy(x @ w.T + b, np.arange(n), y)
     dlogits /= n
     return loss, {"embeddings": dlogits @ w, "weights": dlogits.T @ x, "bias": dlogits.sum(axis=0)}
 

@@ -331,16 +331,17 @@ def init_weights(cfg: TrunkConfig, seed: int) -> dict[str, np.ndarray]:
 
 
 class _View(NamedTuple):
-    """A float32 view of a crop's arena: byte offset, shape and byte strides
-    (None for C order)."""
+    """A float32 view of one buffer of a crop's arena: the buffer, the byte
+    offset from its start, shape and byte strides (None for C order)."""
 
+    buf: int
     offset: int
     shape: tuple[int, ...]
     strides: tuple[int, ...] | None = None
 
 
 class _Step(NamedTuple):
-    """One conv of a trunk plan, each buffer a view of the crop's arena."""
+    """One conv of a trunk plan, each of its views naming its buffer."""
 
     conv: str  # key of FoldedWeights.convs
     borders: tuple[_View, ...]  # the zero-bordered buffers it starts: their borders are zeroed first
@@ -359,11 +360,12 @@ class _Stage(NamedTuple):
 
 class TrunkPlan(NamedTuple):
     """Every conv of a trunk for one input length, in run order, over one
-    arena of `floats` float32 values: the zero-bordered buffer whose
-    interior takes the features, each step, and where each stage (conv1,
-    layer1-4) leaves its output."""
+    arena of `floats` float32 values that holds each buffer at its byte
+    offset: the zero-bordered buffer whose interior takes the features,
+    each step, and where each stage (conv1, layer1-4) leaves its output."""
 
     floats: int
+    offsets: tuple[int, ...]  # of each buffer, in bytes from the arena's start
     features: _View  # (L + 2, N_MELS + 2, 1)
     steps: tuple[_Step, ...]
     stages: Mapping[str, _Stage]
@@ -376,26 +378,31 @@ def _aligned(nbytes: int) -> int:
     return -(-nbytes // _ALIGN) * _ALIGN
 
 
-def _place(buffers: list[list[int]]) -> tuple[list[int], int]:
-    """Byte offsets in one arena for buffers given as [bytes, first step,
-    last step]: each buffer takes the lowest offset where it overlaps no
-    placed buffer that is live at one of its steps (greedy by size,
-    Pisarchyk & Lee 2020, arXiv 2001.03288). Buffers live at several steps
-    go first, then the one-step tiles fill the gaps, each group largest
-    first; for a 4 s crop that comes within 2% of the most bytes live at
-    one step on both variants. Returns the offsets and the arena's size."""
-    offsets = [0] * len(buffers)
+def _place(sizes: list[int], steps: list[_Step]) -> tuple[list[int], int]:
+    """Byte offsets in one arena for buffers of sizes bytes, each live from
+    the first to the last of steps that views it: each buffer takes the
+    lowest offset where it overlaps no placed buffer live at one of its
+    steps (greedy by size, Pisarchyk & Lee 2020, arXiv 2001.03288). Buffers
+    live at several steps go first, then the one-step tiles fill the gaps,
+    each group largest first; for a 4 s crop that comes within 2% of the
+    most bytes live at one step on both variants. Returns the offsets and
+    the arena's size."""
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for i, step in enumerate(steps):
+        for v in (*step.borders, step.windows, step.out, step.cols, step.acc):
+            first.setdefault(v.buf, i)
+            last[v.buf] = i
+    offsets = [0] * len(sizes)
     placed: list[int] = []
-    for i in sorted(range(len(buffers)), key=lambda i: (buffers[i][1] == buffers[i][2], -buffers[i][0])):
-        size, first, last = buffers[i]
+    for i in sorted(range(len(sizes)), key=lambda i: (first[i] == last[i], -sizes[i])):
         offset = 0
         for j in sorted(placed, key=offsets.__getitem__):
-            other, start, end = buffers[j]
-            if start <= last and first <= end and offsets[j] < offset + size:
-                offset = max(offset, offsets[j] + other)
+            if first[j] <= last[i] and first[i] <= last[j] and offsets[j] < offset + sizes[i]:
+                offset = max(offset, offsets[j] + sizes[j])
         offsets[i] = offset
         placed.append(i)
-    return offsets, max(o + b[0] for o, b in zip(offsets, buffers))
+    return offsets, max(o + size for o, size in zip(offsets, sizes))
 
 
 @functools.lru_cache(maxsize=8)
@@ -410,85 +417,77 @@ def trunk_plan(cfg: TrunkConfig, n_frames: int) -> TrunkPlan:
     a zero border. A block's conv1 writes a mid-point buffer that every
     block of its stage reuses. Its conv2 adds what its output buffer holds:
     the block's input, which it overwrites, for an identity shortcut, or
-    what the 1x1 shortcut wrote into a new buffer first. Every buffer and
-    each conv's im2col and GEMM tiles are placed in one arena so that
-    buffers live at the same step never overlap, and a buffer's border is
-    zeroed at the step that starts it.
+    what the 1x1 shortcut wrote into a new buffer first. Each step names
+    the buffers it views, each conv's im2col and GEMM tile among them; the
+    buffers are placed in one arena so that those live at one step never
+    overlap, and a buffer's border is zeroed at the step that starts it.
     """
     itemsize = np.dtype(np.float32).itemsize
     kernels = {name: shape for name, (shape, _) in cfg.convs().items()}
-    buffers: list[list[int]] = []  # [bytes, first step, last step]
-    convs: list[tuple] = []  # (conv, started, src, dst, stride, residual, relu, tile, rows)
+    sizes: list[int] = []  # bytes of each buffer, in the order they are made
+    steps: list[_Step] = []
 
     def buffer(nbytes: int) -> int:
-        buffers.append([_aligned(nbytes), len(convs), len(convs)])
-        return len(buffers) - 1
+        sizes.append(_aligned(nbytes))
+        return len(sizes) - 1
 
-    def activation(shape: tuple[int, int, int]) -> tuple[int, tuple[int, int, int]]:
-        t, f, c = shape
-        return buffer((t + 2) * (f + 2) * c * itemsize), shape
+    def activation(t: int, f: int, c: int) -> _View:
+        strides = ((f + 2) * c * itemsize, c * itemsize, itemsize)
+        return _View(buffer((t + 2) * strides[0]), 0, (t + 2, f + 2, c), strides)
 
-    def conv(name, src, stride, dst=None, residual=False, relu=True, started=()):
+    def conv(name, src, stride, dst=None, residual=False, relu=True, borders=()):
         """Plan conv name of the activation src into dst, or into a new
         activation when dst is None or of another shape; return dst."""
         kh, kw, c_in, c_out = kernels[name]
-        (t, f, _), (st, sf) = src[1], stride
-        shape = (_conv_out(t, kh, st, kh // 2), _conv_out(f, kw, sf, kw // 2), c_out)
-        if dst is None or dst[1] != shape:
-            dst = activation(shape)
-            started += (dst,)
+        (t, f, _), (st, sf) = src.shape, stride
+        t_out, f_out = _conv_out(t - 2, kh, st, kh // 2), _conv_out(f - 2, kw, sf, kw // 2)
+        if dst is None or dst.shape != (t_out + 2, f_out + 2, c_out):
+            dst = activation(t_out, f_out, c_out)
+            borders += (dst,)
         # output rows per tile: as many as keep its columns within TILE_BYTES, at least one
-        rows = min(shape[0], max(1, TILE_BYTES // (shape[1] * kh * kw * c_in * itemsize)))
-        tile = buffer(_aligned(rows * shape[1] * kh * kw * c_in * itemsize) + rows * shape[1] * c_out * itemsize)
-        for buf, _ in (src, dst):
-            buffers[buf][2] = len(convs)
-        convs.append((name, started, src, dst, stride, residual, relu, tile, rows))
+        rows = min(t_out, max(1, TILE_BYTES // (f_out * kh * kw * c_in * itemsize)))
+        cols = (rows, f_out, kh, kw, c_in)
+        cols_bytes = _aligned(math.prod(cols) * itemsize)
+        tile = buffer(cols_bytes + rows * f_out * c_out * itemsize)
+        (row, col, _), (out_row, out_col, _) = src.strides, dst.strides
+        steps.append(
+            _Step(
+                conv=name,
+                borders=borders,
+                # a k x k conv reads its input padded by k // 2
+                windows=_View(
+                    src.buf,
+                    (1 - kh // 2) * row + (1 - kw // 2) * col,
+                    (t_out, f_out, kh, kw, c_in),
+                    (st * row, sf * col, row, col, itemsize),
+                ),
+                out=_View(dst.buf, out_row + out_col, (t_out, f_out, c_out), dst.strides),
+                residual=residual,
+                relu=relu,
+                cols=_View(tile, 0, cols),
+                acc=_View(tile, cols_bytes, (rows, f_out, c_out)),
+            )
+        )
         return dst
 
-    stem = activation((n_frames, N_MELS, 1))
-    x = conv("conv1", stem, cfg.conv1_stride, started=(stem,))
-    stages = {"conv1": (len(convs), x)}
+    stem = activation(n_frames, N_MELS, 1)
+    x = conv("conv1", stem, cfg.conv1_stride, borders=(stem,))
+    stages = {"conv1": _Stage(len(steps), x)}
     mid = None
     for prefix, stride, _, _ in cfg.blocks():
         mid = conv(f"{prefix}.conv1", x, (stride, stride), dst=mid)
         if f"{prefix}.shortcut" in kernels:
             x = conv(f"{prefix}.shortcut", x, (stride, stride), relu=False)
         conv(f"{prefix}.conv2", mid, (1, 1), dst=x, residual=True)
-        stages[prefix.partition(".")[0]] = (len(convs), x)
+        stages[prefix.partition(".")[0]] = _Stage(len(steps), x)
 
-    offsets, size = _place(buffers)
-
-    def bordered(act) -> _View:
-        buf, (t, f, c) = act
-        return _View(offsets[buf], (t + 2, f + 2, c), ((f + 2) * c * itemsize, c * itemsize, itemsize))
-
-    steps = []
-    for name, started, src, dst, (st, sf), residual, relu, tile, rows in convs:
-        kh, kw, c_in, c_out = kernels[name]
-        (t_out, f_out, _), (offset, _, (row, col, _)), out = dst[1], bordered(src), bordered(dst)
-        cols = (rows, f_out, kh, kw, c_in)
-        steps.append(
-            _Step(
-                conv=name,
-                borders=tuple(map(bordered, started)),
-                # a k x k conv reads its input padded by k // 2
-                windows=_View(
-                    offset + (1 - kh // 2) * row + (1 - kw // 2) * col,
-                    (t_out, f_out, kh, kw, c_in),
-                    (st * row, sf * col, row, col, itemsize),
-                ),
-                out=_View(out.offset + out.strides[0] + out.strides[1], dst[1], out.strides),
-                residual=residual,
-                relu=relu,
-                cols=_View(offsets[tile], cols),
-                acc=_View(offsets[tile] + _aligned(math.prod(cols) * itemsize), (rows, f_out, c_out)),
-            )
-        )
+    offsets, size = _place(sizes, steps)
     return TrunkPlan(
         floats=size // itemsize,
-        features=bordered(stem),
+        offsets=tuple(offsets),
+        features=stem,
         steps=tuple(steps),
-        stages=MappingProxyType({name: _Stage(n, bordered(act)) for name, (n, act) in stages.items()}),
+        stages=MappingProxyType(stages),
     )
 
 
@@ -504,7 +503,7 @@ def run_trunk(features: np.ndarray, weights: FoldedWeights, stage: str = "layer4
     arena = np.empty(plan.floats, dtype=np.float32)
 
     def view(v: _View) -> np.ndarray:
-        return np.ndarray(v.shape, np.float32, arena, v.offset, v.strides)
+        return np.ndarray(v.shape, np.float32, arena, plan.offsets[v.buf] + v.offset, v.strides)
 
     view(plan.features)[1:-1, 1:-1, 0] = features
     n_steps, output = plan.stages[stage]

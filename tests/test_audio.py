@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 import wave as wave_mod
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import make_wave
-from svkit.audio import SAMPLE_RATE, Waveform, crop_segment, open_wav, read_wav, tile_to_length, write_wav
+from svkit.audio import SAMPLE_RATE, Waveform, crop_segment, open_wav, read_wav, write_wav
 from svkit.cli import main
 from svkit.scoring import N_CROPS, plan_crops
 
@@ -103,14 +104,17 @@ class TestWavIO:
 class TestTile:
     def test_repeats_end_to_end(self):
         w = Waveform(np.array([1.0, 2.0, 3.0]))
-        out = tile_to_length(w, 8)
+        [out] = w.windows([0], 8)
         assert_array_equal(out.samples, [1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0, 2.0])
         assert len(out) >= 8
 
     def test_no_op_when_long_enough(self):
+        # a window the waveform holds is a view of its samples
         w = Waveform(np.arange(5, dtype=float))
-        assert tile_to_length(w, 5) is w
-        assert tile_to_length(w, 3) is w
+        for n in (5, 3):
+            [out] = w.windows([0], n)
+            assert_array_equal(out.samples, w.samples[:n])
+            assert np.shares_memory(out.samples, w.samples)
 
 
 class TestCropSegment:
@@ -144,6 +148,18 @@ class TestCropSegment:
         out = crop_segment(w, 1.0, offset=20000)
         idx = np.arange(20000, 36000)
         assert_array_equal(out.samples, w.samples[idx % 16000])
+
+    def test_offset_far_past_the_end_costs_no_more_memory(self):
+        w = make_wave(8, 1.0)
+        tracemalloc.start()
+        try:
+            far = crop_segment(w, 1.0, offset=10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        # 10**7 is a multiple of the waveform's 16,000 samples
+        assert far.samples.tobytes() == crop_segment(w, 1.0, offset=0).samples.tobytes()
 
     def test_argument_validation(self):
         w = make_wave(7, 1.0)

@@ -288,6 +288,15 @@ class TestCommon:
         for value in checks:
             assert np.isfinite(value) and value >= 0.0
 
+    @pytest.mark.parametrize("shape", [(1,), (4,), (1, 5)])
+    def test_bias_needs_one_value_per_class(self, shape):
+        rng = np.random.default_rng(19)
+        emb, labels, weights = random_batch(rng)  # 5 classes
+        with pytest.raises(ValueError, match=r"bias must have shape \(5,\)"):
+            softmax_ce(emb, labels, weights, np.zeros(shape))
+        with pytest.raises(ValueError, match=r"bias must have shape \(5,\)"):
+            ap_plus_softmax(rng.standard_normal((5, 3, 12)), weights, APParams(), np.zeros(shape))
+
     @pytest.mark.parametrize("params", [
         {"margin": np.nan}, {"margin": np.inf}, {"scale": np.nan}, {"scale": np.inf},
     ])

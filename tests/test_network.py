@@ -220,6 +220,14 @@ class TestResidualBlock:
         assert_array_equal(out, bordered(out[1:-1, 1:-1]))
 
 
+def placed_bytes(plan, view) -> tuple[int, int]:
+    """First byte and one past the last byte of a plan's view in its arena."""
+    itemsize = np.dtype(np.float32).itemsize
+    strides = view.strides or tuple(itemsize * int(np.prod(view.shape[i + 1 :])) for i in range(len(view.shape)))
+    start = plan.offsets[view.buf] + view.offset
+    return start, start + sum((n - 1) * stride for n, stride in zip(view.shape, strides)) + itemsize
+
+
 def per_conv_forward(monkeypatch, feats, folded, tile_bytes):
     """forward's embedding with the trunk run one conv2d call at a time."""
     with monkeypatch.context() as m:
@@ -258,6 +266,29 @@ class TestPlannedTrunk:
         plan = trunk_plan(q_config, 401)
         assert sorted(step.conv for step in plan.steps) == sorted(q_config.convs())  # each conv once
         assert plan.stages["layer4"].steps == len(plan.steps)
+
+    @pytest.mark.parametrize(
+        "variant, frames, floats",
+        [("q-sap", 11, 39_424), ("q-sap", 401, 515_808), ("h-asp", 11, 280_192), ("h-asp", 401, 2_352_064)],
+    )
+    def test_live_buffers_never_overlap_in_the_arena(self, variant, frames, floats):
+        plan = trunk_plan(VARIANTS[variant], frames)
+        assert plan.floats == floats
+        step_views = [(*step.borders, step.windows, step.out, step.cols, step.acc) for step in plan.steps]
+        outputs = [plan.features, *(stage.output for stage in plan.stages.values())]
+        extent, steps_of = {}, {}  # per buffer: the bytes its views span, the steps that view it
+        for i, views in [(None, outputs), *enumerate(step_views)]:
+            for view in views:
+                start, end = placed_bytes(plan, view)
+                assert 0 <= start and end <= floats * 4, view
+                lo, hi = extent.get(view.buf, (start, end))
+                extent[view.buf] = (min(lo, start), max(hi, end))
+                if i is not None:
+                    steps_of.setdefault(view.buf, []).append(i)
+        assert set(steps_of) == set(extent) == set(range(len(plan.offsets)))
+        for i in range(len(plan.steps)):
+            live = sorted(extent[buf] for buf, steps in steps_of.items() if steps[0] <= i <= steps[-1])
+            assert all(end <= start for (_, end), (start, _) in zip(live, live[1:])), i
 
     def test_concurrent_forwards_match_serial(self, q_weights):
         # 4 threads, more than a 2-CPU host has cores, switching the
