@@ -8,8 +8,8 @@ are not 16-bit PCM mono 16 kHz are rejected when their header is read.
 A WAV is read in two steps. open_wav checks its header, reading no
 samples, and gives a WavFile: the path and frame count. WavFile.windows
 then reads only the frames each crop needs, decoded as int16 / 32768.
-read_wav is the whole-file window, and crop_segment takes one window of a
-WavFile or of a Waveform.
+read_wav reads a whole file through one open, and crop_segment takes one
+window of a WavFile or a Waveform, both cut by one rule (_window).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import contextlib
 import wave
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -50,21 +50,29 @@ class Waveform:
 
     def windows(self, offsets: Iterable[int], n: int) -> Iterator[Waveform]:
         """Samples [offset, offset + n) for each offset of the waveform
-        repeated end to end: a view of its samples where it holds them, else
-        a slice of the waveform tiled to cover offset % len(self) + n
-        samples, so a window costs the same at any offset."""
-        for offset in offsets:
-            if offset + n <= len(self):
-                yield Waveform(self.samples[offset : offset + n])
-            else:
-                start = offset % len(self)
-                yield Waveform(np.tile(self.samples, -(-(start + n) // len(self)))[start : start + n])
+        repeated end to end (_window), a view of it within one repeat."""
+        read = lambda start, count: self.samples[start : start + count]
+        return (Waveform(_window(read, len(self), offset, n)) for offset in offsets)
+
+
+def _window(read: Callable[[int, int], np.ndarray], length: int, offset: int, n: int) -> np.ndarray:
+    """Samples [offset, offset + n) of a signal of `length` samples repeated
+    end to end, from read(start, count) of its samples: one read within one
+    repeat, a read to the end and one from the start where the window wraps,
+    and the whole signal read and tiled only where it is shorter than n."""
+    start = offset % length
+    if start + n <= length:
+        return read(start, n)
+    if n <= length:
+        return np.concatenate([read(start, length - start), read(0, start + n - length)])
+    return np.tile(read(0, length), -(-(start + n) // length))[start : start + n]
 
 
 @contextlib.contextmanager
-def _checked(path: str | Path) -> Iterator[tuple[wave.Wave_read, int]]:
-    """The open file's reader and frame count, once its header has passed
-    every check. Any fault of the file raises ValueError naming it."""
+def _checked(path: str | Path) -> Iterator[tuple[Callable[[int, int], np.ndarray], int]]:
+    """read(start, count), decoding frames [start, start + count) of the open
+    file, and its frame count, once its header has passed every check. Any
+    fault of the file, or a read past its end, raises ValueError naming it."""
     try:
         with open(path, "rb") as raw, wave.open(raw) as f:
             if f.getnchannels() != 1:
@@ -81,7 +89,16 @@ def _checked(path: str | Path) -> Iterator[tuple[wave.Wave_read, int]]:
             f.setpos(declared - 1)
             if len(f.readframes(1)) != 2:
                 raise ValueError(f"{path}: truncated WAV file: fewer than the {declared} frames its header declares")
-            yield f, declared
+
+            def read(start: int, count: int) -> np.ndarray:
+                f.setpos(start)
+                frames = f.readframes(count)
+                if len(frames) != 2 * count:
+                    got = len(frames) // 2
+                    raise ValueError(f"{path}: truncated WAV file: read {got} of {count} frames at {start}")
+                return np.frombuffer(frames, dtype="<i2") / 32768.0
+
+            yield read, declared
     # wave raises a bare RuntimeError for a chunk size past the end of the file.
     except (wave.Error, EOFError, RuntimeError) as exc:
         raise ValueError(f"{path}: malformed WAV file: {str(exc) or 'truncated file'}") from exc
@@ -99,21 +116,12 @@ class WavFile:
         return self.n_frames
 
     def windows(self, offsets: Iterable[int], n: int) -> Iterator[Waveform]:
-        """Frames [offset, offset + n) for each offset, as the file's
-        Waveform.windows gives them, each read when it is pulled, all
-        through one open file. A window no longer in the file (it changed
-        after open_wav) raises ValueError naming the file."""
-        with _checked(self.path) as (f, _):
+        """Frames [offset, offset + n) for each offset, as Waveform.windows
+        cuts them, each read when pulled, through one open file. A window no
+        longer in the file (changed after open_wav) raises ValueError naming it."""
+        with _checked(self.path) as (read, _):
             for offset in offsets:
-                # A file shorter than the window is read whole, then tiled.
-                start, count = (offset, n) if offset + n <= self.n_frames else (0, self.n_frames)
-                f.setpos(start)
-                raw = f.readframes(count)
-                if len(raw) != 2 * count:
-                    got = len(raw) // 2
-                    raise ValueError(f"{self.path}: truncated WAV file: read {got} of {count} frames at {start}")
-                read = Waveform(np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0)
-                yield from read.windows([offset - start], n)
+                yield Waveform(_window(read, self.n_frames, offset, n))
 
 
 def open_wav(path: str | Path) -> WavFile:
@@ -125,9 +133,8 @@ def open_wav(path: str | Path) -> WavFile:
 
 def read_wav(path: str | Path) -> Waveform:
     """Load a 16-bit PCM mono 16 kHz WAV file; malformed files raise ValueError."""
-    wav = open_wav(path)
-    [whole] = wav.windows([0], len(wav))
-    return whole
+    with _checked(path) as (read, n_frames):
+        return Waveform(read(0, n_frames))
 
 
 def write_wav(path: str | Path, w: Waveform) -> None:

@@ -21,12 +21,12 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from . import augment as aug
-from .audio import SAMPLE_RATE, WavFile, crop_segment, open_wav, read_wav, write_wav
+from .audio import SAMPLE_RATE, crop_segment, open_wav, read_wav, write_wav
 from .containers import load_features, load_tensors, save_features, save_tensors
 from .features import FeatureParams, extract_features, log_mel_spectrogram, preemphasize
 from .losses import LOSS_NAMES, MarginParams
@@ -349,18 +349,13 @@ def _load_cache(
     return cache, wavs
 
 
-def _opened(paths: Iterable[str]) -> list[Callable[[], WavFile]]:
-    """A load for embed_utterances of each WAV, whose header is checked
-    here, so a bad file anywhere in the command fails before any crop runs."""
-    return [lambda wav=open_wav(path): wav for path in paths]
-
-
 def _cmd_embed(args) -> int:
     embedder = _load_embedder(args.weights)
     paths: dict[str, str] = {}  # each file once, read under its first spelling
     for key, wav in zip(_canonical(args.wavs), args.wavs):
         paths.setdefault(key, wav)
-    embedded = embed_utterances(_opened(paths.values()), embedder, args.crop_seconds, args.n_crops)
+    # A list: every header is checked (open_wav) before the first crop runs.
+    embedded = embed_utterances([open_wav(p) for p in paths.values()], embedder, args.crop_seconds, args.n_crops)
     out = {key: emb.astype(np.float32) for key, emb in zip(paths, embedded)}
     _atomic_save(args.out, lambda p: save_tensors(p, out))
     return 0
@@ -378,7 +373,7 @@ def _cmd_score(args) -> int:
     missing = [key for key, wav in current.items() if not (key in cache and wavs.get(key) == wav)]
     if missing:
         embedder = _load_embedder(args.weights)
-        embedded = embed_utterances(_opened(missing), embedder, args.crop_seconds, args.n_crops)
+        embedded = embed_utterances([open_wav(key) for key in missing], embedder, args.crop_seconds, args.n_crops)
         for key, emb in zip(missing, embedded):
             cache[key] = emb.astype(np.float32)
             wavs[key] = current[key]

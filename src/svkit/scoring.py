@@ -165,28 +165,28 @@ class _Deferred:
 
 
 def embed_utterances(
-    loads: Iterable[Callable[[], Waveform | WavFile]],
+    utterances: Iterable[Waveform | WavFile],
     embedder: Embedder,
     crop_seconds: float,
     n_crops: int,
 ) -> Iterator[np.ndarray]:
     """Embed the planned crops of each utterance; yields one (n_crops, D)
-    matrix per load, in order, as soon as its crops are done.
+    matrix per utterance, in order, as soon as its crops are done.
 
     Crops that start at the same offset are embedded once and the row is
     repeated, so an utterance no longer than one crop costs one call. The
     distinct crops of all the utterances form one queue in utterance
     order, run on up to crop_workers() threads with two crops per thread
     in flight, or one by one when they are shorter than
-    MIN_PARALLEL_CROP_SECONDS; rows are the same either way. Each load()
-    gives one utterance, a Waveform or a WavFile, when the queue reaches
-    it, and each crop is read when the queue reaches that crop, so a
-    WavFile is never held whole. The first failure in utterance order is
-    raised, whether a load, a read, a crop or a non-finite row. `svkit
-    embed` and `svkit score` check every WAV header (open_wav) before
-    calling this, so a bad header anywhere in the command wins over any
-    failure here. numpy's BLAS runs one thread per call until the
-    iterator is exhausted or closed, so a GEMM sums in the same order
+    MIN_PARALLEL_CROP_SECONDS; rows are the same either way. Each
+    utterance, a Waveform or a WavFile, is drawn from utterances when the
+    queue reaches it, and each crop is read when the queue reaches that
+    crop, so a WavFile is never held whole. The first failure in utterance
+    order is raised, whether drawing an utterance, a read, a crop or a
+    non-finite row. `svkit embed` and `svkit score` check every WAV header
+    (open_wav) before calling this, so a bad header anywhere in the command
+    wins over any failure here. numpy's BLAS runs one thread per call until
+    the iterator is exhausted or closed, so a GEMM sums in the same order
     whether crops run concurrently or one by one.
     """
     workers = crop_workers() if crop_seconds >= MIN_PARALLEL_CROP_SECONDS else 1
@@ -201,8 +201,7 @@ def embed_utterances(
     def planned() -> Iterator[tuple]:
         """Each distinct crop in queue order, read when it is pulled, with
         where its row goes."""
-        for load in loads:
-            audio = load()
+        for audio in utterances:
             offsets = plan_crops(len(audio), crop_samples, n_crops).tolist()
             unique = list(dict.fromkeys(offsets))
             rows: dict[int, np.ndarray] = {}
@@ -250,7 +249,7 @@ def crop_embeddings(
 ) -> np.ndarray:
     """Embed each planned crop of one utterance; returns (n_crops, D), as
     embed_utterances gives it."""
-    [rows] = embed_utterances([lambda: waveform], embedder, crop_seconds, n_crops)
+    [rows] = embed_utterances([waveform], embedder, crop_seconds, n_crops)
     return rows
 
 
@@ -313,8 +312,7 @@ def score_pair(
     crop_seconds: float = CROP_SECONDS,
     n_crops: int = N_CROPS,
 ) -> float:
-    ea = crop_embeddings(wav_a, embedder, crop_seconds, n_crops)
-    eb = crop_embeddings(wav_b, embedder, crop_seconds, n_crops)
+    ea, eb = embed_utterances([wav_a, wav_b], embedder, crop_seconds, n_crops)
     return score_from_embeddings(ea, eb)
 
 

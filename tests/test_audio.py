@@ -217,6 +217,15 @@ class TestWavWindows:
         assert len(open_wav(path)) == 2 * SAMPLE_RATE
         assert reads == [1]  # the last declared frame, to check the file holds it
 
+    def test_read_wav_opens_the_file_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.wav"
+        write_wav(path, make_wave(seed=1, seconds=2.0))
+        reads = []
+        readframes = wave_mod.Wave_read.readframes
+        monkeypatch.setattr(wave_mod.Wave_read, "readframes", lambda f, n: reads.append(n) or readframes(f, n))
+        assert len(read_wav(path)) == 2 * SAMPLE_RATE
+        assert reads == [1, 2 * SAMPLE_RATE]  # the header check's last frame, then every frame
+
     def test_a_file_cut_short_after_its_header_was_read_names_it(self, tmp_path):
         path = tmp_path / "cut.wav"
         write_wav(path, make_wave(seed=2, seconds=2.0))
@@ -225,3 +234,42 @@ class TestWavWindows:
         windows = wav.windows([0, SAMPLE_RATE], SAMPLE_RATE // 2)
         with pytest.raises(ValueError, match="cut.wav"):
             list(windows)
+
+
+class TestWindowRule:
+    """A window of a signal in memory or in a WAV is cut from the signal
+    repeated end to end, as np.resize repeats it."""
+
+    FIVE_MINUTES = 300 * SAMPLE_RATE
+
+    @pytest.mark.parametrize("length", [1, 7, 1600, 16000, 16001, 40000])
+    def test_every_window_is_the_signal_repeated_end_to_end(self, tmp_path, length):
+        # on the int16 grid, so the WAV holds the same samples
+        samples = np.random.default_rng(length).integers(-32768, 32768, length) / 32768.0
+        write_wav(tmp_path / "x.wav", Waveform(samples))
+        sources = {"memory": Waveform(samples), "wav": open_wav(tmp_path / "x.wav")}
+        for n in (1, 100, 16000, 64000):
+            starts = (0, 3, length - 1, length, length + 3, 5 * length + 2, 40000, length - n, length - n + 1)
+            offsets = [offset for offset in starts if offset >= 0]
+            want = [np.resize(samples, offset + n)[offset:].tobytes() for offset in offsets]
+            for name, source in sources.items():
+                assert [w.samples.tobytes() for w in source.windows(offsets, n)] == want, (name, n)
+
+    @pytest.mark.parametrize("kind", ["memory", "wav"])
+    def test_a_window_wrapping_a_long_signal_holds_only_the_window(self, tmp_path, kind):
+        # +0.0 where zero: a WAV decodes -0.0 as +0.0
+        samples = (np.arange(self.FIVE_MINUTES) % 2001 - 1000) / 32768.0
+        source = Waveform(samples)
+        if kind == "wav":
+            write_wav(tmp_path / "long.wav", source)
+            source = open_wav(tmp_path / "long.wav")
+        for offset in (self.FIVE_MINUTES - 100, 2 * self.FIVE_MINUTES - 100):
+            want = np.resize(samples, offset + SAMPLE_RATE)[offset:].tobytes()
+            tracemalloc.start()
+            try:
+                [window] = source.windows([offset], SAMPLE_RATE)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert window.samples.tobytes() == want
+            assert peak < 1 << 20

@@ -639,8 +639,8 @@ class TestScore:
         other = f"{version}/{'Sandybridge' if core != 'Sandybridge' else 'Haswell'}"
         stale = records[0].replace(f" openblas={build}", f" openblas={other}")
         save_tensors(cache, entries, (stale, *records[1:]))
-        opened, open_wavs = [], cli._opened
-        monkeypatch.setattr(cli, "_opened", lambda paths: opened.extend(paths) or open_wavs(paths))
+        opened, open_wav = [], cli.open_wav
+        monkeypatch.setattr(cli, "open_wav", lambda path: opened.append(path) or open_wav(path))
         assert main(self.score_args(root, trials, q_weights_file, root / "s1.txt", cache)) == 0
         assert sorted(opened) == sorted((root / name).resolve().as_posix() for name in ("a.wav", "b.wav", "c.wav"))
         assert (root / "s1.txt").read_bytes() == (root / "s0.txt").read_bytes()

@@ -246,6 +246,20 @@ class TestScorePair:
         assert first == second
         assert -1.0 <= first <= 1.0
 
+    def test_both_utterances_share_one_crop_queue(self, monkeypatch):
+        monkeypatch.setattr(scoring, "crop_workers", lambda: 2)
+        both = threading.Barrier(2, timeout=10)
+
+        def embed(waveform):
+            # The second utterance's one crop must run beside the first's;
+            # one queue after the other breaks the barrier.
+            both.wait()
+            return segment_sum_embedder(waveform)
+
+        a, b = make_wave(seed=10, seconds=0.5), make_wave(seed=11, seconds=0.6)
+        apart = [crop_embeddings(w, segment_sum_embedder, crop_seconds=1.0) for w in (a, b)]
+        assert score_pair(a, b, embed, crop_seconds=1.0) == score_from_embeddings(*apart)
+
 
 class TestNetworkEmbedder:
     def test_produces_finite_embedding(self, q_weights):
@@ -400,7 +414,7 @@ class TestCropQueue:
             both.wait()
             return first_sample_embedder(waveform)
 
-        rows = list(embed_utterances([lambda w=w: w for w in self.WAVES[:4]], embed, crop_seconds=1.0, n_crops=N_CROPS))
+        rows = list(embed_utterances(self.WAVES[:4], embed, crop_seconds=1.0, n_crops=N_CROPS))
         assert [r[0, 0] for r in rows] == [w.samples[0] for w in self.WAVES[:4]]
         assert all(r.shape == (10, 2) for r in rows)
 
@@ -416,7 +430,7 @@ class TestCropQueue:
 
         embed = lambda w: done.append(w) or first_sample_embedder(w)
         loaded_at_yield = []
-        for _ in embed_utterances([lambda i=i: load(i) for i in range(6)], embed, crop_seconds=1.0, n_crops=N_CROPS):
+        for _ in embed_utterances(map(load, range(6)), embed, crop_seconds=1.0, n_crops=N_CROPS):
             loaded_at_yield.append(len(finished_at_load))
         assert len(loaded_at_yield) == len(done) == 6
         # Utterance i is read only once at most 2 * workers crops are in
@@ -431,17 +445,17 @@ class TestCropQueue:
         first, second = self.WAVES[:2]
         embed = failing_at({float(first.samples[0]): 0.05})
 
-        def unreadable():
+        def unreadable(*waves):
+            yield from waves
             raise OSError("unreadable")
 
         with pytest.raises(ValueError, match="bad crop"):
-            list(embed_utterances([lambda: first, unreadable], embed, crop_seconds=1.0, n_crops=N_CROPS))
+            list(embed_utterances(unreadable(first), embed, crop_seconds=1.0, n_crops=N_CROPS))
         with pytest.raises(OSError, match="unreadable"):
-            loads = [lambda: second, unreadable, lambda: first]
-            list(embed_utterances(loads, embed, crop_seconds=1.0, n_crops=N_CROPS))
+            list(embed_utterances(unreadable(second), embed, crop_seconds=1.0, n_crops=N_CROPS))
         nan_first = lambda w: np.array([np.nan if w.samples[0] == first.samples[0] else 1.0])
         with pytest.raises(ValueError, match="non-finite"):
-            list(embed_utterances([lambda: first, unreadable], nan_first, crop_seconds=1.0, n_crops=N_CROPS))
+            list(embed_utterances(unreadable(first), nan_first, crop_seconds=1.0, n_crops=N_CROPS))
 
     def test_a_queue_may_start_while_another_is_suspended(self, monkeypatch):
         monkeypatch.setattr(scoring, "crop_workers", lambda: 2)
@@ -449,9 +463,7 @@ class TestCropQueue:
         inner = []
 
         def nested():
-            outer = embed_utterances(
-                [lambda: first, lambda: second], first_sample_embedder, crop_seconds=1.0, n_crops=N_CROPS
-            )
+            outer = embed_utterances([first, second], first_sample_embedder, crop_seconds=1.0, n_crops=N_CROPS)
             for _ in outer:
                 inner.append(crop_embeddings(third, first_sample_embedder, crop_seconds=1.0))
 
