@@ -378,8 +378,7 @@ def _cmd_score(args) -> int:
             cache[key] = emb.astype(np.float32)
             wavs[key] = current[key]
     scores = score_trials([cache[key] for key in keys], trials.enroll, trials.test)
-    scored = [(a, b, s) for (a, b), s in zip(trials.pairs(), scores.tolist())]
-    _atomic_save(args.out, lambda p: write_scores(p, scored))
+    _atomic_save(args.out, lambda p: write_scores(p, trials, scores))
     if args.cache and missing:
         records = (record, *(wavs[key] for key in cache))
         _atomic_save(args.cache, lambda p: save_tensors(p, cache, records))

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -36,11 +35,6 @@ class Trials:
     labels: np.ndarray
     enroll: np.ndarray
     test: np.ndarray
-
-    def pairs(self) -> list[tuple[str, str]]:
-        """(enroll id, test id) of each trial, in order."""
-        ids = np.array(self.ids, dtype=object)
-        return list(zip(ids[self.enroll].tolist(), ids[self.test].tolist()))
 
 
 @dataclass(frozen=True)
@@ -241,7 +235,8 @@ def read_scores(path: str | Path, trials: Trials) -> np.ndarray:
     if not finite.all():
         lineno = [i for i, line in enumerate(lines, start=1) if line.strip()][int(np.argmin(finite))]
         raise ValueError(f"{path}:{lineno}: score must be finite, got {lines[lineno - 1].split()[2]!r}")
-    pairs = trials.pairs()
+    ids = np.array(trials.ids, dtype=object)
+    pairs = list(zip(ids[trials.enroll].tolist(), ids[trials.test].tolist()))
     missing = [pair for pair in pairs if pair not in by_pair]
     if missing:
         shown = ", ".join(f"{enroll} vs {test}" for enroll, test in missing[:10])
@@ -250,6 +245,8 @@ def read_scores(path: str | Path, trials: Trials) -> np.ndarray:
     return np.array([by_pair[pair] for pair in pairs])
 
 
-def write_scores(path: str | Path, scored: Iterable[tuple[str, str, float]]) -> None:
-    lines = [f"{enroll} {test} {value:.6f}" for enroll, test, value in scored]
+def write_scores(path: str | Path, trials: Trials, scores: np.ndarray) -> None:
+    """One `<enroll> <test> <score>` line per trial, in trial order."""
+    ids = np.array(trials.ids, dtype=object)
+    lines = map("{} {} {:.6f}".format, ids[trials.enroll].tolist(), ids[trials.test].tolist(), scores.tolist())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

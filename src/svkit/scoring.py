@@ -12,9 +12,11 @@ so it is bit-exact under swapping the two utterances. A trial list
 products TRIAL_CHUNK trials at a time; every score has the bits
 score_from_embeddings gives that one pair.
 
-The distinct crops of every utterance a call embeds form one queue, run
-in order on one thread per usable CPU (crop_workers) with a bounded number
-in flight, and each crop is read as the queue reaches it: from a WAV, only
+The distinct crops of every utterance a call embeds form one queue: one
+ordered map over the crops, on one thread per usable CPU (crop_workers)
+with at most two crops per thread in flight, or the builtin map on the
+calling thread when crops run one by one, which reads no crop ahead of the
+one running. Each crop is read as the queue reaches it: from a WAV, only
 its window. numpy's OpenBLAS is held to one thread per call while the
 queue runs, whether its crops run concurrently or one by one, and restored
 after. numpy's GEMM, FFT and ufunc loops release the interpreter lock, and
@@ -32,6 +34,7 @@ import collections
 import contextlib
 import ctypes
 import functools
+import itertools
 import os
 import threading
 from pathlib import Path
@@ -50,7 +53,10 @@ N_CROPS = 10
 # Crops shorter than this are embedded one by one: each takes a few
 # milliseconds, so handing them to another thread costs more than it saves
 # (on 2 CPUs, embedding 32 utterances in 0.1 s crops took 16-56% longer on
-# two threads than on one).
+# two threads than on one). That was measured on q-sap only: h-asp crops of
+# 0.1-0.5 s ran 1.6-1.7x faster on the 2-thread pool than one by one, so a rule
+# on a crop's cost (variant and frames) rather than its seconds would serve
+# both.
 MIN_PARALLEL_CROP_SECONDS = 1.0
 # Trials whose dot products are taken at once, gathered into two reused
 # (64, 512) float64 buffers of 256 KB each. The dot products of 992 trials
@@ -150,18 +156,36 @@ def _crop_pool(threads: int):
     return ThreadPoolExecutor(threads, thread_name_prefix="svkit-crop")
 
 
-class _Deferred:
-    """A crop that runs on the calling thread when its result is read: the
-    queue's stand-in for a future when crops run one by one."""
-
-    def __init__(self, fn: Callable, *args):
-        self._call = functools.partial(fn, *args)
-
-    def result(self):
-        return self._call()
-
-    def cancel(self) -> bool:
-        return True
+def _in_order(fn: Callable, items: Iterable, workers: int) -> Iterator:
+    """fn over items, results in order: builtin map on the calling thread
+    for one worker, else on the crop pool with at most 2 * workers calls in
+    flight. An error drawing an item is raised after the result, or the
+    first error, of every item drawn before it. Closing this cancels the
+    calls not yet started."""
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    submit = _crop_pool(workers).submit
+    futures: collections.deque = collections.deque()
+    items = iter(items)
+    try:
+        while True:
+            try:
+                item = next(items)
+            except StopIteration:
+                break
+            except Exception:  # the items drawn before come first
+                while futures:
+                    yield futures.popleft().result()
+                raise
+            futures.append(submit(fn, item))
+            if len(futures) == 2 * workers:
+                yield futures.popleft().result()
+        while futures:
+            yield futures.popleft().result()
+    finally:
+        for future in futures:
+            future.cancel()
 
 
 def embed_utterances(
@@ -177,68 +201,43 @@ def embed_utterances(
     repeated, so an utterance no longer than one crop costs one call. The
     distinct crops of all the utterances form one queue in utterance
     order, run on up to crop_workers() threads with two crops per thread
-    in flight, or one by one when they are shorter than
-    MIN_PARALLEL_CROP_SECONDS; rows are the same either way. Each
+    in flight, or one by one on the calling thread when they are shorter
+    than MIN_PARALLEL_CROP_SECONDS; rows are the same either way. Each
     utterance, a Waveform or a WavFile, is drawn from utterances when the
     queue reaches it, and each crop is read when the queue reaches that
-    crop, so a WavFile is never held whole. The first failure in utterance
-    order is raised, whether drawing an utterance, a read, a crop or a
-    non-finite row. `svkit embed` and `svkit score` check every WAV header
-    (open_wav) before calling this, so a bad header anywhere in the command
-    wins over any failure here. numpy's BLAS runs one thread per call until
-    the iterator is exhausted or closed, so a GEMM sums in the same order
+    crop (one by one, no crop ahead of the one running), so a WavFile is
+    never held whole. The first failure in utterance order is raised,
+    whether drawing an utterance, a read, a crop or a non-finite row.
+    `svkit embed` and `svkit score` check every WAV header (open_wav)
+    before calling this, so a bad header anywhere in the command wins over
+    any failure here. numpy's BLAS runs one thread per call until the
+    iterator is exhausted or closed, so a GEMM sums in the same order
     whether crops run concurrently or one by one.
     """
     workers = crop_workers() if crop_seconds >= MIN_PARALLEL_CROP_SECONDS else 1
-    submit = _crop_pool(workers).submit if workers > 1 else _Deferred
     crop_samples = int(round(crop_seconds * SAMPLE_RATE))
-    # (future, offsets, rows, offset, last crop of its utterance), oldest first
-    queue: collections.deque = collections.deque()
+    drawn: collections.deque = collections.deque()  # (offsets, distinct offsets) per utterance, oldest first
 
     def embed(crop: Waveform) -> np.ndarray:
         return np.asarray(embedder(crop), dtype=np.float64).ravel()
 
-    def planned() -> Iterator[tuple]:
-        """Each distinct crop in queue order, read when it is pulled, with
-        where its row goes."""
+    def crops() -> Iterator[Waveform]:
         for audio in utterances:
             offsets = plan_crops(len(audio), crop_samples, n_crops).tolist()
             unique = list(dict.fromkeys(offsets))
-            rows: dict[int, np.ndarray] = {}
-            with contextlib.closing(audio.windows(unique, crop_samples)) as crops:
-                for offset, crop in zip(unique, crops):
-                    yield crop, offsets, rows, offset, offset == unique[-1]
+            drawn.append((offsets, unique))
+            with contextlib.closing(audio.windows(unique, crop_samples)) as windows:
+                yield from windows
 
-    def finish(in_flight: int) -> Iterator[np.ndarray]:
-        """Wait for the oldest crops until in_flight are left, yielding
-        each utterance they complete."""
-        while len(queue) > in_flight:
-            future, offsets, rows, offset, last = queue.popleft()
-            rows[offset] = future.result()
-            if last:
-                emb = np.stack([rows[o] for o in offsets])
-                if not np.all(np.isfinite(emb)):
-                    raise ValueError("embedder produced non-finite values")
-                yield emb
-
-    crops = planned()
-    with _one_blas_thread():
-        try:
-            while True:
-                yield from finish(2 * workers - 1)
-                try:
-                    crop, *where = next(crops)
-                except StopIteration:
-                    break
-                except Exception:
-                    yield from finish(0)  # an earlier crop's failure comes first
-                    raise
-                queue.append((submit(embed, crop), *where))
-            yield from finish(0)
-        finally:
-            crops.close()
-            for future, *_ in queue:
-                future.cancel()
+    queue = crops()
+    with _one_blas_thread(), contextlib.closing(queue), contextlib.closing(_in_order(embed, queue, workers)) as rows:
+        for first in rows:
+            offsets, unique = drawn.popleft()
+            by_offset = dict(zip(unique, [first, *itertools.islice(rows, len(unique) - 1)]))
+            emb = np.stack([by_offset[o] for o in offsets])
+            if not np.all(np.isfinite(emb)):
+                raise ValueError("embedder produced non-finite values")
+            yield emb
 
 
 def crop_embeddings(

@@ -781,8 +781,8 @@ class TestScore:
         assert main(self.score_args(root, trials, q_weights_file, root / "s.txt", cache)) == 0
         crops = load_tensors(cache)
         key = lambda name: (root / name).resolve().as_posix()
-        per_trial = [(a, b, scoring.score_from_embeddings(crops[key(a)], crops[key(b)])) for a, b in pairs]
-        write_scores(root / "per_trial.txt", per_trial)
+        per_trial = [scoring.score_from_embeddings(crops[key(a)], crops[key(b)]) for a, b in pairs]
+        write_scores(root / "per_trial.txt", read_trials(trials), np.array(per_trial))
         assert (root / "s.txt").read_bytes() == (root / "per_trial.txt").read_bytes()
 
     def test_each_utterance_mean_is_computed_once(self, long_list, q_weights_file, monkeypatch):

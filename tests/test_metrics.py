@@ -315,15 +315,14 @@ class TestTrialFile:
 class TestScoreFile:
     def test_round_trip_at_six_decimals(self, tmp_path):
         path = tmp_path / "scores.txt"
-        rows = [("a.wav", "b.wav", 0.123456789), ("a.wav", "c.wav", -1.5)]
-        write_scores(path, rows)
+        write_scores(path, trials_of(tmp_path, "1 a.wav b.wav\n0 a.wav c.wav\n"), np.array([0.123456789, -1.5]))
         got = read_scores(path, trials_of(tmp_path, "1 a.wav b.wav\n0 a.wav c.wav\n"))
         assert got[0] == pytest.approx(0.123456789, abs=5e-7)
         assert got[1] == -1.5
 
     def test_written_scores_have_six_decimals(self, tmp_path):
         path = tmp_path / "scores.txt"
-        write_scores(path, [("a", "b", 0.5)])
+        write_scores(path, trials_of(tmp_path, "1 a b\n"), np.array([0.5]))
         assert path.read_text() == "a b 0.500000\n"
 
     def test_duplicate_pair_rejected(self, tmp_path):
@@ -374,7 +373,7 @@ class TestScoreFile:
 
     def test_written_file_is_utf8(self, tmp_path):
         path = tmp_path / "scores.txt"
-        write_scores(path, [("é.wav", "ü.wav", 0.5)])
+        write_scores(path, trials_of(tmp_path, "1 é.wav ü.wav\n"), np.array([0.5]))
         assert path.read_bytes() == "é.wav ü.wav 0.500000\n".encode("utf-8")
         assert read_scores(path, trials_of(tmp_path, "1 é.wav ü.wav\n")).tolist() == [0.5]
 

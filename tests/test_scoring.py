@@ -472,3 +472,44 @@ class TestCropQueue:
         thread.join(timeout=10)
         assert not thread.is_alive()
         assert [rows[0, 0] for rows in inner] == [third.samples[0]] * 2
+
+    def test_closing_early_cancels_the_queued_crops(self, monkeypatch):
+        monkeypatch.setattr(scoring, "crop_workers", lambda: 2)
+        blas = scoring._openblas()
+        if blas:  # a thread count the queue's one must not leave behind
+            get, set_, _ = blas
+            before = get()
+            set_(2)
+        calls = []
+        released = threading.Event()
+
+        def embed(waveform):
+            # Past the first utterance, crops wait until the queue is closed:
+            # both threads are then busy and the rest of the 4 in flight queued.
+            calls.append(waveform)
+            if waveform.samples[0] != self.WAVES[0].samples[0]:
+                released.wait(timeout=10)
+            return first_sample_embedder(waveform)
+
+        rows = embed_utterances(self.WAVES, embed, crop_seconds=1.0, n_crops=N_CROPS)
+        assert next(rows)[0, 0] == self.WAVES[0].samples[0]
+        rows.close()
+        released.set()
+        if blas:
+            threads = get()
+            set_(before)
+            assert threads == 2
+        # Each pool thread takes one of these waits only once its crop in
+        # flight is done.
+        idle = threading.Barrier(3, timeout=10)
+        waits = [scoring._crop_pool(2).submit(idle.wait) for _ in range(2)]
+        idle.wait()
+        for wait in waits:
+            wait.result(timeout=10)
+        settled = len(calls)
+        time.sleep(0.05)
+        # Crops 1 and 2 may have started; crop 3, queued, never does.
+        assert len(calls) == settled < 4
+        # The pool is idle again: the next queue embeds every utterance.
+        rows = list(embed_utterances(self.WAVES, embed, crop_seconds=1.0, n_crops=N_CROPS))
+        assert [r[0, 0] for r in rows] == [w.samples[0] for w in self.WAVES]
