@@ -9,7 +9,8 @@ give bit-identical outputs. Trial files reference utterances by path;
 the embedding cache is keyed by canonicalized path, an entry is reused
 only while the WAV's content is unchanged, and the whole cache is
 discarded when it was built with other weights, crop settings or
-OpenBLAS build.
+OpenBLAS build. `svkit embed` and `svkit score` embed through one path,
+which loads the weights, then checks every WAV header, then runs crops.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -349,14 +350,19 @@ def _load_cache(
     return cache, wavs
 
 
-def _cmd_embed(args) -> int:
+def _embedded(paths: dict[str, str], args) -> Iterator[tuple[str, np.ndarray]]:
+    """(key, float32 rows) of each key, in order, embedded from the path it maps to. The weights
+    are loaded first, then every header is checked (open_wav) before the first crop runs."""
     embedder = _load_embedder(args.weights)
+    embedded = embed_utterances([open_wav(p) for p in paths.values()], embedder, args.crop_seconds, args.n_crops)
+    yield from zip(paths, (emb.astype(np.float32) for emb in embedded))
+
+
+def _cmd_embed(args) -> int:
     paths: dict[str, str] = {}  # each file once, read under its first spelling
     for key, wav in zip(_canonical(args.wavs), args.wavs):
         paths.setdefault(key, wav)
-    # A list: every header is checked (open_wav) before the first crop runs.
-    embedded = embed_utterances([open_wav(p) for p in paths.values()], embedder, args.crop_seconds, args.n_crops)
-    out = {key: emb.astype(np.float32) for key, emb in zip(paths, embedded)}
+    out = dict(_embedded(paths, args))
     _atomic_save(args.out, lambda p: save_tensors(p, out))
     return 0
 
@@ -372,14 +378,11 @@ def _cmd_score(args) -> int:
     current = {key: _wav_record(key) if args.cache else None for key in dict.fromkeys(keys)}
     missing = [key for key, wav in current.items() if not (key in cache and wavs.get(key) == wav)]
     if missing:
-        embedder = _load_embedder(args.weights)
-        embedded = embed_utterances([open_wav(key) for key in missing], embedder, args.crop_seconds, args.n_crops)
-        for key, emb in zip(missing, embedded):
-            cache[key] = emb.astype(np.float32)
-            wavs[key] = current[key]
+        cache.update(_embedded(dict(zip(missing, missing)), args))
     scores = score_trials([cache[key] for key in keys], trials.enroll, trials.test)
     _atomic_save(args.out, lambda p: write_scores(p, trials, scores))
     if args.cache and missing:
+        wavs |= current
         records = (record, *(wavs[key] for key in cache))
         _atomic_save(args.cache, lambda p: save_tensors(p, cache, records))
     return 0

@@ -161,7 +161,7 @@ def _in_order(fn: Callable, items: Iterable, workers: int) -> Iterator:
     for one worker, else on the crop pool with at most 2 * workers calls in
     flight. An error drawing an item is raised after the result, or the
     first error, of every item drawn before it. Closing this cancels the
-    calls not yet started."""
+    calls not yet started and waits for those running."""
     if workers == 1:
         yield from map(fn, items)
         return
@@ -183,9 +183,9 @@ def _in_order(fn: Callable, items: Iterable, workers: int) -> Iterator:
                 yield futures.popleft().result()
         while futures:
             yield futures.popleft().result()
-    finally:
-        for future in futures:
-            future.cancel()
+    finally:  # cancel every queued call, then wait out (not raise) the running ones
+        for future in [future for future in futures if not future.cancel()]:
+            future.exception()
 
 
 def embed_utterances(
@@ -212,7 +212,8 @@ def embed_utterances(
     before calling this, so a bad header anywhere in the command wins over
     any failure here. numpy's BLAS runs one thread per call until the
     iterator is exhausted or closed, so a GEMM sums in the same order
-    whether crops run concurrently or one by one.
+    whether crops run concurrently or one by one. Closing it early cancels
+    the queued crops and waits for the running ones.
     """
     workers = crop_workers() if crop_seconds >= MIN_PARALLEL_CROP_SECONDS else 1
     crop_samples = int(round(crop_seconds * SAMPLE_RATE))

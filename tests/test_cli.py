@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import make_wave
-from oracles import report_from_text
+from oracles import relative_l2, report_from_text
 from svkit import augment, cli, containers, scoring
 from svkit.audio import Waveform, crop_segment, read_wav, write_wav
 from svkit.cli import main
@@ -471,6 +471,33 @@ class TestEmbed:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_other_blas_kernels_stay_within_the_stated_bound(self, tmp_path):
+        # Another OpenBLAS kernel may sum a GEMM in another order; README
+        # bounds the relative L2 difference of an utterance's crop rows at
+        # 1e-5. Each run sets OPENBLAS_CORETYPE itself, whatever the
+        # environment exports.
+        if scoring._openblas() is None:
+            pytest.skip("numpy links no OpenBLAS")
+        wav = tmp_path / "utt.wav"
+        write_wav(wav, make_wave(seed=7, seconds=1.5))
+        for variant in ("q-sap", "h-asp"):
+            weights = tmp_path / f"{variant}.svw1"
+            assert main(["init", "--variant", variant, "--out", str(weights), "--seed", "0"]) == 0
+            ran = {}
+            for core in ("SkylakeX", "Haswell", "Sandybridge", "Nehalem", "Katmai"):
+                out = tmp_path / f"{variant}-{core}.svw1"
+                argv = ["embed", str(wav), "--weights", str(weights), "--out", str(out),
+                        "--crop-seconds", "0.5", "--n-crops", "3"]
+                done = run_svkit(argv, OPENBLAS_CORETYPE=core, OPENBLAS_VERBOSE="2")
+                assert done.returncode == 0, done.stderr
+                if f"Core: {core}" in done.stderr.splitlines():  # else the CPU lacks it and fell back
+                    [ran[core]] = load_tensors(out).values()
+            if len(ran) < 2:
+                pytest.skip(f"the CPU runs {len(ran)} of these kernels")
+            first = next(iter(ran.values()))
+            for core, rows in ran.items():
+                assert relative_l2(rows, first) <= 1e-5, (variant, core, relative_l2(rows, first))
+
 
 class TestCanonical:
     """cli._canonical resolves each directory once; its keys must still be
@@ -563,6 +590,19 @@ class TestScore:
         self.forbid_embedding(monkeypatch)
         assert main(self.score_args(root, trials, q_weights_file, out2, cache)) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_embed_and_a_cold_cache_hold_the_same_rows(self, trial_setup, q_weights_file):
+        root, trials = trial_setup
+        cache, out = root / "cache.svw1", root / "e.svw1"
+        assert main(self.score_args(root, trials, q_weights_file, root / "s.txt", cache)) == 0
+        wavs = [str(root / name) for name in ("a.wav", "b.wav", "c.wav")]
+        flags = ["--weights", str(q_weights_file), "--crop-seconds", "0.5", "--n-crops", "2"]
+        assert main(["embed", *wavs, *flags, "--out", str(out)]) == 0
+        embedded, cached = load_tensors(out), load_tensors(cache)
+        assert list(embedded) == list(cached)
+        for key, rows in embedded.items():
+            assert rows.dtype == cached[key].dtype == np.float32
+            assert rows.tobytes() == cached[key].tobytes()
 
     def test_rewritten_wav_is_recomputed(self, trial_setup, q_weights_file, monkeypatch):
         root, trials = trial_setup

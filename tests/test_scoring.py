@@ -480,21 +480,31 @@ class TestCropQueue:
             get, set_, _ = blas
             before = get()
             set_(2)
-        calls = []
-        released = threading.Event()
+        calls, returned = [], []
+        started, released = threading.Event(), threading.Event()
 
         def embed(waveform):
-            # Past the first utterance, crops wait until the queue is closed:
-            # both threads are then busy and the rest of the 4 in flight queued.
+            # Past the first utterance, crops wait until released, after the
+            # close has begun: both threads are then busy and the rest of the
+            # 4 in flight queued.
             calls.append(waveform)
             if waveform.samples[0] != self.WAVES[0].samples[0]:
+                started.set()
                 released.wait(timeout=10)
-            return first_sample_embedder(waveform)
+            row = first_sample_embedder(waveform)
+            returned.append(waveform)
+            return row
 
         rows = embed_utterances(self.WAVES, embed, crop_seconds=1.0, n_crops=N_CROPS)
         assert next(rows)[0, 0] == self.WAVES[0].samples[0]
+        assert started.wait(timeout=10)  # a crop is running when the queue closes
+        release = threading.Timer(0.2, released.set)
+        release.start()
         rows.close()
-        released.set()
+        # The close waited for every crop that had started.
+        closed = len(calls)
+        assert len(returned) == closed
+        release.join(timeout=10)
         if blas:
             threads = get()
             set_(before)
@@ -508,8 +518,10 @@ class TestCropQueue:
             wait.result(timeout=10)
         settled = len(calls)
         time.sleep(0.05)
-        # Crops 1 and 2 may have started; crop 3, queued, never does.
+        # Crops 1 and 2 may have started; crop 3, queued, never does, and no
+        # crop starts after the close.
         assert len(calls) == settled < 4
+        assert settled == closed
         # The pool is idle again: the next queue embeds every utterance.
         rows = list(embed_utterances(self.WAVES, embed, crop_seconds=1.0, n_crops=N_CROPS))
         assert [r[0, 0] for r in rows] == [w.samples[0] for w in self.WAVES]
