@@ -438,9 +438,10 @@ def _cmd_info(args) -> int:
     if (args.weights is None) == (args.features is None):
         raise UsageError("provide exactly one of --weights or --features")
     if args.weights is not None:
-        tensors = load_tensors(args.weights)
         # The check embed makes: a weight set that does not fold is an error.
-        variant = FoldedWeights.fold_in_place(tensors, args.weights).config.variant
+        # The folded set is released before the counts read the file again.
+        variant = FoldedWeights.load(args.weights).config.variant
+        tensors = load_tensors(args.weights)
         print(f"variant={variant}")
         print(f"tensors={len(tensors)}")
         print(f"parameters={parameter_count(tensors)}")

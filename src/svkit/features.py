@@ -100,19 +100,6 @@ def preemphasize(w: Waveform, coeff: float) -> Waveform:
     return Waveform(y)
 
 
-def hz_to_mel(f):
-    return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
-
-
-def mel_to_hz(m):
-    return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
-
-
-def _mel_edges_hz(n_mels: int) -> np.ndarray:
-    """n_mels + 2 frequencies equally spaced on the mel scale over 0..MEL_F_MAX."""
-    return mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(MEL_F_MAX), n_mels + 2))
-
-
 def mel_filterbank(n_mels: int, fft_size: int) -> np.ndarray:
     """Triangular mel filters evaluated at FFT bin frequencies.
 
@@ -121,7 +108,8 @@ def mel_filterbank(n_mels: int, fft_size: int) -> np.ndarray:
     k+2, where the edges are n_mels + 2 points equally spaced on the mel
     scale over 0..MEL_F_MAX. Rows are not area-normalized.
     """
-    edges_hz = _mel_edges_hz(n_mels)
+    top = 2595.0 * np.log10(1.0 + MEL_F_MAX / 700.0)  # MEL_F_MAX in mels; 0 Hz is 0 mels
+    edges_hz = 700.0 * (10.0 ** (np.linspace(0.0, top, n_mels + 2) / 2595.0) - 1.0)
     bin_hz = np.arange(fft_size // 2 + 1) * (SAMPLE_RATE / fft_size)
     lo = edges_hz[:-2, None]
     mid = edges_hz[1:-1, None]

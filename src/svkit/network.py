@@ -215,15 +215,10 @@ class FoldedWeights:
 
     @classmethod
     def load(cls, path: str | Path) -> "FoldedWeights":
-        """Load a weight file and fold it in place (fold_in_place).
-        Bit-identical to FoldedWeights(containers.load_tensors(path))."""
-        return cls.fold_in_place(containers.load_tensors(path), path)
-
-    @classmethod
-    def fold_in_place(cls, tensors: dict[str, np.ndarray], path: str | Path) -> "FoldedWeights":
-        """Fold tensors as load_tensors read them from path, each batch norm
-        into the weight array it was read into, so the weight set is held
-        once, not twice. An error names path."""
+        """Load a weight file and fold each batch norm into the array it was
+        read into, so the weight set is held once, with the bits of
+        FoldedWeights(containers.load_tensors(path)). A fold error names path."""
+        tensors = containers.load_tensors(path)
         folded = cls.__new__(cls)
         try:
             folded._fold(tensors)

@@ -99,17 +99,6 @@ class SyntheticCorpus:
     train_trials: Trials
     heldout_trials: Trials
 
-    @property
-    def n_speakers(self) -> int:
-        return self.embeddings.shape[0]
-
-    @property
-    def n_utterances(self) -> int:
-        return self.embeddings.shape[1]
-
-    def labels(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n_speakers), self.n_utterances)
-
 
 def pair_pools(n_speakers: int, n_utts: int) -> tuple[int, int]:
     """Sizes of a K x M corpus's target pool (two utterances of one speaker)
@@ -222,7 +211,7 @@ def train_demo(
         raise ValueError("epochs must be non-negative")
 
     k, m, d = corpus.embeddings.shape
-    labels = corpus.labels()
+    labels = np.repeat(np.arange(k), m)
     rng = np.random.default_rng(seed)
 
     params = {"embeddings": corpus.embeddings.astype(np.float64, copy=True)}

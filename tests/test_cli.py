@@ -422,6 +422,27 @@ class TestEmbed:
             assert list(out.parent.iterdir()) == []
         assert crops == []
 
+    def test_a_window_that_can_no_longer_be_read_exits_two_naming_it(self, tmp_path, monkeypatch, capsys):
+        # 0.5 s crops run one by one at offsets 0, 20,000 and 40,000, read
+        # through one open file; the WAV is cut to 18,000 frames once the
+        # first crop has been read, so the second reads nothing.
+        wav = tmp_path / "utt.wav"
+        write_wav(wav, make_wave(seed=8, seconds=3.0))
+        crops = []
+
+        def embedder(crop):
+            if not crops:
+                os.truncate(wav, wav.stat().st_size - 2 * 30_000)
+            crops.append(crop)
+            return np.ones(512)
+
+        monkeypatch.setattr(cli, "_load_embedder", lambda path: embedder)
+        out = tmp_path / "e.svw1"
+        argv = ["embed", str(wav), "--weights", "unused", "--out", str(out), "--crop-seconds", "0.5", "--n-crops", "3"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {wav}: truncated WAV file: read 0 of 8000 frames at 20000\n"
+        assert len(crops) == 1
+        assert not out.exists()
 
     def test_bad_header_last_exits_two_before_any_crop(self, tmp_path, q_weights_file, monkeypatch, capsys):
         wavs = [tmp_path / f"{name}.wav" for name in "abc"]

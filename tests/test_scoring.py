@@ -398,6 +398,29 @@ class TestParallelCrops:
         monkeypatch.setattr(scoring, "_openblas", lambda: None)
         assert scoring.crop_workers.__wrapped__() == 1
 
+    def test_crops_without_settable_blas_leave_its_thread_count(self, monkeypatch):
+        blas = scoring._openblas()
+        if blas is None:
+            pytest.skip("numpy links no OpenBLAS whose thread count can be set")
+        get, set_, _ = blas
+        before = get()
+        waves = [self.WAVE, make_wave(seed=22, seconds=2.0)]
+        seen = set()
+        recording = lambda w: seen.add(get()) or segment_sum_embedder(w)
+        set_(2)
+        try:
+            want = list(embed_utterances(waves, segment_sum_embedder, crop_seconds=1.0, n_crops=N_CROPS))
+            # A BLAS the queue cannot see: crops run one by one, as
+            # crop_workers then rules, and keep the thread count BLAS has.
+            monkeypatch.setattr(scoring, "_openblas", lambda: None)
+            monkeypatch.setattr(scoring, "crop_workers", scoring.crop_workers.__wrapped__)
+            got = list(embed_utterances(waves, recording, crop_seconds=1.0, n_crops=N_CROPS))
+            assert seen == {2}
+            assert get() == 2
+        finally:
+            set_(before)
+        assert [rows.tobytes() for rows in got] == [rows.tobytes() for rows in want]
+
 
 class TestCropQueue:
     """The distinct crops of several utterances form one queue."""
