@@ -76,18 +76,14 @@ def save_tensors(
         f.write(struct.pack("<I", len(entries)))
         for name, tensor in entries:
             arr = np.asarray(tensor, dtype="<f4")
-            shape = arr.shape  # kept before ascontiguousarray, which promotes 0-d to 1-d
-            arr = np.ascontiguousarray(arr)
             encoded = name.encode("utf-8")
             if len(encoded) > 0xFFFF:
                 raise ValueError(f"tensor name too long: {name!r}")
-            if len(shape) > 0xFF:
-                raise ValueError(f"tensor rank too large: {len(shape)}")
             f.write(struct.pack("<H", len(encoded)))
             f.write(encoded)
-            f.write(struct.pack("<B", len(shape)))
-            f.write(struct.pack(f"<{len(shape)}I", *shape))
-            f.write(arr.tobytes())
+            f.write(struct.pack("<B", arr.ndim))  # numpy allows at most 64 axes
+            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            f.write(arr.tobytes())  # in C order, whatever arr's strides
 
 
 def load_tensors(path: str | Path, records: list[str] | None = None) -> dict[str, np.ndarray]:
@@ -102,20 +98,16 @@ def load_tensors(path: str | Path, records: list[str] | None = None) -> dict[str
             raise FormatError(f"{path}: bad magic {magic!r}, expected {WEIGHT_MAGIC!r}")
         try:
             (count,) = struct.unpack("<I", f.read(4))
-            offset = 8
             for _ in range(count):
                 (name_len,) = struct.unpack("<H", f.read(2))
-                offset += 2
-                if offset + name_len > size:
+                if f.tell() + name_len > size:
                     raise FormatError(f"{path}: truncated tensor name")
                 name = f.read(name_len).decode("utf-8")
                 (rank,) = struct.unpack("<B", f.read(1))
                 dims = struct.unpack(f"<{rank}I", f.read(4 * rank))
-                offset += name_len + 1 + 4 * rank
                 n = int(np.prod(dims, dtype=np.int64)) if rank else 1
-                if offset + 4 * n > size:
+                if f.tell() + 4 * n > size:
                     raise FormatError(f"{path}: truncated data for tensor {name!r}")
-                offset += 4 * n
                 if name.startswith(RECORD_PREFIX):
                     f.seek(4 * n, os.SEEK_CUR)
                     if records is not None:
@@ -129,6 +121,6 @@ def load_tensors(path: str | Path, records: list[str] | None = None) -> dict[str
                 tensors[name] = arr
         except (struct.error, UnicodeDecodeError) as exc:
             raise FormatError(f"{path}: truncated or corrupt tensor record") from exc
-    if offset != size:
-        raise FormatError(f"{path}: {size - offset} trailing bytes")
+        if f.tell() != size:
+            raise FormatError(f"{path}: {size - f.tell()} trailing bytes")
     return tensors

@@ -80,14 +80,6 @@ class FeatureMap:
             raise ValueError("feature map contains non-finite values")
         object.__setattr__(self, "values", values)
 
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_mels(self) -> int:
-        return self.values.shape[1]
-
 
 def preemphasize(w: Waveform, coeff: float) -> Waveform:
     """First-order high-pass: y[t] = x[t] - coeff * x[t-1], replicate-padded."""
@@ -159,7 +151,7 @@ def instance_normalize(f: FeatureMap) -> FeatureMap:
     No learned affine. Requires at least two frames (variance over time is
     undefined otherwise). A constant bin maps to zeros via the NORM_EPS floor.
     """
-    if f.n_frames < 2:
+    if len(f.values) < 2:
         raise ValueError("instance normalization needs at least 2 frames")
     mean = f.values.mean(axis=0)
     var = f.values.var(axis=0)

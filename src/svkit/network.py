@@ -57,8 +57,7 @@ class TrunkConfig:
     variant: str
     channels: tuple[int, int, int, int]
     conv1_stride: tuple[int, int]
-    pooling: str  # "sap" | "asp"
-    frame_agg: str  # "mean" | "flatten"
+    pooling: str  # "sap" averages frames over frequency; "asp" flattens them
 
     @property
     def final_freq(self) -> int:
@@ -70,7 +69,7 @@ class TrunkConfig:
 
     @property
     def frame_dim(self) -> int:
-        if self.frame_agg == "flatten":
+        if self.pooling == "asp":
             return self.final_freq * self.channels[-1]
         return self.channels[-1]
 
@@ -118,8 +117,8 @@ class TrunkConfig:
 
 
 VARIANTS = {
-    "q-sap": TrunkConfig("q-sap", (16, 32, 64, 128), (2, 2), pooling="sap", frame_agg="mean"),
-    "h-asp": TrunkConfig("h-asp", (32, 64, 128, 256), (1, 1), pooling="asp", frame_agg="flatten"),
+    "q-sap": TrunkConfig("q-sap", (16, 32, 64, 128), (2, 2), pooling="sap"),
+    "h-asp": TrunkConfig("h-asp", (32, 64, 128, 256), (1, 1), pooling="asp"),
 }
 
 
@@ -168,12 +167,6 @@ def _conv_tiles(windows, matrix, bias, out, residual, relu, cols, acc) -> None:
             out[t0 : t0 + r] = tile
 
 
-def _bn_affine(gamma, beta, mean, var):
-    """Inference batch norm as a per-channel (scale, shift)."""
-    scale = gamma / np.sqrt(var + BN_EPS)
-    return scale, beta - mean * scale
-
-
 def softmax(x: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis, in one new array."""
     out = x - np.max(x, axis=-1, keepdims=True)
@@ -204,9 +197,9 @@ class FoldedWeights:
 
     The weights are checked whole as they are folded: the variant is
     inferred from conv1's width (config), and every tensor the variant
-    needs (TrunkConfig.shapes) must be present with its shape. convs maps
-    each conv to its folded (kernel, bias); tensors holds pool.* and
-    embed.*. Other tensors are ignored.
+    needs (TrunkConfig.shapes) must be present, of its shape and finite.
+    convs maps each conv to its folded (kernel, bias); tensors holds pool.*
+    and embed.*. Other tensors are ignored.
     """
 
     def __init__(self, tensors: dict[str, np.ndarray]):
@@ -249,14 +242,16 @@ class FoldedWeights:
         for name, shape in shapes.items():
             if tensor(name).shape != shape:
                 raise ValueError(f"{name} has shape {tensors[name].shape}, {self.config.variant} needs {shape}")
+            if not np.isfinite(tensors[name]).all():
+                raise ValueError(f"{name}: weights must be finite")
 
         def fold(t: np.ndarray, bn: str) -> tuple[np.ndarray, np.ndarray]:
-            """Multiply each output channel (last axis) of t by bn's scale;
-            bn's float64 (scale, shift)."""
-            scale, shift = _bn_affine(*(tensors[name].astype(np.float64) for name in _bn_names(bn)))
+            """Scale t's output channels (last axis) as bn does; return bn's float64 (scale, shift)."""
+            gamma, beta, mean, var = (tensors[name].astype(np.float64) for name in _bn_names(bn))
+            scale = gamma / np.sqrt(var + BN_EPS)
             # A float64 product stored as float32, as (t * scale).astype(np.float32).
             np.multiply(t, scale, out=t, casting="unsafe")
-            return scale, shift
+            return scale, beta - mean * scale
 
         self.convs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for conv, (_, bn) in self.config.convs().items():
@@ -524,15 +519,14 @@ def forward(features: np.ndarray, weights: FoldedWeights) -> np.ndarray:
     """
     if not isinstance(weights, FoldedWeights):
         raise TypeError(f"forward takes FoldedWeights, got {type(weights).__name__}")
-    cfg = weights.config
     features = np.asarray(features, dtype=np.float32)
     if features.ndim != 2 or features.shape[1] != N_MELS:
         raise ValueError(f"expected (L, {N_MELS}) features, got shape {features.shape}")
 
     x = run_trunk(features, weights)[1:-1, 1:-1]
-    # flatten is freq-major, then channel
-    frames = x.reshape(x.shape[0], -1) if cfg.frame_agg == "flatten" else x.mean(axis=1)
-    pool = sap_pool if cfg.pooling == "sap" else asp_pool
+    asp = weights.config.pooling == "asp"  # asp flattens freq-major, then channel
+    frames = x.reshape(x.shape[0], -1) if asp else x.mean(axis=1)
+    pool = asp_pool if asp else sap_pool
     t = weights.tensors
     pooled = pool(frames, t["pool.w"], t["pool.b"], t["pool.u"])
     embedding = pooled @ t["embed.weight"] + t["embed.bias"]

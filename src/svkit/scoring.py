@@ -44,6 +44,7 @@ import numpy as np
 
 from .audio import SAMPLE_RATE, WavFile, Waveform
 from .features import extract_features
+from .losses import _normalize_rows
 from .network import FoldedWeights, forward
 
 Embedder = Callable[[Waveform], np.ndarray]
@@ -74,10 +75,8 @@ def plan_crops(n_samples: int, crop_samples: int, n_crops: int) -> np.ndarray:
     if crop_samples < 1 or n_crops < 1:
         raise ValueError("crop_samples and n_crops must be positive")
     slack = max(n_samples - crop_samples, 0)
-    if n_crops == 1:
-        return np.zeros(1, dtype=np.intp)
     k = np.arange(n_crops)
-    return np.rint(k * slack / (n_crops - 1)).astype(np.intp)
+    return np.rint(k * slack / max(n_crops - 1, 1)).astype(np.intp)
 
 
 @functools.cache
@@ -260,10 +259,9 @@ def mean_unit_vector(embeddings: np.ndarray) -> np.ndarray:
     depend on crop order.
     """
     e = np.asarray(embeddings, dtype=np.float64)
-    norms = np.sqrt(np.sum(e * e, axis=1))
-    if np.any(norms == 0.0):
-        raise ValueError("zero-norm embedding")
-    unit = e / norms[:, None]
+    if e.ndim != 2:
+        raise ValueError(f"expected an (n_crops, D) matrix, got shape {e.shape}")
+    unit, _ = _normalize_rows(e, "embedding")
     order = sorted(range(len(unit)), key=lambda i: unit[i].tobytes())
     return unit[order].sum(axis=0) / len(unit)
 

@@ -1225,6 +1225,26 @@ class TestInfo:
         assert info.err == capsys.readouterr().err
         assert info.err.startswith(f"error: {bad}: ") and name in info.err
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("variant", ["q-sap", "h-asp"])
+    def test_non_finite_weights_exit_two_naming_file_and_tensor(self, tmp_path, wav_file, variant, value, capsys):
+        # Rejected as the weights are folded, before embed reads any audio:
+        # not by the head's checks once the crops have run.
+        weights = tmp_path / "w.svw1"
+        assert main(["init", "--variant", variant, "--out", str(weights), "--seed", "0"]) == 0
+        tensors = load_tensors(weights)
+        tensors["layer2.block0.conv1.weight"][0, 0, 0, 0] = value
+        save_tensors(weights, tensors)
+        capsys.readouterr()
+        assert main(["info", "--weights", str(weights)]) == 2
+        info = capsys.readouterr()
+        out = tmp_path / "e.svw1"
+        assert main(["embed", str(wav_file), "--weights", str(weights), "--out", str(out)]) == 2
+        assert info.out == ""
+        assert info.err == capsys.readouterr().err
+        assert info.err == f"error: {weights}: layer2.block0.conv1.weight: weights must be finite\n"
+        assert not out.exists()
+
 
 def _write_partial_then_fail(path, *args, **kwargs):
     pathlib.Path(path).write_bytes(b"partial")

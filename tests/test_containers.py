@@ -57,6 +57,13 @@ class TestFeatureFile:
         with pytest.raises(FormatError):
             load_features(path)
 
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 2, 2)])
+    def test_only_2d_arrays_are_saved(self, tmp_path, shape):
+        path = tmp_path / "f.svf1"
+        with pytest.raises(ValueError, match="stores 2-D arrays"):
+            save_features(path, np.zeros(shape, dtype=np.float32))
+        assert not path.exists()
+
 
 class TestTensorFile:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -74,6 +81,14 @@ class TestTensorFile:
             assert back[name].dtype == np.float32
             assert back[name].shape == t.shape
             assert_array_equal(back[name], t)
+
+    def test_strided_tensors_are_written_in_c_order(self, tmp_path):
+        base = np.arange(24, dtype=np.float32).reshape(4, 6)
+        tensors = {"transposed": base.T, "stepped": base[:, ::2], "fortran": np.asfortranarray(base)}
+        path = tmp_path / "w.svw1"
+        save_tensors(path, tensors)
+        for name, arr in load_tensors(path).items():
+            assert_array_equal(arr, tensors[name])
 
     def test_unicode_names_survive(self, tmp_path):
         tensors = {"weights/étage.0": np.ones(3, dtype=np.float32)}
@@ -119,6 +134,13 @@ class TestTensorFile:
         back = load_tensors(path, records)
         assert records == ["#built-with x=1"]
         assert_array_equal(back["/data/a.wav"], tensors["/data/a.wav"])
+
+    def test_name_over_65535_bytes_rejected(self, tmp_path):
+        longest = "\u00e9" * 0x7FFF + "x"  # 65,535 bytes of UTF-8
+        save_tensors(tmp_path / "a.svw1", {longest: np.zeros(1)})
+        assert list(load_tensors(tmp_path / "a.svw1")) == [longest]
+        with pytest.raises(ValueError, match="tensor name too long"):
+            save_tensors(tmp_path / "b.svw1", {longest + "x": np.zeros(1)})
 
     def test_record_and_tensor_names_must_not_mix(self, tmp_path):
         with pytest.raises(ValueError):

@@ -30,6 +30,11 @@ class TestPreemphasis:
         out = preemphasize(Waveform(np.array([1.0, 0.0, 0.0])), 0.97)
         assert_allclose(out.samples, [0.03, -0.97, 0.0], rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("coeff", [-0.1, 1.0, 1.5, float("nan")])
+    def test_coefficient_outside_unit_interval_rejected(self, coeff):
+        with pytest.raises(ValueError, match=r"in \[0, 1\)"):
+            preemphasize(Waveform(np.ones(3)), coeff)
+
     def test_zero_coefficient_is_identity(self):
         w = make_wave(0, 0.1)
         assert_array_equal(preemphasize(w, 0.0).samples, w.samples)
@@ -77,8 +82,8 @@ class TestLogMelSpectrogram:
     def test_frame_count(self, n_samples):
         w = make_wave(1, n_samples / 16000)
         fmap = log_mel_spectrogram(w, FeatureParams())
-        assert fmap.n_frames == 1 + n_samples // 160
-        assert fmap.n_mels == 64
+        assert fmap.values.shape[0] == 1 + n_samples // 160
+        assert fmap.values.shape[1] == 64
 
     def test_all_zero_input_hits_log_floor(self):
         fmap = log_mel_spectrogram(Waveform(np.zeros(16000)), FeatureParams())
@@ -157,6 +162,16 @@ class TestInstanceNormalize:
         out = instance_normalize(FeatureMap(values))
         assert_array_equal(out.values[:, 2], np.zeros(50))
 
+    @pytest.mark.parametrize("values,match", [
+        (np.ones(4), "must be 2-D"),
+        (np.ones((2, 3, 4)), "must be 2-D"),
+        (np.array([[0.0, np.nan]]), "non-finite"),
+        (np.array([[np.inf, 0.0]]), "non-finite"),
+    ], ids=["1-D", "3-D", "nan", "inf"])
+    def test_feature_map_is_a_finite_matrix(self, values, match):
+        with pytest.raises(ValueError, match=match):
+            FeatureMap(values)
+
     def test_requires_two_frames(self):
         with pytest.raises(ValueError):
             instance_normalize(FeatureMap(np.ones((1, 4))))
@@ -171,7 +186,7 @@ class TestPipeline:
     def test_custom_params_respected(self):
         w = make_wave(5, 1.0)
         fmap = extract_features(w, FeatureParams(n_mels=40))
-        assert fmap.n_mels == 40
+        assert fmap.values.shape[1] == 40
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

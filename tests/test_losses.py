@@ -41,6 +41,13 @@ class TestSoftmaxCE:
         with pytest.raises(ValueError):
             softmax_ce(np.ones((2, 3)), np.array([0, 5]), np.ones((2, 3)), np.zeros(2))
 
+    @pytest.mark.parametrize("labels", [[0], [0, 1, 0], [[0], [1]]])
+    def test_one_label_per_embedding(self, labels):
+        with pytest.raises(ValueError, match=r"labels must have shape \(2,\)"):
+            softmax_ce(np.ones((2, 3)), np.array(labels), np.ones((2, 3)), np.zeros(2))
+        with pytest.raises(ValueError, match=r"labels must have shape \(2,\)"):
+            am_softmax(np.ones((2, 3)), np.array(labels), np.ones((2, 3)), MarginParams())
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(0)
         emb, labels, weights = random_batch(rng)
@@ -228,6 +235,12 @@ class TestAPPlusSoftmax:
             grads["embeddings"],
             ap_grads["embeddings"] + ce_grads["embeddings"].reshape(4, 3, 8),
         )
+
+    @pytest.mark.parametrize("shape", [(12, 8), (2, 2, 3, 8)])
+    def test_batch_must_be_speakers_by_utterances(self, shape):
+        rng = np.random.default_rng(16)
+        with pytest.raises(ValueError, match=r"expected \(N, M, D\) embeddings"):
+            ap_plus_softmax(rng.standard_normal(shape), rng.standard_normal((4, 8)), APParams(), np.zeros(4))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(17)

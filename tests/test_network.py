@@ -121,6 +121,24 @@ class TestPooling:
         assert got.shape == (8,)
         assert_allclose(got, np.concatenate([mu, sigma]), rtol=1e-10)
 
+    @pytest.mark.parametrize("shape", [(0, 4), (4,), (2, 2, 4)])
+    def test_frames_must_be_a_non_empty_matrix(self, shape):
+        rng = np.random.default_rng(5)
+        w, b, u = rng.standard_normal((4, 3)), rng.standard_normal(3), rng.standard_normal(3)
+        for pool in (sap_pool, asp_pool):
+            with pytest.raises(ValueError, match="non-empty"):
+                pool(np.zeros(shape), w, b, u)
+
+    def test_non_finite_frames_rejected(self):
+        rng = np.random.default_rng(6)
+        frames = rng.standard_normal((5, 4))
+        frames[2, 1] = np.nan
+        w, b, u = rng.standard_normal((4, 3)), rng.standard_normal(3), rng.standard_normal(3)
+        with pytest.raises(ValueError, match="non-finite attention logits"):
+            sap_pool(frames, w, b, u)
+        with pytest.raises(ValueError, match="non-finite frame features"):  # checked before the attention
+            asp_pool(frames, w, b, u)
+
     def test_asp_identical_frames_hit_variance_floor(self):
         frames = np.tile(np.array([1.0, -2.0, 0.5]), (6, 1))
         w, b, u = np.zeros((3, 2)), np.zeros(2), np.zeros(2)
@@ -391,6 +409,14 @@ class TestForward:
             forward(feats, q_weights, q_config)
         with pytest.raises(TypeError):
             forward(feats, FoldedWeights(q_weights), q_config)
+
+    @pytest.mark.parametrize("variant", ["q-sap", "h-asp"])
+    def test_overflowing_embedding_rejected(self, variant):
+        tensors = init_weights(VARIANTS[variant], seed=0)
+        tensors["embed.weight"][:] = np.finfo(np.float32).max  # finite, but its products overflow
+        weights = FoldedWeights(tensors)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite embedding"):
+            forward(np.random.default_rng(13).standard_normal((101, 64)), weights)
 
     def test_embed_bn_variant_runs(self, q_config):
         weights = FoldedWeights(with_embed_bn(init_weights(q_config, seed=1)))

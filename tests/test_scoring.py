@@ -104,6 +104,12 @@ class TestScoreFromEmbeddings:
         assert -1.0 <= score_from_embeddings(a, a) <= 1.0
         assert score_from_embeddings(a[[0, 0]], a[[0]]) <= 1.0
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 4)])
+    def test_crops_must_be_rows_of_a_matrix(self, shape):
+        e = np.ones(shape)
+        with pytest.raises(ValueError, match=r"expected an \(n_crops, D\) matrix"):
+            score_from_embeddings(e, e)
+
     def test_zero_row_rejected_on_either_side(self):
         a = np.array([[1.0, 0.0], [0.0, 1.0]])
         z = np.array([[1.0, 1.0], [0.0, 0.0]])
