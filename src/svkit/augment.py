@@ -36,15 +36,14 @@ import numpy as np
 
 from .audio import WavFile, Waveform, open_wav, read_wav
 
-ADDITIVE_KINDS = ("speech", "music", "noise")
-AUGMENT_KINDS = ADDITIVE_KINDS + ("rir",)
-
 # kind -> (count range inclusive, SNR range in dB)
 ADDITIVE_DEFAULTS = {
     "speech": ((3, 7), (13.0, 20.0)),
     "music": ((1, 1), (5.0, 15.0)),
     "noise": ((1, 1), (0.0, 15.0)),
 }
+ADDITIVE_KINDS = tuple(ADDITIVE_DEFAULTS)
+AUGMENT_KINDS = ADDITIVE_KINDS + ("rir",)
 DEFAULT_RIR_GAIN_DB = (-6.0, 0.0)
 # Impulse-response taps convolved in direct form; the rest go through one FFT.
 DIRECT_TAPS = 16

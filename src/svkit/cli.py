@@ -81,13 +81,14 @@ def _at_least(minimum: int):
     return _checked(int, f"at least {minimum}", lambda value: value >= minimum)
 
 
+def _crop_seconds(samples: int):
+    rule = f"finite and round to at least {samples} sample{'s' * (samples > 1)}"
+    return _checked(float, rule, lambda value: math.isfinite(value) and round(value * SAMPLE_RATE) >= samples)
+
+
 _finite = _checked(float, "finite", math.isfinite)
 _positive = _checked(float, "finite and positive", lambda value: math.isfinite(value) and value > 0)
 _non_negative = _checked(float, "finite and non-negative", lambda value: math.isfinite(value) and value >= 0)
-_crop_seconds = _checked(
-    float, "finite and round to at least one sample",
-    lambda value: math.isfinite(value) and round(value * SAMPLE_RATE) >= 1,
-)
 
 
 def _atomic_save(path: str | Path, save) -> None:
@@ -116,7 +117,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(run=_cmd_featurize)
     p.add_argument("--in", dest="input", required=True, help="input WAV (16-bit PCM mono 16 kHz)")
     p.add_argument("--out", required=True, help="output feature file (SVF1)")
-    p.add_argument("--crop-seconds", type=_crop_seconds, help="crop to this many seconds before analysis")
+    p.add_argument("--crop-seconds", type=_crop_seconds(1), help="crop to this many seconds before analysis")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--offset", type=_at_least(0), help="fixed crop start in samples")
     group.add_argument("--seed", type=_at_least(0), help="seed for a random crop start")
@@ -152,7 +153,7 @@ def _build_parser() -> _Parser:
     p.add_argument("wavs", nargs="+", help="input WAV files")
     p.add_argument("--weights", required=True)
     p.add_argument("--out", required=True, help="output embedding file (SVW1)")
-    p.add_argument("--crop-seconds", type=_crop_seconds, default=CROP_SECONDS)
+    p.add_argument("--crop-seconds", type=_crop_seconds(features.hop_length), default=CROP_SECONDS)
     p.add_argument("--n-crops", type=_at_least(1), default=N_CROPS)
 
     p = sub.add_parser("score", help="score every trial in a trial file")
@@ -162,7 +163,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output score file")
     p.add_argument("--cache", help="embedding cache file (SVW1), read and updated")
     p.add_argument("--wav-root", default=".", help="base directory for relative trial paths")
-    p.add_argument("--crop-seconds", type=_crop_seconds, default=CROP_SECONDS)
+    p.add_argument("--crop-seconds", type=_crop_seconds(features.hop_length), default=CROP_SECONDS)
     p.add_argument("--n-crops", type=_at_least(1), default=N_CROPS)
 
     p = sub.add_parser("evaluate", help="compute EER and MinDCF from scores")
@@ -352,10 +353,16 @@ def _load_cache(
 
 def _embedded(paths: dict[str, str], args) -> Iterator[tuple[str, np.ndarray]]:
     """(key, float32 rows) of each key, in order, embedded from the path it maps to. The weights
-    are loaded first, then every header is checked (open_wav) before the first crop runs."""
+    are loaded first, then every header is checked (open_wav) before the first crop runs. An
+    error of a WAV's crops starts with its path, as its read errors do."""
     embedder = _load_embedder(args.weights)
     embedded = embed_utterances([open_wav(p) for p in paths.values()], embedder, args.crop_seconds, args.n_crops)
-    yield from zip(paths, (emb.astype(np.float32) for emb in embedded))
+    for key, path in paths.items():
+        try:  # embed_utterances raises the first failure in utterance order
+            rows = next(embedded)
+        except ValueError as exc:
+            raise exc if str(exc).startswith(f"{path}: ") else ValueError(f"{path}: {exc}") from None
+        yield key, rows.astype(np.float32)
 
 
 def _cmd_embed(args) -> int:
@@ -442,10 +449,11 @@ def _cmd_info(args) -> int:
         # The folded set is released before the counts read the file again.
         variant = FoldedWeights.load(args.weights).config.variant
         tensors = load_tensors(args.weights)
+        count = parameter_count(tensors)
         print(f"variant={variant}")
         print(f"tensors={len(tensors)}")
-        print(f"parameters={parameter_count(tensors)}")
-        print(f"parameters_millions={parameter_count(tensors) / 1e6:.3f}")
+        print(f"parameters={count}")
+        print(f"parameters_millions={count / 1e6:.3f}")
     else:
         values = load_features(args.features)
         print(f"frames={values.shape[0]}")
@@ -461,7 +469,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, KeyError, MemoryError, DivergenceError) as exc:
+    except (ValueError, OSError, MemoryError, DivergenceError) as exc:
         # numpy's MemoryError names the allocation; Python's own may be bare.
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

@@ -219,12 +219,9 @@ def ap_plus_softmax(
     the shared embeddings are the sum of both heads'.
     """
     e = np.asarray(embeddings, dtype=np.float64)
-    if e.ndim != 3:
-        raise ValueError(f"expected (N, M, D) embeddings, got shape {e.shape}")
+    ap_loss, ap_grads = angular_prototypical(e, ap_params)  # which checks e is (N, M, D)
     n, m, d = e.shape
     labels = np.repeat(np.arange(n), m)
-
-    ap_loss, ap_grads = angular_prototypical(e, ap_params)
     ce_loss, ce_grads = softmax_ce(e.reshape(n * m, d), labels, weights, bias)
 
     return ap_loss + ce_loss, {

@@ -19,6 +19,7 @@ about a file's content start with its path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -211,8 +212,7 @@ def read_scores(path: str | Path, trials: Trials) -> np.ndarray:
     """Score of each trial, in trial order. Every line is checked; a line
     whose pair is not in the list is then ignored."""
     by_pair: dict[tuple[str, str], float] = {}
-    lines = _read_lines(path)
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_read_lines(path), start=1):
         line = line.strip()
         if not line:
             continue
@@ -223,18 +223,14 @@ def read_scores(path: str | Path, trials: Trials) -> np.ndarray:
             value = float(parts[2])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: bad score {parts[2]!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{lineno}: score must be finite, got {parts[2]!r}")
         key = (parts[0], parts[1])
         if key in by_pair:
             raise ValueError(f"{path}:{lineno}: duplicate score for {parts[0]} vs {parts[1]}")
         by_pair[key] = value
     if not by_pair:
         raise ValueError(f"{path}: no scores found")
-    # One check per file. Each non-blank line added one entry, in order, so
-    # the first non-finite entry names its line without a per-line check.
-    finite = np.isfinite(np.fromiter(by_pair.values(), np.float64, len(by_pair)))
-    if not finite.all():
-        lineno = [i for i, line in enumerate(lines, start=1) if line.strip()][int(np.argmin(finite))]
-        raise ValueError(f"{path}:{lineno}: score must be finite, got {lines[lineno - 1].split()[2]!r}")
     ids = np.array(trials.ids, dtype=object)
     pairs = list(zip(ids[trials.enroll].tolist(), ids[trials.test].tolist()))
     missing = [pair for pair in pairs if pair not in by_pair]

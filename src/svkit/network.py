@@ -197,9 +197,9 @@ class FoldedWeights:
 
     The weights are checked whole as they are folded: the variant is
     inferred from conv1's width (config), and every tensor the variant
-    needs (TrunkConfig.shapes) must be present, of its shape and finite.
-    convs maps each conv to its folded (kernel, bias); tensors holds pool.*
-    and embed.*. Other tensors are ignored.
+    needs (TrunkConfig.shapes) must be present, of its shape and finite, a
+    running variance non-negative. convs maps each conv to its folded (kernel,
+    bias); tensors holds pool.* and embed.*. Other tensors are not checked.
     """
 
     def __init__(self, tensors: dict[str, np.ndarray]):
@@ -228,9 +228,6 @@ class FoldedWeights:
                 raise ValueError(f"weights have no tensor named {name!r}")
             return tensors[name]
 
-        for name, t in tensors.items():
-            if name.endswith(".running_var") and np.any(t < 0):
-                raise ValueError(f"{name}: batch norm running variance must be non-negative")
         stem = tensor("conv1.weight").shape
         self.config = next((cfg for cfg in VARIANTS.values() if stem[-1:] == (cfg.channels[0],)), None)
         if self.config is None:
@@ -244,6 +241,8 @@ class FoldedWeights:
                 raise ValueError(f"{name} has shape {tensors[name].shape}, {self.config.variant} needs {shape}")
             if not np.isfinite(tensors[name]).all():
                 raise ValueError(f"{name}: weights must be finite")
+            if name.endswith(".running_var") and np.any(tensors[name] < 0):
+                raise ValueError(f"{name}: batch norm running variance must be non-negative")
 
         def fold(t: np.ndarray, bn: str) -> tuple[np.ndarray, np.ndarray]:
             """Scale t's output channels (last axis) as bn does; return bn's float64 (scale, shift)."""

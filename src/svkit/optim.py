@@ -215,11 +215,10 @@ def train_demo(
     rng = np.random.default_rng(seed)
 
     params = {"embeddings": corpus.embeddings.astype(np.float64, copy=True)}
+    if loss_name != "ap":
+        params["weights"] = rng.standard_normal((k, d)) / np.sqrt(d)
     if loss_name in ("softmax", "ap+softmax"):
-        params["weights"] = rng.standard_normal((k, d)) / np.sqrt(d)
         params["bias"] = np.zeros(k)
-    elif loss_name in ("amsoftmax", "aamsoftmax"):
-        params["weights"] = rng.standard_normal((k, d)) / np.sqrt(d)
     if loss_name in ("ap", "ap+softmax"):
         params["w"] = np.array(float(APParams().w))
         params["b"] = np.array(float(APParams().b))

@@ -219,7 +219,8 @@ def embed_utterances(
     drawn: collections.deque = collections.deque()  # (offsets, distinct offsets) per utterance, oldest first
 
     def embed(crop: Waveform) -> np.ndarray:
-        return np.asarray(embedder(crop), dtype=np.float64).ravel()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite row is an error
+            return np.asarray(embedder(crop), dtype=np.float64).ravel()
 
     def crops() -> Iterator[Waveform]:
         for audio in utterances:

@@ -98,6 +98,8 @@ class TestUsageErrors:
         ("embed", ["--crop-seconds", "0"]),
         ("embed", ["--crop-seconds", "nan"]),
         ("score", ["--crop-seconds", "0.00003"]),
+        ("embed", ["--crop-seconds", "0.005"]),  # shorter than one 10 ms hop
+        ("score", ["--crop-seconds", "0.0099"]),
         ("score", ["--n-crops", "-1"]),
         ("evaluate", ["--c-miss", "nan"]),
         ("evaluate", ["--c-fa", "nan"]),
@@ -371,6 +373,43 @@ class TestEmbed:
         assert main(["embed", str(wav_file), "--weights", str(bad), "--out", str(tmp_path / "e.svw1")]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {bad}: conv1.bn.running_var: batch norm running variance must be non-negative\n"
+
+    def test_running_var_the_variant_does_not_use_is_ignored(self, tmp_path, wav_file, q_weights_file, capsys):
+        tensors = load_tensors(q_weights_file)
+        tensors["extra.running_var"] = -np.ones(4, dtype=np.float32)
+        weights = tmp_path / "extra.svw1"
+        save_tensors(weights, tensors)
+        assert main(["info", "--weights", str(weights)]) == 0
+        assert "variant=q-sap\n" in capsys.readouterr().out
+        out = tmp_path / "e.svw1"
+        assert main(["embed", str(wav_file), "--weights", str(weights), "--out", str(out), "--n-crops", "1"]) == 0
+        assert load_tensors(out)[str(wav_file.resolve())].shape == (1, 512)
+
+    def test_a_crop_of_one_hop_embeds(self, tmp_path, wav_file, q_weights_file):
+        out = tmp_path / "e.svw1"
+        argv = ["embed", str(wav_file), "--weights", str(q_weights_file), "--out", str(out), "--crop-seconds", "0.01"]
+        assert main([*argv, "--n-crops", "2"]) == 0
+        assert load_tensors(out)[str(wav_file.resolve())].shape == (2, 512)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_weights_that_overflow_exit_two_naming_the_wav_without_a_warning(
+        self, tmp_path, q_weights_file, workers, monkeypatch, capsys
+    ):
+        # Finite weights pass the fold; their embedding overflows to inf.
+        # Warnings are errors in this suite, so a numpy overflow warning
+        # escaping a crop would fail the command rather than exit 2.
+        tensors = load_tensors(q_weights_file)
+        tensors["embed.weight"][:] = np.finfo(np.float32).max
+        weights = tmp_path / "big.svw1"
+        save_tensors(weights, tensors)
+        wav = tmp_path / "utt.wav"
+        write_wav(wav, make_wave(seed=4, seconds=1.0))
+        monkeypatch.setattr(scoring, "crop_workers", lambda: workers)
+        out = tmp_path / "e.svw1"
+        argv = ["embed", str(wav), "--weights", str(weights), "--out", str(out), "--crop-seconds", "1", "--n-crops", "2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {wav}: non-finite embedding\n"
+        assert not out.exists()
 
     def test_weights_without_a_tensor_exit_two_naming_file(self, tmp_path, wav_file, capsys):
         bad = tmp_path / "stub.svw1"
@@ -1244,6 +1283,14 @@ class TestInfo:
         assert info.err == capsys.readouterr().err
         assert info.err == f"error: {weights}: layer2.block0.conv1.weight: weights must be finite\n"
         assert not out.exists()
+
+    def test_a_bugs_key_error_is_not_reported_as_bad_data(self, tmp_path, monkeypatch):
+        def broken(path):
+            raise KeyError("name")
+
+        monkeypatch.setattr(cli, "load_features", broken)
+        with pytest.raises(KeyError, match="name"):
+            main(["info", "--features", str(tmp_path / "f.svf1")])
 
 
 def _write_partial_then_fail(path, *args, **kwargs):

@@ -383,6 +383,12 @@ class TestScoreFile:
         with pytest.raises(ValueError, match=r"^\S*scores.txt: 'utf-8' codec can't decode byte 0xff"):
             read_scores(path, trials_of(tmp_path))
 
+    def test_first_bad_line_is_reported(self, tmp_path):
+        path = tmp_path / "scores.txt"
+        path.write_text("a b 0.5\nc d nan\ne f 0.1\na b 0.6\n")
+        with pytest.raises(ValueError, match="scores.txt:2: score must be finite, got 'nan'$"):
+            read_scores(path, trials_of(tmp_path))
+
     @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
     def test_non_finite_score_names_file_and_line(self, tmp_path, token):
         path = tmp_path / "scores.txt"
