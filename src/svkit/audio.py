@@ -10,11 +10,13 @@ samples, and gives a WavFile: the path and frame count. WavFile.windows
 then reads only the frames each crop needs, decoded as int16 / 32768.
 read_wav reads a whole file through one open, and crop_segment takes one
 window of a WavFile or a Waveform, both cut by one rule (_window).
+sample_count alone turns a duration into a number of samples.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +25,16 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 SAMPLE_RATE = 16000
+
+
+def sample_count(duration: float, per_second: float = 1.0) -> int:
+    """round(SAMPLE_RATE * duration / per_second): the samples in a duration
+    given in 1/per_second seconds (per_second 1000 for milliseconds). A
+    count that is not finite or does not fit a numpy intp raises ValueError."""
+    count = SAMPLE_RATE * duration / per_second
+    if math.isfinite(count) and abs(n := round(count)) <= np.iinfo(np.intp).max:
+        return n
+    raise ValueError(f"{duration} / {per_second} s is {count} samples at {SAMPLE_RATE} Hz, not an intp")
 
 
 @dataclass(frozen=True)
@@ -169,13 +181,13 @@ def crop_segment(
         seed: seed for a random start draw.
 
     Returns:
-        Waveform of exactly round(seconds * 16000) samples.
+        Waveform of exactly sample_count(seconds) samples.
     """
     if seconds <= 0:
         raise ValueError("crop length must be positive")
     if (offset is None) == (seed is None):
         raise ValueError("provide exactly one of offset or seed")
-    n = int(round(seconds * SAMPLE_RATE))
+    n = sample_count(seconds)
     if offset is None:
         # a start in the input tiled to at least n samples
         offset = int(np.random.default_rng(seed).integers(0, max(len(w), n) - n + 1))

@@ -28,6 +28,9 @@ grow with the catalog's recordings; an impulse response is read whole.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -116,9 +119,26 @@ def _power(x: np.ndarray) -> float:
     return float(np.mean(x * x))
 
 
+def _db_ratio(db: float, per_decade: float) -> float:
+    """10 ** (db / per_decade); ValueError unless that is finite and positive."""
+    with contextlib.suppress(OverflowError):
+        if 0.0 < (ratio := 10.0 ** (db / per_decade)) < math.inf:
+            return ratio
+    raise ValueError(f"10 ** ({db} / {per_decade}) is not a finite positive float")
+
+
+snr_ratio = functools.partial(_db_ratio, per_decade=10.0)  # the power ratio of an SNR in dB
+gain_ratio = functools.partial(_db_ratio, per_decade=20.0)  # the amplitude ratio of a gain in dB
+
+
 def snr_gain(p_clean: float, p_noise: float, target_snr_db: float) -> float:
-    """Scale for the noise so that clean vs scaled noise hits the target SNR."""
-    return float(np.sqrt(p_clean / (p_noise * 10.0 ** (target_snr_db / 10.0))))
+    """Scale for the noise so that clean vs scaled noise hits the target SNR;
+    ValueError where no finite scale does, as when the noise power times the
+    SNR's ratio underflows to 0."""
+    with contextlib.suppress(ZeroDivisionError):
+        if (gain := float(np.sqrt(p_clean / (p_noise * snr_ratio(target_snr_db))))) < math.inf:
+            return gain
+    raise ValueError(f"noise of power {p_noise} has no finite gain to {target_snr_db} dB SNR")
 
 
 @dataclass(frozen=True)
@@ -165,7 +185,11 @@ def augment_additive(clean: Waveform, cat: NoiseCatalog, spec: AugmentSpec) -> W
         p_noise = _power(noise.samples)
         if p_noise == 0.0:
             raise ValueError(f"{cat.where(draw.catalog_index)}catalog entry {draw.catalog_index} has zero power")
-        out += snr_gain(p_clean, p_noise, draw.snr_db) * noise.samples
+        try:
+            gain = snr_gain(p_clean, p_noise, draw.snr_db)
+        except ValueError as exc:
+            raise ValueError(f"{cat.where(draw.catalog_index)}catalog entry {draw.catalog_index}: {exc}") from None
+        out += gain * noise.samples
     return Waveform(out)
 
 
@@ -202,14 +226,17 @@ def augment_rir(
     energy = float(np.sum(rir * rir))
     if energy == 0.0:
         raise ValueError(f"{cat.where(index)}RIR entry {index} has zero energy")
-    scaled = rir * (10.0 ** (gain_db / 20.0) / np.sqrt(energy))
     n = len(clean)
-    wet = np.convolve(clean.samples, scaled[:DIRECT_TAPS])[:n]
-    tail = scaled[DIRECT_TAPS:n]  # taps from n on never reach the kept output
-    if tail.size:
-        dry = clean.samples[: n - DIRECT_TAPS]
-        size = _fft_length(dry.size + tail.size - 1)
-        spectrum = np.fft.rfft(dry, size) * np.fft.rfft(tail, size)
-        wet[DIRECT_TAPS:] += np.fft.irfft(spectrum, size)[: dry.size]
+    with np.errstate(over="ignore", invalid="ignore"):  # a gain too large for the float range is checked below
+        scaled = rir * (gain_ratio(gain_db) / np.sqrt(energy))
+        wet = np.convolve(clean.samples, scaled[:DIRECT_TAPS])[:n]
+        tail = scaled[DIRECT_TAPS:n]  # taps from n on never reach the kept output
+        if tail.size:
+            dry = clean.samples[: n - DIRECT_TAPS]
+            size = _fft_length(dry.size + tail.size - 1)
+            spectrum = np.fft.rfft(dry, size) * np.fft.rfft(tail, size)
+            wet[DIRECT_TAPS:] += np.fft.irfft(spectrum, size)[: dry.size]
+    if not np.isfinite(wet).all():
+        raise ValueError(f"{cat.where(index)}RIR entry {index} at {gain_db} dB gain gives non-finite samples")
     return Waveform(wet)
 

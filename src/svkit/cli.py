@@ -27,10 +27,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import augment as aug
-from .audio import SAMPLE_RATE, crop_segment, open_wav, read_wav, write_wav
+from .audio import SAMPLE_RATE, crop_segment, open_wav, read_wav, sample_count, write_wav
 from .containers import load_features, load_tensors, save_features, save_tensors
 from .features import FeatureParams, extract_features, log_mel_spectrogram, preemphasize
-from .losses import LOSS_NAMES, MarginParams
+from .losses import LOSS_NAMES, MARGIN_LIMITS, MarginParams
 from .metrics import (
     DCFParams,
     ScoreSet,
@@ -82,8 +82,16 @@ def _at_least(minimum: int):
 
 
 def _crop_seconds(samples: int):
-    rule = f"finite and round to at least {samples} sample{'s' * (samples > 1)}"
-    return _checked(float, rule, lambda value: math.isfinite(value) and round(value * SAMPLE_RATE) >= samples)
+    """A --crop-seconds converter: a duration of at least `samples` samples (sample_count)."""
+
+    def long_enough(seconds: float) -> bool:
+        try:
+            return sample_count(seconds) >= samples
+        except ValueError:
+            return False
+
+    rule = f"a duration of at least {samples} sample{'s' * (samples > 1)} at {SAMPLE_RATE} Hz, in a count an intp holds"
+    return _checked(float, rule, long_enough)
 
 
 _finite = _checked(float, "finite", math.isfinite)
@@ -117,7 +125,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(run=_cmd_featurize)
     p.add_argument("--in", dest="input", required=True, help="input WAV (16-bit PCM mono 16 kHz)")
     p.add_argument("--out", required=True, help="output feature file (SVF1)")
-    p.add_argument("--crop-seconds", type=_crop_seconds(1), help="crop to this many seconds before analysis")
+    p.add_argument("--crop-seconds", type=float, help="crop to this many seconds before analysis")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--offset", type=_at_least(0), help="fixed crop start in samples")
     group.add_argument("--seed", type=_at_least(0), help="seed for a random crop start")
@@ -218,6 +226,10 @@ def _cmd_featurize(args) -> int:
     if args.crop_seconds is None:
         wave = read_wav(args.input)
     else:  # only the crop's window is read
+        try:  # a crop holds at least one hop, which --hop-ms sets; the converter takes the parsed float too
+            _crop_seconds(params.hop_length)(args.crop_seconds)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"argument --crop-seconds: {exc}") from None
         offset = 0 if args.offset is None and args.seed is None else args.offset
         wave = crop_segment(open_wav(args.input), args.crop_seconds, offset=offset, seed=args.seed)
     try:  # the audio may be too short for its frames
@@ -233,7 +245,9 @@ def _cmd_featurize(args) -> int:
 
 def _check_augment_flags(args) -> dict:
     """The ranges the kind draws from, by flag stem, with the kind's
-    defaults for bounds not given; in each a min at most its max."""
+    defaults for bounds not given; in each a min at most its max, and a
+    dB range whose ends give finite positive ratios, as augment converts
+    them (the ratio is monotonic in dB, so the ends decide)."""
     if args.kind == "rir":
         ranges = {"gain": (args.gain_min, args.gain_max)}
     else:
@@ -245,6 +259,12 @@ def _check_augment_flags(args) -> dict:
     for name, (low, high) in ranges.items():
         if low > high:
             raise UsageError(f"--{name}-min ({low}) must not exceed --{name}-max ({high})")
+    for name, ratio in {"snr": aug.snr_ratio, "gain": aug.gain_ratio}.items():
+        for end, db in zip(("min", "max"), ranges.get(name, ())):
+            try:
+                ratio(db)
+            except ValueError as exc:
+                raise UsageError(f"argument --{name}-{end}: {exc}") from None
     return ranges
 
 
@@ -413,6 +433,9 @@ def _cmd_evaluate(args) -> int:
 def _cmd_train_demo(args) -> int:
     schedule = _flags(Schedule, args.decay_factor, args.decay_every)
     margin = _flags(MarginParams, args.margin, args.scale)
+    limit = MARGIN_LIMITS.get(args.loss, math.inf)
+    if args.margin >= limit:
+        raise UsageError(f"argument --margin: must be below {limit} for --loss {args.loss}, got {args.margin}")
     # The train and held-out lists each take trials // 2 distinct pairs of each label.
     need = 2 * (args.trials // 2)
     targets, nontargets = pair_pools(args.speakers, args.utts)

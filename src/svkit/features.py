@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import SAMPLE_RATE, Waveform
+from .audio import SAMPLE_RATE, Waveform, sample_count
 
 # Frames per windowed-FFT block. Each frame's transform is independent, so
 # blocks give the same bits as one call, while the windowed frames and their
@@ -48,9 +48,11 @@ class FeatureParams:
     def __post_init__(self):
         if not 0.0 <= self.preemphasis < 1.0:
             raise ValueError("preemphasis must be in [0, 1)")
-        if not (np.isfinite(self.win_ms) and np.isfinite(self.hop_ms)):
-            raise ValueError("win_ms and hop_ms must be finite")
-        if self.win_length < 1 or self.hop_length < 1:
+        try:
+            lengths = self.win_length, self.hop_length
+        except ValueError as exc:
+            raise ValueError(f"win_ms and hop_ms must each be a count of samples: {exc}") from None
+        if min(lengths) < 1:
             raise ValueError("win_ms and hop_ms must each round to at least one sample")
         if self.fft_size < self.win_length:
             raise ValueError("fft_size must be >= window length in samples")
@@ -59,11 +61,11 @@ class FeatureParams:
 
     @property
     def win_length(self) -> int:
-        return int(round(SAMPLE_RATE * self.win_ms / 1000.0))
+        return sample_count(self.win_ms, 1000.0)
 
     @property
     def hop_length(self) -> int:
-        return int(round(SAMPLE_RATE * self.hop_ms / 1000.0))
+        return sample_count(self.hop_ms, 1000.0)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,9 @@ class APParams:
 
 
 LOSS_NAMES = ("softmax", "amsoftmax", "aamsoftmax", "ap", "ap+softmax")
+# The bound each margin loss's MarginParams.margin must stay below: a cosine
+# offset below 1, an angle below pi.
+MARGIN_LIMITS = {"amsoftmax": 1.0, "aamsoftmax": np.pi}
 
 
 def _check_labels(labels: np.ndarray, batch: int, n_classes: int) -> np.ndarray:
@@ -113,6 +116,9 @@ def _margin_softmax(
     n = x.shape[0]
     y = _check_labels(labels, n, w.shape[0])
     m, s = params.margin, params.scale
+    loss_name = "aamsoftmax" if angular else "amsoftmax"
+    if m >= MARGIN_LIMITS[loss_name]:
+        raise ValueError(f"{loss_name} margin must be below {MARGIN_LIMITS[loss_name]}, got {m}")
 
     x_unit, x_norms = _normalize_rows(x, "embedding")
     w_unit, w_norms = _normalize_rows(w, "classifier row")
@@ -120,8 +126,6 @@ def _margin_softmax(
     rows = np.arange(n)
 
     if angular:
-        if m >= np.pi:
-            raise ValueError("angular margin must be below pi")
         cos_t = cos[rows, y]
         sin_t = np.sqrt(np.maximum(1.0 - cos_t * cos_t, 1e-24))
         # cos(theta + m), extended monotonically past theta + m = pi.
@@ -131,8 +135,6 @@ def _margin_softmax(
         target = np.where(past_pi, fallback, main)
         dtarget_dcos = np.where(past_pi, 1.0, np.cos(m) + np.sin(m) * cos_t / sin_t)
     else:
-        if m >= 1.0:
-            raise ValueError("additive cosine margin must be below 1")
         target = cos[rows, y] - m
         dtarget_dcos = np.ones(n)
 

@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .audio import SAMPLE_RATE, WavFile, Waveform
+from .audio import WavFile, Waveform, sample_count
 from .features import extract_features
 from .losses import _normalize_rows
 from .network import FoldedWeights, forward
@@ -215,7 +215,7 @@ def embed_utterances(
     the queued crops and waits for the running ones.
     """
     workers = crop_workers() if crop_seconds >= MIN_PARALLEL_CROP_SECONDS else 1
-    crop_samples = int(round(crop_seconds * SAMPLE_RATE))
+    crop_samples = sample_count(crop_seconds)
     drawn: collections.deque = collections.deque()  # (offsets, distinct offsets) per utterance, oldest first
 
     def embed(crop: Waveform) -> np.ndarray:

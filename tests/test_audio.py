@@ -7,9 +7,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import make_wave
-from svkit.audio import SAMPLE_RATE, Waveform, crop_segment, open_wav, read_wav, write_wav
+from svkit.audio import SAMPLE_RATE, Waveform, crop_segment, open_wav, read_wav, sample_count, write_wav
 from svkit.cli import main
-from svkit.scoring import N_CROPS, plan_crops
+from svkit.features import FeatureParams
+from svkit.scoring import N_CROPS, embed_utterances, plan_crops
 
 
 def wav_bytes(frames: bytes) -> bytes:
@@ -171,6 +172,33 @@ class TestCropSegment:
             crop_segment(w, 0.0, offset=0)
         with pytest.raises(ValueError):
             crop_segment(w, 1.0, offset=-1)
+
+
+class TestSampleCount:
+    def test_keeps_each_former_callers_float_expression(self):
+        values = np.random.default_rng(0).uniform(0.0, 30.0, 10_000).tolist() + [0.025, 0.01, 4.0, 1 / 3]
+        for value in values:
+            assert sample_count(value) == int(round(value * SAMPLE_RATE))
+            assert sample_count(value, 1000.0) == int(round(SAMPLE_RATE * value / 1000.0))
+
+    def test_a_count_that_fits_an_intp_is_returned(self):
+        assert sample_count(5e14) == 8 * 10**18
+
+    @pytest.mark.parametrize("seconds", [1e15, 1e300, 1e305, np.inf, -1e300, np.nan])
+    def test_a_count_past_an_intp_raises_value_error(self, seconds):
+        with pytest.raises(ValueError, match="not an intp"):
+            sample_count(seconds)
+
+    @pytest.mark.parametrize("seconds", [1e300, 1e305])
+    def test_its_callers_raise_value_error_not_overflow_error(self, seconds):
+        w = make_wave(7, 0.1)
+        with pytest.raises(ValueError, match="not an intp"):
+            crop_segment(w, seconds, offset=0)
+        with pytest.raises(ValueError, match="not an intp"):
+            next(embed_utterances([w], lambda crop: np.ones(4), seconds, 1))
+        for field in ("win_ms", "hop_ms"):
+            with pytest.raises(ValueError, match="win_ms and hop_ms"):
+                FeatureParams(**{field: seconds * 1000.0})
 
 
 def with_chunk_after_data(content: bytes, chunk: bytes) -> bytes:

@@ -88,6 +88,16 @@ class TestMixAtSnr:
         assert snr_gain(4.0, 1.0, 0.0) == pytest.approx(2.0, rel=1e-12)
         assert snr_gain(1.0, 1.0, 10.0) == pytest.approx(10.0**-0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("snr_db,message", [
+        (4000.0, "is not a finite positive float"),  # ratio inf
+        (-4000.0, "is not a finite positive float"),  # ratio 0
+        (-3100.0, "no finite gain"),  # clean power over the scaled noise power is inf
+        (-3230.0, "no finite gain"),  # the scaled noise power underflows to 0
+    ])
+    def test_snr_with_no_finite_gain_raises_value_error(self, snr_db, message):
+        with pytest.raises(ValueError, match=message):
+            snr_gain(0.5, 0.03, snr_db)
+
     def test_zero_power_inputs_rejected(self):
         live = constant_power_wave(1.0, 100)
         dead = np.zeros(100)
@@ -265,6 +275,14 @@ class TestAugmentAdditive:
             augment_additive(clean, NoiseCatalog([tmp_path / "silent.wav"]), spec)
         assert str(exc.value) == f"{tmp_path / 'silent.wav'}: catalog entry 0 has zero power"
 
+    def test_entry_with_no_finite_gain_is_named_by_its_path(self, tmp_path):
+        write_wav(tmp_path / "noise.wav", make_wave(seed=3, seconds=0.1))
+        spec = AugmentSpec("noise", 0, (1, 1), (-3230.0, -3230.0))  # its power times 1e-323 underflows to 0
+        with pytest.raises(ValueError) as exc:
+            augment_additive(make_wave(seed=9, seconds=0.1), NoiseCatalog([tmp_path / "noise.wav"]), spec)
+        assert str(exc.value).startswith(f"{tmp_path / 'noise.wav'}: catalog entry 0: noise of power ")
+        assert str(exc.value).endswith(" has no finite gain to -3230.0 dB SNR")
+
 
 def unit_impulse(position: int = 0, length: int = 16) -> Waveform:
     samples = np.zeros(length)
@@ -287,6 +305,15 @@ class TestAugmentRir:
         cat = NoiseCatalog([unit_impulse()])
         out = augment_rir(clean, cat, seed=3, gain_db_range=(0.0, 0.0))
         np.testing.assert_array_equal(out.samples, clean.samples)
+
+    @pytest.mark.parametrize("gain_db,message", [
+        (7000.0, "is not a finite positive float"),  # ratio inf
+        (6160.0, "RIR entry 0 at 6160.0 dB gain gives non-finite samples"),  # a finite ratio, an output past it
+    ])
+    def test_gain_with_no_finite_output_raises_value_error(self, gain_db, message):
+        cat = NoiseCatalog([Waveform(make_wave(seed=11, seconds=0.05).samples)])
+        with pytest.raises(ValueError, match=message):
+            augment_rir(make_wave(seed=10, seconds=0.2), cat, seed=3, gain_db_range=(gain_db, gain_db))
 
     def test_long_unit_impulse_at_zero_db_is_bit_exact_identity(self):
         clean = make_wave(seed=14, seconds=0.5)

@@ -104,6 +104,9 @@ class TestUsageErrors:
         ("evaluate", ["--c-miss", "nan"]),
         ("evaluate", ["--c-fa", "nan"]),
         ("evaluate", ["--c-miss", "inf"]),
+        ("embed", ["--crop-seconds", "1e305"]),  # inf samples
+        ("embed", ["--crop-seconds", "1e300"]),  # more samples than an intp holds
+        ("score", ["--crop-seconds", "1e305"]),
     ])
     def test_bad_flag_value_is_a_usage_error_before_any_file_is_read(self, tmp_path, command, flag, capsys):
         missing = str(tmp_path / "missing")  # every input file is missing
@@ -146,6 +149,16 @@ class TestUsageErrors:
         ("augment", ["--kind", "noise", "--seed", "-1"], "--seed"),
         ("init", ["--seed", "-1"], "--seed"),
         ("train-demo", ["--seed", "-1"], "--seed"),
+        ("featurize", ["--crop-seconds", "1e305"], "--crop-seconds"),  # inf samples
+        ("featurize", ["--crop-seconds", "1e300"], "--crop-seconds"),  # more samples than an intp holds
+        ("featurize", ["--crop-seconds", "0.005"], "--crop-seconds"),  # shorter than one 10 ms hop
+        ("featurize", ["--crop-seconds", "0.015", "--hop-ms", "20"], "--crop-seconds"),
+        ("augment", ["--kind", "noise", "--snr-min", "4000", "--snr-max", "4000"], "--snr-min"),  # ratio inf
+        ("augment", ["--kind", "noise", "--snr-min=-4000", "--snr-max=-4000"], "--snr-min"),  # ratio 0
+        ("augment", ["--kind", "speech", "--snr-max", "4000"], "--snr-max"),
+        ("augment", ["--kind", "rir", "--gain-min", "7000", "--gain-max", "7000"], "--gain-min"),
+        ("train-demo", ["--loss", "aamsoftmax", "--margin", "4"], "--margin"),  # an angle of pi or more
+        ("train-demo", ["--loss", "amsoftmax", "--margin", "1.5", "--epochs", "0"], "--margin"),
     ])
     def test_bad_flag_is_a_usage_error_naming_it_before_any_file_is_read(
         self, tmp_path, command, flag, named, capsys
@@ -258,7 +271,16 @@ class TestFeaturize:
         assert "bad.wav" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag", [["--win-ms", "0"], ["--hop-ms", "0"], ["--fft-size", "100"], ["--n-mels", "0"], ["--win-ms", "inf"]]
+        "flag",
+        [
+            ["--win-ms", "0"],
+            ["--hop-ms", "0"],
+            ["--fft-size", "100"],
+            ["--n-mels", "0"],
+            ["--win-ms", "inf"],
+            ["--win-ms", "1e308"],  # finite, but inf samples
+            ["--hop-ms", "1e308"],
+        ],
     )
     def test_bad_feature_flag_is_a_usage_error_before_the_wav_is_read(self, tmp_path, flag, monkeypatch, capsys):
         def no_read(path):
