@@ -169,7 +169,8 @@ def plan_additive(clean_length: int, cat: NoiseCatalog, spec: AugmentSpec) -> It
         noise_len = len(recording)
         tiled_len = noise_len * (-(-max(clean_length, noise_len) // noise_len))
         offset = int(rng.integers(0, tiled_len - clean_length + 1))
-        snr_db = float(rng.uniform(*spec.snr_range_db))
+        # + 0.0 turns a top of -0.0, which numpy rejects over a bottom of 0.0, into 0.0; no other bits change.
+        snr_db = float(rng.uniform(*np.add(spec.snr_range_db, 0.0)))
         yield AdditiveDraw(index, offset, snr_db, recording)
 
 
@@ -221,7 +222,7 @@ def augment_rir(
         raise ValueError("empty RIR catalog")
     rng = np.random.default_rng(seed)
     index = int(rng.integers(0, len(cat)))
-    gain_db = float(rng.uniform(*gain_db_range))
+    gain_db = float(rng.uniform(*np.add(gain_db_range, 0.0)))  # + 0.0: as in plan_additive
     rir = cat.read(index).samples
     energy = float(np.sum(rir * rir))
     if energy == 0.0:

@@ -1,12 +1,12 @@
 """Verification metrics: equal error rate and minimum detection cost.
 
-Both metrics walk the same ROC staircase: one operating point per
-distinct score, accepting a trial when its score is >= the threshold
-(ties accept). p_miss is the fraction of targets below the threshold,
-p_fa the fraction of nontargets at or above it, so p_miss rises and
-p_fa falls as the threshold sweeps upward. EER linearly interpolates
-between the two adjacent points where p_miss - p_fa changes sign;
-MinDCF takes the cheapest point, with the reject-everything endpoint
+evaluate makes the one sweep of the ROC staircase; eer and min_dcf read
+its report. Each distinct score is a threshold that accepts a trial when
+its score is >= the threshold (ties accept). p_miss is the fraction of
+targets below it, p_fa the fraction of nontargets at or above it, so
+p_miss rises and p_fa falls as the threshold sweeps upward. EER linearly
+interpolates between the two adjacent points where p_miss - p_fa changes
+sign; MinDCF takes the cheapest point, with the reject-everything endpoint
 included so the raw cost never exceeds c_miss * p_target.
 
 A trial list is one Trials value, utterance ids plus label and enroll/test
@@ -20,7 +20,7 @@ about a file's content start with its path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +82,8 @@ class DCFParams:
             raise ValueError("detection costs must be finite and positive")
         if not 0.0 < self.p_target < 1.0:
             raise ValueError("p_target must lie strictly between 0 and 1")
+        if self.normalize and self.normalizer == 0.0:  # the checks above keep it finite, >= 0; evaluate divides by it
+            raise ValueError("MinDCF normalizer min(c_miss * p_target, c_fa * (1 - p_target)) underflows to 0")
 
     @property
     def normalizer(self) -> float:
@@ -103,40 +105,16 @@ def roc_points(scores: ScoreSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return thresholds, p_miss, p_fa
 
 
-def _with_reject_all(
-    thresholds: np.ndarray, p_miss: np.ndarray, p_fa: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # One threshold above every score rejects everything: (p_miss, p_fa) = (1, 0).
-    return (
-        np.append(thresholds, thresholds[-1] + 1.0),
-        np.append(p_miss, 1.0),
-        np.append(p_fa, 0.0),
-    )
-
-
 def eer(scores: ScoreSet) -> tuple[float, float]:
     """Equal error rate and the threshold where it occurs."""
-    thresholds, p_miss, p_fa = _with_reject_all(*roc_points(scores))
-    diff = p_miss - p_fa
-    i = int(np.argmax(diff >= 0.0))  # first non-negative; diff[0] = -1 always
-    if diff[i] == 0.0:
-        return float(p_miss[i]), float(thresholds[i])
-    # Cross between points i-1 and i: solve p_miss(a) = p_fa(a) along the segment.
-    frac = -diff[i - 1] / (diff[i] - diff[i - 1])
-    value = p_miss[i - 1] + frac * (p_miss[i] - p_miss[i - 1])
-    threshold = thresholds[i - 1] + frac * (thresholds[i] - thresholds[i - 1])
-    return float(value), float(threshold)
+    report = evaluate(scores)
+    return report.eer, report.eer_threshold
 
 
 def min_dcf(scores: ScoreSet, params: DCFParams = DCFParams()) -> tuple[float, float]:
     """Minimum detection cost and its threshold, normalized per params."""
-    thresholds, p_miss, p_fa = _with_reject_all(*roc_points(scores))
-    dcf = params.c_miss * params.p_target * p_miss + params.c_fa * (1.0 - params.p_target) * p_fa
-    i = int(np.argmin(dcf))
-    value = float(dcf[i])
-    if params.normalize:
-        value /= params.normalizer
-    return value, float(thresholds[i])
+    report = evaluate(scores, params)
+    return report.min_dcf, report.dcf_threshold
 
 
 @dataclass(frozen=True)
@@ -159,17 +137,31 @@ class EvalReport:
 
 
 def evaluate(scores: ScoreSet, params: DCFParams = DCFParams()) -> EvalReport:
-    eer_value, eer_thr = eer(scores)
-    raw, dcf_thr = min_dcf(scores, replace(params, normalize=False))
+    """Both metrics from one sweep of the ROC staircase."""
+    thresholds, p_miss, p_fa = roc_points(scores)
+    # One threshold above every score rejects everything: (p_miss, p_fa) = (1, 0).
+    thresholds = np.append(thresholds, thresholds[-1] + 1.0)
+    p_miss, p_fa = np.append(p_miss, 1.0), np.append(p_fa, 0.0)
+    diff = p_miss - p_fa
+    i = int(np.argmax(diff >= 0.0))  # first non-negative; diff[0] = -1 always
+    if diff[i] == 0.0:
+        eer_value, eer_thr = float(p_miss[i]), float(thresholds[i])
+    else:  # cross between points i-1 and i: solve p_miss(a) = p_fa(a) along the segment
+        frac = -diff[i - 1] / (diff[i] - diff[i - 1])
+        eer_value = float(p_miss[i - 1] + frac * (p_miss[i] - p_miss[i - 1]))
+        eer_thr = float(thresholds[i - 1] + frac * (thresholds[i] - thresholds[i - 1]))
+    dcf = params.c_miss * params.p_target * p_miss + params.c_fa * (1.0 - params.p_target) * p_fa
+    j = int(np.argmin(dcf))
+    raw = float(dcf[j])
     return EvalReport(
         eer_pct=round(eer_value * 100.0, 4),
         eer=eer_value,
         eer_threshold=eer_thr,
         min_dcf=raw / params.normalizer if params.normalize else raw,
         min_dcf_raw=raw,
-        dcf_threshold=dcf_thr,
-        n_target=int(scores.target_scores.size),
-        n_nontarget=int(scores.nontarget_scores.size),
+        dcf_threshold=float(thresholds[j]),
+        n_target=int(np.count_nonzero(scores.labels)),
+        n_nontarget=int(np.count_nonzero(scores.labels == 0)),
     )
 
 

@@ -203,7 +203,7 @@ def train_demo(
     Gaussian and the softmax bias from zero; the prototypical scale and
     bias start at APParams()'s w and b, and the scale is clamped to
     AP_W_MIN after every step. Raises DivergenceError naming the epoch
-    if the loss goes non-finite.
+    if the loss, a gradient or a parameter goes non-finite.
     """
     if loss_name not in losses.LOSS_NAMES:
         raise ValueError(f"unknown loss {loss_name!r}; choose from {losses.LOSS_NAMES}")
@@ -236,24 +236,30 @@ def train_demo(
             return losses.angular_prototypical(e, ap_now)
         return losses.ap_plus_softmax(e, params["weights"], ap_now, params["bias"])
 
-    def heldout_eer_now() -> float:
-        return eer(trial_scores(params["embeddings"], corpus.heldout_trials))[0]
-
     state = AdamState.for_params(params)
     history = []
-    for epoch in range(epochs):
-        lr = lr_at(epoch, lr0, schedule)
-        loss, grads = evaluate_loss()
-        if not np.isfinite(loss):
-            raise DivergenceError(f"loss became non-finite at epoch {epoch}")
-        if grads["embeddings"].ndim == 2:
-            grads = dict(grads, embeddings=grads["embeddings"].reshape(k, m, d))
-        adam_step(params, grads, state, lr, weight_decay)
-        if "w" in params and params["w"] < AP_W_MIN:
-            params["w"][()] = AP_W_MIN
-        history.append(EpochRecord(epoch, lr, float(loss), heldout_eer_now()))
-
-    final_scores = trial_scores(params["embeddings"], corpus.heldout_trials)
+    with np.errstate(all="ignore"):  # a non-finite loss, gradient or parameter is reported by its epoch
+        for epoch in range(epochs):
+            lr = lr_at(epoch, lr0, schedule)
+            loss, grads = evaluate_loss()
+            if not np.isfinite(loss):
+                raise DivergenceError(f"loss became non-finite at epoch {epoch}")
+            if grads["embeddings"].ndim == 2:
+                grads = dict(grads, embeddings=grads["embeddings"].reshape(k, m, d))
+            try:
+                adam_step(params, grads, state, lr, weight_decay)
+            except ValueError as exc:  # a non-finite gradient
+                raise DivergenceError(f"{exc} at epoch {epoch}") from None
+            if "w" in params and params["w"] < AP_W_MIN:
+                params["w"][()] = AP_W_MIN
+            try:  # non-finite embeddings show here, any other parameter in the next epoch's loss
+                scores = trial_scores(params["embeddings"], corpus.heldout_trials)
+            except ValueError as exc:
+                raise DivergenceError(f"held-out {exc} at epoch {epoch}") from None
+            history.append(EpochRecord(epoch, lr, float(loss), eer(scores)[0]))
+        if not all(np.isfinite(p).all() for p in params.values()):  # the last step's, which no loss reads
+            raise DivergenceError(f"parameters became non-finite at epoch {epochs - 1}")
+        final_scores = trial_scores(params["embeddings"], corpus.heldout_trials)
     return TrainResult(
         history=tuple(history),
         embeddings=params["embeddings"],

@@ -190,6 +190,10 @@ class TestPlanAdditive:
         with pytest.raises(ValueError, match="empty"):
             list(plan_additive(1600, NoiseCatalog([]), AugmentSpec("music", 0, *ADDITIVE_DEFAULTS["music"])))
 
+    def test_range_from_zero_to_negative_zero_draws_zero(self):  # numpy's uniform rejects that order
+        [draw] = plan_additive(1600, small_catalog(), AugmentSpec("noise", 0, (1, 1), (0.0, -0.0)))
+        assert draw.snr_db == 0.0
+
 
 class TestAugmentAdditive:
     def test_same_seed_is_bit_identical(self):
@@ -304,6 +308,11 @@ class TestAugmentRir:
         clean = make_wave(seed=10, seconds=0.2)
         cat = NoiseCatalog([unit_impulse()])
         out = augment_rir(clean, cat, seed=3, gain_db_range=(0.0, 0.0))
+        np.testing.assert_array_equal(out.samples, clean.samples)
+
+    def test_gain_range_from_zero_to_negative_zero_is_identity(self):  # numpy's uniform rejects that order
+        clean = make_wave(seed=10, seconds=0.2)
+        out = augment_rir(clean, NoiseCatalog([unit_impulse()]), seed=3, gain_db_range=(0.0, -0.0))
         np.testing.assert_array_equal(out.samples, clean.samples)
 
     @pytest.mark.parametrize("gain_db,message", [

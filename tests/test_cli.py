@@ -1054,6 +1054,15 @@ class TestEvaluate:
         assert main(["evaluate", "--scores", str(scores), "--trials", str(trials)]) == 2
         assert f"{scores}:4: score must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--c-miss", "5e-324"], ["--p-target", "0.9999999999999999", "--c-fa", "5e-324"]])
+    def test_normalizer_that_underflows_is_a_usage_error_before_any_read(self, toy_eval_files, tmp_path, flags, capsys):
+        missing = str(tmp_path / "missing.txt")
+        for scores, trials in [(missing, missing), toy_eval_files]:
+            assert main(["evaluate", "--scores", str(scores), "--trials", str(trials), *flags]) == 1
+            assert capsys.readouterr().err.startswith("usage error: MinDCF normalizer ")
+        scores, trials = toy_eval_files  # the raw cost divides by nothing
+        assert main(["evaluate", "--scores", str(scores), "--trials", str(trials), *flags, "--no-normalize"]) == 0
+
 
 class TestTrainDemo:
     def test_small_run_writes_history(self, tmp_path, capsys):
@@ -1112,6 +1121,19 @@ class TestTrainDemo:
                 "--epochs", "3", "--lr0", "1e300", "--history", str(hist)]
         assert main(args) == 2
         assert capsys.readouterr().err == "error: loss became non-finite at epoch 1\n"
+        assert not hist.exists()
+
+    @pytest.mark.parametrize("flags,err", [
+        (["--loss", "ap", "--lr0", "1e308"], "error: held-out scores must be finite at epoch 0\n"),
+        (["--loss", "aamsoftmax", "--scale", "1e5"], "error: loss became non-finite at epoch 0\n"),
+        (["--loss", "ap+softmax", "--lr0", "300"], "error: loss became non-finite at epoch 1\n"),
+    ])
+    def test_divergence_is_one_error_line_naming_the_epoch_and_no_warning(self, tmp_path, flags, err, capsys):
+        hist = tmp_path / "hist.csv"  # numpy warnings are errors here, so one would escape main
+        args = ["train-demo", "--speakers", "3", "--utts", "3", "--dim", "4", "--trials", "4", "--epochs", "3",
+                *flags, "--history", str(hist)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == err
         assert not hist.exists()
 
 

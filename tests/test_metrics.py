@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_eer, brute_force_min_dcf, report_from_text
+from svkit import metrics
 from svkit.metrics import (
     DCFParams,
     EvalReport,
@@ -207,6 +208,16 @@ class TestEvaluate:
         assert "eer_pct=33.3333" in text
         assert "n_target=3" in text
 
+    def test_one_roc_sweep_per_report_which_eer_and_min_dcf_read(self, toy, monkeypatch):
+        calls = []
+        monkeypatch.setattr(metrics, "roc_points", lambda scores: calls.append(1) or roc_points(scores))
+        params = DCFParams(c_miss=10.0, p_target=0.01)
+        report = evaluate(toy, params)
+        assert len(calls) == 1
+        assert eer(toy) == (report.eer, report.eer_threshold)
+        assert min_dcf(toy, params) == (report.min_dcf, report.dcf_threshold)
+        assert len(calls) == 3
+
     def test_malformed_report_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
             report_from_text(EvalReport, "eer_pct\n")
@@ -248,6 +259,12 @@ class TestDcfParams:
     def test_costs_must_be_finite(self, costs):
         with pytest.raises(ValueError, match="cost"):
             DCFParams(**costs)
+
+    @pytest.mark.parametrize("costs", [{"c_miss": 5e-324}, {"c_fa": 5e-324, "p_target": 0.9999999999999999}])
+    def test_normalizer_must_be_positive_only_when_divided_by(self, costs):
+        with pytest.raises(ValueError, match="normalizer"):
+            DCFParams(**costs)
+        assert DCFParams(**costs, normalize=False).normalizer == 0.0
 
     def test_p_target_strictly_inside_unit_interval(self):
         with pytest.raises(ValueError, match="p_target"):

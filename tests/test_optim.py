@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import corpus_pair_pools, corpus_trial_lists, mean_angular_gap
-from svkit import optim
+from svkit import losses, optim
 from svkit.losses import MarginParams
 from svkit.metrics import Trials
 from svkit.optim import (
@@ -354,6 +354,31 @@ class TestTrainDemo:
     def test_divergence_reports_epoch(self):
         with pytest.raises(DivergenceError, match=r"epoch \d+"):
             demo(tiny_corpus(), loss_name="softmax", epochs=10, lr0=1e160)
+
+    def test_non_finite_gradient_reports_epoch(self, monkeypatch):
+        def inf_bias_gradient(*args):
+            loss, grads = real(*args)
+            return loss, dict(grads, bias=np.full_like(grads["bias"], np.inf))
+
+        real = losses.softmax_ce
+        monkeypatch.setattr(losses, "softmax_ce", inf_bias_gradient)
+        with pytest.raises(DivergenceError, match=r"^non-finite gradient for 'bias' at epoch 0$"):
+            demo(tiny_corpus(), loss_name="softmax", epochs=3)
+
+    def test_overflowing_step_reports_epoch(self):  # a finite loss and gradients, then embeddings past the range
+        with pytest.raises(DivergenceError, match=r"^held-out scores must be finite at epoch 0$"):
+            demo(make_corpus(n_speakers=3, n_utts=3, dim=4, n_trials=4, seed=0), loss_name="ap", epochs=3, lr0=1e308)
+
+    def test_non_finite_parameter_after_the_last_step_reports_epoch(self, monkeypatch):
+        def inf_weight_at_last_step(params, grads, state, *args):
+            real(params, grads, state, *args)
+            if state.step == 3:  # no later loss reads it
+                params["weights"][0, 0] = np.inf
+
+        real = optim.adam_step
+        monkeypatch.setattr(optim, "adam_step", inf_weight_at_last_step)
+        with pytest.raises(DivergenceError, match=r"^parameters became non-finite at epoch 2$"):
+            demo(tiny_corpus(), loss_name="softmax", epochs=3)
 
     def test_smoothed_loss_non_increasing_late_in_training(self):
         corpus = make_corpus(n_speakers=10, n_utts=7, dim=32, n_trials=200, seed=1)
