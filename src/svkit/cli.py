@@ -97,6 +97,8 @@ def _crop_seconds(samples: int):
 _finite = _checked(float, "finite", math.isfinite)
 _positive = _checked(float, "finite and positive", lambda value: math.isfinite(value) and value > 0)
 _non_negative = _checked(float, "finite and non-negative", lambda value: math.isfinite(value) and value >= 0)
+# augment draws a count in [min, max] with Generator.integers, which holds int64 bounds.
+_count = _checked(int, f"from 1 to {np.iinfo(np.int64).max}", lambda value: 1 <= value <= np.iinfo(np.int64).max)
 
 
 def _atomic_save(path: str | Path, save) -> None:
@@ -143,8 +145,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--kind", required=True, choices=aug.AUGMENT_KINDS)
     p.add_argument("--catalog", required=True, help="directory with speech/ music/ noise/ rir/ subdirs")
     p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--count-min", type=_at_least(1), help="min recordings to mix (additive kinds)")
-    p.add_argument("--count-max", type=_at_least(1), help="max recordings to mix (additive kinds)")
+    p.add_argument("--count-min", type=_count, help="min recordings to mix (additive kinds)")
+    p.add_argument("--count-max", type=_count, help="max recordings to mix (additive kinds)")
     p.add_argument("--snr-min", type=_finite, help="min SNR in dB (additive kinds)")
     p.add_argument("--snr-max", type=_finite, help="max SNR in dB (additive kinds)")
     p.add_argument("--gain-min", type=_finite, default=aug.DEFAULT_RIR_GAIN_DB[0], help="min RIR gain in dB")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import losses
 from .losses import APParams, MarginParams
-from .metrics import ScoreSet, Trials, eer, min_dcf
+from .metrics import ScoreSet, Trials, evaluate
 from .scoring import _dot_scores
 
 WEIGHT_DECAY = 5e-5
@@ -239,6 +239,8 @@ def train_demo(
     state = AdamState.for_params(params)
     history = []
     with np.errstate(all="ignore"):  # a non-finite loss, gradient or parameter is reported by its epoch
+        if epochs == 0:  # the report is of the initial embeddings; otherwise of the last epoch's
+            report = evaluate(trial_scores(params["embeddings"], corpus.heldout_trials))
         for epoch in range(epochs):
             lr = lr_at(epoch, lr0, schedule)
             loss, grads = evaluate_loss()
@@ -256,13 +258,8 @@ def train_demo(
                 scores = trial_scores(params["embeddings"], corpus.heldout_trials)
             except ValueError as exc:
                 raise DivergenceError(f"held-out {exc} at epoch {epoch}") from None
-            history.append(EpochRecord(epoch, lr, float(loss), eer(scores)[0]))
+            report = evaluate(scores)
+            history.append(EpochRecord(epoch, lr, float(loss), report.eer))
         if not all(np.isfinite(p).all() for p in params.values()):  # the last step's, which no loss reads
             raise DivergenceError(f"parameters became non-finite at epoch {epochs - 1}")
-        final_scores = trial_scores(params["embeddings"], corpus.heldout_trials)
-    return TrainResult(
-        history=tuple(history),
-        embeddings=params["embeddings"],
-        heldout_eer=eer(final_scores)[0],
-        heldout_min_dcf=min_dcf(final_scores)[0],
-    )
+    return TrainResult(tuple(history), params["embeddings"], report.eer, report.min_dcf)

@@ -107,6 +107,8 @@ class TestUsageErrors:
         ("embed", ["--crop-seconds", "1e305"]),  # inf samples
         ("embed", ["--crop-seconds", "1e300"]),  # more samples than an intp holds
         ("score", ["--crop-seconds", "1e305"]),
+        ("augment", ["--count-max", "9223372036854775808"]),  # past the int64 bounds Generator.integers draws in
+        ("augment", ["--count-min", "9223372036854775808", "--count-max", "9223372036854775808"]),
     ])
     def test_bad_flag_value_is_a_usage_error_before_any_file_is_read(self, tmp_path, command, flag, capsys):
         missing = str(tmp_path / "missing")  # every input file is missing
@@ -115,9 +117,13 @@ class TestUsageErrors:
             "train-demo": ["--history", str(tmp_path / "history.csv")],
             "embed": [missing, "--weights", missing, "--out", str(tmp_path / "out")],
             "score": ["--trials", missing, "--weights", missing, "--out", str(tmp_path / "out")],
+            "augment": ["--in", missing, "--out", str(tmp_path / "out"), "--catalog", missing, "--kind", "speech"],
         }[command]
         assert main([command, *argv, *flag]) == 1
-        assert capsys.readouterr().err.startswith("usage error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        if command in ("embed", "score", "augment"):  # these flags' converters reject the value, so argparse names it
+            assert err.startswith(f"usage error: argument {flag[0]}: ")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command,flag,named", [
@@ -289,7 +295,9 @@ class TestFeaturize:
         monkeypatch.setattr(cli, "read_wav", no_read)
         out = tmp_path / "o.svf1"
         assert main(["featurize", "--in", str(tmp_path / "a.wav"), "--out", str(out), *flag]) == 1
-        assert capsys.readouterr().err.startswith("usage error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert flag[0][2:].replace("-", "_") in err  # the FeatureParams field the flag sets
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", [[], ["--no-normalize"]])
@@ -334,13 +342,21 @@ class TestFeaturize:
 
 
 class TestInit:
-    def test_reports_parameter_count(self, q_weights_file, capsys):
+    def test_reports_parameter_count(self, q_weights_file, tmp_path, capsys):
         out = capsys.readouterr().out  # flush fixture output
         assert main(["info", "--weights", str(q_weights_file)]) == 0
         text = capsys.readouterr().out
         assert "variant=q-sap" in text
         assert "parameters=1415728" in text
         assert "parameters_millions=1.416" in text
+        h_weights = tmp_path / "h.svw1"
+        assert main(["init", "--variant", "h-asp", "--out", str(h_weights), "--seed", "0"]) == 0
+        capsys.readouterr()
+        assert main(["info", "--weights", str(h_weights)]) == 0
+        text = capsys.readouterr().out
+        assert "variant=h-asp" in text
+        assert "parameters=7683424" in text
+        assert "parameters_millions=7.683" in text
 
     def test_same_seed_writes_identical_files(self, tmp_path):
         a, b = tmp_path / "a.svw1", tmp_path / "b.svw1"
@@ -669,9 +685,12 @@ class TestScore:
         assert len(tensors) == 3
         assert all(key.startswith("/") for key in tensors)
 
+        written = cache.read_bytes(), cache.stat().st_ino
         self.forbid_embedding(monkeypatch)
         assert main(self.score_args(root, trials, q_weights_file, out2, cache)) == 0
         assert out1.read_bytes() == out2.read_bytes()
+        # A warm run leaves the cache as written: a republish through os.replace would change the inode.
+        assert (cache.read_bytes(), cache.stat().st_ino) == written
 
     def test_embed_and_a_cold_cache_hold_the_same_rows(self, trial_setup, q_weights_file):
         root, trials = trial_setup
