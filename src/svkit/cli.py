@@ -8,9 +8,10 @@ malformed content, invalid values). All randomness is controlled by
 give bit-identical outputs. Trial files reference utterances by path;
 the embedding cache is keyed by canonicalized path, an entry is reused
 only while the WAV's content is unchanged, and the whole cache is
-discarded when it was built with other weights, crop settings or
-OpenBLAS build. `svkit embed` and `svkit score` embed through one path,
-which loads the weights, then checks every WAV header, then runs crops.
+discarded when it was built with other weights, crop settings, crops per
+trunk call or OpenBLAS build. `svkit embed` and `svkit score` embed
+through one path, which loads the weights, then checks every WAV header,
+then runs crops.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .scoring import (
     CROP_SECONDS,
     N_CROPS,
     Embedder,
+    crops_per_call,
     embed_utterances,
     network_embedder,
     openblas_build,
@@ -211,18 +213,33 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _flags(params, *values):
-    """params(*values), built from flag values alone, such as a dataclass
-    of them: a value it rejects is a usage error. Commands build these
-    before they read any file."""
+def _flags(params, args, *names, **values):
+    """params, a dataclass of flag values, built from the flags `names`
+    (argparse dests, each a field of params) and the fields in values:
+    a value it rejects is a usage error naming the flag. That is the first
+    flag params rejects with every other field at its default, else every
+    flag off its default, which it rejects only together. Commands build
+    these before they read any file."""
+    flags = {name: getattr(args, name) for name in names}
     try:
-        return params(*values)
+        return params(**flags, **values)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        error = exc
+    for name, value in flags.items():
+        try:
+            params(**{name: value})
+        except ValueError as exc:
+            culprits, error = [name], exc
+            break
+    else:
+        default = params()
+        culprits = [name for name, value in flags.items() if value != getattr(default, name)]
+    named = ", ".join(f"--{name.replace('_', '-')}" for name in culprits)
+    raise UsageError(f"argument{'s' * (len(culprits) > 1)} {named}: {error}") from None
 
 
 def _cmd_featurize(args) -> int:
-    params = _flags(FeatureParams, args.preemphasis, args.win_ms, args.hop_ms, args.fft_size, args.n_mels)
+    params = _flags(FeatureParams, args, "preemphasis", "win_ms", "hop_ms", "fft_size", "n_mels")
     if args.crop_seconds is None and (args.offset is not None or args.seed is not None):
         raise UsageError("--offset/--seed require --crop-seconds")
     if args.crop_seconds is None:
@@ -333,9 +350,15 @@ def _sha256(path: str | Path) -> str:
 
 def _cache_record(weights_path: str, crop_seconds: float, n_crops: int) -> str:
     """Name of the cache's metadata record: what its entries were built
-    with, the OpenBLAS kernel that ran their GEMMs included."""
+    with, the crops per trunk call and the OpenBLAS kernel that ran their
+    GEMMs included. One crop per call, which gives the rows of caches
+    written before crops shared a call, is left unnamed, so those stay
+    current and the rest are discarded."""
     digest, blas = _sha256(weights_path), openblas_build()
-    return f"#svkit-cache weights-sha256={digest} crop-seconds={crop_seconds!r} n-crops={n_crops} openblas={blas}"
+    crops = f"crop-seconds={crop_seconds!r} n-crops={n_crops}"
+    if (per_call := crops_per_call(crop_seconds)) > 1:
+        crops += f" crops-per-call={per_call}"
+    return f"#svkit-cache weights-sha256={digest} {crops} openblas={blas}"
 
 
 def _wav_record(key: str) -> str:
@@ -418,7 +441,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    params = _flags(DCFParams, args.c_miss, args.c_fa, args.p_target, not args.no_normalize)
+    params = _flags(DCFParams, args, "c_miss", "c_fa", "p_target", normalize=not args.no_normalize)
     trials = read_trials(args.trials)
     scores = read_scores(args.scores, trials)
     try:  # a list with no target or no nontarget trials
@@ -433,8 +456,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_train_demo(args) -> int:
-    schedule = _flags(Schedule, args.decay_factor, args.decay_every)
-    margin = _flags(MarginParams, args.margin, args.scale)
+    schedule = _flags(Schedule, args, "decay_factor", "decay_every")
+    margin = _flags(MarginParams, args, "margin", "scale")
     limit = MARGIN_LIMITS.get(args.loss, math.inf)
     if args.margin >= limit:
         raise UsageError(f"argument --margin: must be below {limit} for --loss {args.loss}, got {args.margin}")

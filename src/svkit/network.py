@@ -19,11 +19,12 @@ Inference runs on FoldedWeights only: each batch norm is folded once into
 the conv or embedding layer before it, and the variant is inferred from
 conv1's width at the same time, so the weights alone decide how they run.
 Every conv is an unpadded im2col + GEMM over tiles whose column buffer
-fits a byte budget, with bias, residual and ReLU applied per tile. Each
-activation lives in a (t + 2, f + 2, c) buffer with a zero border, which
-pads the 3x3 conv that reads it. forward runs a TrunkPlan, built once per
-(variant, input length): every conv in run order, each buffer a view of
-one arena that each call allocates. Inference is pure: weights are
+fits a byte budget, with bias, residual and ReLU applied per tile. One
+call runs a batch of crops of one length: each activation lives in a
+(crops, t + 2, f + 2, c) buffer, each crop with a zero border, which pads
+the 3x3 conv that reads it. forward runs a TrunkPlan, built once per
+(variant, crops, input length): every conv in run order, each buffer a
+view of one arena that each call allocates. Inference is pure: weights are
 immutable after load, and calls share only plans, which hold no array.
 """
 
@@ -133,38 +134,44 @@ def _conv_out(size: int, kernel: int, stride: int, pad: int) -> int:
 # channels, such as the stem, one tile, while the buffer still fits in a
 # per-core cache and the full (t*f, k*k*c) im2col matrix is never built.
 # With OpenBLAS 0.3.31 this budget gives the embeddings of 512-position tiles
-# bit for bit.
+# bit for bit. A tile of a batch holds as many whole crops as fit, so short
+# crops share each tile's numpy calls.
 TILE_BYTES = 1 << 20
 
 
 def _conv_tiles(windows, matrix, bias, out, residual, relu, cols, acc) -> None:
-    """The tile loop of every conv: for each tile of whole output rows,
-    copy its windows into cols, multiply by the (kh*kw*c_in, c_out) matrix
-    into acc, add bias, then residual's rows when given, and write the
-    result, through a ReLU when asked for, to out's rows.
+    """The tile loop of every conv: for each tile of whole crops, or of
+    whole output rows of one crop, copy its windows into cols, multiply by
+    the (kh*kw*c_in, c_out) matrix into acc, add bias, then residual's rows
+    when given, and write the result, through a ReLU when asked for, to
+    out's rows.
 
-    windows is the (t_out, f_out, kh, kw, c_in) window view of the input,
-    cols a C-contiguous (rows, f_out, kh, kw, c_in) buffer and acc a
-    (rows, f_out, c_out) one: rows sets the tile size. out and residual may
-    be strided views, and the same one: a tile reads residual's rows before
-    it writes out's.
+    windows is the (crops, t_out, f_out, kh, kw, c_in) window view of the
+    input, cols a C-contiguous (tile crops, rows, f_out, kh, kw, c_in)
+    buffer and acc a (tile crops, rows, f_out, c_out) one: they set the
+    tile size, and rows is t_out when a tile holds more than one crop. out
+    and residual may be strided views, and the same one: a tile reads
+    residual's rows before it writes out's.
     """
-    rows, f_out = cols.shape[:2]
-    cols2 = cols.reshape(rows * f_out, -1)
-    acc2 = acc.reshape(rows * f_out, -1)
-    t_out = out.shape[0]
-    for t0 in range(0, t_out, rows):
-        r = min(rows, t_out - t0)
-        np.copyto(cols[:r], windows[t0 : t0 + r])
-        np.matmul(cols2[: r * f_out], matrix, out=acc2[: r * f_out])
-        tile = acc[:r]
-        tile += bias
-        if residual is not None:
-            tile += residual[t0 : t0 + r]
-        if relu:
-            np.maximum(tile, 0.0, out=out[t0 : t0 + r])
-        else:
-            out[t0 : t0 + r] = tile
+    crops, rows = cols.shape[:2]
+    cols2 = cols.reshape(-1, matrix.shape[0])
+    acc2 = acc.reshape(-1, matrix.shape[1])
+    n_crops, t_out, f_out = out.shape[:3]
+    for b0 in range(0, n_crops, crops):
+        b = min(crops, n_crops - b0)
+        for t0 in range(0, t_out, rows):
+            r = min(rows, t_out - t0)
+            tile = np.s_[b0 : b0 + b, t0 : t0 + r]
+            np.copyto(cols[:b, :r], windows[tile])
+            np.matmul(cols2[: b * r * f_out], matrix, out=acc2[: b * r * f_out])
+            result = acc[:b, :r]
+            result += bias
+            if residual is not None:
+                result += residual[tile]
+            if relu:
+                np.maximum(result, 0.0, out=out[tile])
+            else:
+                out[tile] = result
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -320,8 +327,9 @@ def init_weights(cfg: TrunkConfig, seed: int) -> dict[str, np.ndarray]:
 
 
 class _View(NamedTuple):
-    """A float32 view of one buffer of a crop's arena: the buffer, the byte
-    offset from its start, shape and byte strides (None for C order)."""
+    """A float32 view of one buffer of a trunk call's arena: the buffer,
+    the byte offset from its start, shape and byte strides (None for C
+    order)."""
 
     buf: int
     offset: int
@@ -334,28 +342,29 @@ class _Step(NamedTuple):
 
     conv: str  # key of FoldedWeights.convs
     borders: tuple[_View, ...]  # the zero-bordered buffers it starts: their borders are zeroed first
-    windows: _View  # (t_out, f_out, kh, kw, c_in) windows of its zero-bordered input
-    out: _View  # (t_out, f_out, c_out) interior of its zero-bordered output
+    windows: _View  # (crops, t_out, f_out, kh, kw, c_in) windows of its zero-bordered input
+    out: _View  # (crops, t_out, f_out, c_out) interior of its zero-bordered output
     residual: bool  # add what out holds before the conv (the block's shortcut)
     relu: bool
-    cols: _View  # (rows, f_out, kh, kw, c_in) im2col tile
-    acc: _View  # (rows, f_out, c_out) GEMM tile
+    cols: _View  # (tile crops, rows, f_out, kh, kw, c_in) im2col tile
+    acc: _View  # (tile crops, rows, f_out, c_out) GEMM tile
 
 
 class _Stage(NamedTuple):
     steps: int  # steps of the plan that end the stage
-    output: _View  # its (t + 2, f + 2, c) zero-bordered output
+    output: _View  # its (crops, t + 2, f + 2, c) zero-bordered output
 
 
 class TrunkPlan(NamedTuple):
-    """Every conv of a trunk for one input length, in run order, over one
-    arena of `floats` float32 values that holds each buffer at its byte
-    offset: the zero-bordered buffer whose interior takes the features,
-    each step, and where each stage (conv1, layer1-4) leaves its output."""
+    """Every conv of a trunk for a batch of crops of one length, in run
+    order, over one arena of `floats` float32 values that holds each buffer
+    at its byte offset: the zero-bordered buffer whose interior takes the
+    features, each step, and where each stage (conv1, layer1-4) leaves its
+    output."""
 
     floats: int
     offsets: tuple[int, ...]  # of each buffer, in bytes from the arena's start
-    features: _View  # (L + 2, N_MELS + 2, 1)
+    features: _View  # (crops, L + 2, N_MELS + 2, 1)
     steps: tuple[_Step, ...]
     stages: Mapping[str, _Stage]
 
@@ -395,21 +404,24 @@ def _place(sizes: list[int], steps: list[_Step]) -> tuple[list[int], int]:
 
 
 @functools.lru_cache(maxsize=8)
-def trunk_plan(cfg: TrunkConfig, n_frames: int) -> TrunkPlan:
-    """The trunk of cfg for n_frames of features as a list of convs, built
-    once per (cfg, n_frames) and holding no array.
+def trunk_plan(cfg: TrunkConfig, n_crops: int, n_frames: int) -> TrunkPlan:
+    """The trunk of cfg for n_crops crops of n_frames of features as a list
+    of convs, built once per (cfg, n_crops, n_frames) and holding no array.
 
     The stem conv is followed by basic blocks: conv-BN-ReLU-conv-BN plus a
     shortcut, then ReLU, each BN folded into its conv. The shortcut is a
     1x1 conv + BN when the block changes stride or channel count, the
-    identity otherwise. Each activation is a (t + 2, f + 2, c) buffer with
-    a zero border. A block's conv1 writes a mid-point buffer that every
-    block of its stage reuses. Its conv2 adds what its output buffer holds:
-    the block's input, which it overwrites, for an identity shortcut, or
-    what the 1x1 shortcut wrote into a new buffer first. Each step names
-    the buffers it views, each conv's im2col and GEMM tile among them; the
-    buffers are placed in one arena so that those live at one step never
-    overlap, and a buffer's border is zeroed at the step that starts it.
+    identity otherwise. Each activation is a (crops, t + 2, f + 2, c)
+    buffer, each crop with a zero border. A block's conv1 writes a
+    mid-point buffer that every block of its stage reuses. Its conv2 adds
+    what its output buffer holds: the block's input, which it overwrites,
+    for an identity shortcut, or what the 1x1 shortcut wrote into a new
+    buffer first. Each step names the buffers it views, each conv's im2col
+    and GEMM tile among them; the buffers are placed in one arena so that
+    those live at one step never overlap, and a buffer's border is zeroed
+    at the step that starts it. A tile holds as many whole crops as keep
+    its columns within TILE_BYTES when one crop's do, else as many output
+    rows of one crop as do, at least one.
     """
     itemsize = np.dtype(np.float32).itemsize
     kernels = {name: shape for name, (shape, _) in cfg.convs().items()}
@@ -421,24 +433,25 @@ def trunk_plan(cfg: TrunkConfig, n_frames: int) -> TrunkPlan:
         return len(sizes) - 1
 
     def activation(t: int, f: int, c: int) -> _View:
-        strides = ((f + 2) * c * itemsize, c * itemsize, itemsize)
-        return _View(buffer((t + 2) * strides[0]), 0, (t + 2, f + 2, c), strides)
+        strides = ((t + 2) * (f + 2) * c * itemsize, (f + 2) * c * itemsize, c * itemsize, itemsize)
+        return _View(buffer(n_crops * strides[0]), 0, (n_crops, t + 2, f + 2, c), strides)
 
     def conv(name, src, stride, dst=None, residual=False, relu=True, borders=()):
         """Plan conv name of the activation src into dst, or into a new
         activation when dst is None or of another shape; return dst."""
         kh, kw, c_in, c_out = kernels[name]
-        (t, f, _), (st, sf) = src.shape, stride
+        (_, t, f, _), (st, sf) = src.shape, stride
         t_out, f_out = _conv_out(t - 2, kh, st, kh // 2), _conv_out(f - 2, kw, sf, kw // 2)
-        if dst is None or dst.shape != (t_out + 2, f_out + 2, c_out):
+        if dst is None or dst.shape != (n_crops, t_out + 2, f_out + 2, c_out):
             dst = activation(t_out, f_out, c_out)
             borders += (dst,)
-        # output rows per tile: as many as keep its columns within TILE_BYTES, at least one
-        rows = min(t_out, max(1, TILE_BYTES // (f_out * kh * kw * c_in * itemsize)))
-        cols = (rows, f_out, kh, kw, c_in)
+        row_bytes = f_out * kh * kw * c_in * itemsize
+        rows = min(t_out, max(1, TILE_BYTES // row_bytes))
+        crops = min(n_crops, max(1, TILE_BYTES // (t_out * row_bytes)))
+        cols = (crops, rows, f_out, kh, kw, c_in)
         cols_bytes = _aligned(math.prod(cols) * itemsize)
-        tile = buffer(cols_bytes + rows * f_out * c_out * itemsize)
-        (row, col, _), (out_row, out_col, _) = src.strides, dst.strides
+        tile = buffer(cols_bytes + crops * rows * f_out * c_out * itemsize)
+        (crop, row, col, _), (_, out_row, out_col, _) = src.strides, dst.strides
         steps.append(
             _Step(
                 conv=name,
@@ -447,14 +460,14 @@ def trunk_plan(cfg: TrunkConfig, n_frames: int) -> TrunkPlan:
                 windows=_View(
                     src.buf,
                     (1 - kh // 2) * row + (1 - kw // 2) * col,
-                    (t_out, f_out, kh, kw, c_in),
-                    (st * row, sf * col, row, col, itemsize),
+                    (n_crops, t_out, f_out, kh, kw, c_in),
+                    (crop, st * row, sf * col, row, col, itemsize),
                 ),
-                out=_View(dst.buf, out_row + out_col, (t_out, f_out, c_out), dst.strides),
+                out=_View(dst.buf, out_row + out_col, (n_crops, t_out, f_out, c_out), dst.strides),
                 residual=residual,
                 relu=relu,
                 cols=_View(tile, 0, cols),
-                acc=_View(tile, cols_bytes, (rows, f_out, c_out)),
+                acc=_View(tile, cols_bytes, (crops, rows, f_out, c_out)),
             )
         )
         return dst
@@ -481,25 +494,26 @@ def trunk_plan(cfg: TrunkConfig, n_frames: int) -> TrunkPlan:
 
 
 def run_trunk(features: np.ndarray, weights: FoldedWeights, stage: str = "layer4") -> np.ndarray:
-    """Run the trunk plan of weights for (L, N_MELS) float32 features to the
-    end of stage (conv1 or layer1-4) and return its output in its
-    zero-bordered (t + 2, f + 2, c) buffer, a view of the crop's arena.
+    """Run the trunk plan of weights for a (B, L, N_MELS) float32 batch of
+    B crops' features to the end of stage (conv1 or layer1-4) and return its
+    output in its zero-bordered (B, t + 2, f + 2, c) buffer, a view of the
+    call's arena.
 
     The arena is allocated per call, so concurrent calls share nothing; the
-    plan is built once per input length.
+    plan is built once per batch shape.
     """
-    plan = trunk_plan(weights.config, features.shape[0])
+    plan = trunk_plan(weights.config, *features.shape[:2])
     arena = np.empty(plan.floats, dtype=np.float32)
 
     def view(v: _View) -> np.ndarray:
         return np.ndarray(v.shape, np.float32, arena, plan.offsets[v.buf] + v.offset, v.strides)
 
-    view(plan.features)[1:-1, 1:-1, 0] = features
+    view(plan.features)[:, 1:-1, 1:-1, 0] = features
     n_steps, output = plan.stages[stage]
     for step in plan.steps[:n_steps]:
         for buf in map(view, step.borders):
-            buf[0] = buf[-1] = 0.0
             buf[:, 0] = buf[:, -1] = 0.0
+            buf[:, :, 0] = buf[:, :, -1] = 0.0
         kernel, bias = weights.convs[step.conv]
         out = view(step.out)
         residual = out if step.residual else None
@@ -509,26 +523,31 @@ def run_trunk(features: np.ndarray, weights: FoldedWeights, stage: str = "layer4
 
 
 def forward(features: np.ndarray, weights: FoldedWeights) -> np.ndarray:
-    """Embed a normalized (L, N_MELS) feature matrix as a 512-d vector.
+    """Embed a normalized (L, N_MELS) feature matrix as a 512-d vector, or
+    a (B, L, N_MELS) batch of B crops of one length as (B, 512) rows, in
+    one trunk call.
 
     The weights decide everything: the variant is weights.config, and every
     batch norm, an embedding batch norm included, is applied as folded into
     the layer before it. A raw tensor dict is rejected; fold it once with
-    FoldedWeights(tensors).
+    FoldedWeights(tensors). Each crop is pooled and embedded on its own.
     """
     if not isinstance(weights, FoldedWeights):
         raise TypeError(f"forward takes FoldedWeights, got {type(weights).__name__}")
     features = np.asarray(features, dtype=np.float32)
-    if features.ndim != 2 or features.shape[1] != N_MELS:
-        raise ValueError(f"expected (L, {N_MELS}) features, got shape {features.shape}")
+    if features.ndim not in (2, 3) or features.shape[-1] != N_MELS:
+        raise ValueError(f"expected (L, {N_MELS}) or (B, L, {N_MELS}) features, got shape {features.shape}")
 
-    x = run_trunk(features, weights)[1:-1, 1:-1]
+    crops = run_trunk(features.reshape(-1, *features.shape[-2:]), weights)[:, 1:-1, 1:-1]
     asp = weights.config.pooling == "asp"  # asp flattens freq-major, then channel
-    frames = x.reshape(x.shape[0], -1) if asp else x.mean(axis=1)
     pool = asp_pool if asp else sap_pool
     t = weights.tensors
-    pooled = pool(frames, t["pool.w"], t["pool.b"], t["pool.u"])
-    embedding = pooled @ t["embed.weight"] + t["embed.bias"]
-    if not np.all(np.isfinite(embedding)):
+    rows = []
+    for x in crops:
+        frames = x.reshape(x.shape[0], -1) if asp else x.mean(axis=1)
+        pooled = pool(frames, t["pool.w"], t["pool.b"], t["pool.u"])
+        rows.append(pooled @ t["embed.weight"] + t["embed.bias"])
+    embeddings = np.stack(rows)
+    if not np.all(np.isfinite(embeddings)):
         raise ValueError("non-finite embedding")
-    return embedding.astype(np.float32)
+    return embeddings.astype(np.float32).reshape(*features.shape[:-2], -1)

@@ -12,20 +12,25 @@ so it is bit-exact under swapping the two utterances. A trial list
 products TRIAL_CHUNK trials at a time; every score has the bits
 score_from_embeddings gives that one pair.
 
-The distinct crops of every utterance a call embeds form one queue: one
-ordered map over the crops, on one thread per usable CPU (crop_workers)
-with at most two crops per thread in flight, or the builtin map on the
-calling thread when crops run one by one, which reads no crop ahead of the
-one running. Each crop is read as the queue reaches it: from a WAV, only
-its window. numpy's OpenBLAS is held to one thread per call while the
-queue runs, whether its crops run concurrently or one by one, and restored
-after. numpy's GEMM, FFT and ufunc loops release the interpreter lock, and
-each crop is independent, so the embeddings are bit-identical to embedding
-the crops one by one, whatever the CPU count. When numpy's BLAS is not an
-OpenBLAS whose thread count can be set, crops run one by one.
+The distinct crops of every utterance a call embeds form one queue of
+trunk calls. Crops of at least MIN_PARALLEL_CROP_SECONDS run one per call,
+in one ordered map on one thread per usable CPU (crop_workers) with at
+most two calls per thread in flight. Shorter crops run on the calling
+thread, one utterance's distinct crops per call (crops_per_call at most),
+so the crops of one call are read before it runs. Each crop is read as the
+queue reaches its call: from a WAV, only its window. A call never holds
+crops of two utterances and its size depends only on the crop length, so
+an utterance's rows do not depend on the utterances around it. numpy's
+OpenBLAS is held to one thread per call while the queue runs, on the pool
+or on the calling thread, and restored after. numpy's GEMM, FFT and ufunc
+loops release the interpreter lock, and each call is independent, so the
+embeddings are bit-identical to embedding the calls one by one, whatever
+the CPU count. When numpy's BLAS is not an OpenBLAS whose thread count can
+be set, calls run one by one.
 
-The embedder is injected as a callable so the scoring layer can run
-against the real network or any substitute.
+The embedder is injected as a callable, which maps a list of crops of one
+length to their rows, so the scoring layer can run against the real
+network or any substitute.
 """
 
 from __future__ import annotations
@@ -43,21 +48,23 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .audio import WavFile, Waveform, sample_count
-from .features import extract_features
+from .features import FeatureParams, extract_features
 from .losses import _normalize_rows
 from .network import FoldedWeights, forward
 
-Embedder = Callable[[Waveform], np.ndarray]
+# Maps a list of B crops of one length to their (B, D) rows.
+Embedder = Callable[[list[Waveform]], np.ndarray]
 
 CROP_SECONDS = 4.0
 N_CROPS = 10
-# Crops shorter than this are embedded one by one: each takes a few
-# milliseconds, so handing them to another thread costs more than it saves
-# (on 2 CPUs, embedding 32 utterances in 0.1 s crops took 16-56% longer on
-# two threads than on one). That was measured on q-sap only: h-asp crops of
-# 0.1-0.5 s ran 1.6-1.7x faster on the 2-thread pool than one by one, so a rule
-# on a crop's cost (variant and frames) rather than its seconds would serve
-# both.
+# Crops shorter than this run on the calling thread, one utterance's crops
+# per trunk call (crops_per_call). When they ran one per call, each took a
+# few milliseconds, so handing them to another thread cost more than it
+# saved (on 2 CPUs, embedding 32 utterances in 0.1 s crops took 16-56% longer
+# on two threads than on one). Those are per-crop figures, measured on q-sap
+# only: h-asp crops of 0.1-0.5 s ran 1.6-1.7x faster on the 2-thread pool
+# than one by one, so a rule on a crop's cost (variant and frames) rather
+# than its seconds would serve both.
 MIN_PARALLEL_CROP_SECONDS = 1.0
 # Trials whose dot products are taken at once, gathered into two reused
 # (64, 512) float64 buffers of 256 KB each. The dot products of 992 trials
@@ -77,6 +84,17 @@ def plan_crops(n_samples: int, crop_samples: int, n_crops: int) -> np.ndarray:
     slack = max(n_samples - crop_samples, 0)
     k = np.arange(n_crops)
     return np.rint(k * slack / max(n_crops - 1, 1)).astype(np.intp)
+
+
+def crops_per_call(crop_seconds: float) -> int:
+    """Crops of crop_seconds an embedder call takes at most: one when they
+    are at least MIN_PARALLEL_CROP_SECONDS, else as many as fit in the
+    frames (features.FeatureParams' hop) of one CROP_SECONDS crop, which
+    bounds a call's activations by those of one such crop."""
+    if crop_seconds >= MIN_PARALLEL_CROP_SECONDS:
+        return 1
+    frames = lambda seconds: 1 + sample_count(seconds) // FeatureParams().hop_length
+    return frames(CROP_SECONDS) // frames(crop_seconds)
 
 
 @functools.cache
@@ -197,44 +215,50 @@ def embed_utterances(
     matrix per utterance, in order, as soon as its crops are done.
 
     Crops that start at the same offset are embedded once and the row is
-    repeated, so an utterance no longer than one crop costs one call. The
-    distinct crops of all the utterances form one queue in utterance
-    order, run on up to crop_workers() threads with two crops per thread
-    in flight, or one by one on the calling thread when they are shorter
-    than MIN_PARALLEL_CROP_SECONDS; rows are the same either way. Each
-    utterance, a Waveform or a WavFile, is drawn from utterances when the
-    queue reaches it, and each crop is read when the queue reaches that
-    crop (one by one, no crop ahead of the one running), so a WavFile is
-    never held whole. The first failure in utterance order is raised,
-    whether drawing an utterance, a read, a crop or a non-finite row.
-    `svkit embed` and `svkit score` check every WAV header (open_wav)
-    before calling this, so a bad header anywhere in the command wins over
-    any failure here. numpy's BLAS runs one thread per call until the
-    iterator is exhausted or closed, so a GEMM sums in the same order
-    whether crops run concurrently or one by one. Closing it early cancels
-    the queued crops and waits for the running ones.
+    repeated, so an utterance no longer than one crop costs one crop. The
+    distinct crops of all the utterances form one queue of embedder calls
+    in utterance order. Crops of at least MIN_PARALLEL_CROP_SECONDS run one
+    per call on up to crop_workers() threads with two calls per thread in
+    flight; shorter ones run on the calling thread, up to crops_per_call()
+    of one utterance per call. A call's rows depend on no other utterance.
+    Each utterance, a Waveform or a WavFile, is drawn from utterances when
+    the queue reaches it, and each crop is read when the queue reaches its
+    call, so a WavFile is never held whole. The first failure in utterance
+    order is raised, whether drawing an utterance, a read, a crop or a
+    non-finite row. `svkit embed` and `svkit score` check every WAV header
+    (open_wav) before calling this, so a bad header anywhere in the command
+    wins over any failure here. numpy's BLAS runs one thread per call until
+    the iterator is exhausted or closed, so a GEMM sums in the same order
+    whether calls run concurrently or one by one. Closing it early cancels
+    the queued calls and waits for the running ones.
     """
-    workers = crop_workers() if crop_seconds >= MIN_PARALLEL_CROP_SECONDS else 1
+    per_call = crops_per_call(crop_seconds)
+    workers = crop_workers() if per_call == 1 else 1
     crop_samples = sample_count(crop_seconds)
     drawn: collections.deque = collections.deque()  # (offsets, distinct offsets) per utterance, oldest first
 
-    def embed(crop: Waveform) -> np.ndarray:
+    def embed(crops: list[Waveform]) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite row is an error
-            return np.asarray(embedder(crop), dtype=np.float64).ravel()
+            rows = np.asarray(embedder(crops), dtype=np.float64)
+        if rows.ndim != 2 or len(rows) != len(crops):
+            raise ValueError(f"embedder gave rows of shape {rows.shape} for {len(crops)} crops")
+        return rows
 
-    def crops() -> Iterator[Waveform]:
+    def calls() -> Iterator[list[Waveform]]:
         for audio in utterances:
             offsets = plan_crops(len(audio), crop_samples, n_crops).tolist()
             unique = list(dict.fromkeys(offsets))
             drawn.append((offsets, unique))
             with contextlib.closing(audio.windows(unique, crop_samples)) as windows:
-                yield from windows
+                while crops := list(itertools.islice(windows, per_call)):
+                    yield crops
 
-    queue = crops()
+    queue = calls()
     with _one_blas_thread(), contextlib.closing(queue), contextlib.closing(_in_order(embed, queue, workers)) as rows:
         for first in rows:
             offsets, unique = drawn.popleft()
-            by_offset = dict(zip(unique, [first, *itertools.islice(rows, len(unique) - 1)]))
+            rest = itertools.islice(rows, -(-len(unique) // per_call) - 1)  # the utterance's other calls
+            by_offset = dict(zip(unique, np.concatenate([first, *rest])))
             emb = np.stack([by_offset[o] for o in offsets])
             if not np.all(np.isfinite(emb)):
                 raise ValueError("embedder produced non-finite values")
@@ -316,11 +340,11 @@ def score_pair(
 
 
 def network_embedder(weights: FoldedWeights) -> Embedder:
-    """Embedder that runs the default feature front end and the trunk on
-    folded weights, which decide the variant. A raw tensor dict raises
-    TypeError at the first call."""
+    """Embedder that runs the default feature front end on each crop and
+    the trunk once on them all, on folded weights, which decide the
+    variant. A raw tensor dict raises TypeError at the first call."""
 
-    def embed(waveform: Waveform) -> np.ndarray:
-        return forward(extract_features(waveform).values, weights)
+    def embed(crops: list[Waveform]) -> np.ndarray:
+        return forward(np.stack([extract_features(crop).values for crop in crops]), weights)
 
     return embed

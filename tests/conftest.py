@@ -22,6 +22,13 @@ def make_wave(seed: int, seconds: float, amplitude: float = 0.3) -> Waveform:
     return Waveform(np.clip(x, -0.99, 0.99))
 
 
+def per_crop(embed_one):
+    """An embedder as svkit.scoring takes one, a list of crops to their
+    rows, that embeds each crop by its own call of embed_one (a crop to
+    its row)."""
+    return lambda crops: np.stack([embed_one(crop) for crop in crops])
+
+
 def forward_stages(monkeypatch, features, weights) -> dict:
     """Run network.forward and record the shape of each stage's output:
     conv1, layer1-4, frames, pooled and embedding. conv1 and layer1-4 are
@@ -29,10 +36,10 @@ def forward_stages(monkeypatch, features, weights) -> dict:
     are zero-bordered buffers, so their stage shape is that of the
     interior; the pooling function forward calls is wrapped, so it sees the
     frames and gives the pooled vector."""
-    plan = network.trunk_plan(weights.config, len(features))
+    plan = network.trunk_plan(weights.config, 1, len(features))
     stages: dict = {}
     for name, stage in plan.stages.items():
-        t, f, c = stage.output.shape
+        _, t, f, c = stage.output.shape
         stages[name] = (t - 2, f - 2, c)
 
     def traced(pool):

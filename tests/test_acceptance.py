@@ -21,7 +21,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import forward_stages, make_wave
+from conftest import forward_stages, make_wave, per_crop
 from oracles import (
     assert_grad_matches,
     brute_force_eer,
@@ -232,7 +232,7 @@ def test_criterion_08_scoring_protocol(q_weights, reported):
         stub = lambda wave: np.array([0.25, -0.5, 1.0])
         a = make_wave(seed=1, seconds=4.5)
         b = make_wave(seed=2, seconds=5.0)
-        assert score_pair(a, b, stub) == pytest.approx(1.0, abs=1e-6)
+        assert score_pair(a, b, per_crop(stub)) == pytest.approx(1.0, abs=1e-6)
 
         embed = network_embedder(FoldedWeights(q_weights))
         waves = [make_wave(seed=100 + i, seconds=4.2 + 0.2 * i) for i in range(8)]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import make_wave
+from conftest import make_wave, per_crop
 from svkit.audio import SAMPLE_RATE, Waveform, crop_segment, open_wav, read_wav, sample_count, write_wav
 from svkit.cli import main
 from svkit.features import FeatureParams
@@ -195,7 +195,7 @@ class TestSampleCount:
         with pytest.raises(ValueError, match="not an intp"):
             crop_segment(w, seconds, offset=0)
         with pytest.raises(ValueError, match="not an intp"):
-            next(embed_utterances([w], lambda crop: np.ones(4), seconds, 1))
+            next(embed_utterances([w], per_crop(lambda crop: np.ones(4)), seconds, 1))
         for field in ("win_ms", "hop_ms"):
             with pytest.raises(ValueError, match="win_ms and hop_ms"):
                 FeatureParams(**{field: seconds * 1000.0})

@@ -17,7 +17,7 @@ import wave
 import numpy as np
 import pytest
 
-from conftest import make_wave
+from conftest import make_wave, per_crop
 from oracles import relative_l2, report_from_text
 from svkit import augment, cli, containers, scoring
 from svkit.audio import Waveform, crop_segment, read_wav, write_wav
@@ -68,7 +68,7 @@ def count_crops(monkeypatch) -> list:
 
     def counting(path):
         embed = load_embedder(path)
-        return lambda crop: calls.append(crop) or embed(crop)
+        return lambda crops: calls.extend(crops) or embed(crops)
 
     monkeypatch.setattr(cli, "_load_embedder", counting)
     return calls
@@ -121,9 +121,7 @@ class TestUsageErrors:
         }[command]
         assert main([command, *argv, *flag]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("usage error: ")
-        if command in ("embed", "score", "augment"):  # these flags' converters reject the value, so argparse names it
-            assert err.startswith(f"usage error: argument {flag[0]}: ")
+        assert err.startswith(f"usage error: argument {flag[0]}: ")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command,flag,named", [
@@ -296,7 +294,7 @@ class TestFeaturize:
         out = tmp_path / "o.svf1"
         assert main(["featurize", "--in", str(tmp_path / "a.wav"), "--out", str(out), *flag]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("usage error: ")
+        assert err.startswith(f"usage error: argument {flag[0]}: ")
         assert flag[0][2:].replace("-", "_") in err  # the FeatureParams field the flag sets
         assert not out.exists()
 
@@ -486,7 +484,7 @@ class TestEmbed:
                 raise ValueError("crop failed")
             return np.ones(512)
 
-        monkeypatch.setattr(cli, "_load_embedder", lambda path: embedder)
+        monkeypatch.setattr(cli, "_load_embedder", lambda path: per_crop(embedder))
         monkeypatch.setattr(scoring, "crop_workers", lambda: workers)
         out = tmp_path / "out" / "e.svw1"
         out.parent.mkdir()
@@ -500,9 +498,11 @@ class TestEmbed:
         assert crops == []
 
     def test_a_window_that_can_no_longer_be_read_exits_two_naming_it(self, tmp_path, monkeypatch, capsys):
-        # 0.5 s crops run one by one at offsets 0, 20,000 and 40,000, read
-        # through one open file; the WAV is cut to 18,000 frames once the
-        # first crop has been read, so the second reads nothing.
+        # 1 s crops run one per call, on one worker one by one, at offsets 0,
+        # 16,000 and 32,000, read through one open file (shorter crops are
+        # read an utterance at a time); the WAV is cut to 18,000 frames once
+        # the first crop has been read, so the second reads 2,000 frames.
+        monkeypatch.setattr(scoring, "crop_workers", lambda: 1)
         wav = tmp_path / "utt.wav"
         write_wav(wav, make_wave(seed=8, seconds=3.0))
         crops = []
@@ -513,11 +513,11 @@ class TestEmbed:
             crops.append(crop)
             return np.ones(512)
 
-        monkeypatch.setattr(cli, "_load_embedder", lambda path: embedder)
+        monkeypatch.setattr(cli, "_load_embedder", lambda path: per_crop(embedder))
         out = tmp_path / "e.svw1"
-        argv = ["embed", str(wav), "--weights", "unused", "--out", str(out), "--crop-seconds", "0.5", "--n-crops", "3"]
+        argv = ["embed", str(wav), "--weights", "unused", "--out", str(out), "--crop-seconds", "1", "--n-crops", "3"]
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {wav}: truncated WAV file: read 0 of 8000 frames at 20000\n"
+        assert capsys.readouterr().err == f"error: {wav}: truncated WAV file: read 2000 of 16000 frames at 16000\n"
         assert len(crops) == 1
         assert not out.exists()
 
@@ -788,6 +788,38 @@ class TestScore:
         restored: list[str] = []
         load_tensors(cache, restored)
         assert restored == records
+
+    def test_cache_of_one_crop_per_trunk_call_is_recomputed_for_shorter_crops(
+        self, trial_setup, q_weights_file, monkeypatch
+    ):
+        # 0.5 s crops share a trunk call, which may change the last bits of
+        # their rows: a cache under the record that names no crops per call,
+        # as every cache of one crop per call has it, is embedded again in full.
+        root, trials = trial_setup
+        cache = root / "cache.svw1"
+        assert main(self.score_args(root, trials, q_weights_file, root / "s0.txt", cache)) == 0
+        records: list[str] = []
+        entries = load_tensors(cache, records)
+        digest, build = cli._sha256(q_weights_file), scoring.openblas_build()
+        one_per_call = f"#svkit-cache weights-sha256={digest} crop-seconds=0.5 n-crops=2 openblas={build}"
+        batched = f" crops-per-call={scoring.crops_per_call(0.5)} openblas="
+        assert records[0] == one_per_call.replace(" openblas=", batched)
+        save_tensors(cache, {key: np.ones_like(rows) for key, rows in entries.items()}, (one_per_call, *records[1:]))
+        opened, open_wav = [], cli.open_wav
+        monkeypatch.setattr(cli, "open_wav", lambda path: opened.append(path) or open_wav(path))
+        assert main(self.score_args(root, trials, q_weights_file, root / "s1.txt", cache)) == 0
+        assert sorted(opened) == sorted((root / name).resolve().as_posix() for name in ("a.wav", "b.wav", "c.wav"))
+        assert (root / "s1.txt").read_bytes() == (root / "s0.txt").read_bytes()
+        restored: list[str] = []
+        assert all(rows.tobytes() == entries[key].tobytes() for key, rows in load_tensors(cache, restored).items())
+        assert restored == records
+
+    def test_record_of_crops_run_one_per_trunk_call_names_no_crops_per_call(self, q_weights_file):
+        digest, build = cli._sha256(q_weights_file), scoring.openblas_build()
+        for seconds in (1.0, 4.0):
+            assert scoring.crops_per_call(seconds) == 1
+            want = f"#svkit-cache weights-sha256={digest} crop-seconds={seconds!r} n-crops=10 openblas={build}"
+            assert cli._cache_record(str(q_weights_file), seconds, 10) == want
 
     def test_cache_without_metadata_record_is_recomputed(self, trial_setup, q_weights_file):
         root, trials = trial_setup
@@ -1076,9 +1108,11 @@ class TestEvaluate:
     @pytest.mark.parametrize("flags", [["--c-miss", "5e-324"], ["--p-target", "0.9999999999999999", "--c-fa", "5e-324"]])
     def test_normalizer_that_underflows_is_a_usage_error_before_any_read(self, toy_eval_files, tmp_path, flags, capsys):
         missing = str(tmp_path / "missing.txt")
+        # --c-fa 5e-324 alone keeps a normalizer of 5e-324; with that --p-target it underflows
+        named = {"--c-miss": "argument --c-miss", "--p-target": "arguments --c-fa, --p-target"}[flags[0]]
         for scores, trials in [(missing, missing), toy_eval_files]:
             assert main(["evaluate", "--scores", str(scores), "--trials", str(trials), *flags]) == 1
-            assert capsys.readouterr().err.startswith("usage error: MinDCF normalizer ")
+            assert capsys.readouterr().err.startswith(f"usage error: {named}: MinDCF normalizer ")
         scores, trials = toy_eval_files  # the raw cost divides by nothing
         assert main(["evaluate", "--scores", str(scores), "--trials", str(trials), *flags, "--no-normalize"]) == 0
 

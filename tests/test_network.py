@@ -57,7 +57,7 @@ class TestConv2d:
         xp = np.pad(x, ((pad[0], pad[0]), (pad[1], pad[1]), (0, 0)))
         k = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
         bias = rng.standard_normal(4).astype(np.float32)
-        got = per_conv_trunk.conv2d(xp, k, stride, bias, network.TILE_BYTES)
+        [got] = per_conv_trunk.conv2d(xp[None], k, stride, bias, network.TILE_BYTES)
         want = brute_force_conv2d(xp.astype(np.float64), k.astype(np.float64), stride, bias)
         assert got.shape == want.shape
         assert_allclose(got, want, rtol=1e-5, atol=1e-5)
@@ -66,8 +66,8 @@ class TestConv2d:
         x = np.zeros((203, 66, 1), dtype=np.float32)
         k = np.zeros((3, 3, 1, 16), dtype=np.float32)
         bias = np.zeros(16, dtype=np.float32)
-        assert per_conv_trunk.conv2d(x, k, (2, 2), bias, network.TILE_BYTES).shape == (101, 32, 16)
-        assert per_conv_trunk.conv2d(x, k, (1, 1), bias, network.TILE_BYTES).shape == (201, 64, 16)
+        assert per_conv_trunk.conv2d(x[None], k, (2, 2), bias, network.TILE_BYTES).shape == (1, 101, 32, 16)
+        assert per_conv_trunk.conv2d(x[None], k, (1, 1), bias, network.TILE_BYTES).shape == (1, 201, 64, 16)
 
     def test_fused_epilogue_over_several_tiles(self):
         rng = np.random.default_rng(12)
@@ -79,7 +79,9 @@ class TestConv2d:
         bias = rng.standard_normal(4).astype(np.float32)
         residual = rng.standard_normal((70, 20, 4)).astype(np.float32)
         buf = np.full((72, 22, 4), np.nan, dtype=np.float32)
-        got = per_conv_trunk.conv2d(x, k, (1, 1), bias, tile_bytes, residual=residual, relu=True, out=buf[1:-1, 1:-1])
+        [got] = per_conv_trunk.conv2d(
+            x[None], k, (1, 1), bias, tile_bytes, residual=residual[None], relu=True, out=buf[None, 1:-1, 1:-1]
+        )
         want = brute_force_conv2d(x.astype(np.float64), k.astype(np.float64), (1, 1), bias)
         assert np.shares_memory(got, buf)
         assert_allclose(got, np.maximum(want + residual, 0.0), rtol=1e-5, atol=1e-5)
@@ -224,15 +226,15 @@ class TestResidualBlock:
     def test_identity_shortcut_when_no_projection(self, q_weights):
         feats = np.random.default_rng(5).standard_normal((21, 64)).astype(np.float32)
         folded = FoldedWeights(q_weights)
-        x = run_trunk(feats, folded, "conv1")
-        out = run_trunk(feats, folded, "layer1")
+        [x] = run_trunk(feats[None], folded, "conv1")
+        [out] = run_trunk(feats[None], folded, "layer1")
         assert out.shape == x.shape == (11 + 2, 32 + 2, 16)
         assert np.all(out >= 0)  # final ReLU
         assert_array_equal(out, bordered(out[1:-1, 1:-1]))  # zero border
 
     def test_projection_shortcut_changes_shape(self, q_weights):
         feats = np.random.default_rng(6).standard_normal((23, 64)).astype(np.float32)
-        out = run_trunk(feats, FoldedWeights(q_weights), "layer2")
+        [out] = run_trunk(feats[None], FoldedWeights(q_weights), "layer2")
         assert out.shape == (6 + 2, 16 + 2, 32)
         assert np.all(out >= 0)
         assert_array_equal(out, bordered(out[1:-1, 1:-1]))
@@ -253,10 +255,42 @@ def per_conv_forward(monkeypatch, feats, folded, tile_bytes):
         return forward(feats, folded)
 
 
+def assert_live_buffers_disjoint(plan, floats):
+    """Every view of the plan lies in its arena of `floats` float32 values,
+    and the buffers live at one step never overlap."""
+    step_views = [(*step.borders, step.windows, step.out, step.cols, step.acc) for step in plan.steps]
+    outputs = [plan.features, *(stage.output for stage in plan.stages.values())]
+    extent, steps_of = {}, {}  # per buffer: the bytes its views span, the steps that view it
+    for i, views in [(None, outputs), *enumerate(step_views)]:
+        for view in views:
+            start, end = placed_bytes(plan, view)
+            assert 0 <= start and end <= floats * 4, view
+            lo, hi = extent.get(view.buf, (start, end))
+            extent[view.buf] = (min(lo, start), max(hi, end))
+            if i is not None:
+                steps_of.setdefault(view.buf, []).append(i)
+    assert set(steps_of) == set(extent) == set(range(len(plan.offsets)))
+    for i in range(len(plan.steps)):
+        live = sorted(extent[buf] for buf, steps in steps_of.items() if steps[0] <= i <= steps[-1])
+        assert all(end <= start for (_, end), (start, _) in zip(live, live[1:])), i
+
+
+def traced_peak(feats, folded) -> int:
+    """Bytes at the traced peak of one forward call on feats, its plan built first."""
+    forward(feats, folded)
+    tracemalloc.start()
+    try:
+        forward(feats, folded)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 class TestPlannedTrunk:
-    """forward runs a plan built once per input length; it must give the
+    """forward runs a plan built once per batch shape; it must give the
     bits of the per-conv trunk (tests/per_conv_trunk.py), which makes the
-    same numpy calls on the same tile rows."""
+    same numpy calls on the same tiles."""
 
     @pytest.mark.parametrize("frames", [401, 11, 203])
     @pytest.mark.parametrize("variant", ["q-sap", "h-asp"])
@@ -264,10 +298,25 @@ class TestPlannedTrunk:
         folded = FoldedWeights(random_batchnorm(init_weights(VARIANTS[variant], seed=20), seed=21))
         feats = np.random.default_rng(frames).standard_normal((frames, 64)).astype(np.float32)
         for stage in ("conv1", "layer1", "layer2", "layer3", "layer4"):
+            want = per_conv_trunk.trunk(feats[None], folded, stage, tile_bytes=network.TILE_BYTES)
+            assert run_trunk(feats[None], folded, stage).tobytes() == want.tobytes(), stage
+        want = per_conv_forward(monkeypatch, feats, folded, network.TILE_BYTES)
+        assert forward(feats, folded).tobytes() == want.tobytes()
+
+    # Ten 0.1 s crops share tiles in every layer on q-sap; seven 0.5 s crops
+    # share some; three of 203 frames take rows of one crop per tile on h-asp.
+    @pytest.mark.parametrize("crops,frames", [(10, 11), (7, 51), (3, 203)])
+    @pytest.mark.parametrize("variant", ["q-sap", "h-asp"])
+    def test_a_batch_matches_the_per_conv_trunk_bit_for_bit(self, variant, crops, frames, monkeypatch):
+        folded = FoldedWeights(random_batchnorm(init_weights(VARIANTS[variant], seed=20), seed=21))
+        feats = np.random.default_rng(frames).standard_normal((crops, frames, 64)).astype(np.float32)
+        for stage in ("conv1", "layer1", "layer2", "layer3", "layer4"):
             want = per_conv_trunk.trunk(feats, folded, stage, tile_bytes=network.TILE_BYTES)
             assert run_trunk(feats, folded, stage).tobytes() == want.tobytes(), stage
         want = per_conv_forward(monkeypatch, feats, folded, network.TILE_BYTES)
-        assert forward(feats, folded).tobytes() == want.tobytes()
+        got = forward(feats, folded)
+        assert got.shape == (crops, 512)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("variant", ["q-sap", "h-asp"])
     def test_alternating_frame_counts(self, variant, monkeypatch):
@@ -279,9 +328,10 @@ class TestPlannedTrunk:
             assert forward(feats[n], folded).tobytes() == want[n].tobytes(), n
 
     def test_plan_is_built_once_per_length(self, q_config):
-        assert trunk_plan(q_config, 401) is trunk_plan(q_config, 401)
-        assert trunk_plan(q_config, 401) is not trunk_plan(q_config, 203)
-        plan = trunk_plan(q_config, 401)
+        assert trunk_plan(q_config, 1, 401) is trunk_plan(q_config, 1, 401)
+        assert trunk_plan(q_config, 1, 401) is not trunk_plan(q_config, 1, 203)
+        assert trunk_plan(q_config, 10, 11) is not trunk_plan(q_config, 1, 11)
+        plan = trunk_plan(q_config, 1, 401)
         assert sorted(step.conv for step in plan.steps) == sorted(q_config.convs())  # each conv once
         assert plan.stages["layer4"].steps == len(plan.steps)
 
@@ -290,23 +340,23 @@ class TestPlannedTrunk:
         [("q-sap", 11, 39_424), ("q-sap", 401, 515_808), ("h-asp", 11, 280_192), ("h-asp", 401, 2_352_064)],
     )
     def test_live_buffers_never_overlap_in_the_arena(self, variant, frames, floats):
-        plan = trunk_plan(VARIANTS[variant], frames)
+        plan = trunk_plan(VARIANTS[variant], 1, frames)
         assert plan.floats == floats
-        step_views = [(*step.borders, step.windows, step.out, step.cols, step.acc) for step in plan.steps]
-        outputs = [plan.features, *(stage.output for stage in plan.stages.values())]
-        extent, steps_of = {}, {}  # per buffer: the bytes its views span, the steps that view it
-        for i, views in [(None, outputs), *enumerate(step_views)]:
-            for view in views:
-                start, end = placed_bytes(plan, view)
-                assert 0 <= start and end <= floats * 4, view
-                lo, hi = extent.get(view.buf, (start, end))
-                extent[view.buf] = (min(lo, start), max(hi, end))
-                if i is not None:
-                    steps_of.setdefault(view.buf, []).append(i)
-        assert set(steps_of) == set(extent) == set(range(len(plan.offsets)))
-        for i in range(len(plan.steps)):
-            live = sorted(extent[buf] for buf, steps in steps_of.items() if steps[0] <= i <= steps[-1])
-            assert all(end <= start for (_, end), (start, _) in zip(live, live[1:])), i
+        assert_live_buffers_disjoint(plan, floats)
+
+    @pytest.mark.parametrize(
+        "variant, crops, frames, floats",
+        [
+            ("q-sap", 10, 11, 363_520),
+            ("q-sap", 7, 51, 493_824),
+            ("h-asp", 10, 11, 807_040),
+            ("h-asp", 7, 51, 2_195_648),
+        ],
+    )
+    def test_live_buffers_of_a_batch_never_overlap_in_the_arena(self, variant, crops, frames, floats):
+        plan = trunk_plan(VARIANTS[variant], crops, frames)
+        assert plan.floats == floats
+        assert_live_buffers_disjoint(plan, floats)
 
     def test_concurrent_forwards_match_serial(self, q_weights):
         # 4 threads, more than a 2-CPU host has cores, switching the
@@ -350,14 +400,18 @@ class TestPlannedTrunk:
     def test_traced_peak_of_a_4s_forward(self, variant, peak_mb):
         folded = FoldedWeights(init_weights(VARIANTS[variant], seed=0))
         feats = np.random.default_rng(26).standard_normal((401, 64)).astype(np.float32)
-        forward(feats, folded)  # builds the plan
-        tracemalloc.start()
-        try:
-            forward(feats, folded)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(feats, folded)
         assert peak <= 1.05 * peak_mb * 1e6, peak
+
+    # The most 0.1 s crops one call takes is 36, and an utterance has ten by
+    # default: a call of ten must hold no more than one 4 s crop's.
+    @pytest.mark.parametrize("variant", ["h-asp", "q-sap"])
+    def test_traced_peak_of_ten_short_crops_is_below_a_4s_forward(self, variant):
+        folded = FoldedWeights(init_weights(VARIANTS[variant], seed=0))
+        rng = np.random.default_rng(27)
+        short = traced_peak(rng.standard_normal((10, 11, 64)).astype(np.float32), folded)
+        long_ = traced_peak(rng.standard_normal((401, 64)).astype(np.float32), folded)
+        assert short <= long_, (short, long_)
 
 
 class TestForward:
@@ -399,7 +453,7 @@ class TestForward:
             forward(np.zeros((201, 64)), q_weights)
         embed = network_embedder(q_weights)
         with pytest.raises(TypeError, match="FoldedWeights"):
-            embed(make_wave(seed=12, seconds=0.5))
+            embed([make_wave(seed=12, seconds=0.5)])
 
     def test_raw_weights_or_a_config_are_type_errors(self, q_weights, q_config):
         feats = np.random.default_rng(14).standard_normal((201, 64))

@@ -8,14 +8,16 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_wave
-from oracles import all_pairs_mean_cosine
+from conftest import make_wave, per_crop
+from oracles import all_pairs_mean_cosine, relative_l2
 from svkit import scoring
-from svkit.audio import Waveform
-from svkit.network import FoldedWeights
+from svkit.audio import Waveform, sample_count
+from svkit.features import extract_features
+from svkit.network import FoldedWeights, forward
 from svkit.scoring import (
     N_CROPS,
     crop_embeddings,
+    crops_per_call,
     embed_utterances,
     network_embedder,
     plan_crops,
@@ -179,7 +181,7 @@ def first_sample_embedder(waveform: Waveform) -> np.ndarray:
 class TestCropEmbeddings:
     def test_rows_follow_planned_offsets(self):
         wave = make_wave(seed=0, seconds=6.0)
-        rows = crop_embeddings(wave, first_sample_embedder)
+        rows = crop_embeddings(wave, per_crop(first_sample_embedder))
         offsets = plan_crops(len(wave), 4 * SR, N_CROPS)
         np.testing.assert_array_equal(rows[:, 0], wave.samples[offsets])
         assert rows.shape == (10, 2)
@@ -187,25 +189,25 @@ class TestCropEmbeddings:
     def test_short_utterance_is_tiled_to_crop_length(self):
         length_probe = lambda w: np.array([float(len(w)), 1.0])
         wave = make_wave(seed=1, seconds=1.0)
-        rows = crop_embeddings(wave, length_probe)
+        rows = crop_embeddings(wave, per_crop(length_probe))
         assert np.all(rows[:, 0] == 4 * SR)
 
     def test_short_utterance_crops_repeat_source(self):
         wave = make_wave(seed=2, seconds=1.0)
-        rows = crop_embeddings(wave, first_sample_embedder)
+        rows = crop_embeddings(wave, per_crop(first_sample_embedder))
         # Tiled signal starts with the original, and all offsets are 0.
         np.testing.assert_array_equal(rows[:, 0], np.full(10, wave.samples[0]))
 
     def test_custom_crop_count_and_length(self):
         wave = make_wave(seed=3, seconds=2.0)
-        rows = crop_embeddings(wave, first_sample_embedder, crop_seconds=0.5, n_crops=4)
+        rows = crop_embeddings(wave, per_crop(first_sample_embedder), crop_seconds=0.5, n_crops=4)
         assert rows.shape == (4, 2)
 
     def test_short_utterance_embeds_its_one_crop_once(self):
         calls = []
         counting = lambda w: calls.append(len(w)) or np.array([w.samples.sum(), 1.0])
         wave = make_wave(seed=13, seconds=3.0)
-        rows = crop_embeddings(wave, counting)
+        rows = crop_embeddings(wave, per_crop(counting))
         assert calls == [4 * SR]
         assert rows.shape == (10, 2)
         np.testing.assert_array_equal(rows, np.tile(rows[0], (10, 1)))
@@ -216,7 +218,7 @@ class TestCropEmbeddings:
         wave = make_wave(seed=14, seconds=4.0 + 8 / SR)  # slack 8: offsets 0..8 with 4 twice
         offsets = plan_crops(len(wave), 4 * SR, N_CROPS)
         assert len(set(offsets.tolist())) == 9
-        rows = crop_embeddings(wave, counting)
+        rows = crop_embeddings(wave, per_crop(counting))
         assert len(calls) == 9
         np.testing.assert_array_equal(rows[:, 0], wave.samples[offsets])
 
@@ -224,7 +226,7 @@ class TestCropEmbeddings:
         wave = make_wave(seed=4, seconds=1.0)
         bad = lambda w: np.array([np.nan, 1.0])
         with pytest.raises(ValueError, match="non-finite"):
-            crop_embeddings(wave, bad)
+            crop_embeddings(wave, per_crop(bad))
 
 
 def segment_sum_embedder(waveform: Waveform) -> np.ndarray:
@@ -236,19 +238,19 @@ class TestScorePair:
         stub = lambda w: np.array([0.3, -0.2, 0.9])
         a = make_wave(seed=5, seconds=1.0)
         b = make_wave(seed=6, seconds=2.0)
-        assert score_pair(a, b, stub) == pytest.approx(1.0, abs=1e-12)
+        assert score_pair(a, b, per_crop(stub)) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetry_is_bit_exact(self):
         a = make_wave(seed=7, seconds=5.0)
         b = make_wave(seed=8, seconds=6.5)
-        assert score_pair(a, b, segment_sum_embedder) == score_pair(
-            b, a, segment_sum_embedder
+        assert score_pair(a, b, per_crop(segment_sum_embedder)) == score_pair(
+            b, a, per_crop(segment_sum_embedder)
         )
 
     def test_self_score_is_deterministic(self):
         a = make_wave(seed=9, seconds=4.5)
-        first = score_pair(a, a, segment_sum_embedder)
-        second = score_pair(a, a, segment_sum_embedder)
+        first = score_pair(a, a, per_crop(segment_sum_embedder))
+        second = score_pair(a, a, per_crop(segment_sum_embedder))
         assert first == second
         assert -1.0 <= first <= 1.0
 
@@ -263,15 +265,15 @@ class TestScorePair:
             return segment_sum_embedder(waveform)
 
         a, b = make_wave(seed=10, seconds=0.5), make_wave(seed=11, seconds=0.6)
-        apart = [crop_embeddings(w, segment_sum_embedder, crop_seconds=1.0) for w in (a, b)]
-        assert score_pair(a, b, embed, crop_seconds=1.0) == score_from_embeddings(*apart)
+        apart = [crop_embeddings(w, per_crop(segment_sum_embedder), crop_seconds=1.0) for w in (a, b)]
+        assert score_pair(a, b, per_crop(embed), crop_seconds=1.0) == score_from_embeddings(*apart)
 
 
 class TestNetworkEmbedder:
     def test_produces_finite_embedding(self, q_weights):
         embed = network_embedder(FoldedWeights(q_weights))
-        out = embed(make_wave(seed=10, seconds=0.5))
-        assert out.shape == (512,)
+        out = embed([make_wave(seed=10, seconds=0.5)])
+        assert out.shape == (1, 512)
         assert np.all(np.isfinite(out))
 
     def test_end_to_end_pair_score_is_symmetric(self, q_weights):
@@ -329,29 +331,29 @@ class TestParallelCrops:
     def test_rows_follow_planned_offsets_on_two_threads(self, monkeypatch):
         threads = set()
         recording = lambda w: threads.add(threading.get_ident()) or failing_at()(w)
-        rows = embed_on(monkeypatch, 2, self.WAVE, recording, crop_seconds=1.0)
+        rows = embed_on(monkeypatch, 2, self.WAVE, per_crop(recording), crop_seconds=1.0)
         np.testing.assert_array_equal(rows[:, 0], self.WAVE.samples[self.OFFSETS])
         assert len(threads) == 2
 
     def test_short_crops_stay_on_the_calling_thread(self, monkeypatch):
         threads = set()
         recording = lambda w: threads.add(threading.get_ident()) or failing_at()(w)
-        embed_on(monkeypatch, 2, self.WAVE, recording, crop_seconds=0.5)
+        embed_on(monkeypatch, 2, self.WAVE, per_crop(recording), crop_seconds=0.5)
         assert threads == {threading.get_ident()}
 
     def test_single_crop_rows_match_one_by_one(self, monkeypatch):
-        serial = embed_on(monkeypatch, 1, self.WAVE, segment_sum_embedder, crop_seconds=1.0, n_crops=1)
-        threaded = embed_on(monkeypatch, 2, self.WAVE, segment_sum_embedder, crop_seconds=1.0, n_crops=1)
+        serial = embed_on(monkeypatch, 1, self.WAVE, per_crop(segment_sum_embedder), crop_seconds=1.0, n_crops=1)
+        threaded = embed_on(monkeypatch, 2, self.WAVE, per_crop(segment_sum_embedder), crop_seconds=1.0, n_crops=1)
         assert serial.shape == (1, 16)
         assert threaded.tobytes() == serial.tobytes()
 
     def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
-        want = embed_on(monkeypatch, 1, self.WAVE, segment_sum_embedder, crop_seconds=1.0)
+        want = embed_on(monkeypatch, 1, self.WAVE, per_crop(segment_sum_embedder), crop_seconds=1.0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
-                got = embed_on(monkeypatch, 4, self.WAVE, segment_sum_embedder, crop_seconds=1.0)
+                got = embed_on(monkeypatch, 4, self.WAVE, per_crop(segment_sum_embedder), crop_seconds=1.0)
                 assert got.tobytes() == want.tobytes()
         finally:
             sys.setswitchinterval(interval)
@@ -362,9 +364,9 @@ class TestParallelCrops:
         # Crop 6 fails first in time, crop 3 first in order.
         embed = failing_at({float(starts[3]): 0.05, float(starts[6]): 0.0})
         with pytest.raises(ValueError, match=re.escape(f"starting {float(starts[3])}")):
-            embed_on(monkeypatch, workers, self.WAVE, embed, crop_seconds=1.0)
+            embed_on(monkeypatch, workers, self.WAVE, per_crop(embed), crop_seconds=1.0)
         # The pool is idle again: the next utterance embeds normally.
-        rows = embed_on(monkeypatch, workers, self.WAVE, failing_at(), crop_seconds=1.0)
+        rows = embed_on(monkeypatch, workers, self.WAVE, per_crop(failing_at()), crop_seconds=1.0)
         np.testing.assert_array_equal(rows[:, 0], starts)
 
     def test_blas_runs_one_thread_per_call_while_crops_run(self, monkeypatch):
@@ -377,7 +379,7 @@ class TestParallelCrops:
         recording = lambda w: seen.add(get()) or failing_at()(w)
         set_(2)
         try:
-            embed_on(monkeypatch, 2, self.WAVE, recording, crop_seconds=1.0)
+            embed_on(monkeypatch, 2, self.WAVE, per_crop(recording), crop_seconds=1.0)
             assert seen == {1}
             assert get() == 2
         finally:
@@ -393,7 +395,7 @@ class TestParallelCrops:
         recording = lambda w: seen.add(get()) or threads.add(threading.get_ident()) or failing_at()(w)
         set_(2)
         try:
-            embed_on(monkeypatch, 2, self.WAVE, recording, crop_seconds=0.5)
+            embed_on(monkeypatch, 2, self.WAVE, per_crop(recording), crop_seconds=0.5)
             assert threads == {threading.get_ident()}
             assert seen == {1}
             assert get() == 2
@@ -415,12 +417,12 @@ class TestParallelCrops:
         recording = lambda w: seen.add(get()) or segment_sum_embedder(w)
         set_(2)
         try:
-            want = list(embed_utterances(waves, segment_sum_embedder, crop_seconds=1.0, n_crops=N_CROPS))
+            want = list(embed_utterances(waves, per_crop(segment_sum_embedder), crop_seconds=1.0, n_crops=N_CROPS))
             # A BLAS the queue cannot see: crops run one by one, as
             # crop_workers then rules, and keep the thread count BLAS has.
             monkeypatch.setattr(scoring, "_openblas", lambda: None)
             monkeypatch.setattr(scoring, "crop_workers", scoring.crop_workers.__wrapped__)
-            got = list(embed_utterances(waves, recording, crop_seconds=1.0, n_crops=N_CROPS))
+            got = list(embed_utterances(waves, per_crop(recording), crop_seconds=1.0, n_crops=N_CROPS))
             assert seen == {2}
             assert get() == 2
         finally:
@@ -443,7 +445,7 @@ class TestCropQueue:
             both.wait()
             return first_sample_embedder(waveform)
 
-        rows = list(embed_utterances(self.WAVES[:4], embed, crop_seconds=1.0, n_crops=N_CROPS))
+        rows = list(embed_utterances(self.WAVES[:4], per_crop(embed), crop_seconds=1.0, n_crops=N_CROPS))
         assert [r[0, 0] for r in rows] == [w.samples[0] for w in self.WAVES[:4]]
         assert all(r.shape == (10, 2) for r in rows)
 
@@ -459,7 +461,7 @@ class TestCropQueue:
 
         embed = lambda w: done.append(w) or first_sample_embedder(w)
         loaded_at_yield = []
-        for _ in embed_utterances(map(load, range(6)), embed, crop_seconds=1.0, n_crops=N_CROPS):
+        for _ in embed_utterances(map(load, range(6)), per_crop(embed), crop_seconds=1.0, n_crops=N_CROPS):
             loaded_at_yield.append(len(finished_at_load))
         assert len(loaded_at_yield) == len(done) == 6
         # Utterance i is read only once at most 2 * workers crops are in
@@ -479,12 +481,12 @@ class TestCropQueue:
             raise OSError("unreadable")
 
         with pytest.raises(ValueError, match="bad crop"):
-            list(embed_utterances(unreadable(first), embed, crop_seconds=1.0, n_crops=N_CROPS))
+            list(embed_utterances(unreadable(first), per_crop(embed), crop_seconds=1.0, n_crops=N_CROPS))
         with pytest.raises(OSError, match="unreadable"):
-            list(embed_utterances(unreadable(second), embed, crop_seconds=1.0, n_crops=N_CROPS))
+            list(embed_utterances(unreadable(second), per_crop(embed), crop_seconds=1.0, n_crops=N_CROPS))
         nan_first = lambda w: np.array([np.nan if w.samples[0] == first.samples[0] else 1.0])
         with pytest.raises(ValueError, match="non-finite"):
-            list(embed_utterances(unreadable(first), nan_first, crop_seconds=1.0, n_crops=N_CROPS))
+            list(embed_utterances(unreadable(first), per_crop(nan_first), crop_seconds=1.0, n_crops=N_CROPS))
 
     def test_a_queue_may_start_while_another_is_suspended(self, monkeypatch):
         monkeypatch.setattr(scoring, "crop_workers", lambda: 2)
@@ -492,9 +494,10 @@ class TestCropQueue:
         inner = []
 
         def nested():
-            outer = embed_utterances([first, second], first_sample_embedder, crop_seconds=1.0, n_crops=N_CROPS)
+            embed = per_crop(first_sample_embedder)
+            outer = embed_utterances([first, second], embed, crop_seconds=1.0, n_crops=N_CROPS)
             for _ in outer:
-                inner.append(crop_embeddings(third, first_sample_embedder, crop_seconds=1.0))
+                inner.append(crop_embeddings(third, embed, crop_seconds=1.0))
 
         thread = threading.Thread(target=nested, daemon=True)
         thread.start()
@@ -524,7 +527,7 @@ class TestCropQueue:
             returned.append(waveform)
             return row
 
-        rows = embed_utterances(self.WAVES, embed, crop_seconds=1.0, n_crops=N_CROPS)
+        rows = embed_utterances(self.WAVES, per_crop(embed), crop_seconds=1.0, n_crops=N_CROPS)
         assert next(rows)[0, 0] == self.WAVES[0].samples[0]
         assert started.wait(timeout=10)  # a crop is running when the queue closes
         release = threading.Timer(0.2, released.set)
@@ -552,5 +555,51 @@ class TestCropQueue:
         assert len(calls) == settled < 4
         assert settled == closed
         # The pool is idle again: the next queue embeds every utterance.
-        rows = list(embed_utterances(self.WAVES, embed, crop_seconds=1.0, n_crops=N_CROPS))
+        rows = list(embed_utterances(self.WAVES, per_crop(embed), crop_seconds=1.0, n_crops=N_CROPS))
         assert [r[0, 0] for r in rows] == [w.samples[0] for w in self.WAVES]
+
+
+class TestCropBatches:
+    """Crops shorter than MIN_PARALLEL_CROP_SECONDS run one utterance's
+    distinct crops per trunk call, at most crops_per_call of them."""
+
+    # At 0.5 s crops the first is tiled to one crop and the others have ten
+    # distinct crops; at 0.1 s every one has ten.
+    WAVES = [make_wave(seed=60 + i, seconds=0.3 + 0.4 * i) for i in range(3)]
+
+    def test_calls_hold_one_utterance_and_a_size_set_by_the_crop_length(self):
+        assert [crops_per_call(s) for s in (0.1, 0.25, 0.5, 0.99, 1.0, 4.0)] == [36, 15, 7, 4, 1, 1]
+        embed_each = per_crop(first_sample_embedder)
+        for seconds, sizes in ((0.1, [10, 10, 10]), (0.5, [1, 7, 3, 7, 3]), (1.0, [1] * 12)):
+            calls = []
+            embed = lambda crops: calls.append([float(c.samples[0]) for c in crops]) or embed_each(crops)
+            rows = list(embed_utterances(self.WAVES, embed, seconds, N_CROPS))
+            assert [len(call) for call in calls] == sizes, seconds
+            firsts = [list(dict.fromkeys(r[:, 0].tolist())) for r in rows]
+            assert [first for call in calls for first in call] == [first for f in firsts for first in f]
+
+    @pytest.mark.parametrize("crop_seconds", [0.1, 0.5])
+    @pytest.mark.parametrize("variant", ["q-sap", "h-asp"])
+    def test_rows_do_not_depend_on_other_utterances_or_workers(self, variant, crop_seconds, monkeypatch, request):
+        embed = network_embedder(FoldedWeights(request.getfixturevalue(f"{variant[0]}_weights")))
+        alone = [embed_on(monkeypatch, 1, wave, embed, crop_seconds=crop_seconds).tobytes() for wave in self.WAVES]
+        for workers in (1, 2):
+            monkeypatch.setattr(scoring, "crop_workers", lambda: workers)
+            together = list(embed_utterances(self.WAVES, embed, crop_seconds, N_CROPS))
+            backwards = list(embed_utterances(self.WAVES[::-1], embed, crop_seconds, N_CROPS))[::-1]
+            assert [rows.tobytes() for rows in together] == alone, workers
+            assert [rows.tobytes() for rows in backwards] == alone, workers
+
+    # README's bound across OpenBLAS kernels, on an utterance's rows together.
+    # Measured on these utterances (SkylakeX kernel, numpy 2.4): at most
+    # 3.9e-7 on q-sap at 0.1 s; q-sap at 0.5 s and h-asp matched bit for bit.
+    @pytest.mark.parametrize("crop_seconds", [0.1, 0.5])
+    @pytest.mark.parametrize("variant", ["q-sap", "h-asp"])
+    def test_rows_are_within_1e_5_of_a_forward_per_crop(self, variant, crop_seconds, request):
+        folded = FoldedWeights(request.getfixturevalue(f"{variant[0]}_weights"))
+        crop_samples = sample_count(crop_seconds)
+        for wave in self.WAVES:
+            rows = crop_embeddings(wave, network_embedder(folded), crop_seconds)
+            offsets = plan_crops(len(wave), crop_samples, N_CROPS)
+            one_by_one = [forward(extract_features(crop).values, folded) for crop in wave.windows(offsets, crop_samples)]
+            assert relative_l2(rows, one_by_one) <= 1e-5
