@@ -21,6 +21,7 @@ Weight file ("SVW1"):
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -105,7 +106,7 @@ def load_tensors(path: str | Path, records: list[str] | None = None) -> dict[str
                 name = f.read(name_len).decode("utf-8")
                 (rank,) = struct.unpack("<B", f.read(1))
                 dims = struct.unpack(f"<{rank}I", f.read(4 * rank))
-                n = int(np.prod(dims, dtype=np.int64))
+                n = math.prod(dims)  # a Python int: a numpy product of the dims can wrap
                 if f.tell() + 4 * n > size:
                     raise FormatError(f"{path}: truncated data for tensor {name!r}")
                 if name.startswith(RECORD_PREFIX):

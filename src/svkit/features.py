@@ -15,22 +15,29 @@ Conventions (fixed, since several are underdetermined by common usage):
   * instance normalization divides by sqrt(var + NORM_EPS), NORM_EPS = 1e-5.
 
 Frame count is L = 1 + floor(T / hop) for a T-sample input.
+
+Each step takes a leading crop axis: batch_features runs the front end
+once over B crops of one length, and extract_features is its one-crop
+case. Every row has the bits of its crop alone: the FFT and elementwise
+steps work frame by frame, and the mel projection is one GEMM per crop.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import SAMPLE_RATE, Waveform, sample_count
 
-# Frames per windowed-FFT block. Each frame's transform is independent, so
-# blocks give the same bits as one call, while the windowed frames and their
-# complex spectrum are held for one block at a time instead of the whole
-# input (3.3 MB for a 4 s crop).
+# Frames of each crop per windowed-FFT block. Each frame's transform is
+# independent, so blocks give the same bits as one call, while the windowed
+# frames and their complex spectrum are held for one block at a time instead
+# of the whole input (3.3 MB for a 4 s crop). A batch's block holds these
+# frames of every crop: ten 0.1 s crops make one block of 110 frames.
 STFT_BLOCK_FRAMES = 64
 MEL_F_MAX = SAMPLE_RATE / 2
 LOG_FLOOR = 1e-6
@@ -83,15 +90,19 @@ class FeatureMap:
         object.__setattr__(self, "values", values)
 
 
+def _preemphasis(x: np.ndarray, coeff: float) -> np.ndarray:
+    """y[t] = x[t] - coeff * x[t-1] along the last axis, replicate-padded."""
+    y = np.empty_like(x)
+    y[..., 0] = (1.0 - coeff) * x[..., 0]
+    y[..., 1:] = x[..., 1:] - coeff * x[..., :-1]
+    return y
+
+
 def preemphasize(w: Waveform, coeff: float) -> Waveform:
     """First-order high-pass: y[t] = x[t] - coeff * x[t-1], replicate-padded."""
     if not 0.0 <= coeff < 1.0:
         raise ValueError("pre-emphasis coefficient must be in [0, 1)")
-    x = w.samples
-    y = np.empty_like(x)
-    y[0] = (1.0 - coeff) * x[0]
-    y[1:] = x[1:] - coeff * x[:-1]
-    return Waveform(y)
+    return Waveform(_preemphasis(w.samples, coeff))
 
 
 def mel_filterbank(n_mels: int, fft_size: int) -> np.ndarray:
@@ -126,25 +137,40 @@ def _constants(p: FeatureParams) -> tuple[np.ndarray, np.ndarray]:
     return window, fb
 
 
+def _log_mel(x: np.ndarray, p: FeatureParams) -> np.ndarray:
+    """(..., L, n_mels) log-mel energies of (..., T) samples, L = 1 + floor(T / hop)."""
+    if x.shape[-1] < p.hop_length:
+        raise ValueError(f"waveform too short: {x.shape[-1]} samples < one hop ({p.hop_length})")
+
+    window, fb = _constants(p)
+    padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(p.fft_size // 2, p.fft_size // 2)], mode="reflect")
+    frames = sliding_window_view(padded, p.fft_size, axis=-1)[..., :: p.hop_length, :]
+    spectrum = np.empty((*frames.shape[:-1], p.fft_size // 2 + 1))
+    for i in range(0, frames.shape[-2], STFT_BLOCK_FRAMES):
+        block = frames[..., i : i + STFT_BLOCK_FRAMES, :] * window
+        spectrum[..., i : i + STFT_BLOCK_FRAMES, :] = np.abs(np.fft.rfft(block, n=p.fft_size, axis=-1)) ** 2
+
+    # A stacked matmul: one GEMM per crop, each summing in the order of a
+    # lone crop's, where one (crops * L, bins) GEMM would not.
+    energies = spectrum @ fb.T
+    return np.log(energies + LOG_FLOOR)
+
+
+def _normalized(values: np.ndarray) -> np.ndarray:
+    """(values - mean) / sqrt(var + NORM_EPS) over the frame axis (-2)."""
+    if values.shape[-2] < 2:
+        raise ValueError("instance normalization needs at least 2 frames")
+    mean = values.mean(axis=-2, keepdims=True)
+    var = values.var(axis=-2, keepdims=True)
+    return (values - mean) / np.sqrt(var + NORM_EPS)
+
+
 def log_mel_spectrogram(w: Waveform, p: FeatureParams) -> FeatureMap:
     """Compute the L x n_mels log-mel energy matrix of a waveform.
 
     L = 1 + floor(T / hop). Requires at least one hop of input.
     """
-    x = w.samples
-    if x.size < p.hop_length:
-        raise ValueError(f"waveform too short: {x.size} samples < one hop ({p.hop_length})")
-
-    window, fb = _constants(p)
-    padded = np.pad(x, p.fft_size // 2, mode="reflect")
-    frames = sliding_window_view(padded, p.fft_size)[:: p.hop_length]
-    spectrum = np.empty((len(frames), p.fft_size // 2 + 1))
-    for i in range(0, len(frames), STFT_BLOCK_FRAMES):
-        block = frames[i : i + STFT_BLOCK_FRAMES] * window
-        spectrum[i : i + STFT_BLOCK_FRAMES] = np.abs(np.fft.rfft(block, n=p.fft_size, axis=1)) ** 2
-
-    energies = spectrum @ fb.T
-    return FeatureMap(np.log(energies + LOG_FLOOR))
+    return FeatureMap(_log_mel(w.samples, p))
 
 
 def instance_normalize(f: FeatureMap) -> FeatureMap:
@@ -153,14 +179,28 @@ def instance_normalize(f: FeatureMap) -> FeatureMap:
     No learned affine. Requires at least two frames (variance over time is
     undefined otherwise). A constant bin maps to zeros via the NORM_EPS floor.
     """
-    if len(f.values) < 2:
-        raise ValueError("instance normalization needs at least 2 frames")
-    mean = f.values.mean(axis=0)
-    var = f.values.var(axis=0)
-    return FeatureMap((f.values - mean) / np.sqrt(var + NORM_EPS))
+    return FeatureMap(_normalized(f.values))
+
+
+def batch_features(crops: Sequence[Waveform], p: FeatureParams = FeatureParams()) -> np.ndarray:
+    """The full front end of B crops of one length as one (B, L, n_mels)
+    array: each step runs once over the batch, and each row has the bits of
+    extract_features of its crop alone. A fault raises as extract_features
+    would raise it for the first crop at fault: its pre-emphasized samples,
+    then (for every crop alike) its length, then its feature map."""
+    samples = crops[0].samples[None] if len(crops) == 1 else np.stack([crop.samples for crop in crops])
+    emphasized = _preemphasis(samples, p.preemphasis)
+    Waveform(emphasized[0])  # the first crop's samples are checked before the length
+    values = _normalized(_log_mel(emphasized, p))
+    finite = np.isfinite(emphasized).all(axis=-1) & np.isfinite(values).all(axis=(-2, -1))
+    if not finite.all():
+        first = int(np.argmin(finite))
+        Waveform(emphasized[first])
+        FeatureMap(values[first])
+    return values
 
 
 def extract_features(w: Waveform, p: FeatureParams = FeatureParams()) -> FeatureMap:
-    """Full front end: pre-emphasis, log-mel spectrogram, instance norm."""
-    emphasized = preemphasize(w, p.preemphasis)
-    return instance_normalize(log_mel_spectrogram(emphasized, p))
+    """Full front end: pre-emphasis, log-mel spectrogram, instance norm;
+    batch_features of one crop."""
+    return FeatureMap(batch_features([w], p)[0])

@@ -273,9 +273,10 @@ class FoldedWeights:
 def frame_attention(
     frames: np.ndarray, w: np.ndarray, b: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
-    """Attention weights over frames: softmax_t of u . tanh(W h_t + b)."""
-    if frames.ndim != 2 or frames.shape[0] < 1:
-        raise ValueError(f"frames must be a non-empty (L, D) matrix, got shape {frames.shape}")
+    """Attention weights over the frames of (..., L, D) matrices:
+    softmax_t of u . tanh(W h_t + b), as (..., L)."""
+    if frames.ndim < 2 or frames.shape[-2] < 1:
+        raise ValueError(f"frames must be non-empty (..., L, D) matrices, got shape {frames.shape}")
     hidden = np.tanh(frames @ w + b)
     logits = hidden @ u
     if not np.all(np.isfinite(logits)):
@@ -283,14 +284,23 @@ def frame_attention(
     return softmax(logits)
 
 
+def _vecmat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """v @ m for each vector of v's leading axes (and matrix of m's), as a
+    stacked (1, K) @ (K, N) matmul: one vector-matrix product each, with the
+    bits of a lone vector's, where one (vectors, K) @ (K, N) GEMM would sum
+    in another order."""
+    return (v[..., None, :] @ m)[..., 0, :]
+
+
 def sap_pool(frames: np.ndarray, w: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Self-attentive pooling: attention-weighted mean of frame features."""
-    alpha = frame_attention(frames, w, b, u)
-    return alpha @ frames
+    """Self-attentive pooling: attention-weighted mean of frame features,
+    of each (L, D) matrix of the leading axes."""
+    return _vecmat(frame_attention(frames, w, b, u), frames)
 
 
 def asp_pool(frames: np.ndarray, w: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Attentive statistics pooling: weighted mean concat weighted std.
+    """Attentive statistics pooling: weighted mean concat weighted std, of
+    each (L, D) matrix of the leading axes.
 
     The channel-wise variance sum(alpha * h^2) - mu^2 is floored at
     VAR_FLOOR before the square root, so identical frames pool to
@@ -299,10 +309,10 @@ def asp_pool(frames: np.ndarray, w: np.ndarray, b: np.ndarray, u: np.ndarray) ->
     if not np.all(np.isfinite(frames)):
         raise ValueError("non-finite frame features")
     alpha = frame_attention(frames, w, b, u)
-    mu = alpha @ frames
-    ex2 = alpha @ (frames * frames)
+    mu = _vecmat(alpha, frames)
+    ex2 = _vecmat(alpha, frames * frames)
     sigma = np.sqrt(np.maximum(ex2 - mu * mu, VAR_FLOOR))
-    return np.concatenate([mu, sigma])
+    return np.concatenate([mu, sigma], axis=-1)
 
 
 _BN_INIT = {"gamma": np.ones, "beta": np.zeros, "running_mean": np.zeros, "running_var": np.ones}
@@ -530,7 +540,10 @@ def forward(features: np.ndarray, weights: FoldedWeights) -> np.ndarray:
     The weights decide everything: the variant is weights.config, and every
     batch norm, an embedding batch norm included, is applied as folded into
     the layer before it. A raw tensor dict is rejected; fold it once with
-    FoldedWeights(tensors). Each crop is pooled and embedded on its own.
+    FoldedWeights(tensors). The pooling and the embedding layer run once
+    over the batch, each crop's products on its own, so each row has the
+    bits of forward of its crop alone. An (L, N_MELS) input is pooled as
+    one (L', D) frame matrix, with no crop axis.
     """
     if not isinstance(weights, FoldedWeights):
         raise TypeError(f"forward takes FoldedWeights, got {type(weights).__name__}")
@@ -538,16 +551,14 @@ def forward(features: np.ndarray, weights: FoldedWeights) -> np.ndarray:
     if features.ndim not in (2, 3) or features.shape[-1] != N_MELS:
         raise ValueError(f"expected (L, {N_MELS}) or (B, L, {N_MELS}) features, got shape {features.shape}")
 
-    crops = run_trunk(features.reshape(-1, *features.shape[-2:]), weights)[:, 1:-1, 1:-1]
+    trunk = run_trunk(features.reshape(-1, *features.shape[-2:]), weights)[:, 1:-1, 1:-1]
+    x = trunk if features.ndim == 3 else trunk[0]  # (..., t, f, c)
     asp = weights.config.pooling == "asp"  # asp flattens freq-major, then channel
+    frames = x.reshape(*x.shape[:-2], -1) if asp else x.mean(axis=-2)
     pool = asp_pool if asp else sap_pool
     t = weights.tensors
-    rows = []
-    for x in crops:
-        frames = x.reshape(x.shape[0], -1) if asp else x.mean(axis=1)
-        pooled = pool(frames, t["pool.w"], t["pool.b"], t["pool.u"])
-        rows.append(pooled @ t["embed.weight"] + t["embed.bias"])
-    embeddings = np.stack(rows)
+    pooled = pool(frames, t["pool.w"], t["pool.b"], t["pool.u"])
+    embeddings = _vecmat(pooled, t["embed.weight"]) + t["embed.bias"]
     if not np.all(np.isfinite(embeddings)):
         raise ValueError("non-finite embedding")
-    return embeddings.astype(np.float32).reshape(*features.shape[:-2], -1)
+    return embeddings.astype(np.float32)

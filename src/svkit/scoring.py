@@ -30,7 +30,9 @@ be set, calls run one by one.
 
 The embedder is injected as a callable, which maps a list of crops of one
 length to their rows, so the scoring layer can run against the real
-network or any substitute.
+network or any substitute. The one network_embedder makes runs the front
+end once over a call's crops, and forward, with one pooling, once on the
+batch.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .audio import WavFile, Waveform, sample_count
-from .features import FeatureParams, extract_features
+from .features import FeatureParams, batch_features
 from .losses import _normalize_rows
 from .network import FoldedWeights, forward
 
@@ -340,11 +342,12 @@ def score_pair(
 
 
 def network_embedder(weights: FoldedWeights) -> Embedder:
-    """Embedder that runs the default feature front end on each crop and
-    the trunk once on them all, on folded weights, which decide the
-    variant. A raw tensor dict raises TypeError at the first call."""
+    """Embedder that runs the default feature front end once over a call's
+    crops (batch_features) and forward once on the batch, on folded
+    weights, which decide the variant. A raw tensor dict raises TypeError
+    at the first call."""
 
     def embed(crops: list[Waveform]) -> np.ndarray:
-        return forward(np.stack([extract_features(crop).values for crop in crops]), weights)
+        return forward(batch_features(crops), weights)
 
     return embed

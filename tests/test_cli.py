@@ -19,7 +19,7 @@ import pytest
 
 from conftest import make_wave, per_crop
 from oracles import relative_l2, report_from_text
-from svkit import augment, cli, containers, scoring
+from svkit import audio, augment, cli, containers, scoring
 from svkit.audio import Waveform, crop_segment, read_wav, write_wav
 from svkit.cli import main
 from svkit.containers import load_tensors, save_features, save_tensors
@@ -445,6 +445,20 @@ class TestEmbed:
         argv = ["embed", str(wav), "--weights", str(weights), "--out", str(out), "--crop-seconds", "1", "--n-crops", "2"]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {wav}: non-finite embedding\n"
+        assert not out.exists()
+
+    def test_a_crop_at_fault_in_a_trunk_call_exits_two_naming_the_wav(self, tmp_path, q_weights_file, monkeypatch, capsys):
+        # The third of four 0.1 s crops, all one trunk call, is read scaled
+        # so that its power spectrum overflows: a fault no 16-bit sample has.
+        wav = tmp_path / "utt.wav"
+        write_wav(wav, make_wave(seed=4, seconds=1.0))
+        window = audio._window
+        scaled = lambda read, length, offset, n: window(read, length, offset, n) * (1e200 if offset == 9600 else 1.0)
+        monkeypatch.setattr(audio, "_window", scaled)
+        out = tmp_path / "e.svw1"
+        argv = ["embed", str(wav), "--weights", str(q_weights_file), "--out", str(out), "--crop-seconds", "0.1", "--n-crops", "4"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {wav}: feature map contains non-finite values\n"
         assert not out.exists()
 
     def test_weights_without_a_tensor_exit_two_naming_file(self, tmp_path, wav_file, capsys):
@@ -1319,10 +1333,16 @@ class TestInfo:
         assert main(["featurize", "--in", str(wav_file), "--out", str(out)]) == 0
         assert main(["info", "--weights", str(q_weights_file), "--features", str(out)]) == 1
 
-    def test_corrupt_weights_exit_two(self, tmp_path):
+    @pytest.mark.parametrize("data,message", [
+        (b"\x00" * 32, "bad magic"),
+        # one tensor of 65536**4 = 2**64 floats, and no data
+        (b"SVW1\x01\x00\x00\x00\x01\x00x\x04" + b"\x00\x00\x01\x00" * 4, "truncated data for tensor 'x'\n"),
+    ], ids=["zeros", "2**64-elements"])
+    def test_corrupt_weights_exit_two(self, tmp_path, data, message, capsys):
         bad = tmp_path / "bad.svw1"
-        bad.write_bytes(b"\x00" * 32)
+        bad.write_bytes(data)
         assert main(["info", "--weights", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
 
     def test_empty_weights_path_exits_two_naming_it(self, capsys):
         assert main(["info", "--weights", ""]) == 2

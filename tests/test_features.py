@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from svkit.features import (
     LOG_FLOOR,
     FeatureMap,
     FeatureParams,
+    batch_features,
     extract_features,
     instance_normalize,
     log_mel_spectrogram,
@@ -175,6 +178,53 @@ class TestInstanceNormalize:
     def test_requires_two_frames(self):
         with pytest.raises(ValueError):
             instance_normalize(FeatureMap(np.ones((1, 4))))
+
+
+def faulty(kind: str, seed: int, n: int) -> Waveform:
+    """A finite crop whose pre-emphasized samples ("samples") or power
+    spectrum ("spectrum") overflow to inf, or a good crop ("none")."""
+    if kind == "samples":
+        return Waveform(1e308 * (-1.0) ** np.arange(n))
+    return Waveform(make_wave(seed, n / 16000).samples * (1e200 if kind == "spectrum" else 1.0))
+
+
+class TestBatchFeatures:
+    """batch_features runs each front-end step once over a batch of crops,
+    each row with the bits of the one-crop steps."""
+
+    @pytest.mark.parametrize("frames", [63, 64, 65, 401])
+    @pytest.mark.parametrize("n_crops", [1, 4, 7, 15, 36])
+    def test_rows_equal_each_crop_alone_bit_for_bit(self, n_crops, frames):
+        p = FeatureParams()
+        n = (frames - 1) * p.hop_length + (7 * n_crops) % p.hop_length  # L = 1 + n // hop
+        crops = [make_wave(seed=100 + i, seconds=n / 16000) for i in range(n_crops)]
+        got = batch_features(crops)
+        assert got.shape == (n_crops, frames, p.n_mels)
+        for row, crop in zip(got, crops):
+            one = instance_normalize(log_mel_spectrogram(preemphasize(crop, p.preemphasis), p)).values
+            assert row.tobytes() == one.tobytes()
+            assert row.tobytes() == extract_features(crop).values.tobytes()
+
+    # A crop's faults are found as the one-crop steps find them: its
+    # pre-emphasized samples, then its length (the same for every crop of a
+    # batch), then its feature map; the first crop at fault raises.
+    @pytest.mark.parametrize("kinds,seconds,message", [
+        (["none", "none", "samples", "none"], 0.1, "waveform contains non-finite samples"),
+        (["none", "none", "spectrum", "none"], 0.1, "feature map contains non-finite values"),
+        (["none", "spectrum", "samples"], 0.1, "feature map contains non-finite values"),
+        (["none", "samples", "spectrum"], 0.1, "waveform contains non-finite samples"),
+        (["none", "none", "none"], 0.005, "waveform too short: 80 samples < one hop (160)"),
+        (["none", "samples", "none"], 0.005, "waveform too short: 80 samples < one hop (160)"),
+        (["samples", "none", "none"], 0.005, "waveform contains non-finite samples"),
+    ])
+    def test_a_crop_at_fault_raises_the_message_of_the_first_one_alone(self, kinds, seconds, message):
+        crops = [faulty(kind, seed, round(seconds * 16000)) for seed, kind in enumerate(kinds)]
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                batch_features(crops)
+            first = 0 if seconds < 0.01 else next(i for i, kind in enumerate(kinds) if kind != "none")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                extract_features(crops[first])
 
 
 class TestPipeline:

@@ -123,7 +123,7 @@ class TestPooling:
         assert got.shape == (8,)
         assert_allclose(got, np.concatenate([mu, sigma]), rtol=1e-10)
 
-    @pytest.mark.parametrize("shape", [(0, 4), (4,), (2, 2, 4)])
+    @pytest.mark.parametrize("shape", [(0, 4), (4,), (2, 0, 4)])
     def test_frames_must_be_a_non_empty_matrix(self, shape):
         rng = np.random.default_rng(5)
         w, b, u = rng.standard_normal((4, 3)), rng.standard_normal(3), rng.standard_normal(3)
@@ -140,6 +140,16 @@ class TestPooling:
             sap_pool(frames, w, b, u)
         with pytest.raises(ValueError, match="non-finite frame features"):  # checked before the attention
             asp_pool(frames, w, b, u)
+
+    def test_leading_axes_pool_each_matrix_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        frames = rng.standard_normal((2, 3, 11, 6)).astype(np.float32)
+        w, b, u = (rng.standard_normal(shape).astype(np.float32) for shape in ((6, 5), (5,), (5,)))
+        for pool, width in ((sap_pool, 6), (asp_pool, 12)):
+            pooled = pool(frames, w, b, u)
+            assert pooled.shape == (2, 3, width)
+            for i, j in np.ndindex(2, 3):
+                assert pooled[i, j].tobytes() == pool(frames[i, j], w, b, u).tobytes()
 
     def test_asp_identical_frames_hit_variance_floor(self):
         frames = np.tile(np.array([1.0, -2.0, 0.5]), (6, 1))

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import make_wave, per_crop
 from oracles import all_pairs_mean_cosine, relative_l2
-from svkit import scoring
+from svkit import network, scoring
 from svkit.audio import Waveform, sample_count
 from svkit.features import extract_features
 from svkit.network import FoldedWeights, forward
@@ -603,3 +603,25 @@ class TestCropBatches:
             offsets = plan_crops(len(wave), crop_samples, N_CROPS)
             one_by_one = [forward(extract_features(crop).values, folded) for crop in wave.windows(offsets, crop_samples)]
             assert relative_l2(rows, one_by_one) <= 1e-5
+
+
+class TestOneFrontEndAndPoolingPerCall:
+    """network_embedder runs the front end, the pooling and the embedding
+    layer once per trunk call; each row has the bits of those steps run on
+    its crop alone, over the call's trunk output."""
+
+    @pytest.mark.parametrize("crop_seconds", [0.1, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("variant", ["q-sap", "h-asp"])
+    def test_rows_equal_a_front_end_and_pooling_per_crop_bit_for_bit(self, variant, crop_seconds, monkeypatch, request):
+        folded = FoldedWeights(request.getfixturevalue(f"{variant[0]}_weights"))
+        crop_samples = sample_count(crop_seconds)
+        wave = make_wave(seed=70, seconds=1.7)
+        offsets = plan_crops(len(wave), crop_samples, N_CROPS)[: crops_per_call(crop_seconds)]
+        crops = list(wave.windows(offsets, crop_samples))
+        rows = network_embedder(folded)(crops)
+        assert rows.shape == (len(crops), 512)
+        features = np.stack([extract_features(crop).values for crop in crops])
+        trunk = network.run_trunk(features.astype(np.float32), folded)
+        for i, row in enumerate(rows):
+            monkeypatch.setattr(network, "run_trunk", lambda *args: trunk[i : i + 1])
+            assert row.tobytes() == forward(features[i], folded).tobytes()
