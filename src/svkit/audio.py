@@ -42,10 +42,11 @@ class Waveform:
     """Mono PCM samples at SAMPLE_RATE.
 
     Invariants enforced on construction: 1-D, at least one sample, all
-    samples finite.
+    samples finite. An error about it has no prefix (where).
     """
 
     samples: np.ndarray
+    where = ""
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -119,10 +120,14 @@ def _checked(path: str | Path) -> Iterator[tuple[Callable[[int, int], np.ndarray
 @dataclass(frozen=True)
 class WavFile:
     """A WAV file whose header passed every check (open_wav): its path and
-    frame count, and no samples."""
+    frame count, and no samples. An error about it starts with where."""
 
     path: str | Path
     n_frames: int
+
+    @property
+    def where(self) -> str:
+        return f"{self.path}: "
 
     def __len__(self) -> int:
         return self.n_frames

@@ -37,7 +37,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .audio import WavFile, Waveform, open_wav, read_wav
+from .audio import WavFile, Waveform, open_wav
 
 # kind -> (count range inclusive, SNR range in dB)
 ADDITIVE_DEFAULTS = {
@@ -78,21 +78,11 @@ class NoiseCatalog:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def where(self, index: int) -> str:
-        """A message prefix naming a WAV entry's file; empty for a Waveform."""
-        entry = self.entries[index]
-        return "" if isinstance(entry, Waveform) else f"{entry}: "
-
     def get(self, index: int) -> Waveform | WavFile:
         """The entry; a WAV path is opened (open_wav), its samples read
         only as windows of it are."""
         entry = self.entries[index]
         return entry if isinstance(entry, Waveform) else open_wav(entry)
-
-    def read(self, index: int) -> Waveform:
-        """The entry; a WAV path is read whole."""
-        entry = self.entries[index]
-        return entry if isinstance(entry, Waveform) else read_wav(entry)
 
 
 def scan_catalogs(root: str | Path) -> dict:
@@ -185,11 +175,11 @@ def augment_additive(clean: Waveform, cat: NoiseCatalog, spec: AugmentSpec) -> W
         [noise] = draw.recording.windows([draw.crop_offset], len(clean))
         p_noise = _power(noise.samples)
         if p_noise == 0.0:
-            raise ValueError(f"{cat.where(draw.catalog_index)}catalog entry {draw.catalog_index} has zero power")
+            raise ValueError(f"{draw.recording.where}catalog entry {draw.catalog_index} has zero power")
         try:
             gain = snr_gain(p_clean, p_noise, draw.snr_db)
         except ValueError as exc:
-            raise ValueError(f"{cat.where(draw.catalog_index)}catalog entry {draw.catalog_index}: {exc}") from None
+            raise ValueError(f"{draw.recording.where}catalog entry {draw.catalog_index}: {exc}") from None
         out += gain * noise.samples
     return Waveform(out)
 
@@ -223,13 +213,14 @@ def augment_rir(
     rng = np.random.default_rng(seed)
     index = int(rng.integers(0, len(cat)))
     gain_db = float(rng.uniform(*np.add(gain_db_range, 0.0)))  # + 0.0: as in plan_additive
-    rir = cat.read(index).samples
-    energy = float(np.sum(rir * rir))
+    response = cat.get(index)
+    [rir] = response.windows([0], len(response))
+    energy = float(np.sum(rir.samples * rir.samples))
     if energy == 0.0:
-        raise ValueError(f"{cat.where(index)}RIR entry {index} has zero energy")
+        raise ValueError(f"{response.where}RIR entry {index} has zero energy")
     n = len(clean)
     with np.errstate(over="ignore", invalid="ignore"):  # a gain too large for the float range is checked below
-        scaled = rir * (gain_ratio(gain_db) / np.sqrt(energy))
+        scaled = rir.samples * (gain_ratio(gain_db) / np.sqrt(energy))
         wet = np.convolve(clean.samples, scaled[:DIRECT_TAPS])[:n]
         tail = scaled[DIRECT_TAPS:n]  # taps from n on never reach the kept output
         if tail.size:
@@ -238,6 +229,6 @@ def augment_rir(
             spectrum = np.fft.rfft(dry, size) * np.fft.rfft(tail, size)
             wet[DIRECT_TAPS:] += np.fft.irfft(spectrum, size)[: dry.size]
     if not np.isfinite(wet).all():
-        raise ValueError(f"{cat.where(index)}RIR entry {index} at {gain_db} dB gain gives non-finite samples")
+        raise ValueError(f"{response.where}RIR entry {index} at {gain_db} dB gain gives non-finite samples")
     return Waveform(wet)
 

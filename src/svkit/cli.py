@@ -107,8 +107,10 @@ def _atomic_save(path: str | Path, save) -> None:
     # Single atomic publish: save() writes a uniquely named temp file beside
     # the target, with the mode a plain open() gives, then it is renamed over
     # the target. A failed save leaves neither a partial target nor a temp file.
+    # The temp name's length does not grow with the target's, so any name a
+    # plain open() can write can be published.
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(8).hex()}.tmp")
+    tmp = path.with_name(f".svkit.{os.getpid()}.{os.urandom(8).hex()}.tmp")
     try:
         save(tmp)
         os.replace(tmp, path)
@@ -399,14 +401,10 @@ def _load_cache(
 def _embedded(paths: dict[str, str], args) -> Iterator[tuple[str, np.ndarray]]:
     """(key, float32 rows) of each key, in order, embedded from the path it maps to. The weights
     are loaded first, then every header is checked (open_wav) before the first crop runs. An
-    error of a WAV's crops starts with its path, as its read errors do."""
+    error of a WAV's crops starts with its path (WavFile.where), as its read errors do."""
     embedder = _load_embedder(args.weights)
     embedded = embed_utterances([open_wav(p) for p in paths.values()], embedder, args.crop_seconds, args.n_crops)
-    for key, path in paths.items():
-        try:  # embed_utterances raises the first failure in utterance order
-            rows = next(embedded)
-        except ValueError as exc:
-            raise exc if str(exc).startswith(f"{path}: ") else ValueError(f"{path}: {exc}") from None
+    for key, rows in zip(paths, embedded):
         yield key, rows.astype(np.float32)
 
 

@@ -116,7 +116,10 @@ def load_tensors(path: str | Path, records: list[str] | None = None) -> dict[str
                     continue
                 if name in tensors:
                     raise FormatError(f"{path}: duplicate tensor name {name!r}")
-                arr = np.empty(dims, dtype="<f4")
+                try:  # numpy holds at most 64 axes (32 before numpy 2)
+                    arr = np.empty(dims, dtype="<f4")
+                except ValueError as exc:
+                    raise FormatError(f"{path}: tensor {name!r}: {exc}") from None
                 if f.readinto(arr) != arr.nbytes:
                     raise FormatError(f"{path}: truncated data for tensor {name!r}")
                 tensors[name] = arr

@@ -227,9 +227,11 @@ def embed_utterances(
     the queue reaches it, and each crop is read when the queue reaches its
     call, so a WavFile is never held whole. The first failure in utterance
     order is raised, whether drawing an utterance, a read, a crop or a
-    non-finite row. `svkit embed` and `svkit score` check every WAV header
-    (open_wav) before calling this, so a bad header anywhere in the command
-    wins over any failure here. numpy's BLAS runs one thread per call until
+    non-finite row. A call's ValueError (the embedder's, or of its rows'
+    shape or values) starts with its utterance's where, a WavFile's path as
+    in its read errors. `svkit embed` and `svkit score` check every WAV
+    header (open_wav) before calling this, so a bad header anywhere in the
+    command wins over any failure here. numpy's BLAS runs one thread per call until
     the iterator is exhausted or closed, so a GEMM sums in the same order
     whether calls run concurrently or one by one. Closing it early cancels
     the queued calls and waits for the running ones.
@@ -237,34 +239,36 @@ def embed_utterances(
     per_call = crops_per_call(crop_seconds)
     workers = crop_workers() if per_call == 1 else 1
     crop_samples = sample_count(crop_seconds)
-    drawn: collections.deque = collections.deque()  # (offsets, distinct offsets) per utterance, oldest first
 
-    def embed(crops: list[Waveform]) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite row is an error
-            rows = np.asarray(embedder(crops), dtype=np.float64)
-        if rows.ndim != 2 or len(rows) != len(crops):
-            raise ValueError(f"embedder gave rows of shape {rows.shape} for {len(crops)} crops")
-        return rows
+    def embed(call: tuple) -> tuple[np.ndarray, np.ndarray | None]:
+        crops, audio, rows = call
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite row is an error
+                out = np.asarray(embedder(crops), dtype=np.float64)
+        except ValueError as exc:
+            raise ValueError(f"{audio.where}{exc}") from exc
+        if out.ndim != 2 or len(out) != len(crops):
+            raise ValueError(f"{audio.where}embedder gave rows of shape {out.shape} for {len(crops)} crops")
+        if not np.all(np.isfinite(out)):
+            raise ValueError(f"{audio.where}embedder produced non-finite values")
+        return out, rows
 
-    def calls() -> Iterator[list[Waveform]]:
+    def calls() -> Iterator[tuple]:
         for audio in utterances:
-            offsets = plan_crops(len(audio), crop_samples, n_crops).tolist()
-            unique = list(dict.fromkeys(offsets))
-            drawn.append((offsets, unique))
-            with contextlib.closing(audio.windows(unique, crop_samples)) as windows:
-                while crops := list(itertools.islice(windows, per_call)):
-                    yield crops
+            unique, rows = np.unique(plan_crops(len(audio), crop_samples, n_crops), return_inverse=True)
+            with contextlib.closing(audio.windows(unique.tolist(), crop_samples)) as windows:
+                for start in range(0, len(unique), per_call):  # an utterance's last call carries its rows
+                    crops = list(itertools.islice(windows, per_call))
+                    yield crops, audio, rows if start + len(crops) == len(unique) else None
 
     queue = calls()
-    with _one_blas_thread(), contextlib.closing(queue), contextlib.closing(_in_order(embed, queue, workers)) as rows:
-        for first in rows:
-            offsets, unique = drawn.popleft()
-            rest = itertools.islice(rows, -(-len(unique) // per_call) - 1)  # the utterance's other calls
-            by_offset = dict(zip(unique, np.concatenate([first, *rest])))
-            emb = np.stack([by_offset[o] for o in offsets])
-            if not np.all(np.isfinite(emb)):
-                raise ValueError("embedder produced non-finite values")
-            yield emb
+    with _one_blas_thread(), contextlib.closing(queue), contextlib.closing(_in_order(embed, queue, workers)) as done:
+        parts = []
+        for part, rows in done:
+            parts.append(part)
+            if rows is not None:
+                yield np.concatenate(parts)[rows]
+                parts = []
 
 
 def crop_embeddings(

@@ -1337,7 +1337,11 @@ class TestInfo:
         (b"\x00" * 32, "bad magic"),
         # one tensor of 65536**4 = 2**64 floats, and no data
         (b"SVW1\x01\x00\x00\x00\x01\x00x\x04" + b"\x00\x00\x01\x00" * 4, "truncated data for tensor 'x'\n"),
-    ], ids=["zeros", "2**64-elements"])
+        # one float in 65 axes of 1, past numpy's limit on axes
+        (b"SVW1\x01\x00\x00\x00\x01\x00x\x41" + b"\x01\x00\x00\x00" * 65 + b"\x00" * 4, "tensor 'x': "),
+        # no floats, in axes of 0 and ten of 2**32 - 1, whose product of nonzero sizes numpy rejects
+        (b"SVW1\x01\x00\x00\x00\x01\x00x\x0b" + b"\x00" * 4 + b"\xff" * 40, "tensor 'x': "),
+    ], ids=["zeros", "2**64-elements", "rank-65", "empty-of-huge-axes"])
     def test_corrupt_weights_exit_two(self, tmp_path, data, message, capsys):
         bad = tmp_path / "bad.svw1"
         bad.write_bytes(data)
@@ -1460,6 +1464,14 @@ class TestAtomicOutputs:
         assert sorted(p.name for p in out_dir.iterdir()) == ["reference", "result"]
         mode = stat.S_IMODE((out_dir / "result").stat().st_mode)
         assert mode == stat.S_IMODE(reference.stat().st_mode)
+
+    @pytest.mark.parametrize("command", list(WRITERS))
+    def test_output_name_near_the_file_system_limit_is_written(self, tmp_path, argv_for, command):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        name = "a" * 246 + ".out"  # 250 bytes, of the 255 most file systems allow
+        assert main(argv_for[command] + [str(out_dir / name)]) == 0
+        assert [p.name for p in out_dir.iterdir()] == [name]
 
     def test_concurrent_runs_temp_name_is_not_clobbered(self, trial_setup, q_weights_file):
         root, trials = trial_setup

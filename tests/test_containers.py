@@ -135,6 +135,14 @@ class TestTensorFile:
         assert records == ["#built-with x=1"]
         assert_array_equal(back["/data/a.wav"], tensors["/data/a.wav"])
 
+    def test_record_of_any_rank_is_kept(self, tmp_path):
+        # A record's data is skipped unread, so no array of its rank is made.
+        path = tmp_path / "c.svw1"
+        path.write_bytes(b"SVW1\x01\x00\x00\x00\x02\x00#r\xff" + b"\x01\x00\x00\x00" * 255 + b"\x00" * 4)
+        records: list[str] = []
+        assert load_tensors(path, records) == {}
+        assert records == ["#r"]
+
     def test_name_over_65535_bytes_rejected(self, tmp_path):
         longest = "\u00e9" * 0x7FFF + "x"  # 65,535 bytes of UTF-8
         save_tensors(tmp_path / "a.svw1", {longest: np.zeros(1)})

@@ -11,7 +11,7 @@ import pytest
 from conftest import make_wave, per_crop
 from oracles import all_pairs_mean_cosine, relative_l2
 from svkit import network, scoring
-from svkit.audio import Waveform, sample_count
+from svkit.audio import Waveform, open_wav, sample_count, write_wav
 from svkit.features import extract_features
 from svkit.network import FoldedWeights, forward
 from svkit.scoring import (
@@ -430,6 +430,18 @@ class TestParallelCrops:
         assert [rows.tobytes() for rows in got] == [rows.tobytes() for rows in want]
 
 
+def raising_embedder(crops):
+    raise ValueError("bad crop")
+
+
+# Embedders whose every call fails, and the start of each one's error.
+FAULTY_EMBEDDERS = {
+    "raises": (raising_embedder, "bad crop"),
+    "non-finite": (lambda crops: np.full((len(crops), 2), np.nan), "embedder produced non-finite values"),
+    "misshapen": (lambda crops: np.ones((len(crops) + 1, 2)), "embedder gave rows of shape"),
+}
+
+
 class TestCropQueue:
     """The distinct crops of several utterances form one queue."""
 
@@ -487,6 +499,29 @@ class TestCropQueue:
         nan_first = lambda w: np.array([np.nan if w.samples[0] == first.samples[0] else 1.0])
         with pytest.raises(ValueError, match="non-finite"):
             list(embed_utterances(unreadable(first), per_crop(nan_first), crop_seconds=1.0, n_crops=N_CROPS))
+
+    @pytest.mark.parametrize("crop_seconds", [0.1, 1.0])
+    @pytest.mark.parametrize("fault", list(FAULTY_EMBEDDERS))
+    def test_a_calls_error_starts_with_its_wavs_path(self, tmp_path, fault, crop_seconds):
+        embed, message = FAULTY_EMBEDDERS[fault]
+        path = tmp_path / "utt.wav"
+        write_wav(path, self.WAVES[2])
+        with pytest.raises(ValueError) as from_wav:
+            crop_embeddings(open_wav(path), embed, crop_seconds)
+        with pytest.raises(ValueError) as from_waveform:
+            crop_embeddings(self.WAVES[2], embed, crop_seconds)
+        assert str(from_wav.value).startswith(f"{path}: {message}")
+        assert str(from_waveform.value) == str(from_wav.value)[len(f"{path}: ") :]  # a Waveform names nothing
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_calls_error_names_the_utterance_it_came_from(self, tmp_path, workers, monkeypatch):
+        monkeypatch.setattr(scoring, "crop_workers", lambda: workers)
+        paths = [tmp_path / f"{name}.wav" for name in "abc"]
+        for path, wave in zip(paths, [self.WAVES[0], Waveform(np.full(SR, 0.5)), self.WAVES[1]]):
+            write_wav(path, wave)
+        embed = per_crop(failing_at({0.5: 0.0}))  # fails on b's one crop alone
+        with pytest.raises(ValueError, match=f"^{re.escape(str(paths[1]))}: bad crop starting 0.5$"):
+            list(embed_utterances(map(open_wav, paths), embed, crop_seconds=1.0, n_crops=N_CROPS))
 
     def test_a_queue_may_start_while_another_is_suspended(self, monkeypatch):
         monkeypatch.setattr(scoring, "crop_workers", lambda: 2)
