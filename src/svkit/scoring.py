@@ -13,20 +13,20 @@ products TRIAL_CHUNK trials at a time; every score has the bits
 score_from_embeddings gives that one pair.
 
 The distinct crops of every utterance a call embeds form one queue of
-trunk calls. Crops of at least MIN_PARALLEL_CROP_SECONDS run one per call,
-in one ordered map on one thread per usable CPU (crop_workers) with at
-most two calls per thread in flight. Shorter crops run on the calling
-thread, one utterance's distinct crops per call (crops_per_call at most),
-so the crops of one call are read before it runs. Each crop is read as the
-queue reaches its call: from a WAV, only its window. A call never holds
-crops of two utterances and its size depends only on the crop length, so
-an utterance's rows do not depend on the utterances around it. numpy's
-OpenBLAS is held to one thread per call while the queue runs, on the pool
-or on the calling thread, and restored after. numpy's GEMM, FFT and ufunc
-loops release the interpreter lock, and each call is independent, so the
-embeddings are bit-identical to embedding the calls one by one, whatever
-the CPU count. When numpy's BLAS is not an OpenBLAS whose thread count can
-be set, calls run one by one.
+trunk calls. Crops of at least ONE_CROP_PER_CALL_SECONDS run one per call;
+shorter ones run one utterance's distinct crops per call (crops_per_call at
+most), so the crops of one call are read before it runs. Each crop is read
+as the queue reaches its call: from a WAV, only its window. The calls run in
+one ordered map on one thread per usable CPU (crop_workers), the calling
+thread being one of them, with at most two calls per thread in flight. A
+call never holds crops of two utterances and its size depends only on the
+crop length, so an utterance's rows do not depend on the utterances around
+it. numpy's OpenBLAS is held to one thread per call while the queue runs,
+and restored after. numpy's GEMM, FFT and ufunc loops release the
+interpreter lock, and each call is independent, so the embeddings are
+bit-identical to embedding the calls one by one, whatever the CPU count.
+When numpy's BLAS is not an OpenBLAS whose thread count can be set, calls
+run one by one on the calling thread.
 
 The embedder is injected as a callable, which maps a list of crops of one
 length to their rows, so the scoring layer can run against the real
@@ -59,15 +59,12 @@ Embedder = Callable[[list[Waveform]], np.ndarray]
 
 CROP_SECONDS = 4.0
 N_CROPS = 10
-# Crops shorter than this run on the calling thread, one utterance's crops
-# per trunk call (crops_per_call). When they ran one per call, each took a
-# few milliseconds, so handing them to another thread cost more than it
-# saved (on 2 CPUs, embedding 32 utterances in 0.1 s crops took 16-56% longer
-# on two threads than on one). Those are per-crop figures, measured on q-sap
-# only: h-asp crops of 0.1-0.5 s ran 1.6-1.7x faster on the 2-thread pool
-# than one by one, so a rule on a crop's cost (variant and frames) rather
-# than its seconds would serve both.
-MIN_PARALLEL_CROP_SECONDS = 1.0
+# Crops of at least this run one per trunk call; shorter ones share a call
+# with the other distinct crops of their utterance (crops_per_call), which
+# shares each numpy call of the front end, trunk and pooling among them.
+# Longer crops give each numpy call a crop's worth of work already, and
+# batching them was measured to lose.
+ONE_CROP_PER_CALL_SECONDS = 1.0
 # Trials whose dot products are taken at once, gathered into two reused
 # (64, 512) float64 buffers of 256 KB each. The dot products of 992 trials
 # over 32 ids took 1.0 ms in 32- or 64-row chunks, 1.1 ms in 128 and 1.8 ms
@@ -90,10 +87,10 @@ def plan_crops(n_samples: int, crop_samples: int, n_crops: int) -> np.ndarray:
 
 def crops_per_call(crop_seconds: float) -> int:
     """Crops of crop_seconds an embedder call takes at most: one when they
-    are at least MIN_PARALLEL_CROP_SECONDS, else as many as fit in the
+    are at least ONE_CROP_PER_CALL_SECONDS, else as many as fit in the
     frames (features.FeatureParams' hop) of one CROP_SECONDS crop, which
     bounds a call's activations by those of one such crop."""
-    if crop_seconds >= MIN_PARALLEL_CROP_SECONDS:
+    if crop_seconds >= ONE_CROP_PER_CALL_SECONDS:
         return 1
     frames = lambda seconds: 1 + sample_count(seconds) // FeatureParams().hop_length
     return frames(CROP_SECONDS) // frames(crop_seconds)
@@ -130,8 +127,8 @@ def openblas_build() -> str:
 
 @functools.cache
 def crop_workers() -> int:
-    """Crops embedded at once: the usable CPUs, each crop's BLAS calls on
-    one thread. 1 when numpy's BLAS thread count cannot be set: crops then
+    """Trunk calls run at once: the usable CPUs, each call's BLAS calls on
+    one thread. 1 when numpy's BLAS thread count cannot be set: calls then
     run one by one, each BLAS call on as many threads as BLAS uses."""
     if _openblas() is None:
         return 1
@@ -164,28 +161,41 @@ def _one_blas_thread():
             set_(threads)
 
 
-@functools.cache
-def _crop_pool(threads: int):
-    # Kept for the life of the process: a pool made per call costs thread
-    # start-up and, through new malloc arenas, resident memory. Imported
-    # here because importing concurrent.futures adds ~0.8 MB of resident
-    # memory to every command, also those that embed nothing.
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(threads, thread_name_prefix="svkit-crop")
-
-
 def _in_order(fn: Callable, items: Iterable, workers: int) -> Iterator:
     """fn over items, results in order: builtin map on the calling thread
-    for one worker, else on the crop pool with at most 2 * workers calls in
-    flight. An error drawing an item is raised after the result, or the
-    first error, of every item drawn before it. Closing this cancels the
-    calls not yet started and waits for those running."""
+    for one worker, else on a pool of workers - 1 threads made for this
+    call and the calling thread, with at most 2 * workers calls in flight.
+    While the call at the head is not done, the calling thread runs the
+    first queued call no pool thread has started; each result or error is
+    kept until its turn. An error drawing an item is raised after the
+    result, or the first error, of every item drawn before it. Closing this
+    cancels the calls not yet started and waits for those running."""
     if workers == 1:
         yield from map(fn, items)
         return
-    submit = _crop_pool(workers).submit
-    futures: collections.deque = collections.deque()
+    # Imported here because importing concurrent.futures adds ~0.8 MB of
+    # resident memory to every command, also those that embed nothing.
+    from concurrent.futures import Future, ThreadPoolExecutor
+
+    def run_here(item) -> Future:
+        future = Future()
+        try:
+            future.set_result(fn(item))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def head_result():
+        for call in calls:
+            if calls[0][0].done():
+                break
+            item, call[1] = call[1], None  # a call's item is needed until a thread takes it
+            if item is not None and call[0].cancel():
+                call[0] = run_here(item)
+        return calls.popleft()[0].result()
+
+    pool = ThreadPoolExecutor(workers - 1, thread_name_prefix="svkit-crop")
+    calls: collections.deque = collections.deque()  # [future, item] in queue order
     items = iter(items)
     try:
         while True:
@@ -194,17 +204,16 @@ def _in_order(fn: Callable, items: Iterable, workers: int) -> Iterator:
             except StopIteration:
                 break
             except Exception:  # the items drawn before come first
-                while futures:
-                    yield futures.popleft().result()
+                while calls:
+                    yield head_result()
                 raise
-            futures.append(submit(fn, item))
-            if len(futures) == 2 * workers:
-                yield futures.popleft().result()
-        while futures:
-            yield futures.popleft().result()
-    finally:  # cancel every queued call, then wait out (not raise) the running ones
-        for future in [future for future in futures if not future.cancel()]:
-            future.exception()
+            calls.append([pool.submit(fn, item), item])
+            if len(calls) == 2 * workers:
+                yield head_result()
+        while calls:
+            yield head_result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def embed_utterances(
@@ -219,25 +228,26 @@ def embed_utterances(
     Crops that start at the same offset are embedded once and the row is
     repeated, so an utterance no longer than one crop costs one crop. The
     distinct crops of all the utterances form one queue of embedder calls
-    in utterance order. Crops of at least MIN_PARALLEL_CROP_SECONDS run one
-    per call on up to crop_workers() threads with two calls per thread in
-    flight; shorter ones run on the calling thread, up to crops_per_call()
-    of one utterance per call. A call's rows depend on no other utterance.
-    Each utterance, a Waveform or a WavFile, is drawn from utterances when
-    the queue reaches it, and each crop is read when the queue reaches its
-    call, so a WavFile is never held whole. The first failure in utterance
-    order is raised, whether drawing an utterance, a read, a crop or a
-    non-finite row. A call's ValueError (the embedder's, or of its rows'
-    shape or values) starts with its utterance's where, a WavFile's path as
-    in its read errors. `svkit embed` and `svkit score` check every WAV
-    header (open_wav) before calling this, so a bad header anywhere in the
-    command wins over any failure here. numpy's BLAS runs one thread per call until
+    in utterance order. Crops of at least ONE_CROP_PER_CALL_SECONDS run one
+    per call, shorter ones up to crops_per_call() of one utterance per call.
+    The calls run on crop_workers() threads, the calling thread one of
+    them, with two calls per thread in flight, on a pool that lives as long
+    as the iterator. A call's rows depend on no other utterance. Each
+    utterance, a Waveform or a WavFile, is drawn from utterances when the
+    queue reaches it, and each crop is read when the queue reaches its call,
+    so a WavFile is never held whole. The first failure in utterance order
+    is raised, whether drawing an utterance, a read, a crop or a non-finite
+    row. A call's ValueError (the embedder's, or of its rows' shape or
+    values) starts with its utterance's where, a WavFile's path as in its
+    read errors. `svkit embed` and `svkit score` check every WAV header
+    (open_wav) before calling this, so a bad header anywhere in the command
+    wins over any failure here. numpy's BLAS runs one thread per call until
     the iterator is exhausted or closed, so a GEMM sums in the same order
     whether calls run concurrently or one by one. Closing it early cancels
-    the queued calls and waits for the running ones.
+    the queued calls and waits for the running ones, so no thread of its
+    pool outlives it.
     """
     per_call = crops_per_call(crop_seconds)
-    workers = crop_workers() if per_call == 1 else 1
     crop_samples = sample_count(crop_seconds)
 
     def embed(call: tuple) -> tuple[np.ndarray, np.ndarray | None]:
@@ -262,7 +272,7 @@ def embed_utterances(
                     yield crops, audio, rows if start + len(crops) == len(unique) else None
 
     queue = calls()
-    with _one_blas_thread(), contextlib.closing(queue), contextlib.closing(_in_order(embed, queue, workers)) as done:
+    with _one_blas_thread(), contextlib.closing(queue), contextlib.closing(_in_order(embed, queue, crop_workers())) as done:
         parts = []
         for part, rows in done:
             parts.append(part)

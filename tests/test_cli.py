@@ -563,7 +563,8 @@ class TestEmbed:
     @pytest.mark.parametrize("variant", ["q-sap", "h-asp"])
     def test_short_crops_give_the_same_bytes_on_one_or_two_blas_threads(self, tmp_path, variant):
         # OpenBLAS's AVX2 Haswell kernel sums a GEMM split over two threads
-        # in another order than on one; 0.5 s crops run one by one.
+        # in another order than on one; the crop queue holds it to one
+        # thread per call.
         cpuinfo = pathlib.Path("/proc/cpuinfo")
         if not cpuinfo.exists() or "avx2" not in cpuinfo.read_text().split():
             pytest.skip("the CPU cannot run OpenBLAS's Haswell kernel")

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,22 @@ class TestBatchFeatures:
             one = instance_normalize(log_mel_spectrogram(preemphasize(crop, p.preemphasis), p)).values
             assert row.tobytes() == one.tobytes()
             assert row.tobytes() == extract_features(crop).values.tobytes()
+
+    def test_a_batch_of_short_crops_peaks_below_one_crop_of_more_samples(self):
+        # Seven 0.5 s crops (357 frames) against one 4 s crop (401 frames):
+        # each FFT block holds STFT_BLOCK_FRAMES frames of the batch at most,
+        # not that many of every crop.
+        def peak(crops):
+            batch_features(crops)  # numpy's FFT caches its plan at the first call
+            tracemalloc.start()
+            try:
+                batch_features(crops)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short = [make_wave(seed=110 + i, seconds=0.5) for i in range(7)]
+        assert peak(short) < peak([make_wave(seed=120, seconds=4.0)])
 
     # A crop's faults are found as the one-crop steps find them: its
     # pre-emphasized samples, then its length (the same for every crop of a

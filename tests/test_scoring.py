@@ -308,6 +308,10 @@ def failing_at(delays=None):
     return embed
 
 
+def crop_pool_threads():
+    return [thread for thread in threading.enumerate() if thread.name.startswith("svkit-crop")]
+
+
 class TestParallelCrops:
     """Crops on several threads give the rows, row order and errors of
     crops one by one."""
@@ -334,12 +338,6 @@ class TestParallelCrops:
         rows = embed_on(monkeypatch, 2, self.WAVE, per_crop(recording), crop_seconds=1.0)
         np.testing.assert_array_equal(rows[:, 0], self.WAVE.samples[self.OFFSETS])
         assert len(threads) == 2
-
-    def test_short_crops_stay_on_the_calling_thread(self, monkeypatch):
-        threads = set()
-        recording = lambda w: threads.add(threading.get_ident()) or failing_at()(w)
-        embed_on(monkeypatch, 2, self.WAVE, per_crop(recording), crop_seconds=0.5)
-        assert threads == {threading.get_ident()}
 
     def test_single_crop_rows_match_one_by_one(self, monkeypatch):
         serial = embed_on(monkeypatch, 1, self.WAVE, per_crop(segment_sum_embedder), crop_seconds=1.0, n_crops=1)
@@ -385,19 +383,18 @@ class TestParallelCrops:
         finally:
             set_(before)
 
-    def test_blas_runs_one_thread_per_call_while_short_crops_run_one_by_one(self, monkeypatch):
+    def test_blas_runs_one_thread_per_call_while_short_crops_run(self, monkeypatch):
         blas = scoring._openblas()
         if blas is None:
             pytest.skip("numpy links no OpenBLAS whose thread count can be set")
         get, set_, _ = blas
         before = get()
-        seen, threads = set(), set()
-        recording = lambda w: seen.add(get()) or threads.add(threading.get_ident()) or failing_at()(w)
+        seen = {}  # thread -> BLAS thread counts its calls saw
+        recording = lambda w: seen.setdefault(threading.get_ident(), set()).add(get()) or failing_at()(w)
         set_(2)
         try:
             embed_on(monkeypatch, 2, self.WAVE, per_crop(recording), crop_seconds=0.5)
-            assert threads == {threading.get_ident()}
-            assert seen == {1}
+            assert seen and all(counts == {1} for counts in seen.values())
             assert get() == 2
         finally:
             set_(before)
@@ -460,6 +457,58 @@ class TestCropQueue:
         rows = list(embed_utterances(self.WAVES[:4], per_crop(embed), crop_seconds=1.0, n_crops=N_CROPS))
         assert [r[0, 0] for r in rows] == [w.samples[0] for w in self.WAVES[:4]]
         assert all(r.shape == (10, 2) for r in rows)
+
+    @pytest.mark.parametrize("crop_seconds", [0.1, 0.5])
+    def test_short_crop_calls_of_several_utterances_run_concurrently(self, crop_seconds, monkeypatch):
+        monkeypatch.setattr(scoring, "crop_workers", lambda: 2)
+        both = threading.Barrier(2, timeout=10)
+        sizes = []
+
+        def embed(crops):
+            # Each call waits for a second one running beside it; one call
+            # at a time breaks the barrier.
+            sizes.append(len(crops))
+            both.wait()
+            return per_crop(first_sample_embedder)(crops)
+
+        # Seven crops, at most one call's worth: one call per utterance.
+        rows = list(embed_utterances(self.WAVES[:4], embed, crop_seconds, n_crops=7))
+        assert [r[0, 0] for r in rows] == [w.samples[0] for w in self.WAVES[:4]]
+        assert len(sizes) == 4 and sum(sizes) > 4
+
+    def test_the_calling_thread_runs_calls(self, monkeypatch):
+        monkeypatch.setattr(scoring, "crop_workers", lambda: 2)
+        caller = threading.get_ident()
+        threads = []
+        caller_ran = threading.Event()
+
+        def embed(waveform):
+            # A pool thread's crop waits until the calling thread has run
+            # one, so the head of the queue cannot finish first.
+            threads.append(threading.get_ident())
+            if threading.get_ident() == caller:
+                caller_ran.set()
+            caller_ran.wait(timeout=5)
+            return first_sample_embedder(waveform)
+
+        rows = list(embed_utterances(self.WAVES, per_crop(embed), crop_seconds=1.0, n_crops=N_CROPS))
+        assert [r[0, 0] for r in rows] == [w.samples[0] for w in self.WAVES]
+        assert caller in threads
+
+    @pytest.mark.parametrize("crop_seconds", [0.1, 1.0])
+    def test_no_pool_thread_outlives_its_queue(self, crop_seconds, monkeypatch):
+        monkeypatch.setattr(scoring, "crop_workers", lambda: 2)
+        embed = per_crop(failing_at())
+        list(embed_utterances(self.WAVES, embed, crop_seconds, N_CROPS))
+        assert crop_pool_threads() == []  # exhausted
+        rows = embed_utterances(self.WAVES, embed, crop_seconds, N_CROPS)
+        next(rows)
+        rows.close()
+        assert crop_pool_threads() == []  # closed early
+        failing = per_crop(failing_at({float(self.WAVES[1].samples[0]): 0.0}))
+        with pytest.raises(ValueError, match="bad crop"):
+            list(embed_utterances(self.WAVES, failing, crop_seconds, N_CROPS))
+        assert crop_pool_threads() == []  # failed
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_utterances_are_read_as_the_queue_reaches_them(self, workers, monkeypatch):
@@ -549,13 +598,15 @@ class TestCropQueue:
             set_(2)
         calls, returned = [], []
         started, released = threading.Event(), threading.Event()
+        caller = threading.get_ident()
 
         def embed(waveform):
-            # Past the first utterance, crops wait until released, after the
-            # close has begun: both threads are then busy and the rest of the
-            # 4 in flight queued.
+            # Past the first utterance, crops on the pool wait until released,
+            # after the close has begun: the pool thread is then busy and the
+            # rest of the 4 in flight queued. The calling thread may run a
+            # queued crop itself, and does not wait.
             calls.append(waveform)
-            if waveform.samples[0] != self.WAVES[0].samples[0]:
+            if waveform.samples[0] != self.WAVES[0].samples[0] and threading.get_ident() != caller:
                 started.set()
                 released.wait(timeout=10)
             row = first_sample_embedder(waveform)
@@ -576,26 +627,21 @@ class TestCropQueue:
             threads = get()
             set_(before)
             assert threads == 2
-        # Each pool thread takes one of these waits only once its crop in
-        # flight is done.
-        idle = threading.Barrier(3, timeout=10)
-        waits = [scoring._crop_pool(2).submit(idle.wait) for _ in range(2)]
-        idle.wait()
-        for wait in waits:
-            wait.result(timeout=10)
+        # No thread of the queue's pool outlives the close.
+        assert crop_pool_threads() == []
         settled = len(calls)
         time.sleep(0.05)
         # Crops 1 and 2 may have started; crop 3, queued, never does, and no
         # crop starts after the close.
         assert len(calls) == settled < 4
         assert settled == closed
-        # The pool is idle again: the next queue embeds every utterance.
+        # The next queue, on a pool of its own, embeds every utterance.
         rows = list(embed_utterances(self.WAVES, per_crop(embed), crop_seconds=1.0, n_crops=N_CROPS))
         assert [r[0, 0] for r in rows] == [w.samples[0] for w in self.WAVES]
 
 
 class TestCropBatches:
-    """Crops shorter than MIN_PARALLEL_CROP_SECONDS run one utterance's
+    """Crops shorter than ONE_CROP_PER_CALL_SECONDS run one utterance's
     distinct crops per trunk call, at most crops_per_call of them."""
 
     # At 0.5 s crops the first is tiled to one crop and the others have ten
